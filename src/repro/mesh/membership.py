@@ -22,7 +22,12 @@ from repro.simcore.simulator import Simulator
 
 @dataclass
 class MembershipEvent:
-    """One change in a node's mesh view."""
+    """One change in a node's mesh view.
+
+    Views keep aggregate :class:`MembershipStats`, not a list of these.
+    Existing snapshot artifacts (the golden test fixture among them) hold
+    such lists, so the class must stay importable for them to load.
+    """
 
     time: float
     kind: str  # "join" or "leave"
@@ -36,7 +41,6 @@ class MembershipStats:
 
     joins: int = 0
     leaves: int = 0
-    peak_size: int = 0
     total_membership_changes: int = 0
     contact_durations: List[float] = field(default_factory=list)
 
@@ -55,7 +59,6 @@ class MeshMembership:
         self.agent = beacon_agent
         self.owner = beacon_agent.interface.node_name
         self.epoch = 0
-        self.events: List[MembershipEvent] = []
         self.stats = MembershipStats()
         self._first_seen: Dict[str, float] = {}
         beacon_agent.on_neighbor_up(self._on_join)
@@ -96,8 +99,6 @@ class MeshMembership:
         self._first_seen[peer] = self.sim.now
         self.stats.joins += 1
         self.stats.total_membership_changes += 1
-        self.stats.peak_size = max(self.stats.peak_size, self.size())
-        self.events.append(MembershipEvent(self.sim.now, "join", peer, self.epoch))
         self.sim.monitor.counter("mesh.joins").add()
 
     def _on_leave(self, peer: str) -> None:
@@ -107,5 +108,4 @@ class MeshMembership:
         first = self._first_seen.pop(peer, None)
         if first is not None:
             self.stats.contact_durations.append(self.sim.now - first)
-        self.events.append(MembershipEvent(self.sim.now, "leave", peer, self.epoch))
         self.sim.monitor.counter("mesh.leaves").add()

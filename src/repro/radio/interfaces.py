@@ -923,16 +923,25 @@ class RadioEnvironment:
             return
         if frame.destination is not None:
             receiver_names = [frame.destination]
+            row = self._ensure_row(sender_name, receiver_names)
+            in_range = len(self.nodes_in_range(sender_name))
         else:
             receiver_names = self._broadcast_receivers(sender_name, sender.position)
-        row = self._ensure_row(sender_name, receiver_names)
-        concurrent = max(0, len(self.nodes_in_range(sender_name)) - 1)
+            row = self._ensure_row(sender_name, receiver_names)
+            # The broadcast candidates are exactly the set nodes_in_range
+            # filters, so the usable entries of this row are its count.
+            in_range = sum(1 for name in receiver_names if row[name].usable)
+        concurrent = max(0, in_range - 1)
         contention_scale = 1.0 / (1.0 + self.contention_factor * concurrent)
         deliver_name = self._deliver_names.get(frame.kind)
         if deliver_name is None:
             deliver_name = f"deliver-{frame.kind}"
             self._deliver_names[frame.kind] = deliver_name
         rng = self.sim.streams.get(self.rng_stream)
+        # Deliveries are pushed in one batch after the loop; nothing in it
+        # schedules, so each delivery keeps the sequence number (and hence
+        # the firing order) a per-receiver push would have given it.
+        entries: List[Tuple[float, Callable[[], Any], int, str]] = []
         for receiver_name in receiver_names:
             receiver = self._interfaces.get(receiver_name)
             if receiver is None or receiver is sender:
@@ -958,11 +967,10 @@ class RadioEnvironment:
             self._bytes_delivered.add(frame.size_bytes)
             self._kind_counter(frame.kind).add(frame.size_bytes)
             self._link_delay.add(delay)
-            self.sim.schedule(
-                delay,
-                _FrameDelivery(receiver, frame, quality),
-                name=deliver_name,
+            entries.append(
+                (delay, _FrameDelivery(receiver, frame, quality), 0, deliver_name)
             )
+        self.sim.schedule_batch(entries)
 
     def _ensure_fast_universe(self) -> "_FastUniverse":
         """The per-epoch position snapshot, built on first fast broadcast.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Tuple
 
@@ -68,6 +69,9 @@ class Event:
         return not self.cancelled
 
 
+#: One heap entry: ``(time, priority, sequence, event)``.
+HeapEntry = Tuple[float, int, int, Event]
+
 #: Heaps smaller than this are never compacted — rebuilding a few dozen
 #: entries costs more bookkeeping than the dead entries occupy.
 COMPACT_MIN_HEAP = 64
@@ -80,9 +84,13 @@ COMPACT_CANCELLED_FACTOR = 1
 class EventQueue:
     """A deterministic min-heap of :class:`Event` objects.
 
-    Events compare by ``(time, priority, sequence)``.  ``sequence`` is assigned
+    Events order by ``(time, priority, sequence)``.  ``sequence`` is assigned
     by the queue itself so two events pushed at the same ``(time, priority)``
-    pop in push order.
+    pop in push order.  The heap stores ``(time, priority, sequence, event)``
+    tuples rather than bare events: ``heapq`` then compares entries in C
+    instead of through the dataclass's Python-level ``__lt__``, and because
+    ``sequence`` is unique the comparison never reaches the event itself, so
+    pop order is exactly the events' own order.
 
     Cancelled events are skipped lazily when popped; when they come to
     dominate the heap (a long-horizon run with heavy beacon rescheduling can
@@ -93,17 +101,17 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._entries: list[HeapEntry] = []
         self._counter = itertools.count()
         self._active = 0
         #: In-place rebuilds performed to shed cancelled events.
         self.compactions = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._entries)
 
     def push(
         self,
@@ -117,15 +125,10 @@ class EventQueue:
         Returns the :class:`Event` so callers may later :meth:`Event.cancel`
         it.
         """
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            name=name,
-            queue=self,
-        )
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        # Positional: the generated __init__ takes keywords at twice the cost.
+        event = Event(time, priority, sequence, callback, name, False, self)
+        heapq.heappush(self._entries, (time, priority, sequence, event))
         self._active += 1
         return event
 
@@ -137,44 +140,39 @@ class EventQueue:
         Sequence numbers are assigned in iteration order, so the batch pops
         exactly as the equivalent sequence of :meth:`push` calls would.  For
         large batches the heap is rebuilt with one ``heapify`` (O(n + k))
-        instead of k sifts (O(k log n)) — this is the entry point the radio
-        medium's batched delivery path uses to schedule a whole broadcast's
-        arrivals at once.
+        instead of k sifts (O(k log n)) — this is the entry point both radio
+        tiers use to schedule a whole broadcast's arrivals at once.
         """
         counter = self._counter
-        events = [
-            Event(
-                time=time,
-                priority=priority,
-                sequence=next(counter),
-                callback=callback,
-                name=name,
-                queue=self,
-            )
-            for time, callback, priority, name in entries
-        ]
-        if not events:
+        events = []
+        batch = []
+        for time, callback, priority, name in entries:
+            sequence = next(counter)
+            event = Event(time, priority, sequence, callback, name, False, self)
+            events.append(event)
+            batch.append((time, priority, sequence, event))
+        if not batch:
             return events
-        heap = self._heap
-        if len(events) * 4 >= len(heap):
-            heap.extend(events)
+        heap = self._entries
+        if len(batch) * 4 >= len(heap):
+            heap.extend(batch)
             heapq.heapify(heap)
         else:
-            for event in events:
-                heapq.heappush(heap, event)
-        self._active += len(events)
+            for entry in batch:
+                heapq.heappush(heap, entry)
+        self._active += len(batch)
         return events
 
     def _on_cancel(self, _event: Event) -> None:
         """Bookkeeping callback from :meth:`Event.cancel`."""
         self._active -= 1
-        heap = self._heap
+        heap = self._entries
         if (
             len(heap) >= COMPACT_MIN_HEAP
             and len(heap) - self._active > self._active * COMPACT_CANCELLED_FACTOR
         ):
-            self._heap = [event for event in heap if not event.cancelled]
-            heapq.heapify(self._heap)
+            self._entries = [entry for entry in heap if not entry[3].cancelled]
+            heapq.heapify(self._entries)
             self.compactions += 1
 
     def pop(self) -> Event:
@@ -183,8 +181,9 @@ class EventQueue:
         Cancelled events are silently discarded.  Raises ``IndexError`` when
         the queue holds no active events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._entries
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 # Detach so a late cancel() of the fired event cannot skew
                 # the active count.
@@ -195,17 +194,18 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next active event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._entries
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event.queue = None
-        self._heap.clear()
+        for entry in self._entries:
+            entry[3].queue = None
+        self._entries.clear()
         self._active = 0
 
     def active_count(self) -> int:
@@ -214,6 +214,39 @@ class EventQueue:
         return self._active
 
     # ------------------------------------------------------------- snapshot
+
+    def __getstate__(self) -> dict:
+        """Pickle the heap as a list of bare events under ``_heap``.
+
+        That is the layout every snapshot artifact has used, so older
+        artifacts keep loading and the pickled bytes do not depend on the
+        in-memory entry format.  The list is in heap order, which is also a
+        valid heap of bare events (the keys are the same).
+        """
+        state = {"_heap": [entry[3] for entry in self._entries]}
+        state.update(
+            (key, value) for key, value in self.__dict__.items() if key != "_entries"
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Intern the keys as default unpickling does, so a restored queue
+        # pickles to the same bytes as the original.  The heap entries are
+        # rebuilt on first use (see __getattr__), not here: in a cyclic
+        # graph an event can reach this queue before its own state is set.
+        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when normal lookup fails, i.e. on the first use of a
+        # queue restored from a pickle, whose heap arrived as bare events.
+        events = self.__dict__.get("_heap")
+        if name != "_entries" or events is None:
+            raise AttributeError(name)
+        del self.__dict__["_heap"]
+        self._entries = [
+            (event.time, event.priority, event.sequence, event) for event in events
+        ]
+        return self._entries
 
     def capture_state(self) -> dict:
         """The queue's bookkeeping as plain data.
@@ -226,7 +259,7 @@ class EventQueue:
         matches the original.
         """
         return {
-            "heap_len": len(self._heap),
+            "heap_len": len(self._entries),
             "active": self._active,
             "next_sequence": self._counter.__reduce__()[1][0],
             "compactions": self.compactions,
@@ -239,11 +272,11 @@ class EventQueue:
         unpickling the owning simulator); a mismatched live-event count
         means the snapshot and the queue disagree and is rejected loudly.
         """
-        if len(self._heap) != state["heap_len"] or self._active != state["active"]:
+        if len(self._entries) != state["heap_len"] or self._active != state["active"]:
             raise ValueError(
                 "event-queue bookkeeping mismatch: snapshot says "
                 f"{state['active']} active / {state['heap_len']} heap entries, "
-                f"queue holds {self._active} / {len(self._heap)}"
+                f"queue holds {self._active} / {len(self._entries)}"
             )
         self._counter = itertools.count(state["next_sequence"])
         self.compactions = state["compactions"]

@@ -36,14 +36,19 @@ def test_view_includes_self_and_neighbors():
 def test_join_and_leave_events_recorded():
     sim, agents, memberships = build({"a": Vec2(0, 0), "b": Vec2(40, 0)})
     sim.run(until=2.0)
-    assert memberships["a"].stats.joins == 1
+    stats = memberships["a"].stats
+    assert (stats.joins, stats.leaves) == (1, 0)
+    assert stats.contact_durations == []
+    assert memberships["a"].epoch == 1
     agents["b"].stop()
     sim.run(until=8.0)
-    assert memberships["a"].stats.leaves == 1
-    assert memberships["a"].stats.contact_durations
-    assert memberships["a"].stats.mean_contact_duration() > 0
-    kinds = [event.kind for event in memberships["a"].events]
-    assert kinds == ["join", "leave"]
+    assert (stats.joins, stats.leaves) == (1, 1)
+    assert stats.total_membership_changes == 2
+    (duration,) = stats.contact_durations
+    assert duration > 0
+    assert stats.mean_contact_duration() == duration
+    # One join then one leave: the view changed exactly twice.
+    assert memberships["a"].epoch == 2
 
 
 def test_epochs_advance_per_node_independently():

@@ -146,25 +146,36 @@ def _send_frame(sock, opcode: int, payload: bytes) -> None:
     sock.sendall(head + _mask(payload))
 
 
-def _recv_exact(sock, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = sock.recv(n - len(data))
-        if not chunk:
-            raise EOFError("socket closed")
-        data += chunk
-    return data
+class _FrameReader:
+    """Reads server frames, starting from bytes already received.
 
+    The server may send its first frame in the same TCP segment as the
+    ``101`` response head, so whatever followed ``\r\n\r\n`` in the
+    handshake read is the start of the frame stream, not something to drop.
+    """
 
-def _recv_frame(sock):
-    first = _recv_exact(sock, 2)
-    opcode = first[0] & 0x0F
-    length = first[1] & 0x7F
-    if length == 126:
-        length = struct.unpack("!H", _recv_exact(sock, 2))[0]
-    elif length == 127:
-        length = struct.unpack("!Q", _recv_exact(sock, 8))[0]
-    return opcode, _recv_exact(sock, length)
+    def __init__(self, sock, pending: bytes = b"") -> None:
+        self.sock = sock
+        self.pending = pending
+
+    def exact(self, n: int) -> bytes:
+        while len(self.pending) < n:
+            chunk = self.sock.recv(4096)
+            if not chunk:
+                raise EOFError("socket closed")
+            self.pending += chunk
+        data, self.pending = self.pending[:n], self.pending[n:]
+        return data
+
+    def frame(self):
+        first = self.exact(2)
+        opcode = first[0] & 0x0F
+        length = first[1] & 0x7F
+        if length == 126:
+            length = struct.unpack("!H", self.exact(2))[0]
+        elif length == 127:
+            length = struct.unpack("!Q", self.exact(8))[0]
+        return opcode, self.exact(length)
 
 
 def test_websocket_stream_over_tcp(server):
@@ -192,22 +203,24 @@ def test_websocket_stream_over_tcp(server):
         head = b""
         while b"\r\n\r\n" not in head:
             head += sock.recv(4096)
+        head, _, rest = head.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 101")
         assert expected_accept.encode() in head
+        reader = _FrameReader(sock, rest)
 
-        opcode, payload = _recv_frame(sock)
+        opcode, payload = reader.frame()
         assert opcode == 0x1
         hello = json.loads(payload)
         assert hello["type"] == "hello" and hello["id"] == sid
 
         # A ping is answered with a pong carrying the same payload.
         _send_frame(sock, 0x9, b"ping-me")
-        opcode, payload = _recv_frame(sock)
+        opcode, payload = reader.frame()
         assert (opcode, payload) == (0xA, b"ping-me")
 
         # Advance the session over HTTP; the tick arrives on the stream.
         server.request("POST", f"/sessions/{sid}/step", {"max_events": 20})
-        opcode, payload = _recv_frame(sock)
+        opcode, payload = reader.frame()
         tick = json.loads(payload)
         assert tick["type"] == "tick" and tick["events_fired"] == 20
 

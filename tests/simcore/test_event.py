@@ -1,8 +1,11 @@
 """Tests for the event queue."""
 
+import base64
+import pickle
+
 import pytest
 
-from repro.simcore.event import EventQueue
+from repro.simcore.event import Event, EventQueue
 
 
 def test_pop_orders_by_time():
@@ -207,3 +210,96 @@ def test_compacted_queue_keeps_sequence_stability():
     assert queue.compactions >= 1
     # Ties at (time, priority) still pop in original insertion order.
     assert [queue.pop().name, queue.pop().name] == ["first", "second"]
+
+
+# ------------------------------------------------------------ pickling
+
+
+def _pickling_queue():
+    """A queue of picklable events (no callbacks), one of them cancelled."""
+    queue = EventQueue()
+    queue.push(2.0, None, name="b")
+    queue.push(1.0, None, name="a")
+    queue.push(1.0, None, priority=-1, name="first")
+    queue.push(3.0, None, name="dropped").cancel()
+    queue.push(1.0, None, name="a2")
+    return queue
+
+
+def _drain(queue):
+    names = []
+    while queue.peek_time() is not None:
+        names.append(queue.pop().name)
+    return names
+
+
+#: ``_pickling_queue()`` pickled (protocol 4) when the heap held bare
+#: events rather than ``(time, priority, sequence, event)`` tuples.
+BARE_EVENT_HEAP_PICKLE = base64.b64decode(
+    "gASVuQEAAAAAAACME3JlcHJvLnNpbWNvcmUuZXZlbnSUjApFdmVudFF1ZXVllJOUKYGU"
+    "fZQojAVfaGVhcJRdlChoAIwFRXZlbnSUk5QpgZROfZQojAR0aW1llEc/8AAAAAAAAIwI"
+    "cHJpb3JpdHmUSv////+MCHNlcXVlbmNllEsCjAhjYWxsYmFja5ROjARuYW1llIwFZmly"
+    "c3SUjAljYW5jZWxsZWSUiYwFcXVldWWUaAN1hpRiaAgpgZROfZQoaAtHP/AAAAAAAABo"
+    "DEsAaA1LBGgOTmgPjAJhMpRoEYloEmgDdYaUYmgIKYGUTn2UKGgLRz/wAAAAAAAAaAxL"
+    "AGgNSwFoDk5oD4wBYZRoEYloEmgDdYaUYmgIKYGUTn2UKGgLR0AIAAAAAAAAaAxLAGgN"
+    "SwNoDk5oD4wHZHJvcHBlZJRoEYhoEk51hpRiaAgpgZROfZQoaAtHQAAAAAAAAABoDEsA"
+    "aA1LAGgOTmgPjAFilGgRiWgSaAN1hpRiZYwIX2NvdW50ZXKUjAlpdGVydG9vbHOUjAVj"
+    "b3VudJSTlEsFhZRSlIwHX2FjdGl2ZZRLBIwLY29tcGFjdGlvbnOUSwB1Yi4="
+)
+
+
+def test_pickle_round_trip_pops_in_the_same_order():
+    original = _pickling_queue()
+    restored = pickle.loads(pickle.dumps(original))
+    assert restored.active_count() == original.active_count() == 4
+    assert len(restored) == len(original) == 5
+    assert _drain(restored) == _drain(original) == ["first", "a", "a2", "b"]
+
+
+def test_restored_queue_still_cancels_and_counts():
+    restored = pickle.loads(pickle.dumps(_pickling_queue()))
+    late = restored.push(1.0, None, name="late")
+    restored.push(0.5, None, name="early")
+    late.cancel()
+    assert restored.active_count() == 5
+    assert _drain(restored) == ["early", "first", "a", "a2", "b"]
+    assert restored.active_count() == 0
+    # The sequence counter travelled too: a tie pushed now still pops last.
+    assert late.sequence == 5
+
+
+def test_pickled_heap_holds_bare_events():
+    queue = _pickling_queue()
+    state = queue.__reduce_ex__(4)[2]
+    assert list(state) == ["_heap", "_counter", "_active", "compactions"]
+    heap = state["_heap"]
+    assert all(type(event) is Event for event in heap)
+    assert [event.name for event in heap] == [
+        entry[3].name for entry in queue._entries
+    ]
+    # Byte for byte the layout earlier snapshot artifacts carry.
+    assert pickle.dumps(queue, protocol=4) == BARE_EVENT_HEAP_PICKLE
+
+
+def test_bare_event_heap_pickle_loads_and_pops():
+    restored = pickle.loads(BARE_EVENT_HEAP_PICKLE)
+    assert restored.active_count() == 4
+    assert restored.push(1.0, None, name="new").sequence == 5
+    assert _drain(restored) == ["first", "a", "a2", "new", "b"]
+
+
+def test_event_pickled_ahead_of_its_queue_restores():
+    """An event can reach its queue before its own state is loaded.
+
+    Pickling the event first makes its queue (and the heap holding the
+    event) load inside the event's state, so the queue must not read the
+    event's keys while it is being restored.
+    """
+    queue = _pickling_queue()
+    first = queue._entries[0][3]
+    clone = pickle.loads(pickle.dumps(first))
+    restored = clone.queue
+    assert clone.name == "first"
+    assert restored.active_count() == 4
+    assert restored.pop() is clone
+    assert _drain(restored) == ["a", "a2", "b"]
