@@ -25,9 +25,14 @@ grid point, optionally fans repetitions out over ``--jobs`` worker processes
 reuses every (scenario, point params, seed) cell already present in an
 earlier JSON export and runs only the missing ones — extend a grid, crash
 halfway, or add repetitions without re-simulating what is already on disk.
-``--profile`` wraps the sweep in :mod:`cProfile` and prints the top
-cumulative hot spots afterwards (``--profile-out stats.prof`` keeps the raw
-stats), so performance PRs start from measured data instead of guesses.
+Every in-process cell runs through one executor,
+:meth:`ExperimentRunner.run_sweep <repro.experiments.runner.ExperimentRunner.run_sweep>`,
+so ``--jobs``, ``--resume``, ``--warm-start``, ``--trace-dir`` and
+``--profile`` compose freely (only ``--warm-start`` with ``--resume`` is
+refused).  ``--profile`` runs every fresh cell under :mod:`cProfile`, in
+whichever process runs it, and prints the merged top cumulative hot spots
+afterwards (``--profile-out stats.prof`` keeps the raw stats), so
+performance PRs start from measured data instead of guesses.
 
 Fault & adversary knobs (``crash_rate``, ``mean_downtime``,
 ``radio_degradation``, ``malicious_fraction``, ``adversary_profile``,
@@ -195,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report metrics to tabulate ('all' for every one; "
                             f"default: {' '.join(DEFAULT_SWEEP_METRICS)})")
     sweep.add_argument("--profile", action="store_true",
-                       help="run the sweep under cProfile and print the top "
-                            "cumulative-time hot spots afterwards")
+                       help="run every fresh cell under cProfile and print "
+                            "the merged top cumulative-time hot spots "
+                            "afterwards")
     sweep.add_argument("--profile-top", type=int, default=25, metavar="N",
                        help="number of profile rows to print (default: 25)")
     sweep.add_argument("--profile-out", default=None, metavar="PATH",
@@ -223,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --fabric: lease acquisitions a cell gets "
                             "before poison-cell quarantine (default: 5)")
     sweep.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="write one Chrome trace-event JSON per sweep "
-                            "cell under DIR (requires --jobs 1; see "
-                            "docs/OBSERVABILITY.md)")
+                       help="write one Chrome trace-event JSON per fresh "
+                            "sweep cell (per trajectory with --warm-start) "
+                            "under DIR (see docs/OBSERVABILITY.md)")
 
     worker = subparsers.add_parser(
         "worker",
@@ -416,13 +422,14 @@ def load_resume_cache(args: argparse.Namespace):
 
 
 def sweep_table(
-    args: argparse.Namespace, profile_worker_stats: Optional[str] = None
+    args: argparse.Namespace, profile_dir: Optional[str] = None
 ) -> ResultTable:
     """Run the requested sweep and tabulate mean/stddev per metric per point.
 
     Seeds derive from ``--seed`` the same way single runs do, so two sweeps
     with the same arguments are byte-identical — including across ``--jobs``
     settings, and against the historical ``--n``-only command line.
+    ``profile_dir`` receives one cProfile dump per fresh cell.
     """
     dimensions = parse_sweep_dimensions(args)
     for path in args.out or ():   # fail on a bad suffix before, not after, the sweep
@@ -434,45 +441,31 @@ def sweep_table(
     metrics = validate_sweep_metrics(args, dimensions)
     grid = SweepGrid(dimensions)
     trace_dir = getattr(args, "trace_dir", None)
-    if trace_dir is not None and args.jobs != 1:
-        raise SystemExit(
-            "--trace-dir records per-cell traces sequentially; drop --jobs"
-        )
+    cell_options = dict(
+        repetitions=args.repetitions,
+        base_seed=1000 + args.seed,
+        jobs=args.jobs,
+        trace_dir=trace_dir,
+        profile_dir=profile_dir,
+    )
     if args.warm_start:
-        if trace_dir is not None:
-            raise SystemExit("--trace-dir does not support --warm-start")
         if "duration" not in grid.dimensions:
             raise SystemExit(
                 "--warm-start needs a duration dimension "
                 "(e.g. --set duration=10,30,60)"
             )
-        if args.jobs != 1:
-            raise SystemExit(
-                "--warm-start simulates each trajectory sequentially; "
-                "drop --jobs"
-            )
         if cache is not None:
+            # The cache is keyed per duration cell; a warm trajectory spans
+            # every duration of its group at once.
             raise SystemExit("--warm-start does not support --resume")
-        results = sweep_scenario_grid_warm(
-            args.scenario,
-            grid,
-            repetitions=args.repetitions,
-            base_seed=1000 + args.seed,
-        )
+        results = sweep_scenario_grid_warm(args.scenario, grid, **cell_options)
     else:
         results = sweep_scenario_grid(
-            args.scenario,
-            grid,
-            duration=args.duration,
-            repetitions=args.repetitions,
-            base_seed=1000 + args.seed,
-            jobs=args.jobs,
-            cache=cache,
-            profile_worker_stats=profile_worker_stats,
-            trace_dir=trace_dir,
+            args.scenario, grid, duration=args.duration, cache=cache, **cell_options
         )
     if trace_dir is not None:
-        print(f"traces: one Chrome trace-event file per fresh cell in {trace_dir}")
+        unit = "trajectory" if args.warm_start else "fresh cell"
+        print(f"traces: one Chrome trace-event file per {unit} in {trace_dir}")
     if cache is not None:
         total = len(grid) * args.repetitions
         print(
@@ -514,50 +507,34 @@ def sweep_table(
 
 
 def run_profiled_sweep(args: argparse.Namespace) -> None:
-    """Run the sweep under :mod:`cProfile` and print the hot spots after it.
+    """Run the sweep with every fresh cell profiled; print the hot spots.
 
     Perf work starts from data: the sweep table prints first, then the
     top-``--profile-top`` functions by cumulative time; ``--profile-out``
-    dumps the raw stats for offline tooling.  cProfile is per-process, so a
-    ``--jobs > 1`` sweep additionally profiles one representative cell in a
-    worker and merges its stats into the report (``pstats.Stats.add``);
-    the merge samples a single cell, so a warning still points at
-    ``--jobs 1`` for exact numbers.
+    dumps the raw stats for offline tooling.  cProfile is per-process, so
+    each cell dumps its own stats wherever it runs (this process or a
+    ``--jobs`` worker) and the dumps are merged here.  Work outside the
+    cells — the ``--metrics`` probe, the export — is not profiled.
     """
-    import cProfile
+    import glob
     import os
     import pstats
-    import sys
     import tempfile
 
-    worker_stats_path: Optional[str] = None
-    if args.jobs > 1:
-        handle, worker_stats_path = tempfile.mkstemp(suffix=".prof")
-        os.close(handle)
-        print(
-            "warning: --profile instruments this process plus one sampled "
-            f"cell from the --jobs {args.jobs} workers doing the actual "
-            "simulation work. Re-run with --jobs 1 to profile every cell.",
-            file=sys.stderr,
-        )
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        table = sweep_table(args, profile_worker_stats=worker_stats_path)
-    finally:
-        profiler.disable()
-    print(table.render())
-    stats = pstats.Stats(profiler)
-    if worker_stats_path is not None:
-        # The file only exists when at least one fresh cell actually ran
-        # (a fully --resume-cached sweep never profiles a worker).
-        if os.path.getsize(worker_stats_path) > 0:
-            stats.add(worker_stats_path)
-        os.unlink(worker_stats_path)
+    with tempfile.TemporaryDirectory(prefix="repro-profile-") as profile_dir:
+        print(sweep_table(args, profile_dir=profile_dir).render())
+        paths = sorted(glob.glob(os.path.join(profile_dir, "cell-s*.prof")))
+        if not paths:
+            print("profile: no fresh cells ran, nothing to report")
+            return
+        stats = pstats.Stats(*paths)
     if args.profile_out:
         stats.dump_stats(args.profile_out)
     stats.sort_stats("cumulative")
-    print(f"profile: top {args.profile_top} functions by cumulative time")
+    print(
+        f"profile: top {args.profile_top} functions by cumulative time "
+        f"({len(paths)} cell profiles merged)"
+    )
     stats.print_stats(args.profile_top)
 
 

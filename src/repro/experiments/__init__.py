@@ -9,7 +9,6 @@ from repro.experiments.runner import (
     SweepPoint,
     numeric_metrics,
     run_scenario_once,
-    sweep_scenario,
     sweep_scenario_grid,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "SweepPoint",
     "numeric_metrics",
     "run_scenario_once",
-    "sweep_scenario",
     "sweep_scenario_grid",
     "export_results",
     "sweep_payload",

@@ -22,8 +22,10 @@ E12 asserts exactly this).
 :func:`sweep_scenario_grid` specialises the runner for the packaged
 scenarios: one call drives a named scenario over a grid of config knobs with
 repetitions and returns the aggregated :class:`ExperimentResult` per point.
-It backs the ``repro sweep`` CLI command; :func:`sweep_scenario` is the
-original fleet-size-only entry point, kept as a thin wrapper.
+It backs the ``repro sweep`` CLI command.  Every in-process sweep cell —
+plain, ``--resume``-filtered, traced, profiled or warm-started, at any
+``jobs`` — runs through :meth:`ExperimentRunner.run_sweep`; tracing and
+profiling are picklable ``run_once`` wrappers, not separate paths.
 """
 
 from __future__ import annotations
@@ -141,33 +143,6 @@ class ExperimentResult:
         return confidence_interval(self.metric_values(metric))
 
 
-def _invoke_run_once(
-    run_once: Callable[[Dict[str, object], int], Dict[str, float]],
-    params: Dict[str, object],
-    seed: int,
-    profile_to: Optional[str] = None,
-) -> Dict[str, float]:
-    """Module-level trampoline so worker arguments stay picklable.
-
-    ``profile_to`` makes the cell run under :mod:`cProfile` and dump its raw
-    stats to that path — cProfile is per-process, so this is how a
-    ``jobs > 1`` sweep gets simulation work into the profile at all: the
-    parent merges the dumped file into its own stats afterwards
-    (``pstats.Stats.add``).
-    """
-    if profile_to is None:
-        return dict(run_once(params, seed))
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        return dict(run_once(params, seed))
-    finally:
-        profiler.disable()
-        profiler.dump_stats(profile_to)
-
-
 class ExperimentRunner:
     """Runs ``run_once`` over a sweep with repetitions.
 
@@ -213,87 +188,57 @@ class ExperimentRunner:
         """The seed of one (point, repetition) cell of the sweep."""
         return self.base_seed + point_index * self.seed_stride + repetition
 
-    def run_point(
-        self, point: SweepPoint, point_index: int = 0, cache: Optional[object] = None
-    ) -> ExperimentResult:
-        """Run every repetition of one sweep point (see :meth:`run_sweep`)."""
-        result = ExperimentResult(point=point)
-        params = point.as_dict()
-        for repetition in range(self.repetitions):
-            seed = self.seed_for(point_index, repetition)
-            metrics = cache.lookup(params, seed) if cache is not None else None
-            if metrics is None:
-                metrics = dict(self.run_once(params, seed))
-            result.runs.append(metrics)
-        return result
+    def cells(self, points: Sequence[SweepPoint]) -> List[Tuple[int, int, SweepPoint, int]]:
+        """Every ``(point_index, repetition, point, seed)`` cell, flat-index order."""
+        return [
+            (index, repetition, point, self.seed_for(index, repetition))
+            for index, point in enumerate(points)
+            for repetition in range(self.repetitions)
+        ]
 
     def run_sweep(
         self,
         points: Sequence[SweepPoint],
         jobs: int = 1,
         cache: Optional[object] = None,
-        profile_first_cell_to: Optional[str] = None,
     ) -> List[ExperimentResult]:
         """Run the whole sweep in order.
-
-        ``jobs > 1`` fans the individual (point, repetition) cells out over a
-        :mod:`multiprocessing` pool.  Every cell keeps the seed it would get
-        sequentially and results are reassembled in enumeration order, so the
-        returned list — and anything rendered from it — is identical to a
-        ``jobs=1`` run.
 
         ``cache`` (an object with ``lookup(params, seed) -> metrics|None``,
         e.g. :class:`~repro.experiments.export.SweepCache`) short-circuits
         cells already computed by an earlier sweep; only the remaining cells
-        run (and only they are fanned out to workers).
-
-        ``profile_first_cell_to`` (only meaningful with ``jobs > 1``) makes
-        the first fresh cell run under :mod:`cProfile` in its worker and dump
-        raw stats to that path, giving the caller one representative sample
-        of the per-cell simulation work to merge into its own profile.
+        run.  They run in this process when ``jobs == 1``, else over a
+        :mod:`multiprocessing` pool of ``jobs`` workers.  Every cell keeps
+        its seed and results are reassembled in flat-index order, so the
+        returned list — and anything rendered from it — is identical for
+        any ``jobs``.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if jobs == 1 or len(points) * self.repetitions <= 1:
-            return [
-                self.run_point(point, index, cache=cache)
-                for index, point in enumerate(points)
-            ]
-        cached_runs: Dict[Tuple[int, int], Dict[str, float]] = {}
-        cells = []
+        runs: Dict[Tuple[int, int], Dict[str, float]] = {}
         fresh_keys = []
-        for index, point in enumerate(points):
+        fresh_cells = []
+        for index, repetition, point, seed in self.cells(points):
             params = point.as_dict()
-            for repetition in range(self.repetitions):
-                seed = self.seed_for(index, repetition)
-                metrics = cache.lookup(params, seed) if cache is not None else None
-                if metrics is not None:
-                    cached_runs[(index, repetition)] = metrics
-                else:
-                    profile_to = (
-                        profile_first_cell_to if not cells else None
-                    )
-                    cells.append((self.run_once, params, seed, profile_to))
-                    fresh_keys.append((index, repetition))
-        if cells:
-            with multiprocessing.Pool(processes=min(jobs, len(cells))) as pool:
-                fresh_metrics = pool.starmap(_invoke_run_once, cells)
+            metrics = cache.lookup(params, seed) if cache is not None else None
+            if metrics is None:
+                fresh_keys.append((index, repetition))
+                fresh_cells.append((params, seed))
+            else:
+                runs[(index, repetition)] = metrics
+        if jobs == 1 or len(fresh_cells) <= 1:
+            fresh_metrics = [self.run_once(params, seed) for params, seed in fresh_cells]
         else:
-            fresh_metrics = []
-        runs = dict(cached_runs)
-        runs.update(zip(fresh_keys, fresh_metrics))
-        results = []
-        for index, point in enumerate(points):
-            results.append(
-                ExperimentResult(
-                    point=point,
-                    runs=[
-                        runs[(index, repetition)]
-                        for repetition in range(self.repetitions)
-                    ],
-                )
+            with multiprocessing.Pool(processes=min(jobs, len(fresh_cells))) as pool:
+                fresh_metrics = pool.starmap(self.run_once, fresh_cells)
+        runs.update(zip(fresh_keys, map(dict, fresh_metrics)))
+        return [
+            ExperimentResult(
+                point=point,
+                runs=[runs[(index, repetition)] for repetition in range(self.repetitions)],
             )
-        return results
+            for index, point in enumerate(points)
+        ]
 
     def run_grid(
         self, grid: SweepGrid, jobs: int = 1, cache: Optional[object] = None
@@ -377,18 +322,55 @@ class TracedRunOnce:
 
     inner: Callable[[Dict[str, object], int], Dict[str, float]]
     trace_dir: str
-    sample_every: int = 1
 
     def __call__(self, params: Dict[str, object], seed: int) -> Dict[str, float]:
         import os
 
         from repro.telemetry.trace import Tracer, activate
 
-        tracer = Tracer(sample_every=self.sample_every)
+        tracer = Tracer()
         with activate(tracer):
             metrics = self.inner(params, seed)
         tracer.save(os.path.join(self.trace_dir, f"cell-s{seed}.json"))
         return metrics
+
+
+@dataclass(frozen=True)
+class ProfiledRunOnce:
+    """Wrap a ``run_once`` so each cell dumps its :mod:`cProfile` stats.
+
+    cProfile is per-process, so the profile is taken where the cell runs —
+    in this process or in a pool worker — and written to
+    ``cell-s<seed>.prof``; merge the files with ``pstats.Stats(*paths)``.
+    """
+
+    inner: Callable[[Dict[str, object], int], Dict[str, float]]
+    profile_dir: str
+
+    def __call__(self, params: Dict[str, object], seed: int) -> Dict[str, float]:
+        import cProfile
+        import os
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            return self.inner(params, seed)
+        finally:
+            profiler.disable()
+            profiler.dump_stats(os.path.join(self.profile_dir, f"cell-s{seed}.prof"))
+
+
+def _instrumented(
+    run_once: Callable[[Dict[str, object], int], Dict[str, float]],
+    trace_dir: Optional[str],
+    profile_dir: Optional[str],
+) -> Callable[[Dict[str, object], int], Dict[str, float]]:
+    """``run_once`` wrapped in the requested per-cell instruments."""
+    if profile_dir is not None:
+        run_once = ProfiledRunOnce(inner=run_once, profile_dir=profile_dir)
+    if trace_dir is not None:
+        run_once = TracedRunOnce(inner=run_once, trace_dir=trace_dir)
+    return run_once
 
 
 def sweep_scenario_grid(
@@ -399,8 +381,8 @@ def sweep_scenario_grid(
     base_seed: int = 1000,
     jobs: int = 1,
     cache: Optional[object] = None,
-    profile_worker_stats: Optional[str] = None,
     trace_dir: Optional[str] = None,
+    profile_dir: Optional[str] = None,
     **overrides,
 ) -> List[ExperimentResult]:
     """Run ``scenario`` over every point of ``grid`` with repetitions.
@@ -408,25 +390,21 @@ def sweep_scenario_grid(
     Grid dimensions name scenario config knobs (``n``, ``beacon_period``,
     ``min_trust``, ``task_rate_per_s``, ...); fixed ``overrides`` apply to
     every point.  Returns one :class:`ExperimentResult` per grid point in
-    row-major order; seeds follow the :class:`ExperimentRunner` convention,
-    so a one-dimensional grid is seed-identical to the historical
-    fleet-size-only :func:`sweep_scenario`.  ``cache`` (see
-    :meth:`ExperimentRunner.run_sweep`) lets ``repro sweep --resume`` skip
-    cells an earlier export already contains.  ``trace_dir`` writes one
-    Chrome trace-event file per fresh cell (``cell-s<seed>.json``).
+    row-major order; seeds follow the :class:`ExperimentRunner` convention.
+    ``cache`` (see :meth:`ExperimentRunner.run_sweep`) lets ``repro sweep
+    --resume`` skip cells an earlier export already contains.
+    ``trace_dir`` / ``profile_dir`` write one Chrome trace-event file /
+    cProfile dump per fresh cell (``cell-s<seed>.json`` / ``.prof``).
     """
-    run_once: Callable[[Dict[str, object], int], Dict[str, float]] = ScenarioRunOnce(
+    run_once = ScenarioRunOnce(
         scenario=scenario, duration=duration, overrides=tuple(sorted(overrides.items()))
     )
-    if trace_dir is not None:
-        run_once = TracedRunOnce(inner=run_once, trace_dir=trace_dir)
-    runner = ExperimentRunner(run_once, repetitions=repetitions, base_seed=base_seed)
-    return runner.run_sweep(
-        grid.points(f"{scenario}:"),
-        jobs=jobs,
-        cache=cache,
-        profile_first_cell_to=profile_worker_stats,
+    runner = ExperimentRunner(
+        _instrumented(run_once, trace_dir, profile_dir),
+        repetitions=repetitions,
+        base_seed=base_seed,
     )
+    return runner.run_sweep(grid.points(f"{scenario}:"), jobs=jobs, cache=cache)
 
 
 def run_scenario_durations_warm(
@@ -489,57 +467,77 @@ def run_scenario_durations_warm(
     return metrics
 
 
+@dataclass(frozen=True)
+class WarmTrajectoryRunOnce:
+    """Picklable ``run_once`` simulating one warm-started trajectory.
+
+    Unlike a metric-returning cell it returns ``{duration: metrics}`` for
+    every horizon in ``durations`` (:func:`run_scenario_durations_warm`);
+    :func:`sweep_scenario_grid_warm` spreads them over the grid's points.
+    """
+
+    scenario: str
+    durations: Tuple[float, ...]
+    overrides: Tuple[Tuple[str, object], ...] = ()
+
+    def __call__(self, params: Dict[str, object], seed: int) -> Dict[float, Dict[str, float]]:
+        merged = dict(self.overrides)
+        merged.update(params)
+        fleet = merged.pop("n", None)
+        return run_scenario_durations_warm(
+            self.scenario, self.durations, seed=seed, n=fleet, **merged
+        )
+
+
 def sweep_scenario_grid_warm(
     scenario: str,
     grid: SweepGrid,
     repetitions: int = 3,
     base_seed: int = 1000,
-    seed_stride: int = DEFAULT_SEED_STRIDE,
+    jobs: int = 1,
+    trace_dir: Optional[str] = None,
+    profile_dir: Optional[str] = None,
     **overrides,
 ) -> List[ExperimentResult]:
     """Warm-started variant of :func:`sweep_scenario_grid` for duration grids.
 
     ``grid`` must have a ``duration`` dimension.  Points sharing every
-    *other* knob form one group; each (group, repetition) simulates a single
-    trajectory whose prefix snapshot warm-starts every longer duration cell
-    (:func:`run_scenario_durations_warm`).  Seeds are shared across a
-    group's duration cells by construction — ``base_seed + group_index *
-    seed_stride + repetition`` — which is what makes prefix sharing possible;
-    the byte-identical cold equivalent of a cell is ``run(duration=d,
+    *other* knob form one group; the groups are the points of an
+    :class:`ExperimentRunner` sweep whose cells each simulate one
+    trajectory (:class:`WarmTrajectoryRunOnce`), whose prefix snapshot
+    warm-starts every longer duration.  A group's duration cells therefore
+    share the seed :meth:`ExperimentRunner.seed_for` gives the (group,
+    repetition) cell, which is what makes prefix sharing possible; the
+    byte-identical cold equivalent of a cell is ``run(duration=d,
     fault_horizon=max_duration)`` at that same seed, *not* a default
     :func:`sweep_scenario_grid` cell (whose per-point seeds differ).
+    ``jobs``, ``trace_dir`` and ``profile_dir`` act per trajectory.
 
     Results come back one per grid point in the grid's own row-major order,
     exactly like the cold sweep.
     """
     if "duration" not in grid.dimensions:
         raise ValueError("warm-started sweeps need a 'duration' grid dimension")
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    if repetitions > seed_stride:
-        raise ValueError("repetitions must not exceed seed_stride")
-    durations = [float(value) for value in grid.dimensions["duration"]]
+    durations = tuple(float(value) for value in grid.dimensions["duration"])
     other_dimensions = {
         name: values for name, values in grid.dimensions.items() if name != "duration"
     }
-    groups: List[Dict[str, object]] = (
-        [point.as_dict() for point in SweepGrid(other_dimensions).points()]
-        if other_dimensions
-        else [{}]
+    groups = (
+        SweepGrid(other_dimensions).points() if other_dimensions else [SweepPoint("")]
     )
-    by_cell: Dict[Tuple[Tuple[Tuple[str, object], ...], float], List[Dict[str, float]]] = {}
-    for group_index, group_params in enumerate(groups):
-        for repetition in range(repetitions):
-            seed = base_seed + group_index * seed_stride + repetition
-            params = dict(overrides)
-            params.update(group_params)
-            fleet = params.pop("n", None)
-            per_duration = run_scenario_durations_warm(
-                scenario, durations, seed=seed, n=fleet, **params
-            )
-            for duration, metrics in per_duration.items():
-                key = (tuple(sorted(group_params.items())), duration)
-                by_cell.setdefault(key, []).append(metrics)
+    run_once = WarmTrajectoryRunOnce(
+        scenario=scenario, durations=durations, overrides=tuple(sorted(overrides.items()))
+    )
+    runner = ExperimentRunner(
+        _instrumented(run_once, trace_dir, profile_dir),
+        repetitions=repetitions,
+        base_seed=base_seed,
+    )
+    by_cell = {
+        (group.params, duration): [trajectory[duration] for trajectory in result.runs]
+        for group, result in zip(groups, runner.run_sweep(groups, jobs=jobs))
+        for duration in durations
+    }
     results = []
     for point in grid.points(f"{scenario}:"):
         params = point.as_dict()
@@ -547,30 +545,3 @@ def sweep_scenario_grid_warm(
         key = (tuple(sorted(params.items())), duration)
         results.append(ExperimentResult(point=point, runs=by_cell[key]))
     return results
-
-
-def sweep_scenario(
-    scenario: str,
-    fleet_sizes: Sequence[int],
-    duration: float = 20.0,
-    repetitions: int = 3,
-    base_seed: int = 1000,
-    jobs: int = 1,
-    **overrides,
-) -> List[ExperimentResult]:
-    """Run ``scenario`` at each fleet size in ``fleet_sizes`` with repetitions.
-
-    The original one-dimensional entry point, now a thin wrapper over the
-    grid machinery (``SweepGrid({"n": fleet_sizes})``).  Returns one
-    :class:`ExperimentResult` per size, in input order, with ``duration``
-    still recorded in each point's parameters for backward compatibility.
-    """
-    run_once = ScenarioRunOnce(
-        scenario=scenario, duration=duration, overrides=tuple(sorted(overrides.items()))
-    )
-    runner = ExperimentRunner(run_once, repetitions=repetitions, base_seed=base_seed)
-    points = [
-        SweepPoint.of(f"{scenario}:n={size}", n=size, duration=duration)
-        for size in fleet_sizes
-    ]
-    return runner.run_sweep(points, jobs=jobs)

@@ -25,6 +25,8 @@ from repro.experiments.export import export_results
 from repro.experiments.runner import (
     DEFAULT_SEED_STRIDE,
     ExperimentResult,
+    ExperimentRunner,
+    ScenarioRunOnce,
     SweepGrid,
     SweepPoint,
 )
@@ -54,31 +56,27 @@ def grid_cells(
 ) -> List[CellSpec]:
     """Expand a grid into fabric cells under the flat-index seed convention.
 
-    ``seed = base_seed + point_index * seed_stride + repetition`` — exactly
-    :meth:`ExperimentRunner.seed_for`, so a fabric cell and an in-process
-    sweep cell of the same grid agree on every seed.
+    Seeds and repetition validation come from :class:`ExperimentRunner`
+    itself, so a fabric cell and an in-process sweep cell of the same grid
+    agree on every seed.  The runner's ``run_once`` is never called here:
+    workers run the cells.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    if repetitions > seed_stride:
-        raise ValueError(
-            f"repetitions ({repetitions}) must not exceed seed_stride "
-            f"({seed_stride}), or adjacent sweep points would share seeds"
+    runner = ExperimentRunner(
+        ScenarioRunOnce(scenario=scenario),
+        repetitions=repetitions,
+        base_seed=base_seed,
+        seed_stride=seed_stride,
+    )
+    return [
+        CellSpec(
+            index=index,
+            repetition=repetition,
+            name=point.name,
+            params=point.as_dict(),
+            seed=seed,
         )
-    cells = []
-    for index, point in enumerate(grid.points(f"{scenario}:")):
-        params = point.as_dict()
-        for repetition in range(repetitions):
-            cells.append(
-                CellSpec(
-                    index=index,
-                    repetition=repetition,
-                    name=point.name,
-                    params=params,
-                    seed=base_seed + index * seed_stride + repetition,
-                )
-            )
-    return cells
+        for index, repetition, point, seed in runner.cells(grid.points(f"{scenario}:"))
+    ]
 
 
 def submit_grid(

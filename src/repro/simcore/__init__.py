@@ -12,8 +12,8 @@ dependency-free discrete-event simulator.  The kernel provides:
   does not perturb another's.
 * :class:`~repro.simcore.monitor.Monitor` — metric collection (counters,
   time series, samples) queried by the experiment harness.
-* :class:`~repro.simcore.trace.TraceLog` — structured event tracing for
-  debugging and for the per-experiment audit trail.
+
+Event tracing lives in :mod:`repro.telemetry.trace`.
 """
 
 from repro.simcore.event import Event, EventQueue
@@ -21,7 +21,6 @@ from repro.simcore.entity import SimEntity
 from repro.simcore.monitor import Counter, Monitor, SampleSeries, TimeSeries
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator, StepOutcome, StopSimulation
-from repro.simcore.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
@@ -35,6 +34,4 @@ __all__ = [
     "Counter",
     "TimeSeries",
     "SampleSeries",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -14,9 +14,9 @@ class SimEntity:
     """Anything with an identity that participates in a simulation.
 
     Subclasses include vehicles, radios, mesh agents, compute nodes and the
-    AirDnD orchestrator nodes.  The base class provides a unique ``entity_id``,
-    a back-reference to the :class:`~repro.simcore.simulator.Simulator`, and a
-    convenience :meth:`log` method that writes into the simulator's trace.
+    AirDnD orchestrator nodes.  The base class provides a unique
+    ``entity_id`` and a back-reference to the
+    :class:`~repro.simcore.simulator.Simulator`.
     """
 
     def __init__(self, sim: Simulator, name: Optional[str] = None) -> None:
@@ -29,10 +29,6 @@ class SimEntity:
     def now(self) -> float:
         """Current virtual time (seconds)."""
         return self.sim.now
-
-    def log(self, kind: str, detail: str = "") -> None:
-        """Record a trace entry attributed to this entity."""
-        self.sim.tracelog.record(self.sim.now, kind, f"{self.name}: {detail}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -1,8 +1,8 @@
 """The discrete-event simulator.
 
 A :class:`Simulator` owns the virtual clock, the event queue, the experiment's
-random streams, the metric :class:`~repro.simcore.monitor.Monitor` and the
-:class:`~repro.simcore.trace.TraceLog`.  Entities schedule callbacks on it
+random streams and the metric :class:`~repro.simcore.monitor.Monitor`.
+Entities schedule callbacks on it
 (one-shot with :meth:`Simulator.schedule`, or repeating with
 :meth:`Simulator.schedule_periodic`) and a driver advances it either to
 completion with :meth:`Simulator.run` or cooperatively, one bounded slice at
@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterable, List, Optional
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.monitor import Monitor
 from repro.simcore.rng import RandomStreams
-from repro.simcore.trace import TraceLog
 from repro.telemetry.trace import current_tracer
 
 
@@ -63,8 +62,6 @@ class Simulator:
         Root seed for all random streams.
     start_time:
         Initial value of the virtual clock (seconds).
-    trace:
-        Whether to record a structured trace of fired events.
 
     Examples
     --------
@@ -76,17 +73,11 @@ class Simulator:
     [2.0]
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        start_time: float = 0.0,
-        trace: bool = False,
-    ) -> None:
+    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
         self.streams = RandomStreams(seed)
         self.monitor = Monitor()
-        self.tracelog = TraceLog(enabled=trace)
         self._running = False
         self._entities: List[Any] = []
         self._stop_requested = False
@@ -225,7 +216,6 @@ class Simulator:
                     break
                 event = queue.pop()
                 self._now = event.time
-                self.tracelog.record(self._now, "event", event.name or "anonymous")
                 if event.callback is not None:
                     try:
                         event.callback()
@@ -340,6 +330,12 @@ class Simulator:
         self._now = float(state["now"])
         self.streams.restore_state(state["rng"])
         self._queue.restore_state(state["queue"])
+
+    def __setstate__(self, state: dict) -> None:
+        # Artifacts written before the legacy trace log was removed pickle
+        # a disabled ``tracelog``; it has no behaviour, so drop it on load.
+        state.pop("tracelog", None)
+        self.__dict__.update(state)
 
     # -------------------------------------------------------------- entities
 

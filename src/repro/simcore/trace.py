@@ -1,62 +1,13 @@
-"""Structured trace log for simulations.
+"""Legacy name kept so old snapshot artifacts still load.
 
-Tracing is opt-in (it costs memory) and primarily used by tests and by the
-benchmark harness when auditing protocol behaviour — e.g. verifying that no
-raw sensor data crossed the mesh, only task descriptions and results.
+Simulators once carried a disabled-by-default ``TraceLog``; event tracing
+now lives in :mod:`repro.telemetry.trace`.  Snapshot artifacts written
+before the removal (the golden test fixture among them) pickle a
+``TraceLog`` instance, so the class must stay importable.
+:meth:`Simulator.__setstate__ <repro.simcore.simulator.Simulator>` drops
+the loaded instance again.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry: what happened, when, described how."""
-
-    time: float
-    kind: str
-    detail: str
 
 
 class TraceLog:
-    """An append-only list of :class:`TraceRecord` entries."""
-
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self.capacity = capacity
-        self._records: List[TraceRecord] = []
-
-    def record(self, time: float, kind: str, detail: str) -> None:
-        """Append a record if tracing is enabled (and capacity permits)."""
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self._records) >= self.capacity:
-            return
-        self._records.append(TraceRecord(time, kind, detail))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def filter(
-        self,
-        kind: Optional[str] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-    ) -> List[TraceRecord]:
-        """Return records matching ``kind`` and/or an arbitrary predicate."""
-        out = []
-        for record in self._records:
-            if kind is not None and record.kind != kind:
-                continue
-            if predicate is not None and not predicate(record):
-                continue
-            out.append(record)
-        return out
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._records.clear()
+    """Inert placeholder for unpickling legacy artifacts; records nothing."""

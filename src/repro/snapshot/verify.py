@@ -38,6 +38,23 @@ class _InterfaceTap:
         )
 
 
+class _RecoverTap:
+    """Picklable recovery listener tapping a recovered node's new interface.
+
+    Crash recovery builds a fresh mesh stack, and with it a fresh radio
+    interface that has none of the old interface's receive callbacks.
+    """
+
+    __slots__ = ("log", "sim")
+
+    def __init__(self, log: "DeliveredFrameLog", sim: Any) -> None:
+        self.log = log
+        self.sim = sim
+
+    def __call__(self, node: Any) -> None:
+        node.mesh.interface.on_receive(_InterfaceTap(self.log, self.sim, node.name))
+
+
 class DeliveredFrameLog:
     """Fleet-wide delivered-frame recorder that survives snapshots."""
 
@@ -45,10 +62,17 @@ class DeliveredFrameLog:
         self.records: List[FrameRecord] = []
 
     def attach(self, scenario: Any) -> "DeliveredFrameLog":
-        """Tap every node's radio interface in ``scenario``; returns self."""
+        """Tap every node's radio interface in ``scenario``; returns self.
+
+        With fault injection, each recovered node's rebuilt interface is
+        tapped too.  The taps only observe, so the run is unchanged.
+        """
         for node in scenario.nodes:
             interface = node.mesh.interface
             interface.on_receive(_InterfaceTap(self, scenario.sim, node.name))
+        injector = getattr(scenario, "faults", None)
+        if injector is not None:
+            injector.on_recover(_RecoverTap(self, scenario.sim))
         return self
 
     @staticmethod

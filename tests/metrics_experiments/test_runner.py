@@ -6,13 +6,14 @@ import pytest
 
 from repro.experiments.runner import (
     ExperimentRunner,
+    ProfiledRunOnce,
     ScenarioRunOnce,
     SweepGrid,
     SweepPoint,
     numeric_metrics,
     run_scenario_once,
-    sweep_scenario,
     sweep_scenario_grid,
+    sweep_scenario_grid_warm,
 )
 
 
@@ -42,7 +43,7 @@ def test_result_statistics_and_missing_metrics():
         return {"always": 1.0} if seed % 2 == 0 else {"always": 3.0, "sometimes": 5.0}
 
     runner = ExperimentRunner(run_once, repetitions=4, base_seed=0)
-    result = runner.run_point(SweepPoint.of("p"))
+    (result,) = runner.run_sweep([SweepPoint.of("p")])
     assert result.mean("always") == 2.0
     assert result.metric_values("sometimes") == [5.0, 5.0]
     assert result.metric_names() == ["always", "sometimes"]
@@ -193,8 +194,8 @@ def test_run_scenario_once_forwards_protocol_knobs():
 
 
 def test_sweep_scenario_runs_each_size_with_repetitions():
-    results = sweep_scenario(
-        "intersection", fleet_sizes=[4, 5], duration=3.0, repetitions=2, base_seed=50
+    results = sweep_scenario_grid(
+        "intersection", SweepGrid({"n": [4, 5]}), duration=3.0, repetitions=2, base_seed=50
     )
     assert [r.point.as_dict()["n"] for r in results] == [4, 5]
     assert all(len(r.runs) == 2 for r in results)
@@ -203,18 +204,22 @@ def test_sweep_scenario_runs_each_size_with_repetitions():
 
 
 def test_sweep_scenario_is_deterministic_for_equal_seeds():
-    kwargs = dict(fleet_sizes=[4], duration=3.0, repetitions=2, base_seed=7)
-    first = sweep_scenario("intersection", **kwargs)
-    second = sweep_scenario("intersection", **kwargs)
+    kwargs = dict(duration=3.0, repetitions=2, base_seed=7)
+    first = sweep_scenario_grid("intersection", SweepGrid({"n": [4]}), **kwargs)
+    second = sweep_scenario_grid("intersection", SweepGrid({"n": [4]}), **kwargs)
     assert first[0].runs == second[0].runs
 
 
 def test_one_dimensional_grid_matches_legacy_fleet_sweep():
-    # The generalised grid path must be seed- and result-identical to the
-    # historical fleet-size-only sweep.
-    legacy = sweep_scenario(
-        "intersection", fleet_sizes=[4, 5], duration=3.0, repetitions=2, base_seed=11
+    # The historical fleet-size-only sweep carried ``duration`` in every
+    # point's parameters; the grid path must be seed- and result-identical.
+    runner = ExperimentRunner(
+        ScenarioRunOnce(scenario="intersection"), repetitions=2, base_seed=11
     )
+    legacy = runner.run_sweep([
+        SweepPoint.of(f"intersection:n={size}", n=size, duration=3.0)
+        for size in (4, 5)
+    ])
     grid = sweep_scenario_grid(
         "intersection",
         SweepGrid({"n": [4, 5]}),
@@ -262,22 +267,61 @@ def test_scenario_run_once_is_picklable_and_merges_overrides():
 
 def test_sweep_scenario_rejects_unknown_scenario():
     with pytest.raises(ValueError):
-        sweep_scenario("not-a-scenario", fleet_sizes=[2], repetitions=1)
+        sweep_scenario_grid("not-a-scenario", SweepGrid({"n": [2]}), repetitions=1)
 
 
-def test_parallel_profile_first_cell_dumps_worker_stats(tmp_path):
-    """``profile_first_cell_to`` profiles exactly one fresh cell in a worker
-    and leaves the sweep results untouched."""
+class _OneCellCache:
+    """Resume-cache stand-in holding the metrics of a single seed."""
+
+    def __init__(self, seed, metrics):
+        self.seed = seed
+        self.metrics = metrics
+
+    def lookup(self, params, seed):
+        return dict(self.metrics) if seed == self.seed else None
+
+
+def test_parallel_profiled_cells_dump_one_stats_file_each(tmp_path):
+    """Each fresh cell dumps ``cell-s<seed>.prof`` from its worker; cached
+    cells dump nothing, and the sweep results are untouched."""
     import pstats
 
-    stats_path = tmp_path / "cell.prof"
     points = [SweepPoint.of("p0", x=2), SweepPoint.of("p1", x=3)]
-    plain = ExperimentRunner(_square_run_once, repetitions=2, base_seed=7)
-    profiled = ExperimentRunner(_square_run_once, repetitions=2, base_seed=7)
-    expected = plain.run_sweep(points, jobs=2)
-    results = profiled.run_sweep(
-        points, jobs=2, profile_first_cell_to=str(stats_path)
+    expected = ExperimentRunner(_square_run_once, repetitions=2, base_seed=7).run_sweep(
+        points, jobs=2
     )
+    cached = _OneCellCache(1007, expected[1].runs[0])   # point 1, repetition 0
+    profiled = ExperimentRunner(
+        ProfiledRunOnce(inner=_square_run_once, profile_dir=str(tmp_path)),
+        repetitions=2,
+        base_seed=7,
+    )
+    results = profiled.run_sweep(points, jobs=2, cache=cached)
     assert [r.runs for r in results] == [r.runs for r in expected]
-    stats = pstats.Stats(str(stats_path))
-    assert stats.total_calls > 0
+    dumped = sorted(path.name for path in tmp_path.iterdir())
+    assert dumped == ["cell-s1008.prof", "cell-s7.prof", "cell-s8.prof"]
+    stats = pstats.Stats(*(str(tmp_path / name) for name in dumped))
+    calls = {name: counts[1] for (_, _, name), counts in stats.stats.items()}
+    assert calls["_square_run_once"] == 3
+
+
+# ------------------------------------------------------------ warm starts
+
+
+def test_warm_sweep_cells_equal_cold_runs_at_their_group_seed():
+    from repro.scenarios import build_scenario
+
+    durations = [2.0, 5.0]
+    grid = SweepGrid({"n": [3, 4], "duration": durations})
+    warm = sweep_scenario_grid_warm("highway", grid, repetitions=2, base_seed=40)
+    assert [r.point for r in warm] == grid.points("highway:")
+    for result in warm:
+        params = result.point.as_dict()
+        group_index = [3, 4].index(params["n"])
+        for repetition, run in enumerate(result.runs):
+            seed = 40 + group_index * 1000 + repetition
+            cold = build_scenario("highway", n=params["n"], seed=seed).run(
+                duration=params["duration"], fault_horizon=max(durations)
+            )
+            assert _runs_equal([run], [numeric_metrics(cold.as_dict())])
+

@@ -13,7 +13,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import build_scenario
@@ -72,6 +72,10 @@ def _interrupted(scenario_name, seed, fast_math, faults, cut):
     fast_math=st.booleans(),
     faults=st.booleans(),
 )
+# Every node crashes and recovers before the run ends in these two cases, so
+# only the recovered nodes' rebuilt interfaces carry the frame log.
+@example(scenario_name="intersection", seed=278, cut=1.0, fast_math=False, faults=True)
+@example(scenario_name="urban-grid", seed=280, cut=5.0, fast_math=True, faults=True)
 def test_snapshot_restore_is_byte_identical(scenario_name, seed, cut, fast_math, faults):
     frames_a, report_a, fp_a = _uninterrupted(scenario_name, seed, fast_math, faults)
     frames_b, report_b, fp_b = _interrupted(scenario_name, seed, fast_math, faults, cut)

@@ -40,6 +40,8 @@ def test_golden_fixture_replays_to_the_frozen_report():
     blob, expected = _load()
     scenario = Scenario.restore(blob)
     assert scenario.sim.now == expected["cut"]
+    # The fixture predates the removal of the simulator's legacy trace log.
+    assert not hasattr(scenario.sim, "tracelog")
     report = scenario.resume()
     assert report.as_dict() == expected["resumed_report"]
 

@@ -330,20 +330,9 @@ def test_sweep_profile_prints_hot_spots_and_dumps_stats(tmp_path, capsys):
     assert stats.total_calls > 0
 
 
-def test_sweep_profile_with_jobs_warns_about_workers(capsys):
-    exit_code = main([
-        "sweep", "--scenario", "highway", "--n", "3",
-        "--duration", "2", "--repetitions", "1", "--jobs", "2",
-        "--profile", "--profile-top", "3",
-    ])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "--jobs 1" in captured.err
-
-
 def test_sweep_profile_with_jobs_merges_worker_stats(tmp_path, capsys):
-    """The merged profile must contain actual simulation work, which only
-    happens inside the worker processes when --jobs > 1."""
+    """With --jobs > 1 the simulation work happens in worker processes;
+    every cell's profile is merged, and nothing warns about sampling."""
     stats_path = tmp_path / "sweep-jobs.prof"
     exit_code = main([
         "sweep", "--scenario", "highway", "--n", "3",
@@ -352,14 +341,15 @@ def test_sweep_profile_with_jobs_merges_worker_stats(tmp_path, capsys):
     ])
     captured = capsys.readouterr()
     assert exit_code == 0
-    assert "--jobs 1" in captured.err
+    assert captured.err == ""
+    assert "(2 cell profiles merged)" in captured.out
     import pstats
 
     stats = pstats.Stats(str(stats_path))
-    # Without the worker merge the parent profile holds only pool
-    # orchestration; the simulator main loop proves a cell was profiled.
     profiled_files = {file for (file, _line, _name) in stats.stats}
     assert any(file.endswith("simcore/simulator.py") for file in profiled_files)
+    calls = {name: counts[1] for (_, _, name), counts in stats.stats.items()}
+    assert calls["run_scenario_once"] == 2   # both cells, not a sample
 
 
 def test_serve_parser_defaults_and_overrides():
@@ -482,13 +472,41 @@ def test_sweep_trace_dir_writes_one_trace_per_cell(tmp_path, capsys):
             assert json.load(handle)["traceEvents"]
 
 
-def test_sweep_trace_dir_rejects_parallel_and_warm_start(tmp_path):
-    base = ["sweep", "--scenario", "intersection", "--set", "n=4",
-            "--duration", "4", "--trace-dir", str(tmp_path / "t")]
-    with pytest.raises(SystemExit, match="drop --jobs"):
-        main(base + ["--jobs", "2"])
-    with pytest.raises(SystemExit, match="--warm-start"):
-        main(base + ["--warm-start"])
+def test_sweep_trace_dir_composes_with_jobs_and_warm_start(tmp_path, capsys):
+    base = ["sweep", "--scenario", "highway", "--set", "n=3,4",
+            "--set", "duration=2,4", "--repetitions", "1"]
+    parallel = tmp_path / "parallel"
+    assert main(base + ["--jobs", "2", "--trace-dir", str(parallel)]) == 0
+    assert len(list(parallel.glob("cell-s*.json"))) == 4   # one per cell
+    warm = tmp_path / "warm"
+    assert main(base + ["--warm-start", "--jobs", "2", "--trace-dir", str(warm)]) == 0
+    assert "per trajectory" in capsys.readouterr().out
+    assert len(list(warm.glob("cell-s*.json"))) == 2   # one per trajectory
+
+
+def test_sweep_warm_start_jobs_export_identical_to_sequential(tmp_path, capsys):
+    import json
+
+    base = ["sweep", "--scenario", "highway", "--set", "n=3,4",
+            "--set", "duration=2,5", "--repetitions", "1", "--warm-start"]
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    assert main(base + ["--jobs", "1", "--out", str(one)]) == 0
+    assert main(base + ["--jobs", "2", "--profile", "--out", str(many)]) == 0
+    capsys.readouterr()
+    with open(one) as handle:
+        points_one = json.load(handle)["points"]
+    with open(many) as handle:
+        points_many = json.load(handle)["points"]
+    assert points_one == points_many
+
+
+def test_sweep_warm_start_rejects_resume(tmp_path):
+    earlier = tmp_path / "earlier.json"
+    base = ["sweep", "--scenario", "highway", "--set", "n=3",
+            "--set", "duration=2,4", "--repetitions", "1"]
+    assert main(base + ["--out", str(earlier)]) == 0
+    with pytest.raises(SystemExit, match="--warm-start does not support --resume"):
+        main(base + ["--warm-start", "--resume", str(earlier)])
 
 
 def test_fabric_submit_rejects_trace_dir(tmp_path):
