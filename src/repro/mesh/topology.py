@@ -9,53 +9,103 @@ E3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.mesh.discovery import BeaconAgent
 from repro.simcore.simulator import Simulator
 
+Edge = Tuple[str, str]
 
-@dataclass
+
 class TopologySnapshot:
-    """The mesh graph at one instant, with derived statistics."""
+    """The mesh graph at one instant, with derived statistics.
 
-    time: float
-    graph: nx.Graph
+    ``nodes`` lists every node once, in observation order; ``edges`` holds
+    each undirected link once, as a name-sorted pair.  Components come from
+    one union-find pass, computed on first use and cached.
+    """
+
+    def __init__(self, time: float, nodes: Iterable[str], edges: Set[Edge]) -> None:
+        self.time = time
+        self.nodes: Tuple[str, ...] = tuple(nodes)
+        self.edges = edges
+        self._components: Optional[List[FrozenSet[str]]] = None
+
+    def __getstate__(self) -> dict:
+        # Edges pickle as a sorted tuple (set layout varies with the hash
+        # seed); the component cache is rebuilt on demand.
+        return {
+            "time": self.time,
+            "nodes": self.nodes,
+            "edges": tuple(sorted(self.edges)),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        graph = state.get("graph")
+        if graph is not None:
+            # Artifacts written while snapshots held a networkx graph.
+            self.__init__(
+                state["time"],
+                graph.nodes,
+                {(a, b) if a <= b else (b, a) for a, b in graph.edges},
+            )
+        else:
+            self.__init__(state["time"], state["nodes"], set(state["edges"]))
 
     @property
     def node_count(self) -> int:
         """Number of nodes in the snapshot."""
-        return self.graph.number_of_nodes()
+        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:
-        """Number of bidirectionally confirmed links."""
-        return self.graph.number_of_edges()
+        """Number of links (bidirectionally confirmed unless the observer
+        was told otherwise)."""
+        return len(self.edges)
+
+    def _component_sets(self) -> List[FrozenSet[str]]:
+        components = self._components
+        if components is None:
+            # Union-find, inlined: after each union both endpoints point
+            # straight at the merged root, which keeps the trees flat.
+            parent = {node: node for node in self.nodes}
+            for a, b in self.edges:
+                root_a = parent[a]
+                while root_a != parent[root_a]:
+                    root_a = parent[root_a]
+                root_b = parent[b]
+                while root_b != parent[root_b]:
+                    root_b = parent[root_b]
+                parent[root_b] = parent[a] = parent[b] = root_a
+            members: Dict[str, List[str]] = {}
+            for node in self.nodes:
+                root = node
+                while root != parent[root]:
+                    root = parent[root]
+                members.setdefault(root, []).append(node)
+            components = [frozenset(group) for group in members.values()]
+            self._components = components
+        return components
 
     def components(self) -> List[set]:
-        """Connected components (each is a set of node names)."""
-        return [set(c) for c in nx.connected_components(self.graph)]
+        """Connected components (each is a set of node names), ordered by
+        their first node."""
+        return [set(component) for component in self._component_sets()]
 
     def largest_component_size(self) -> int:
         """Size of the largest connected component (0 for empty graph)."""
-        comps = self.components()
-        return max((len(c) for c in comps), default=0)
+        return max(map(len, self._component_sets()), default=0)
 
     def mean_degree(self) -> float:
         """Average node degree."""
-        n = self.graph.number_of_nodes()
+        n = len(self.nodes)
         if n == 0:
             return 0.0
-        return 2.0 * self.graph.number_of_edges() / n
+        return 2.0 * len(self.edges) / n
 
     def is_connected(self) -> bool:
         """Whether every node can reach every other node over the mesh."""
-        if self.graph.number_of_nodes() == 0:
-            return False
-        return nx.is_connected(self.graph)
+        return len(self._component_sets()) == 1
 
 
 class TopologyObserver:
@@ -102,33 +152,48 @@ class TopologyObserver:
 
     def take_snapshot(self) -> TopologySnapshot:
         """Build a snapshot now and append it to the history."""
-        graph = nx.Graph()
-        directed: Dict[Tuple[str, str], bool] = {}
         now = self.sim.now
+        heard: Dict[str, List[str]] = {}
         for agent in self.agents:
-            owner = agent.interface.node_name
-            graph.add_node(owner)
             # Age-filtered: a silent (e.g. crashed) peer stops contributing
             # edges once past the neighbour lifetime, even between the
             # owner's periodic expiry sweeps.
-            for neighbor in agent.neighbors.active_names(now):
-                directed[(owner, neighbor)] = True
-        for (a, b) in directed:
-            if not self.require_bidirectional or (b, a) in directed:
-                graph.add_edge(a, b)
-        snapshot = TopologySnapshot(self.sim.now, graph)
+            heard.setdefault(agent.interface.node_name, []).extend(
+                agent.neighbors.active_names(now)
+            )
+        nodes: Dict[str, None] = dict.fromkeys(heard)
+        if self.require_bidirectional:
+            # Each confirmed link is seen from both ends; keep it from the
+            # end whose name sorts first.
+            heard_sets = {owner: set(names) for owner, names in heard.items()}
+            empty: Set[str] = set()
+            edges = {
+                (a, b)
+                for a, names in heard.items()
+                for b in names
+                if a <= b and a in heard_sets.get(b, empty)
+            }
+        else:
+            for names in heard.values():
+                nodes.update(dict.fromkeys(names))
+            edges = {
+                (a, b) if a <= b else (b, a)
+                for a, names in heard.items()
+                for b in names
+            }
+        snapshot = TopologySnapshot(now, nodes, edges)
         self._update_link_lifetimes(snapshot)
         self.snapshots.append(snapshot)
         self.sim.monitor.timeseries("mesh.largest_component").record(
-            self.sim.now, float(snapshot.largest_component_size())
+            now, float(snapshot.largest_component_size())
         )
         self.sim.monitor.timeseries("mesh.edge_count").record(
-            self.sim.now, float(snapshot.edge_count)
+            now, float(snapshot.edge_count)
         )
         return snapshot
 
     def _update_link_lifetimes(self, snapshot: TopologySnapshot) -> None:
-        current = {tuple(sorted(edge)) for edge in snapshot.graph.edges}
+        current = snapshot.edges
         known = set(self._link_first_seen)
         for link in current - known:
             self._link_first_seen[link] = snapshot.time

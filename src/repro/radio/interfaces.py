@@ -15,10 +15,13 @@ effective range.  The per-pair physics is batched as well: link qualities
 are held in *per-sender rows* filled by one
 :meth:`~repro.radio.link.LinkBudget.quality_batch` call per sender per
 position epoch (``use_batched_links=False`` keeps the scalar per-pair
-computation as the byte-identical reference path), so ``transmit``,
-:meth:`RadioEnvironment.nodes_in_range` and every candidate scorer probe
-hit one row dictionary instead of N per-pair cache entries.  When a :class:`~repro.mobility.manager.MobilityManager` is
-bound, the query runs directly against the manager's shared
+computation as the byte-identical reference path).  On top of the rows,
+each sender gets one broadcast *plan* per position epoch — its usable
+receivers with their PER, contention-scaled rate and propagation-delay
+columns — so a broadcast is a few whole-array steps and
+:meth:`RadioEnvironment.nodes_in_range` is a lookup.  When a
+:class:`~repro.mobility.manager.MobilityManager` is bound, the query runs
+directly against the manager's shared
 :class:`~repro.geometry.substrate.SpatialSubstrate` — the environment keeps
 *no* mirror of mobile positions, so the manager's one position sync per tick
 serves both layers (see :class:`RadioEnvironment` for the full freshness
@@ -47,8 +50,10 @@ transport and the AirDnD offloading protocol) decide what goes inside.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +72,10 @@ _frame_ids = itertools.count()
 #: spatial query radius adds this slack so range pruning can never drop a
 #: receiver that the full link-budget evaluation would have reached.
 _RANGE_STEP_SLACK_M = 5.0
+
+_PER = attrgetter("packet_error_rate")
+_RATE = attrgetter("rate_bps")
+_DISTANCE = attrgetter("distance")
 
 
 @dataclass(slots=True)
@@ -117,7 +126,16 @@ class _FrameDelivery:
         self.quality = quality
 
     def __call__(self) -> None:
-        self.receiver.deliver(self.frame, self.quality)
+        # Inlined :meth:`RadioInterface.deliver` (one call frame less per
+        # delivered frame).  Keep in lockstep with ``deliver``.
+        receiver = self.receiver
+        if not receiver.enabled:
+            return
+        frame = self.frame
+        receiver.bytes_received += frame.size_bytes
+        receiver.frames_received += 1
+        for callback in receiver._receive_callbacks:
+            callback(frame, self.quality)
 
 
 class _BatchFrameDelivery:
@@ -216,18 +234,24 @@ class _QualityColumns:
         )
 
 
-class _FastSenderPlan:
-    """One sender's precomputed broadcast state, valid for one position epoch.
+class _SenderPlan:
+    """One sender's broadcast state, valid for one position epoch.
 
-    The statistical tier's answer to the per-sender link *row*: instead of a
-    name-keyed dictionary of :class:`LinkQuality` objects probed per
-    receiver per broadcast, the plan keeps the usable receivers as parallel
-    lists/arrays — interfaces, qualities, PERs, contention-scaled rates,
-    propagation delays — so each broadcast is a handful of whole-array
-    operations.  ``delay_groups`` memoises, per frame size, the receiver
-    indices bucketed by identical delivery delay (the coalescing structure
-    is a pure function of the plan and the frame size, so it is computed
-    once and reused by every same-sized broadcast in the epoch).
+    Both equivalence tiers broadcast from this one structure; they differ
+    only in how it is built (:meth:`RadioEnvironment._build_plan` from the
+    exact link rows, :meth:`RadioEnvironment._build_fast_plan` from the
+    statistical kernel) and in how losses are drawn and arrivals scheduled.
+
+    ``receivers``/``qualities`` are the *usable* receivers, name-sorted —
+    their names are the answer to :meth:`RadioEnvironment.nodes_in_range`.
+    ``pers``, ``scaled_rates`` (rate times the contention scale) and
+    ``prop_delays`` are numpy columns over the same receivers.
+    ``out_of_range`` folds the spatially pruned and the link-unusable
+    candidates into one per-broadcast counter increment.  ``delay_groups``
+    is the statistical tier's memo, per frame size in bits, of the receivers
+    bucketed by identical delay; the exact tier computes its delay column
+    per broadcast.  Nothing mutates a plan's lists after it is built, so
+    scheduled deliveries may reference them.
     ``RadioEnvironment._refresh`` discards plans with the other per-epoch
     caches.
     """
@@ -241,6 +265,27 @@ class _FastSenderPlan:
         "out_of_range",
         "delay_groups",
     )
+
+    def __init__(
+        self,
+        receivers: List["RadioInterface"],
+        qualities: "Sequence[LinkQuality]",
+        pers: np.ndarray,
+        rates: np.ndarray,
+        distances: np.ndarray,
+        out_of_range: int,
+        contention_factor: float,
+    ) -> None:
+        # Every usable receiver is a concurrent neighbour of the sender, so
+        # the contention scale is a function of the receiver count alone.
+        concurrent = max(0, len(receivers) - 1)
+        self.receivers = receivers
+        self.qualities = qualities
+        self.pers = pers
+        self.scaled_rates = rates * (1.0 / (1.0 + contention_factor * concurrent))
+        self.prop_delays = distances / 3e8
+        self.out_of_range = out_of_range
+        self.delay_groups: Dict[int, List[Tuple[float, List[int]]]] = {}
 
 
 class _FastUniverse:
@@ -345,7 +390,7 @@ class RadioEnvironment:
 
     The environment never polls positions; it trusts an epoch counter and
     lazily refreshes derived state (spatial candidate lookup, the per-epoch
-    link-quality and in-range caches) when that counter advances.  Three
+    link rows and sender plans) when that counter advances.  Three
     regimes, from fastest to safest:
 
     * **Substrate-bound** (a :class:`~repro.mobility.manager.MobilityManager`
@@ -410,10 +455,10 @@ class RadioEnvironment:
     fast_math:
         Equivalence tier of the delivery path.  ``None`` (default) inherits
         the link budget's tier.  ``True`` selects the *statistical* tier:
-        broadcast loss draws are vectorised (one ``rng.random(k)`` per
-        broadcast) and same-delay arrivals are coalesced into single batch
-        events via :meth:`~repro.simcore.simulator.Simulator.schedule_batch`
-        — distribution-level metric agreement with the exact tier (benchmark
+        sender plans come from the fused numpy link kernel, extra-loss draws
+        are vectorised after the PER draws instead of interleaved with them,
+        and same-delay arrivals are coalesced into single batch events —
+        distribution-level metric agreement with the exact tier (benchmark
         E15), not byte-identical frame sequences.  Requires
         ``use_batched_links=True``.  ``False`` forces the exact tier even
         with a ``fast_math`` link budget.
@@ -495,12 +540,8 @@ class RadioEnvironment:
         #: ``quality_batch`` call for all receivers a sender needs this
         #: epoch) instead of one cache entry per ``(src, dst)`` probe.
         self._quality_rows: Dict[str, Dict[str, LinkQuality]] = {}
-        self._in_range_cache: Dict[str, List[str]] = {}
-        #: Broadcast receiver lists (name-sorted) plus their pruned-receiver
-        #: count, memoised per sender per position epoch.
-        self._receiver_cache: Dict[str, Tuple[List[str], int]] = {}
-        #: Statistical-tier broadcast plans, memoised per sender per epoch.
-        self._fast_plans: Dict[str, _FastSenderPlan] = {}
+        #: Broadcast plans (both tiers), memoised per sender per epoch.
+        self._plans: Dict[str, _SenderPlan] = {}
         self._fast_universe: Optional[_FastUniverse] = None
         # Hot-path counters, resolved once instead of per frame.
         monitor = sim.monitor
@@ -519,19 +560,20 @@ class RadioEnvironment:
     #: Per-epoch derived state the snapshot protocol drops and rebuilds.
     _EPHEMERAL_DEFAULTS = {
         "_quality_rows": dict,
-        "_in_range_cache": dict,
-        "_receiver_cache": dict,
-        "_fast_plans": dict,
+        "_plans": dict,
         "_fast_universe": lambda: None,
     }
+
+    #: Per-epoch caches of earlier versions, still present (empty) in
+    #: artifacts written before the sender plans replaced them.
+    _LEGACY_EPHEMERAL = ("_in_range_cache", "_receiver_cache", "_fast_plans")
 
     def __getstate__(self) -> dict:
         """Pickle without per-epoch caches; force a refresh on first use.
 
-        Link rows, in-range sets, broadcast receiver lists and the
-        statistical tier's sender plans are pure functions of positions and
-        the link budget — rebuilding them after restore is cheap and keeps
-        the snapshot free of numpy scratch arrays and hash-ordered
+        Link rows and sender plans are pure functions of positions and the
+        link budget — rebuilding them after restore is cheap and keeps the
+        snapshot free of numpy scratch arrays and hash-ordered
         intermediates.  The sync sentinels are reset so the first
         :meth:`_refresh` after restore rebuilds everything (including the
         mirror grid for unbound environments).
@@ -545,12 +587,22 @@ class RadioEnvironment:
         state["_overlay_key"] = None
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        # Legacy artifacts carry the removed caches and lack the new ones;
+        # both are empty per-epoch state, so swap one set for the other.
+        # Keys are interned as the default unpickling path would, so a
+        # re-pickle memoises them exactly like every other instance's.
+        for name in self._LEGACY_EPHEMERAL:
+            state.pop(name, None)
+        for name, default in self._EPHEMERAL_DEFAULTS.items():
+            if name not in state:
+                state[name] = default()
+        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+
     def invalidate_caches(self) -> None:
         """Drop every per-epoch cache and force the next refresh to rebuild."""
         self._quality_rows.clear()
-        self._in_range_cache.clear()
-        self._receiver_cache.clear()
-        self._fast_plans.clear()
+        self._plans.clear()
         self._fast_universe = None
         self._synced_epoch = -1
         self._synced_time = None
@@ -723,9 +775,7 @@ class RadioEnvironment:
                 return
             self._sync_overlay()
             self._quality_rows.clear()
-            self._in_range_cache.clear()
-            self._receiver_cache.clear()
-            self._fast_plans.clear()
+            self._plans.clear()
             self._fast_universe = None
             self._synced_epoch = epoch
             return
@@ -741,9 +791,7 @@ class RadioEnvironment:
             grid.update(name, interface.position)
         self.mirror_sync_passes += 1
         self._quality_rows.clear()
-        self._in_range_cache.clear()
-        self._receiver_cache.clear()
-        self._fast_plans.clear()
+        self._plans.clear()
         self._fast_universe = None
         self._synced_epoch = own
         self._synced_mobility_epoch = (
@@ -841,136 +889,68 @@ class RadioEnvironment:
     def nodes_in_range(self, node_name: str) -> List[str]:
         """Other nodes whose link from ``node_name`` is currently usable.
 
-        Memoised per position epoch; the result is name-sorted.
+        The usable receivers of the node's sender plan, name-sorted; the
+        plan is memoised per position epoch.  On the statistical tier the
+        plan comes from the fused kernel, not the link rows, so for a link
+        right at the SNR threshold this may disagree with
+        :meth:`link_quality` — within that tier's aggregate contract.
         """
         self._refresh()
-        cached = self._in_range_cache.get(node_name)
-        if cached is None:
-            if self.use_spatial_index:
-                candidates = self._candidate_names(self._interfaces[node_name].position)
-            else:
-                candidates = list(self._interfaces)
-            others = [other for other in candidates if other != node_name]
-            row = self._ensure_row(node_name, others)
-            cached = sorted(other for other in others if row[other].usable)
-            self._in_range_cache[node_name] = cached
-        return list(cached)
+        plan = self._sender_plan(self._interfaces[node_name])
+        return [receiver.node_name for receiver in plan.receivers]
 
-    # --------------------------------------------------------- transmission
+    # ------------------------------------------------------------ sender plans
 
-    def _broadcast_candidates(
-        self, sender_name: str, position: Vec2
-    ) -> Tuple[List[str], int]:
-        """Memoised broadcast candidate names (name-sorted) + pruned count.
+    def _sender_plan(self, sender: RadioInterface) -> _SenderPlan:
+        """The sender's plan for this position epoch, built on first use.
 
-        Pure lookup — no counter side effects — shared by the exact tier's
-        :meth:`_broadcast_receivers` and the statistical tier's
-        :meth:`_build_fast_plan`, which account for the pruned receivers on
-        their own per-broadcast schedule.
+        Callers must have called :meth:`_refresh` first.
         """
-        cached = self._receiver_cache.get(sender_name)
-        if cached is None:
-            if self.use_spatial_index:
-                receivers = sorted(
-                    name
-                    for name in self._candidate_names(position)
-                    if name != sender_name
-                )
-                attached_others = len(self._interfaces) - (
-                    1 if sender_name in self._interfaces else 0
-                )
-                pruned = attached_others - len(receivers)
+        plan = self._plans.get(sender.node_name)
+        if plan is None:
+            if self.fast_math:
+                plan = self._build_fast_plan(sender.node_name, sender.position)
             else:
-                receivers = sorted(
-                    name for name in self._interfaces if name != sender_name
-                )
-                pruned = 0
-            cached = (receivers, pruned)
-            self._receiver_cache[sender_name] = cached
-        return cached
+                plan = self._build_plan(sender.node_name, sender.position)
+            self._plans[sender.node_name] = plan
+        return plan
 
-    def _broadcast_receivers(self, sender_name: str, position: Vec2) -> List[str]:
-        """Candidate receiver names for a broadcast, name-sorted.
+    def _build_plan(self, sender_name: str, position: Vec2) -> _SenderPlan:
+        """Exact-tier plan: the sender's link row, filtered to usable links.
 
-        With the spatial index enabled, interfaces beyond the query radius
-        are pruned wholesale and accounted to ``radio.frames_out_of_range``
-        in one O(1) increment — the link budget is monotone in distance, so
-        none of them could have been usable.  The list (and its pruned
-        count) is memoised per sender per position epoch; the counter is
-        still bumped once per broadcast.
+        Candidates are the attached interfaces within the spatial query
+        radius (every other interface on the brute-force reference path),
+        and their qualities come from :meth:`_ensure_row`, so both reference
+        flags still fill bit-identical columns.  The spatially pruned
+        interfaces are counted into ``out_of_range`` wholesale — the link
+        budget is monotone in distance, so none of them could have been
+        usable.
         """
-        receivers, pruned = self._broadcast_candidates(sender_name, position)
-        if pruned > 0:
-            self._frames_out_of_range.add(pruned)
-        return receivers
-
-    def _kind_counter(self, kind: str) -> Counter:
-        counter = self._kind_bytes.get(kind)
-        if counter is None:
-            counter = self.sim.monitor.counter(f"radio.bytes.{kind}")
-            self._kind_bytes[kind] = counter
-        return counter
-
-    def transmit(self, sender: RadioInterface, frame: Frame) -> None:
-        """Deliver ``frame`` to its destination(s) with latency and loss."""
-        self._refresh()
-        sender_name = sender.node_name
-        if self.fast_math and frame.destination is None:
-            # Statistical tier: vectorised broadcast via the per-epoch
-            # sender plan.  Unicast frames take the scalar loop below — one
-            # receiver gains nothing from vectorisation.
-            self._transmit_fast(sender, frame)
-            return
-        if frame.destination is not None:
-            receiver_names = [frame.destination]
-            row = self._ensure_row(sender_name, receiver_names)
-            in_range = len(self.nodes_in_range(sender_name))
-        else:
-            receiver_names = self._broadcast_receivers(sender_name, sender.position)
-            row = self._ensure_row(sender_name, receiver_names)
-            # The broadcast candidates are exactly the set nodes_in_range
-            # filters, so the usable entries of this row are its count.
-            in_range = sum(1 for name in receiver_names if row[name].usable)
-        concurrent = max(0, in_range - 1)
-        contention_scale = 1.0 / (1.0 + self.contention_factor * concurrent)
-        deliver_name = self._deliver_names.get(frame.kind)
-        if deliver_name is None:
-            deliver_name = f"deliver-{frame.kind}"
-            self._deliver_names[frame.kind] = deliver_name
-        rng = self.sim.streams.get(self.rng_stream)
-        # Deliveries are pushed in one batch after the loop; nothing in it
-        # schedules, so each delivery keeps the sequence number (and hence
-        # the firing order) a per-receiver push would have given it.
-        entries: List[Tuple[float, Callable[[], Any], int, str]] = []
-        for receiver_name in receiver_names:
-            receiver = self._interfaces.get(receiver_name)
-            if receiver is None or receiver is sender:
-                continue
-            quality = row[receiver_name]
-            if not quality.usable:
-                self._frames_out_of_range.add()
-                continue
-            if rng.random() < quality.packet_error_rate:
-                self._frames_lost.add()
-                continue
-            if (
-                self.extra_loss_probability > 0.0
-                and rng.random() < self.extra_loss_probability
-            ):
-                self._frames_lost.add()
-                continue
-            rate = quality.rate_bps * contention_scale
-            serialization = self.link_budget.transfer_time(frame.size_bytes * 8, rate)
-            propagation = quality.distance / 3e8
-            delay = serialization + propagation
-            self._frames_delivered.add()
-            self._bytes_delivered.add(frame.size_bytes)
-            self._kind_counter(frame.kind).add(frame.size_bytes)
-            self._link_delay.add(delay)
-            entries.append(
-                (delay, _FrameDelivery(receiver, frame, quality), 0, deliver_name)
+        interfaces = self._interfaces
+        if self.use_spatial_index:
+            candidates = sorted(
+                name
+                for name in self._candidate_names(position)
+                if name != sender_name
             )
-        self.sim.schedule_batch(entries)
+            others = len(interfaces) - (1 if sender_name in interfaces else 0)
+            pruned = others - len(candidates)
+        else:
+            candidates = sorted(name for name in interfaces if name != sender_name)
+            pruned = 0
+        row = self._ensure_row(sender_name, candidates)
+        names = [name for name in candidates if row[name].usable]
+        qualities = [row[name] for name in names]
+        count = len(names)
+        return _SenderPlan(
+            [interfaces[name] for name in names],
+            qualities,
+            np.fromiter(map(_PER, qualities), np.float64, count),
+            np.fromiter(map(_RATE, qualities), np.float64, count),
+            np.fromiter(map(_DISTANCE, qualities), np.float64, count),
+            pruned + len(candidates) - count,
+            self.contention_factor,
+        )
 
     def _ensure_fast_universe(self) -> "_FastUniverse":
         """The per-epoch position snapshot, built on first fast broadcast.
@@ -1003,23 +983,17 @@ class RadioEnvironment:
             self._fast_universe = universe
         return universe
 
-    def _build_fast_plan(
-        self, sender_name: str, position: Vec2
-    ) -> "_FastSenderPlan":
-        """Precompute one sender's broadcast state for this position epoch.
+    def _build_fast_plan(self, sender_name: str, position: Vec2) -> _SenderPlan:
+        """Statistical-tier plan: one vectorised pass over the epoch universe.
 
-        Candidates come from one vectorised distance mask over the epoch's
+        Candidates come from one distance mask over the epoch's
         :class:`_FastUniverse` (the same exact ``<= query radius`` test the
         spatial grid applies, minus the grid walk — live positions instead
         of the substrate's committed ones, which the statistical tier's
         aggregate contract permits); one
         :meth:`~repro.radio.link.LinkBudget.quality_arrays_xy` call fills
-        the usable receivers' PER / contention-scaled rate / propagation
-        delay columns in array form.  The contention scale is derived from
-        the usable-receiver count (identical to the exact tier's
-        ``len(nodes_in_range) - 1``, which for a broadcast counts exactly
-        these links).  ``out_of_range`` folds the spatially pruned and the
-        link-unusable receivers into one per-broadcast counter increment.
+        the columns in array form, and the qualities stay column-major
+        (:class:`_QualityColumns`) until a receive callback observes one.
         """
         universe = self._ensure_fast_universe()
         sender_index = universe.index_of.get(sender_name)
@@ -1053,9 +1027,11 @@ class RadioEnvironment:
         )
         usable_indices = np.flatnonzero(usable)
         unusable = int(candidate_indices.size) - int(usable_indices.size)
-        kept_indices = candidate_indices[usable_indices].tolist()
         all_interfaces = universe.interfaces
-        receivers = [all_interfaces[index] for index in kept_indices]
+        receivers = [
+            all_interfaces[index]
+            for index in candidate_indices[usable_indices].tolist()
+        ]
         usable_distances = distances[usable_indices]
         qualities = _QualityColumns(
             snrs[usable_indices].tolist(),
@@ -1063,60 +1039,167 @@ class RadioEnvironment:
             pers[usable_indices].tolist(),
             usable_distances.tolist(),
         )
-        concurrent = max(0, len(receivers) - 1)
-        contention_scale = 1.0 / (1.0 + self.contention_factor * concurrent)
-        plan = _FastSenderPlan()
-        plan.receivers = receivers
-        plan.qualities = qualities
-        plan.pers = pers[usable_indices]
-        plan.scaled_rates = rates[usable_indices] * contention_scale
-        plan.prop_delays = usable_distances / 3e8
-        plan.out_of_range = pruned + unusable
-        plan.delay_groups = {}
-        return plan
+        return _SenderPlan(
+            receivers,
+            qualities,
+            pers[usable_indices],
+            rates[usable_indices],
+            usable_distances,
+            pruned + unusable,
+            self.contention_factor,
+        )
 
-    def _transmit_fast(self, sender: RadioInterface, frame: Frame) -> None:
-        """Statistical-tier broadcast delivery: vectorised loss and delay.
+    # --------------------------------------------------------- transmission
 
-        All of a broadcast's frame-loss draws happen in one
-        ``rng.random(k)`` call (still on the named radio stream, still over
-        the usable receivers in name-sorted order), delays come from the
-        per-epoch sender plan, and receivers sharing an identical delay are
-        coalesced into one :class:`_BatchFrameDelivery` pushed through
-        :meth:`~repro.simcore.simulator.Simulator.schedule_batch` — one heap
-        operation per broadcast instead of one sift per receiver.  Counter
-        totals match the exact tier's values; the RNG draw *interleaving*
-        (and therefore the exact delivered-frame sequence) is the thing this
-        tier deliberately stops pinning.
+    def _kind_counter(self, kind: str) -> Counter:
+        counter = self._kind_bytes.get(kind)
+        if counter is None:
+            counter = self.sim.monitor.counter(f"radio.bytes.{kind}")
+            self._kind_bytes[kind] = counter
+        return counter
+
+    def _deliver_name(self, kind: str) -> str:
+        name = self._deliver_names.get(kind)
+        if name is None:
+            name = f"deliver-{kind}"
+            self._deliver_names[kind] = name
+        return name
+
+    def transmit(self, sender: RadioInterface, frame: Frame) -> None:
+        """Deliver ``frame`` to its destination(s) with latency and loss."""
+        self._refresh()
+        if frame.destination is None:
+            self._broadcast(sender, frame)
+        else:
+            self._unicast(sender, frame)
+
+    def _unicast(self, sender: RadioInterface, frame: Frame) -> None:
+        """One receiver, evaluated scalar on both tiers.
+
+        The contention scale counts the sender's usable neighbours (its
+        plan), exactly as a broadcast from the sender would.
         """
-        sender_name = sender.node_name
-        plan = self._fast_plans.get(sender_name)
-        if plan is None:
-            plan = self._build_fast_plan(sender_name, sender.position)
-            self._fast_plans[sender_name] = plan
+        receiver = self._interfaces.get(frame.destination)
+        if receiver is None or receiver is sender:
+            return
+        quality = self._ensure_row(sender.node_name, (receiver.node_name,))[
+            receiver.node_name
+        ]
+        if not quality.usable:
+            self._frames_out_of_range.add()
+            return
+        rng = self.sim.streams.get(self.rng_stream)
+        extra = self.extra_loss_probability
+        if rng.random() < quality.packet_error_rate or (
+            extra > 0.0 and rng.random() < extra
+        ):
+            self._frames_lost.add()
+            return
+        concurrent = max(0, len(self._sender_plan(sender).receivers) - 1)
+        rate = quality.rate_bps * (1.0 / (1.0 + self.contention_factor * concurrent))
+        # The broadcast's rule, scalar: a usable link has a positive rate.
+        delay = frame.size_bytes * 8 / rate + quality.distance / 3e8
+        self._frames_delivered.add()
+        self._bytes_delivered.add(frame.size_bytes)
+        self._kind_counter(frame.kind).add(frame.size_bytes)
+        self._link_delay.add(delay)
+        self.sim._queue.push(
+            self.sim.now + delay,
+            _FrameDelivery(receiver, frame, quality),
+            0,
+            self._deliver_name(frame.kind),
+        )
+
+    def _broadcast(self, sender: RadioInterface, frame: Frame) -> None:
+        """One broadcast as a few whole-array steps over the sender plan.
+
+        Counters are bumped once per broadcast with integer totals (the
+        float sums are exact), and the PER losses are one ``rng.random(k)``
+        draw over the usable receivers in name order — numpy's ``Generator``
+        yields the same doubles, and leaves the stream at the same point, as
+        ``k`` scalar ``random()`` calls.  While the fault injector holds
+        ``extra_loss_probability`` nonzero, the exact tier keeps the scalar
+        interleaving instead: a PER draw per receiver, then an extra draw for
+        that receiver only if it survived.  The statistical tier draws the
+        extra losses as a second vector over the PER survivors.
+        Arrivals go straight into the event queue at ``now + delay``, in
+        receiver order, so each keeps the sequence number a per-receiver
+        push would have given it.
+        """
+        plan = self._sender_plan(sender)
         if plan.out_of_range:
             self._frames_out_of_range.add(plan.out_of_range)
         count = len(plan.receivers)
         if count == 0:
             return
         rng = self.sim.streams.get(self.rng_stream)
-        kept = rng.random(count) >= plan.pers
         extra = self.extra_loss_probability
-        if extra > 0.0:
-            # Mirror the exact tier's contract: extra-loss draws happen only
-            # while the injector holds the probability nonzero, and only for
-            # frames that survived the PER draw.
-            survivor_indices = np.flatnonzero(kept)
-            if survivor_indices.size:
-                extra_lost = rng.random(survivor_indices.size) < extra
-                kept[survivor_indices[extra_lost]] = False
-        delivered = int(kept.sum())
+        fast = self.fast_math
+        if extra > 0.0 and not fast:
+            random = rng.random
+            kept = np.fromiter(
+                (
+                    random() >= per and random() >= extra
+                    for per in plan.pers.tolist()
+                ),
+                bool,
+                count,
+            )
+        else:
+            kept = rng.random(count) >= plan.pers
+            if extra > 0.0:
+                survivors = np.flatnonzero(kept)
+                if survivors.size:
+                    kept[survivors[rng.random(survivors.size) < extra]] = False
+        delivered = int(np.count_nonzero(kept))
         lost = count - delivered
         if lost:
             self._frames_lost.add(lost)
         if not delivered:
             return
+        self._frames_delivered.add(delivered)
+        total_bytes = frame.size_bytes * delivered
+        self._bytes_delivered.add(total_bytes)
+        self._kind_counter(frame.kind).add(total_bytes)
         size_bits = frame.size_bytes * 8
+        deliver_name = self._deliver_name(frame.kind)
+        if fast:
+            times, callbacks = self._coalesced_arrivals(
+                plan, kept, lost, size_bits, frame
+            )
+        else:
+            delays = size_bits / plan.scaled_rates + plan.prop_delays
+            receivers = plan.receivers
+            qualities = plan.qualities
+            if lost:
+                delays = delays[kept]
+                mask = kept.tolist()
+                receivers = compress(receivers, mask)
+                qualities = compress(qualities, mask)
+            self._link_delay.values.extend(delays.tolist())
+            times = (delays + self.sim.now).tolist()
+            callbacks = map(_FrameDelivery, receivers, repeat(frame), qualities)
+        # Absolute times straight into the queue (the delays are positive by
+        # construction), which numbers the entries in this order.
+        self.sim._queue.push_batch(
+            zip(times, callbacks, repeat(0), repeat(deliver_name))
+        )
+
+    def _coalesced_arrivals(
+        self,
+        plan: _SenderPlan,
+        kept: np.ndarray,
+        lost: int,
+        size_bits: int,
+        frame: Frame,
+    ) -> Tuple[List[float], List[Callable[[], Any]]]:
+        """Statistical-tier arrival times and callbacks, one per delay group.
+
+        Receivers sharing an identical delay are coalesced into one
+        :class:`_BatchFrameDelivery` (a lone receiver gets a
+        :class:`_FrameDelivery`), so a broadcast costs one heap entry per
+        delay group instead of one per receiver.
+        """
         groups = plan.delay_groups.get(size_bits)
         if groups is None:
             # Bucket receivers by identical delay in C: `np.unique` sorts the
@@ -1140,32 +1223,22 @@ class RadioEnvironment:
                 groups.append((delay, order[start:end]))
                 start = end
             plan.delay_groups[size_bits] = groups
-        deliver_name = self._deliver_names.get(frame.kind)
-        if deliver_name is None:
-            deliver_name = f"deliver-{frame.kind}"
-            self._deliver_names[frame.kind] = deliver_name
-        self._frames_delivered.add(delivered)
-        total_bytes = frame.size_bytes * delivered
-        self._bytes_delivered.add(total_bytes)
-        self._kind_counter(frame.kind).add(total_bytes)
+        now = self.sim.now
         delay_samples = self._link_delay.values
         receivers = plan.receivers
         qualities = plan.qualities
         # The (few) lost indices drive group filtering: most groups are
         # untouched and reuse their plan-held member list without a copy.
-        lost_set = None if delivered == count else set(
-            np.flatnonzero(~kept).tolist()
-        )
-        entries: List[Tuple[float, Callable[[], Any], int, str]] = []
+        lost_set = set(np.flatnonzero(~kept).tolist()) if lost else None
+        times: List[float] = []
+        callbacks: List[Callable[[], Any]] = []
         # Group order (and each group's member order) is name-sorted, so the
         # coalesced events preserve the exact tier's observable ordering.
         for delay, members in groups:
             if lost_set is None or lost_set.isdisjoint(members):
                 selected = members
             else:
-                selected = [
-                    index for index in members if index not in lost_set
-                ]
+                selected = [index for index in members if index not in lost_set]
                 if not selected:
                     continue
             if len(selected) == 1:
@@ -1174,9 +1247,8 @@ class RadioEnvironment:
                     receivers[index], frame, qualities[index]
                 )
             else:
-                callback = _BatchFrameDelivery(
-                    receivers, qualities, selected, frame
-                )
+                callback = _BatchFrameDelivery(receivers, qualities, selected, frame)
             delay_samples.extend(repeat(delay, len(selected)))
-            entries.append((delay, callback, 0, deliver_name))
-        self.sim.schedule_batch(entries)
+            times.append(now + delay)
+            callbacks.append(callback)
+        return times, callbacks

@@ -33,6 +33,11 @@ class Counter:
     value can be exported as a Prometheus counter and rate()-ed without
     resets ever meaning "someone subtracted".  Use :class:`Gauge` for
     values that go down.
+
+    ``increments`` counts :meth:`add` calls, not units: the radio medium
+    adds a whole broadcast's total in one call, so for ``radio.*`` counters
+    it is roughly one per broadcast.  Nothing reads it; it stays only
+    because snapshot artifacts pickle it.
     """
 
     def __init__(self, name: str) -> None:

@@ -125,9 +125,9 @@ class Simulator:
         Each entry is ``(delay, callback, priority, name)``; semantics per
         entry match :meth:`schedule` (including the non-negative-delay
         check), but the underlying heap is updated once via
-        :meth:`~repro.simcore.event.EventQueue.push_batch` — the radio
-        medium's batched delivery path schedules a whole broadcast's
-        arrivals this way instead of one heap sift per receiver.
+        :meth:`~repro.simcore.event.EventQueue.push_batch`.  (The radio
+        medium, which already holds absolute arrival times, pushes to the
+        queue directly.)
         """
         now = self._now
         batch = []

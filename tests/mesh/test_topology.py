@@ -1,11 +1,20 @@
 """Tests for topology snapshots and the observer."""
 
+import copyreg
+import io
+import pickle
+import random
+from types import SimpleNamespace
+
+import pytest
+
 from repro.geometry.vector import Vec2
 from repro.mesh.discovery import BeaconAgent
-from repro.mesh.topology import TopologyObserver
+from repro.mesh.topology import TopologyObserver, TopologySnapshot
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import reference_topology
 
 
 def build(positions):
@@ -77,3 +86,108 @@ def test_empty_observer_has_no_snapshot_stats():
     assert snapshot.largest_component_size() == 0
     assert not snapshot.is_connected()
     assert observer.mean_link_lifetime() == 0.0
+
+
+# ------------------------------------------- set-based snapshots vs networkx
+
+
+class FakeAgent:
+    """Just what the observer reads: an owner name and its active names."""
+
+    def __init__(self, owner, names):
+        self.interface = SimpleNamespace(node_name=owner)
+        self.neighbors = SimpleNamespace(active_names=lambda now: list(names))
+
+
+def random_tables(seed, nodes=30, outsiders=4):
+    rng = random.Random(seed)
+    owners = [f"n{index:02d}" for index in range(nodes)]
+    # A few names nobody owns: heard, but not observer-tracked agents.
+    pool = owners + [f"x{index}" for index in range(outsiders)]
+    density = rng.uniform(0.03, 0.45)
+    tables = []
+    for owner in owners:
+        heard = [name for name in pool if name != owner and rng.random() < density]
+        rng.shuffle(heard)
+        tables.append((owner, heard))
+    return tables
+
+
+def snapshot_of(tables, require_bidirectional):
+    sim = Simulator()
+    agents = [FakeAgent(owner, names) for owner, names in tables]
+    observer = TopologyObserver(
+        sim, agents, require_bidirectional=require_bidirectional
+    )
+    return observer.take_snapshot()
+
+
+def assert_matches_reference(snapshot, reference):
+    # Same node order as the graph: owners first, then heard names as
+    # first observed — never hash order.
+    assert list(snapshot.nodes) == list(reference["graph"].nodes)
+    assert snapshot.node_count == reference["node_count"]
+    assert snapshot.edge_count == reference["edge_count"]
+    assert snapshot.largest_component_size() == reference["largest_component_size"]
+    assert snapshot.mean_degree() == reference["mean_degree"]
+    assert snapshot.is_connected() == reference["is_connected"]
+    assert [frozenset(c) for c in snapshot.components()] == reference["components"]
+
+
+@pytest.mark.parametrize("require_bidirectional", [True, False])
+@pytest.mark.parametrize("seed", range(12))
+def test_snapshot_statistics_match_networkx(seed, require_bidirectional):
+    tables = random_tables(seed)
+    snapshot = snapshot_of(tables, require_bidirectional)
+    assert_matches_reference(
+        snapshot, reference_topology(tables, require_bidirectional)
+    )
+
+
+def test_one_way_links_count_only_without_bidirectional_requirement():
+    tables = [("a", ["b", "outside"]), ("b", [])]
+    strict = snapshot_of(tables, True)
+    assert (strict.node_count, strict.edge_count) == (2, 0)
+    loose = snapshot_of(tables, False)
+    # The non-agent endpoint is a node of the loose snapshot.
+    assert loose.nodes == ("a", "b", "outside")
+    assert loose.edges == {("a", "b"), ("a", "outside")}
+    assert loose.is_connected()
+
+
+def test_snapshot_pickle_round_trip_keeps_statistics():
+    tables = random_tables(3)
+    snapshot = snapshot_of(tables, True)
+    restored = pickle.loads(pickle.dumps(snapshot))
+    assert restored.nodes == snapshot.nodes
+    assert restored.edges == snapshot.edges
+    assert_matches_reference(restored, reference_topology(tables, True))
+
+
+class _LegacyPickler(pickle.Pickler):
+    """Pickles a snapshot exactly as the former ``TopologySnapshot(time,
+    graph)`` dataclass did: the class reference plus its ``__dict__``."""
+
+    def reducer_override(self, obj):
+        if type(obj) is TopologySnapshot:
+            return copyreg.__newobj__, (TopologySnapshot,), vars(obj)
+        return NotImplemented
+
+
+def legacy_pickle(time, graph):
+    legacy = TopologySnapshot.__new__(TopologySnapshot)
+    legacy.__dict__.update(time=time, graph=graph)
+    buffer = io.BytesIO()
+    _LegacyPickler(buffer, protocol=4).dump(legacy)
+    return buffer.getvalue()
+
+
+def test_legacy_graph_snapshot_loads_with_the_same_answers():
+    tables = random_tables(5)
+    reference = reference_topology(tables, True)
+    restored = pickle.loads(legacy_pickle(7.0, reference["graph"]))
+    assert isinstance(restored, TopologySnapshot)
+    assert restored.time == 7.0
+    assert not hasattr(restored, "graph")
+    assert_matches_reference(restored, reference)
+    assert restored.edges == snapshot_of(tables, True).edges

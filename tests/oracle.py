@@ -1,0 +1,121 @@
+"""Test-side reference implementations ("oracles") for optimised paths.
+
+Each oracle is the plain, obviously-correct version of something production
+code does in a faster shape.  Tests run both on the same inputs and demand
+identical results, so the fast path can change freely as long as it keeps
+agreeing with the reference here.
+
+* :func:`reference_transmit` — the exact radio tier's per-receiver loop: one
+  link lookup, RNG draw and counter increment per receiver per frame, one
+  ``Simulator.schedule`` per delivery, :meth:`RadioInterface.deliver` on
+  arrival.  :func:`use_reference_transmit` swaps it into an environment.
+* :func:`reference_topology` — a topology snapshot's statistics computed
+  with networkx from the same neighbour tables the observer reads.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import networkx as nx
+
+from repro.radio.interfaces import Frame, RadioEnvironment, RadioInterface
+
+
+def _reference_candidates(env: RadioEnvironment, sender: RadioInterface) -> List[str]:
+    """Name-sorted broadcast candidates: in query range, or all on the
+    brute-force path."""
+    if env.use_spatial_index:
+        names = env._candidate_names(sender.position)
+    else:
+        names = list(env._interfaces)
+    return sorted(name for name in names if name != sender.node_name)
+
+
+def reference_transmit(env: RadioEnvironment, sender: RadioInterface, frame: Frame) -> None:
+    """Deliver ``frame`` the way the exact tier's per-receiver loop did."""
+    env._refresh()
+    monitor = env.sim.monitor
+    out_of_range = monitor.counter("radio.frames_out_of_range")
+    lost = monitor.counter("radio.frames_lost")
+    candidates = _reference_candidates(env, sender)
+    usable = [
+        name for name in candidates
+        if env.link_quality(sender.node_name, name).usable
+    ]
+    if frame.destination is None:
+        receiver_names = candidates
+        if env.use_spatial_index:
+            others = len(env._interfaces) - (
+                1 if sender.node_name in env._interfaces else 0
+            )
+            for _ in range(others - len(candidates)):
+                out_of_range.add()
+    else:
+        receiver_names = [frame.destination]
+    scale = 1.0 / (1.0 + env.contention_factor * max(0, len(usable) - 1))
+    rng = env.sim.streams.get(env.rng_stream)
+    for name in receiver_names:
+        receiver = env._interfaces.get(name)
+        if receiver is None or receiver is sender:
+            continue
+        quality = env.link_quality(sender.node_name, name)
+        if not quality.usable:
+            out_of_range.add()
+            continue
+        if rng.random() < quality.packet_error_rate:
+            lost.add()
+            continue
+        if env.extra_loss_probability > 0.0 and rng.random() < env.extra_loss_probability:
+            lost.add()
+            continue
+        rate = quality.rate_bps * scale
+        delay = env.link_budget.transfer_time(frame.size_bytes * 8, rate) + (
+            quality.distance / 3e8
+        )
+        monitor.counter("radio.frames_delivered").add()
+        monitor.counter("radio.bytes_delivered").add(frame.size_bytes)
+        monitor.counter(f"radio.bytes.{frame.kind}").add(frame.size_bytes)
+        monitor.sample("radio.link_delay").add(delay)
+        env.sim.schedule(
+            delay,
+            lambda receiver=receiver, quality=quality: receiver.deliver(frame, quality),
+            name=f"deliver-{frame.kind}",
+        )
+
+
+def use_reference_transmit(env: RadioEnvironment) -> None:
+    """Route every transmission of ``env`` through :func:`reference_transmit`."""
+    env.transmit = lambda sender, frame: reference_transmit(env, sender, frame)
+
+
+def reference_topology(
+    heard: Sequence[Tuple[str, Iterable[str]]], require_bidirectional: bool = True
+) -> Dict[str, object]:
+    """Snapshot statistics from ``(owner, active neighbour names)`` pairs.
+
+    Builds the networkx graph the topology observer used to build — every
+    owner a node, an edge per directed observation (confirmed in both
+    directions unless ``require_bidirectional`` is off) — and reads the
+    statistics off it with networkx's own algorithms.
+    """
+    graph = nx.Graph()
+    directed = {}
+    for owner, names in heard:
+        graph.add_node(owner)
+        for name in names:
+            directed[(owner, name)] = True
+    for a, b in directed:
+        if not require_bidirectional or (b, a) in directed:
+            graph.add_edge(a, b)
+    nodes = graph.number_of_nodes()
+    components = [frozenset(c) for c in nx.connected_components(graph)]
+    return {
+        "node_count": nodes,
+        "edge_count": graph.number_of_edges(),
+        "components": components,
+        "largest_component_size": max(map(len, components), default=0),
+        "mean_degree": 2.0 * graph.number_of_edges() / nodes if nodes else 0.0,
+        "is_connected": nx.is_connected(graph) if nodes else False,
+        "graph": graph,
+    }

@@ -139,6 +139,35 @@ def test_unicast_to_unattached_destination_is_dropped_quietly():
     sender.send("to-nobody", 50, destination="ghost")
     sim.run(until=1.0)
     assert "ghost" not in env._quality_rows.get(sender.node_name, {})
+    assert sim.monitor.counter_value("radio.frames_lost") == 0
+    assert sim.monitor.counter_value("radio.frames_out_of_range") == 0
+
+
+def test_sender_plan_is_built_once_per_epoch_and_flushed_on_bump():
+    sim, env = build_env(use_batched_links=True, n=6)
+    src = env.node_names[0]
+    in_range = env.nodes_in_range(src)
+    plan = env._plans[src]
+    assert [receiver.node_name for receiver in plan.receivers] == in_range
+    env.interface_of(src).send("hello", 200)  # same epoch: same plan
+    assert env._plans[src] is plan
+    env.notify_positions_changed()
+    assert env.nodes_in_range(src) == in_range  # nobody moved
+    assert env._plans[src] is not plan
+
+
+def test_legacy_environment_state_swaps_removed_caches_for_new_ones():
+    sim, env = build_env(use_batched_links=True, n=4)
+    state = env.__getstate__()
+    del state["_plans"]
+    state.update(_in_range_cache={}, _receiver_cache={}, _fast_plans={})
+    legacy = RadioEnvironment.__new__(RadioEnvironment)
+    legacy.__setstate__(state)
+    for removed in ("_in_range_cache", "_receiver_cache", "_fast_plans"):
+        assert not hasattr(legacy, removed)
+    assert legacy._plans == {}
+    src = legacy.node_names[0]
+    assert legacy.nodes_in_range(src) == env.nodes_in_range(src)
 
 
 def test_quality_batch_falls_back_for_models_without_batch_method():
