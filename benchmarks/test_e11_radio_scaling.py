@@ -11,9 +11,10 @@ Four checks:
 * **Sub-quadratic scaling** — a constant-density static fleet is swept over
   N ∈ {50, 200, 500, 1000}; wall-time per simulated second at N=1000 must be
   < 4× that at N=500 (a quadratic medium sits at ~4×, a linear one at ~2×).
-* **Exact equivalence** — with a fixed seed, the spatial path and the legacy
-  brute-force full scan (``use_spatial_index=False``) must produce the
-  byte-identical delivered-frame sequence on an N=50 fleet.
+* **Exact equivalence** — with a fixed seed, the spatial path and the
+  brute-force full scan of the test oracle
+  (``ReferenceRadioEnvironment(full_scan=True)`` in ``tests/oracle.py``) must
+  produce the byte-identical delivered-frame sequence on an N=50 fleet.
 * **Single sync pass** — with the mobility manager bound, the radio
   environment queries the manager's shared spatial substrate directly:
   exactly one grid ``update`` per node per mobility tick fleet-wide, zero
@@ -43,6 +44,7 @@ from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.scenarios.intersection import build_intersection_scenario
 from repro.simcore.simulator import Simulator
+from tests.oracle import ReferenceRadioEnvironment
 
 SMOKE = os.environ.get("E11_SMOKE") == "1"
 SWEEP = (20, 50) if SMOKE else (50, 200, 500, 1000)
@@ -53,13 +55,19 @@ DURATION_S = 1.0 if SMOKE else 2.0
 SEED = 110
 
 
-def build_fleet(n: int, seed: int, use_spatial_index: bool = True):
-    """N static beaconing nodes on a constant-density square grid."""
+def build_fleet(n: int, seed: int, full_scan: bool = False):
+    """N static beaconing nodes on a constant-density square grid.
+
+    ``full_scan`` swaps in the oracle's brute-force reference environment.
+    """
     sim = Simulator(seed=seed)
     mobility = MobilityManager(sim, tick=0.25, cell_size=2 * SPACING_M)
-    environment = RadioEnvironment(
-        sim, LinkBudget(), mobility=mobility, use_spatial_index=use_spatial_index
-    )
+    if full_scan:
+        environment = ReferenceRadioEnvironment(
+            sim, LinkBudget(), mobility=mobility, full_scan=True
+        )
+    else:
+        environment = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
     side = max(1, math.ceil(math.sqrt(n)))
     agents = []
     for index in range(n):
@@ -121,10 +129,8 @@ def test_e11_broadcast_scales_sub_quadratically(print_table):
         )
 
 
-def _delivered_log(n: int, use_spatial_index: bool) -> Tuple[List[tuple], dict]:
-    sim, environment, agents = build_fleet(
-        n, seed=SEED, use_spatial_index=use_spatial_index
-    )
+def _delivered_log(n: int, full_scan: bool) -> Tuple[List[tuple], dict]:
+    sim, environment, agents = build_fleet(n, seed=SEED, full_scan=full_scan)
     log: List[tuple] = []
     for agent in agents:
         receiver = agent.interface.node_name
@@ -148,8 +154,8 @@ def _delivered_log(n: int, use_spatial_index: bool) -> Tuple[List[tuple], dict]:
 
 def test_e11_spatial_medium_matches_bruteforce_exactly():
     n = 30 if SMOKE else 50
-    spatial_log, spatial_counters = _delivered_log(n, use_spatial_index=True)
-    brute_log, brute_counters = _delivered_log(n, use_spatial_index=False)
+    spatial_log, spatial_counters = _delivered_log(n, full_scan=False)
+    brute_log, brute_counters = _delivered_log(n, full_scan=True)
     assert spatial_counters == brute_counters
     assert len(spatial_log) == len(brute_log)
     assert spatial_log == brute_log

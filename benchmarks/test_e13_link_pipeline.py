@@ -5,22 +5,25 @@ showed the remaining hot path to be *per-pair* physics: one
 ``LinkBudget.quality`` call per (sender, receiver) and, inside it, a
 line-of-sight test scanning every obstacle polygon.  This benchmark drives
 the two optimisations that replaced that path at the fleet size the sweep
-engine targets:
+engine targets, each against its reference in the test oracle
+(``tests/oracle.py``):
 
-* ``use_batched_links`` — per-sender link rows filled by one
-  ``quality_batch`` call per position epoch instead of N scalar probes;
-* ``use_obstacle_index`` — LOS tests that only touch the obstacle edges
-  grid-bucketed along the ray instead of every footprint.
+* batched link rows — per-sender rows filled by one ``quality_batch`` call
+  per position epoch instead of N scalar probes
+  (reference: ``ReferenceRadioEnvironment``);
+* the obstacle index — LOS tests that only touch the obstacle edges
+  grid-bucketed along the ray instead of every footprint
+  (reference: ``BruteForceVisibility``).
 
 Two checks on a broadcast-heavy urban-grid fleet (N=500, street grid with a
 built-up district of occluding buildings):
 
 * **Exact equivalence** — the delivered-frame sequence (time, sender,
   receiver, SNR, rate) and the radio counters are byte-identical at fixed
-  seed across **all four** flag combinations.  This is the contract that
-  lets the fast paths replace the reference paths outright.
+  seed across **all four** production/reference combinations.  This is the
+  contract that lets the fast paths replace the reference paths outright.
 * **Speedup** — wall-clock per simulated second with both optimisations on
-  must be ≥ 3× faster than with both reference flags.
+  must be ≥ 3× faster than with both references.
 
 Set ``E13_SMOKE=1`` (CI) to shrink the fleet and skip the timing assertion,
 which is meaningless on noisy shared runners.
@@ -43,6 +46,7 @@ from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import BruteForceVisibility, ReferenceRadioEnvironment
 
 SMOKE = os.environ.get("E13_SMOKE") == "1"
 N = 60 if SMOKE else 500
@@ -87,20 +91,19 @@ def district_buildings(side: int) -> List[Rectangle]:
     ]
 
 
-def build_fleet(use_batched_links: bool, use_obstacle_index: bool):
-    """N static beaconing nodes on an urban street grid with buildings."""
+def build_fleet(batched_links: bool, obstacle_index: bool):
+    """N static beaconing nodes on an urban street grid with buildings.
+
+    Each ``False`` swaps the production path for its oracle reference.
+    """
     sim = Simulator(seed=SEED)
     mobility = MobilityManager(sim, tick=TICK_S, cell_size=2 * STREET_PITCH_M)
     side = max(1, math.ceil(math.sqrt(N)))
-    visibility = VisibilityMap(
-        district_buildings(side), use_obstacle_index=use_obstacle_index
-    )
-    environment = RadioEnvironment(
-        sim,
-        LinkBudget(),
-        visibility=visibility,
-        mobility=mobility,
-        use_batched_links=use_batched_links,
+    visibility_class = VisibilityMap if obstacle_index else BruteForceVisibility
+    visibility = visibility_class(district_buildings(side))
+    environment_class = RadioEnvironment if batched_links else ReferenceRadioEnvironment
+    environment = environment_class(
+        sim, LinkBudget(), visibility=visibility, mobility=mobility
     )
     agents = []
     for index in range(N):
@@ -122,11 +125,9 @@ def build_fleet(use_batched_links: bool, use_obstacle_index: bool):
 
 
 def run_combo(
-    use_batched_links: bool, use_obstacle_index: bool
+    batched_links: bool, obstacle_index: bool
 ) -> Tuple[List[tuple], Dict[str, float], float]:
-    sim, environment, visibility, agents = build_fleet(
-        use_batched_links, use_obstacle_index
-    )
+    sim, environment, visibility, agents = build_fleet(batched_links, obstacle_index)
     log: List[tuple] = []
     for agent in agents:
         receiver = agent.interface.node_name

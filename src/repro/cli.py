@@ -611,7 +611,7 @@ def worker_command(args: argparse.Namespace) -> int:
     """The ``repro worker`` subcommand: one pull-based fabric worker."""
     from repro.fabric import FabricWorker
     from repro.fabric.store import FabricError
-    from repro.fabric.worker import worker_metrics_render
+    from repro.fabric.worker import run_worker
 
     try:
         worker = FabricWorker(
@@ -623,19 +623,7 @@ def worker_command(args: argparse.Namespace) -> int:
             exit_when_idle=not args.keep_polling,
             install_signal_handlers=True,
         )
-        if args.metrics_port is not None:
-            from repro.telemetry import MetricsServer
-
-            with MetricsServer(
-                worker_metrics_render(worker), port=args.metrics_port
-            ) as server:
-                print(
-                    f"metrics: http://{server.host}:{server.port}/metrics",
-                    flush=True,
-                )
-                completed = worker.run()
-        else:
-            completed = worker.run()
+        completed = run_worker(worker, args.metrics_port)
     except FileNotFoundError:
         raise SystemExit(f"worker: no such store: {args.store!r}")
     except FabricError as error:

@@ -11,6 +11,11 @@ computing nodes?"  AirDnD answers with an explicit two-stage procedure:
    compute headroom, link quality, predicted contact time, data quality and
    trust — with weights that are public, tunable parameters (ablated in
    experiment E6).
+
+:class:`CandidateScorer` memoises score lists per network view.  Its
+reference is the always-recompute path that views without a freshness token
+(hand-built descriptions) take; the tests compare the two on the same
+neighbours.
 """
 
 from __future__ import annotations
@@ -83,11 +88,11 @@ class CandidateScorer:
     Because the freshness token is *owner-qualified*, one scorer instance
     can safely be shared by every node of a scenario — two owners' views can
     never collide on a key.  To make sharing actually pay off, the cache
-    holds up to ``cache_capacity`` recent ``(freshness, task signature)``
-    entries with LRU eviction, instead of flushing wholesale whenever a
-    different owner (or a new epoch) shows up.  Eviction only ever costs
-    recomputation; results stay byte-identical to the unmemoised path
-    (``memoise=False``).
+    holds up to :attr:`CACHE_CAPACITY` recent ``(freshness, task
+    signature)`` entries with LRU eviction, instead of flushing wholesale
+    whenever a different owner (or a new epoch) shows up.  Eviction only
+    ever costs recomputation; results stay byte-identical to the
+    always-recompute path that views without a freshness token take.
 
     Parameters
     ----------
@@ -106,14 +111,11 @@ class CandidateScorer:
         Link rate at which the link subscore saturates at 1.0.
     reference_contact_s:
         Contact time at which the contact subscore saturates at 1.0.
-    memoise:
-        Cache score lists per ``(freshness, task signature)``.  ``False``
-        keeps the always-recompute reference path (used by equivalence
-        tests).
-    cache_capacity:
-        Maximum number of memoised score lists kept (LRU).  Sized so that a
-        fleet sharing one scorer keeps every node's current view cached.
     """
+
+    #: Maximum number of memoised score lists kept (LRU).  Sized so that a
+    #: fleet sharing one scorer keeps every node's current view cached.
+    CACHE_CAPACITY = 2048
 
     def __init__(
         self,
@@ -124,8 +126,6 @@ class CandidateScorer:
         reference_headroom_ops: float = 5e9,
         reference_rate_bps: float = 20e6,
         reference_contact_s: float = 20.0,
-        memoise: bool = True,
-        cache_capacity: int = 2048,
     ) -> None:
         self.weights = weights or ScoringWeights()
         self.min_trust = min_trust
@@ -134,10 +134,6 @@ class CandidateScorer:
         self.reference_headroom_ops = reference_headroom_ops
         self.reference_rate_bps = reference_rate_bps
         self.reference_contact_s = reference_contact_s
-        self.memoise = memoise
-        if cache_capacity < 1:
-            raise ValueError("cache_capacity must be at least 1")
-        self.cache_capacity = cache_capacity
         #: Memoisation telemetry (counted only for memoisable views).
         self.cache_hits = 0
         self.cache_misses = 0
@@ -246,7 +242,7 @@ class CandidateScorer:
         scored directly — there is no safe key to cache them under.
         """
         freshness = getattr(network, "freshness", None)
-        if not self.memoise or freshness is None:
+        if freshness is None:
             return [self.score_neighbor(neighbor, task) for neighbor in network.neighbors]
         cache = self._score_cache
         key = (freshness, self._task_signature(task))
@@ -257,7 +253,7 @@ class CandidateScorer:
                 self.score_neighbor(neighbor, task) for neighbor in network.neighbors
             )
             cache[key] = cached
-            while len(cache) > self.cache_capacity:
+            while len(cache) > self.CACHE_CAPACITY:
                 cache.popitem(last=False)
         else:
             self.cache_hits += 1

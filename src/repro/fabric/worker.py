@@ -363,6 +363,23 @@ def worker_metrics_render(worker: "FabricWorker") -> Callable[[], str]:
     return render
 
 
+def run_worker(worker: "FabricWorker", metrics_port: Optional[int] = None) -> int:
+    """Run ``worker`` to completion, optionally beside a ``/metrics`` sidecar.
+
+    With ``metrics_port`` set (0 = any free port), a
+    :class:`~repro.telemetry.httpd.MetricsServer` serves
+    :func:`worker_metrics_render` for the worker's lifetime, and its URL is
+    printed as a ``metrics: http://…`` line before the first cell runs.
+    """
+    if metrics_port is None:
+        return worker.run()
+    from repro.telemetry.httpd import MetricsServer
+
+    with MetricsServer(worker_metrics_render(worker), port=metrics_port) as server:
+        print(f"metrics: http://{server.host}:{server.port}/metrics", flush=True)
+        return worker.run()
+
+
 def worker_main(
     store_path: str,
     *,
@@ -375,8 +392,8 @@ def worker_main(
 ) -> int:
     """Module-level entry point (picklable for ``multiprocessing.Process``).
 
-    ``metrics_port`` attaches a :class:`~repro.telemetry.httpd.MetricsServer`
-    sidecar for the worker's lifetime (0 = any free port).
+    ``metrics_port`` attaches the ``/metrics`` sidecar (see
+    :func:`run_worker`).
     """
     worker = FabricWorker(
         store_path,
@@ -387,10 +404,4 @@ def worker_main(
         exit_when_idle=exit_when_idle,
         install_signal_handlers=True,
     )
-    if metrics_port is None:
-        return worker.run()
-    from repro.telemetry.httpd import MetricsServer
-
-    with MetricsServer(worker_metrics_render(worker), port=metrics_port) as server:
-        print(f"metrics: http://{server.host}:{server.port}/metrics", flush=True)
-        return worker.run()
+    return run_worker(worker, metrics_port)

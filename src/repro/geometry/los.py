@@ -6,13 +6,12 @@ the approaching vehicle — the motivating problem of "looking around the
 corner") use the same primitive: does the straight segment between two points
 cross any obstacle footprint?
 
-The primitive comes in two interchangeable implementations: the brute-force
-scan over every polygon (:func:`line_of_sight`, O(obstacles) per ray) and the
-grid-bucketed :class:`~repro.geometry.obstacle_index.ObstacleIndex`, which
-only tests the edges bucketed along the ray.  :class:`VisibilityMap` defaults
-to the index; ``use_obstacle_index=False`` keeps the brute-force scan as the
-reference path — both answer every query identically (asserted by the
-property suite and benchmark E13).
+:class:`VisibilityMap` answers every query through the grid-bucketed
+:class:`~repro.geometry.obstacle_index.ObstacleIndex`, which only tests the
+edges bucketed along the ray.  :func:`line_of_sight` is the plain scan over
+every polygon (O(obstacles) per ray): the reference the index is checked
+against, query for query, by the property suite, the test oracle
+(``tests/oracle.py``) and benchmark E13.
 """
 
 from __future__ import annotations
@@ -41,28 +40,17 @@ class VisibilityMap:
     actually see — the quantity the "looking around the corner" task tries to
     improve by borrowing other vehicles' viewpoints.
 
+    Queries run against a lazily (re)built
+    :class:`~repro.geometry.obstacle_index.ObstacleIndex`.
+
     Parameters
     ----------
     obstacles:
         Initial occluding footprints.
-    use_obstacle_index:
-        When ``True`` (default) queries run against a lazily (re)built
-        :class:`~repro.geometry.obstacle_index.ObstacleIndex` instead of
-        scanning every polygon.  ``False`` keeps the brute-force scan as the
-        byte-identical reference implementation for equivalence checks.
-    index_cell_size:
-        Optional grid pitch override forwarded to the index.
     """
 
-    def __init__(
-        self,
-        obstacles: Sequence[Polygon] | None = None,
-        use_obstacle_index: bool = True,
-        index_cell_size: Optional[float] = None,
-    ) -> None:
+    def __init__(self, obstacles: Sequence[Polygon] | None = None) -> None:
         self._obstacles: List[Polygon] = list(obstacles or [])
-        self.use_obstacle_index = use_obstacle_index
-        self._index_cell_size = index_cell_size
         self._index: Optional[ObstacleIndex] = None
         #: Monotonic counter bumped by every occluder-set mutation.  Layers
         #: that cache geometry derived from the obstacles — notably
@@ -123,17 +111,13 @@ class VisibilityMap:
     def _obstacle_index(self) -> ObstacleIndex:
         """The edge index, (re)built on first use after any invalidation."""
         if self._index is None:
-            self._index = ObstacleIndex(
-                self._obstacles, cell_size=self._index_cell_size
-            )
+            self._index = ObstacleIndex(self._obstacles)
             self.index_rebuilds += 1
         return self._index
 
     def has_line_of_sight(self, a: Vec2, b: Vec2) -> bool:
         """Whether ``a`` and ``b`` can see each other."""
-        if self.use_obstacle_index:
-            return not self._obstacle_index().blocked(a, b)
-        return line_of_sight(a, b, self._obstacles)
+        return not self._obstacle_index().blocked(a, b)
 
     def is_occluded(self, a: Vec2, b: Vec2) -> bool:
         """Inverse of :meth:`has_line_of_sight`."""
@@ -147,11 +131,8 @@ class VisibilityMap:
         (:meth:`~repro.radio.link.LinkBudget.quality_batch`) makes per
         sender.  Identical to calling :meth:`has_line_of_sight` per target.
         """
-        if self.use_obstacle_index:
-            blocked = self._obstacle_index().blocked_batch(origin, targets)
-            return [not hit for hit in blocked]
-        obstacles = self._obstacles
-        return [line_of_sight(origin, target, obstacles) for target in targets]
+        blocked = self._obstacle_index().blocked_batch(origin, targets)
+        return [not hit for hit in blocked]
 
     def visible_fraction(
         self,

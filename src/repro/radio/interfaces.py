@@ -14,12 +14,10 @@ query and only touches candidate receivers inside the link budget's
 effective range.  The per-pair physics is batched as well: link qualities
 are held in *per-sender rows* filled by one
 :meth:`~repro.radio.link.LinkBudget.quality_batch` call per sender per
-position epoch (``use_batched_links=False`` keeps the scalar per-pair
-computation as the byte-identical reference path).  On top of the rows,
-each sender gets one broadcast *plan* per position epoch — its usable
-receivers with their PER, contention-scaled rate and propagation-delay
-columns — so a broadcast is a few whole-array steps and
-:meth:`RadioEnvironment.nodes_in_range` is a lookup.  When a
+position epoch.  On top of the rows, each sender gets one broadcast *plan*
+per position epoch — its usable receivers with their PER, contention-scaled
+rate and propagation-delay columns — so a broadcast is a few whole-array
+steps and :meth:`RadioEnvironment.nodes_in_range` is a lookup.  When a
 :class:`~repro.mobility.manager.MobilityManager` is bound, the query runs
 directly against the manager's shared
 :class:`~repro.geometry.substrate.SpatialSubstrate` — the environment keeps
@@ -36,12 +34,12 @@ them visible immediately.  Substrate-tracked nodes are the mobility
 manager's to move: write through the substrate (whose commit is its own
 dirty-mark) instead.
 
-Receivers are always iterated in name-sorted order so the frame-loss RNG
-draws — and therefore the delivered-frame sequence — are identical for the
-spatial and the brute-force (``use_spatial_index=False``) paths under the
-same seed.  (Name-sorted order replaces the pre-refactor attachment-order
-iteration, so seeded runs are reproducible against this version, not against
-the old medium.)
+Receivers are always iterated in name-sorted order, so the frame-loss RNG
+draws — and therefore the delivered-frame sequence — do not depend on which
+candidates the spatial query returns first.  The reference implementations
+these paths are checked against (scalar per-pair link rows, the
+full-scan candidate set, the per-receiver broadcast loop) live in the test
+suite's oracle module, ``tests/oracle.py``.
 
 Frames carry opaque payload objects plus a byte size; higher layers (the mesh
 transport and the AirDnD offloading protocol) decide what goes inside.
@@ -247,11 +245,10 @@ class _SenderPlan:
     ``pers``, ``scaled_rates`` (rate times the contention scale) and
     ``prop_delays`` are numpy columns over the same receivers.
     ``out_of_range`` folds the spatially pruned and the link-unusable
-    candidates into one per-broadcast counter increment.  ``delay_groups``
-    is the statistical tier's memo, per frame size in bits, of the receivers
-    bucketed by identical delay; the exact tier computes its delay column
-    per broadcast.  Nothing mutates a plan's lists after it is built, so
-    scheduled deliveries may reference them.
+    candidates into one per-broadcast counter increment.  Delays depend on
+    the frame size, so both tiers compute them per broadcast.  Nothing
+    mutates a plan's lists after it is built, so scheduled deliveries may
+    reference them.
     ``RadioEnvironment._refresh`` discards plans with the other per-epoch
     caches.
     """
@@ -263,7 +260,6 @@ class _SenderPlan:
         "scaled_rates",
         "prop_delays",
         "out_of_range",
-        "delay_groups",
     )
 
     def __init__(
@@ -285,7 +281,6 @@ class _SenderPlan:
         self.scaled_rates = rates * (1.0 / (1.0 + contention_factor * concurrent))
         self.prop_delays = distances / 3e8
         self.out_of_range = out_of_range
-        self.delay_groups: Dict[int, List[Tuple[float, List[int]]]] = {}
 
 
 class _FastUniverse:
@@ -439,32 +434,19 @@ class RadioEnvironment:
         given, its ``position_epoch`` drives the invalidation scheme (see
         :meth:`bind_mobility`); without it the environment resyncs whenever
         the clock advances.
-    use_spatial_index:
-        When ``True`` (default) broadcasts only evaluate receivers returned
-        by a spatial range query.  ``False`` keeps the full O(N) scan as the
-        reference implementation for equivalence checks (benchmark E11):
-        both paths iterate receivers name-sorted, so under the same seed
-        they produce byte-identical delivered-frame sequences.
-    use_batched_links:
-        When ``True`` (default) each sender's link-quality row is filled by
-        one :meth:`~repro.radio.link.LinkBudget.quality_batch` call per
-        position epoch.  ``False`` keeps the scalar per-pair evaluation as
-        the reference implementation; both fill byte-identical rows, so the
-        delivered-frame sequence is seed-stable across the flag (benchmark
-        E13).
-    fast_math:
-        Equivalence tier of the delivery path.  ``None`` (default) inherits
-        the link budget's tier.  ``True`` selects the *statistical* tier:
-        sender plans come from the fused numpy link kernel, extra-loss draws
-        are vectorised after the PER draws instead of interleaved with them,
-        and same-delay arrivals are coalesced into single batch events —
-        distribution-level metric agreement with the exact tier (benchmark
-        E15), not byte-identical frame sequences.  Requires
-        ``use_batched_links=True``.  ``False`` forces the exact tier even
-        with a ``fast_math`` link budget.
-    cell_size:
-        Cell size of the mirrored spatial grid; defaults to the effective
-        radio range.
+
+    The equivalence tier follows the link budget: a ``fast_math`` budget
+    selects the *statistical* tier — sender plans from the fused numpy link
+    kernel, extra-loss draws vectorised after the PER draws instead of
+    interleaved with them, same-delay arrivals coalesced into single batch
+    events — with distribution-level metric agreement with the exact tier
+    (benchmark E15), not byte-identical frame sequences.
+
+    Broadcasts only evaluate receivers returned by a spatial range query
+    around the sender.  :attr:`use_spatial_index` turns ``False`` — every
+    attached interface becomes a candidate — only when the link budget is
+    still usable past :meth:`~repro.radio.link.LinkBudget.effective_range`'s
+    scan cap, where range pruning would drop reachable receivers.
     """
 
     def __init__(
@@ -475,27 +457,10 @@ class RadioEnvironment:
         contention_factor: float = 0.05,
         rng_stream: str = "radio",
         mobility: Optional[Any] = None,
-        use_spatial_index: bool = True,
-        use_batched_links: bool = True,
-        fast_math: Optional[bool] = None,
-        cell_size: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.link_budget = link_budget or LinkBudget()
-        if fast_math is None:
-            fast_math = self.link_budget.fast_math
-        elif not isinstance(fast_math, bool):
-            raise ValueError(
-                "fast_math selects the equivalence tier and must be a bool "
-                f"or None (inherit from the link budget), got {fast_math!r}"
-            )
-        if fast_math and not use_batched_links:
-            raise ValueError(
-                "fast_math=True (statistical tier) requires "
-                "use_batched_links=True; the scalar per-pair path is the "
-                "exact tier's reference implementation"
-            )
-        self.fast_math = fast_math
+        self.fast_math = self.link_budget.fast_math
         self.visibility = visibility
         self.contention_factor = contention_factor
         self.rng_stream = rng_stream
@@ -508,22 +473,17 @@ class RadioEnvironment:
         self._interfaces: Dict[str, RadioInterface] = {}
         self.max_range = self.link_budget.effective_range(None)
         self._query_radius = self.max_range + _RANGE_STEP_SLACK_M
-        if use_spatial_index and self.link_budget.quality(
+        # A link still usable just beyond the reported effective range means
+        # ``effective_range`` hit its scan cap rather than the real SNR
+        # boundary.  Range pruning would silently drop reachable receivers,
+        # so such environments scan every attached interface instead.
+        self.use_spatial_index = not self.link_budget.quality(
             Vec2(0.0, 0.0), Vec2(self._query_radius, 0.0), None
-        ).usable:
-            # The link is still usable just beyond the reported effective
-            # range, i.e. ``effective_range`` hit its scan cap rather than
-            # the real SNR boundary.  Range pruning would silently drop
-            # reachable receivers, so fall back to the full scan.
-            use_spatial_index = False
-        self.use_spatial_index = use_spatial_index
-        self.use_batched_links = use_batched_links
+        ).usable
         #: Private mirror grid.  Substrate-bound environments use it only as
         #: an *overlay* for interfaces the substrate does not track; other
         #: regimes mirror every interface into it.
-        self._grid: SpatialGrid = SpatialGrid(
-            cell_size=cell_size if cell_size is not None else max(self._query_radius, 1.0)
-        )
+        self._grid: SpatialGrid = SpatialGrid(cell_size=max(self._query_radius, 1.0))
         self._position_epoch = 0
         self._synced_epoch = -1
         self._synced_time: Optional[float] = None
@@ -837,10 +797,10 @@ class RadioEnvironment:
 
         Rows live for one position epoch (:meth:`_refresh` flushes them).
         Missing entries are computed in one
-        :meth:`~repro.radio.link.LinkBudget.quality_batch` call — or pair by
-        pair on the scalar reference path (``use_batched_links=False``),
-        which fills bit-identical values.  Names without an attached
-        interface are skipped (callers guard their lookups the same way).
+        :meth:`~repro.radio.link.LinkBudget.quality_batch` call, bit-identical
+        to scalar :meth:`~repro.radio.link.LinkBudget.quality` per pair.
+        Names without an attached interface are skipped (callers guard their
+        lookups the same way).
         """
         row = self._quality_rows.get(src)
         if row is None:
@@ -851,19 +811,12 @@ class RadioEnvironment:
             name for name in wanted if name not in row and name in interfaces
         ]
         if missing:
-            tx = interfaces[src].position
-            if self.use_batched_links:
-                positions = [interfaces[name].position for name in missing]
-                qualities = self.link_budget.quality_batch(
-                    tx, positions, self.visibility
-                )
-                for name, quality in zip(missing, qualities):
-                    row[name] = quality
-            else:
-                quality = self.link_budget.quality
-                visibility = self.visibility
-                for name in missing:
-                    row[name] = quality(tx, interfaces[name].position, visibility)
+            qualities = self.link_budget.quality_batch(
+                interfaces[src].position,
+                [interfaces[name].position for name in missing],
+                self.visibility,
+            )
+            row.update(zip(missing, qualities))
         return row
 
     def _candidate_names(self, center: Vec2) -> List[str]:
@@ -919,9 +872,9 @@ class RadioEnvironment:
         """Exact-tier plan: the sender's link row, filtered to usable links.
 
         Candidates are the attached interfaces within the spatial query
-        radius (every other interface on the brute-force reference path),
-        and their qualities come from :meth:`_ensure_row`, so both reference
-        flags still fill bit-identical columns.  The spatially pruned
+        radius (every other interface when range pruning is off, see
+        :attr:`use_spatial_index`), and their qualities come from
+        :meth:`_ensure_row`.  The spatially pruned
         interfaces are counted into ``out_of_range`` wholesale — the link
         budget is monotone in distance, so none of them could have been
         usable.
@@ -1164,9 +1117,7 @@ class RadioEnvironment:
         size_bits = frame.size_bytes * 8
         deliver_name = self._deliver_name(frame.kind)
         if fast:
-            times, callbacks = self._coalesced_arrivals(
-                plan, kept, lost, size_bits, frame
-            )
+            times, callbacks = self._coalesced_arrivals(plan, kept, size_bits, frame)
         else:
             delays = size_bits / plan.scaled_rates + plan.prop_delays
             receivers = plan.receivers
@@ -1186,69 +1137,46 @@ class RadioEnvironment:
         )
 
     def _coalesced_arrivals(
-        self,
-        plan: _SenderPlan,
-        kept: np.ndarray,
-        lost: int,
-        size_bits: int,
-        frame: Frame,
+        self, plan: _SenderPlan, kept: np.ndarray, size_bits: int, frame: Frame
     ) -> Tuple[List[float], List[Callable[[], Any]]]:
         """Statistical-tier arrival times and callbacks, one per delay group.
 
-        Receivers sharing an identical delay are coalesced into one
-        :class:`_BatchFrameDelivery` (a lone receiver gets a
+        The delivered receivers sharing an identical delay are coalesced into
+        one :class:`_BatchFrameDelivery` (a lone receiver gets a
         :class:`_FrameDelivery`), so a broadcast costs one heap entry per
         delay group instead of one per receiver.
         """
-        groups = plan.delay_groups.get(size_bits)
-        if groups is None:
-            # Bucket receivers by identical delay in C: `np.unique` sorts the
-            # delays, the stable argsort of the inverse mapping lays the
-            # member indices out group by group (ascending within each group,
-            # preserving name order).  Group order is delay-ascending rather
-            # than first-occurrence — observationally equivalent, since
-            # distinct delays fire at distinct times regardless of push
-            # order.
-            delays = size_bits / plan.scaled_rates + plan.prop_delays
-            unique_delays, inverse, counts = np.unique(
-                delays, return_inverse=True, return_counts=True
-            )
-            order = np.argsort(inverse, kind="stable").tolist()
-            groups = []
-            start = 0
-            for delay, count_in_group in zip(
-                unique_delays.tolist(), counts.tolist()
-            ):
-                end = start + count_in_group
-                groups.append((delay, order[start:end]))
-                start = end
-            plan.delay_groups[size_bits] = groups
+        # Bucket receivers by identical delay in C: `np.unique` sorts the
+        # delays, the stable argsort of the inverse mapping lays the member
+        # indices out group by group (ascending within each group, preserving
+        # name order).  Group order is delay-ascending rather than
+        # first-occurrence — observationally equivalent, since distinct
+        # delays fire at distinct times regardless of push order.
+        indices = np.flatnonzero(kept)
+        delays = size_bits / plan.scaled_rates[indices] + plan.prop_delays[indices]
+        unique_delays, inverse, counts = np.unique(
+            delays, return_inverse=True, return_counts=True
+        )
+        members = indices[np.argsort(inverse, kind="stable")].tolist()
         now = self.sim.now
         delay_samples = self._link_delay.values
         receivers = plan.receivers
         qualities = plan.qualities
-        # The (few) lost indices drive group filtering: most groups are
-        # untouched and reuse their plan-held member list without a copy.
-        lost_set = set(np.flatnonzero(~kept).tolist()) if lost else None
         times: List[float] = []
         callbacks: List[Callable[[], Any]] = []
-        # Group order (and each group's member order) is name-sorted, so the
-        # coalesced events preserve the exact tier's observable ordering.
-        for delay, members in groups:
-            if lost_set is None or lost_set.isdisjoint(members):
-                selected = members
-            else:
-                selected = [index for index in members if index not in lost_set]
-                if not selected:
-                    continue
-            if len(selected) == 1:
-                index = selected[0]
+        start = 0
+        for delay, size in zip(unique_delays.tolist(), counts.tolist()):
+            if size == 1:
+                index = members[start]
                 callback: Callable[[], Any] = _FrameDelivery(
                     receivers[index], frame, qualities[index]
                 )
             else:
-                callback = _BatchFrameDelivery(receivers, qualities, selected, frame)
-            delay_samples.extend(repeat(delay, len(selected)))
+                callback = _BatchFrameDelivery(
+                    receivers, qualities, members[start : start + size], frame
+                )
+            start += size
+            delay_samples.extend(repeat(delay, size))
             times.append(now + delay)
             callbacks.append(callback)
         return times, callbacks

@@ -15,7 +15,8 @@ association order, while the transcendentals
 (``hypot``/``log10``/``log2``/``pow``/``exp``) run through the same
 :mod:`math` C-library entry points — numpy's SIMD kernels for those round
 differently in the last ulp, which would silently break the byte-identical
-``use_batched_links=False`` reference contract asserted by benchmark E13.
+contract against the scalar-row reference (``ReferenceRadioEnvironment`` in
+``tests/oracle.py``) asserted by benchmark E13.
 
 ``fast_math=True`` selects the **statistical** equivalence tier instead: a
 fused path-loss→SNR→rate→PER kernel computes the whole receiver row with

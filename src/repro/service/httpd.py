@@ -288,6 +288,8 @@ class StdlibASGIServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Open connections: handler task -> its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> None:
         """Start listening (resolves ``port=0`` to the bound port)."""
@@ -297,7 +299,12 @@ class StdlibASGIServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def _handle(self, reader, writer) -> None:
-        await _Connection(self.app, reader, writer).serve()
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        try:
+            await _Connection(self.app, reader, writer).serve()
+        finally:
+            del self._connections[task]
 
     async def serve_forever(self) -> None:
         """Start (if needed) and block serving connections."""
@@ -308,9 +315,12 @@ class StdlibASGIServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting connections and close the listener."""
+        """Stop accepting, close open (kept-alive) connections, close the listener."""
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 

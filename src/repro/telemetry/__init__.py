@@ -15,14 +15,14 @@ honour, certified here by ``tests/telemetry`` and benchmark E19):
   recording as Chrome trace-event JSON, viewable in Perfetto.  Enabled via
   ``repro run --trace out.json`` / ``repro sweep --trace-dir DIR`` or the
   :func:`~repro.telemetry.trace.activate` context manager.
-* :mod:`repro.telemetry.httpd` — the stdlib ``/metrics`` sidecar server
-  the worker attaches.
+* :mod:`repro.telemetry.httpd` — the ``/metrics`` sidecar the worker
+  attaches: a small ASGI app served by the service facade's stdlib server
+  (:class:`~repro.service.httpd.StdlibASGIServer`) on a background thread.
 
 See ``docs/OBSERVABILITY.md`` for the metric/label reference, the
 trace-event schema, and the zero-perturbation contract.
 """
 
-from repro.telemetry.httpd import MetricsServer
 from repro.telemetry.prometheus import (
     CONTENT_TYPE,
     DEFAULT_BUCKETS,
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "HistogramPoint",
     "MetricPoint",
-    "MetricsServer",
     "TRACE_SCHEMA",
     "TelemetryRegistry",
     "Tracer",

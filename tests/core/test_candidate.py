@@ -227,7 +227,8 @@ def test_shared_scorer_keeps_every_owners_view_cached():
 
 
 def test_scorer_cache_capacity_is_enforced_lru():
-    scorer = CandidateScorer(cache_capacity=2)
+    scorer = CandidateScorer()
+    scorer.CACHE_CAPACITY = 2
     task = make_task()
     neighbor = make_neighbor("a")
     tokens = [("ego", 1.0, epoch, 2, 7) for epoch in (1, 2, 3)]
@@ -270,8 +271,11 @@ def test_memoised_scores_byte_identical_to_unmemoised_path():
     ]
     task = make_task(operations=3e8, deadline_s=5.0)
     memoised = CandidateScorer()
-    reference = CandidateScorer(memoise=False)
+    reference = CandidateScorer()
     network = network_with_freshness(("ego", 1.0, 5, 2, 7), *neighbors)
+    # The reference is the always-recompute path: the same neighbours in a
+    # hand-built view without a freshness token.
+    unmemoised = network_of(*neighbors)
 
     def flatten(scores):
         return [
@@ -281,9 +285,11 @@ def test_memoised_scores_byte_identical_to_unmemoised_path():
         ]
 
     for _ in range(3):  # repeated calls stay identical, not just the first
-        assert flatten(memoised.rank(network, task)) == flatten(reference.rank(network, task))
+        assert flatten(memoised.rank(network, task)) == flatten(
+            reference.rank(unmemoised, task)
+        )
         assert flatten(memoised.all_scores(network, task)) == flatten(
-            reference.all_scores(network, task)
+            reference.all_scores(unmemoised, task)
         )
     assert memoised.cache_hits > 0
     assert (reference.cache_hits, reference.cache_misses) == (0, 0)

@@ -3,6 +3,7 @@
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.shapes import Rectangle
 from repro.geometry.vector import Vec2
+from tests.oracle import BruteForceVisibility
 
 
 def test_clear_path_has_line_of_sight():
@@ -113,7 +114,7 @@ def test_index_rebuilds_are_amortised_per_epoch():
 def test_brute_force_and_index_answers_match_after_mutations():
     buildings = [Rectangle(40, -10, 60, 10), Rectangle(0, 40, 20, 60)]
     indexed = VisibilityMap(buildings)
-    reference = VisibilityMap(buildings, use_obstacle_index=False)
+    reference = BruteForceVisibility(buildings)
     rays = [
         (Vec2(0, 0), Vec2(100, 0)),
         (Vec2(10, -20), Vec2(10, 100)),
@@ -122,6 +123,7 @@ def test_brute_force_and_index_answers_match_after_mutations():
     ]
     for a, b in rays:
         assert indexed.has_line_of_sight(a, b) == reference.has_line_of_sight(a, b)
+    assert reference.index_rebuilds == 0  # the oracle never builds the index
     for vmap in (indexed, reference):
         vmap.remove_obstacle(buildings[0])
         vmap.add_obstacle(Rectangle(90, -10, 95, 10))

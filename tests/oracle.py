@@ -11,6 +11,13 @@ agreeing with the reference here.
   arrival.  :func:`use_reference_transmit` swaps it into an environment.
 * :func:`reference_topology` — a topology snapshot's statistics computed
   with networkx from the same neighbour tables the observer reads.
+* :class:`ReferenceRadioEnvironment` — a radio environment whose link rows
+  are filled pair by pair with scalar :meth:`LinkBudget.quality` calls
+  instead of one ``quality_batch`` per sender, optionally scanning every
+  attached interface instead of the spatial range query.
+* :class:`BruteForceVisibility` — a visibility map that tests every polygon
+  with :func:`~repro.geometry.los.line_of_sight` instead of querying the
+  obstacle index.
 """
 
 from __future__ import annotations
@@ -19,7 +26,46 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import networkx as nx
 
+from repro.geometry.los import VisibilityMap, line_of_sight
+from repro.geometry.vector import Vec2
 from repro.radio.interfaces import Frame, RadioEnvironment, RadioInterface
+from repro.radio.link import LinkQuality
+
+
+class BruteForceVisibility(VisibilityMap):
+    """A :class:`VisibilityMap` answering every query with a full polygon scan."""
+
+    def has_line_of_sight(self, a: Vec2, b: Vec2) -> bool:
+        return line_of_sight(a, b, self._obstacles)
+
+    def line_of_sight_batch(self, origin: Vec2, targets: Sequence[Vec2]) -> List[bool]:
+        return [line_of_sight(origin, target, self._obstacles) for target in targets]
+
+
+class ReferenceRadioEnvironment(RadioEnvironment):
+    """A :class:`RadioEnvironment` on the scalar reference paths.
+
+    Link rows hold one scalar ``link_budget.quality`` call per pair.  With
+    ``full_scan`` set, range pruning is off (``use_spatial_index = False``),
+    so every attached interface is a broadcast candidate.  Both must leave
+    the delivered-frame sequence of the exact tier unchanged.
+    """
+
+    def __init__(self, *args, full_scan: bool = False, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if full_scan:
+            self.use_spatial_index = False
+
+    def _ensure_row(self, src: str, wanted: Sequence[str]) -> Dict[str, LinkQuality]:
+        row = self._quality_rows.setdefault(src, {})
+        interfaces = self._interfaces
+        tx = interfaces[src].position
+        for name in wanted:
+            if name not in row and name in interfaces:
+                row[name] = self.link_budget.quality(
+                    tx, interfaces[name].position, self.visibility
+                )
+        return row
 
 
 def _reference_candidates(env: RadioEnvironment, sender: RadioInterface) -> List[str]:

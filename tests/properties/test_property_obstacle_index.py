@@ -17,6 +17,7 @@ from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.obstacle_index import ObstacleIndex
 from repro.geometry.shapes import Polygon, Rectangle
 from repro.geometry.vector import Vec2
+from tests.oracle import BruteForceVisibility
 
 CELL = 20.0
 
@@ -99,9 +100,9 @@ def test_rays_touching_obstacle_corners_and_edges(obstacles, data):
 @settings(max_examples=100, deadline=None)
 @given(obstacle_fields, points, points)
 def test_visibility_map_flag_paths_agree(obstacles, a, b):
-    """The VisibilityMap flag switches implementation, never answers."""
-    indexed = VisibilityMap(obstacles, use_obstacle_index=True)
-    brute = VisibilityMap(obstacles, use_obstacle_index=False)
+    """The indexed map answers every query like the brute-force oracle."""
+    indexed = VisibilityMap(obstacles)
+    brute = BruteForceVisibility(obstacles)
     assert indexed.has_line_of_sight(a, b) == brute.has_line_of_sight(a, b)
     targets = [b, a, Vec2(b.x, a.y), Vec2(a.x, b.y)]
     assert indexed.line_of_sight_batch(a, targets) == brute.line_of_sight_batch(
@@ -115,7 +116,7 @@ def test_visibility_map_flag_paths_agree(obstacles, a, b):
 
 def test_incremental_add_obstacle_keeps_index_consistent():
     """Obstacles added after the index was built are still honoured."""
-    vis = VisibilityMap([], use_obstacle_index=True)
+    vis = VisibilityMap([])
     a, b = Vec2(-50.0, 0.0), Vec2(50.0, 0.0)
     assert vis.has_line_of_sight(a, b)  # index built lazily, empty field
     vis.add_obstacle(Rectangle(-10.0, -10.0, 10.0, 10.0))

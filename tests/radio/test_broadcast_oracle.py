@@ -5,7 +5,8 @@ two frame sizes, a few unicasts, positions that move between rounds — one
 through ``RadioEnvironment.transmit`` and one through
 :func:`tests.oracle.reference_transmit`.  The delivered-frame logs and
 every ``radio.*`` counter and sample must match exactly, with and without
-the fault injector's extra loss and on both ``use_batched_links`` paths.
+the fault injector's extra loss, on batched link rows and on the oracle's
+scalar per-pair rows (:class:`tests.oracle.ReferenceRadioEnvironment`).
 """
 
 import numpy as np
@@ -15,15 +16,16 @@ from repro.geometry.vector import Vec2
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
-from tests.oracle import use_reference_transmit
+from tests.oracle import ReferenceRadioEnvironment, use_reference_transmit
 
 ROUNDS = 4
 ROUND_S = 0.5
 
 
-def run_traffic(reference, extra_loss, use_batched_links, seed=11, n=24):
+def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
     sim = Simulator(seed=seed)
-    env = RadioEnvironment(sim, LinkBudget(), use_batched_links=use_batched_links)
+    environment_class = RadioEnvironment if batched_rows else ReferenceRadioEnvironment
+    env = environment_class(sim, LinkBudget())
     if reference:
         use_reference_transmit(env)
     env.extra_loss_probability = extra_loss
@@ -80,11 +82,11 @@ def run_traffic(reference, extra_loss, use_batched_links, seed=11, n=24):
     return log, counters, list(sim.monitor.sample("radio.link_delay").values)
 
 
-@pytest.mark.parametrize("use_batched_links", [True, False])
+@pytest.mark.parametrize("batched_rows", [True, False])
 @pytest.mark.parametrize("extra_loss", [0.0, 0.3])
-def test_plan_broadcast_matches_per_receiver_oracle(extra_loss, use_batched_links):
-    plan_run = run_traffic(False, extra_loss, use_batched_links)
-    oracle_run = run_traffic(True, extra_loss, use_batched_links)
+def test_plan_broadcast_matches_per_receiver_oracle(extra_loss, batched_rows):
+    plan_run = run_traffic(False, extra_loss, batched_rows)
+    oracle_run = run_traffic(True, extra_loss, batched_rows)
     log, counters, delays = plan_run
     assert log == oracle_run[0]
     assert counters == oracle_run[1]
@@ -95,5 +97,5 @@ def test_plan_broadcast_matches_per_receiver_oracle(extra_loss, use_batched_link
     assert counters["radio.frames_out_of_range"] > 0
     assert counters["radio.frames_delivered"] == len(log)
     if extra_loss:
-        clean_lost = run_traffic(False, 0.0, use_batched_links)[1]["radio.frames_lost"]
+        clean_lost = run_traffic(False, 0.0, batched_rows)[1]["radio.frames_lost"]
         assert counters["radio.frames_lost"] > 2 * clean_lost

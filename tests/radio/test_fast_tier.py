@@ -159,6 +159,24 @@ def test_fast_broadcast_reaches_the_exact_receiver_set():
         assert fast_row[3] == pytest.approx(exact_row[3], rel=REL_TOL)
 
 
+def test_fast_broadcast_delivers_exactly_the_surviving_receivers():
+    """Coalesced arrivals carry the loss-draw survivors and nobody else."""
+    sim, environment, received = build_fleet(True)
+    environment.extra_loss_probability = 0.3
+
+    def broadcast_round():
+        for name in environment.node_names:
+            environment.interface_of(name).send(None, 200)
+
+    for round_index in range(4):
+        sim.schedule(0.1 + 0.3 * round_index, broadcast_round)
+    sim.run(until=2.0)
+    monitor = sim.monitor
+    assert monitor.counter_value("radio.frames_lost") > 0
+    assert len(received) == monitor.counter_value("radio.frames_delivered") > 0
+    assert len(monitor.sample("radio.link_delay").values) == len(received)
+
+
 def test_fast_unicast_keeps_exact_delivery_semantics():
     """``fast_math`` only reroutes broadcasts; unicast frames keep the exact
     tier's scheduling and receiver bookkeeping (link qualities go through the

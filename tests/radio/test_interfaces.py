@@ -6,6 +6,7 @@ from repro.geometry.vector import Vec2
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import ReferenceRadioEnvironment
 
 
 def make_env(positions, **kwargs):
@@ -170,9 +171,13 @@ def test_spatial_and_bruteforce_paths_agree():
         "e": Vec2(260, 10),
     }
     logs = []
-    for use_spatial in (True, False):
+    for full_scan in (False, True):
         sim = Simulator(seed=11)
-        env = RadioEnvironment(sim, LinkBudget(), use_spatial_index=use_spatial)
+        if full_scan:
+            env = ReferenceRadioEnvironment(sim, LinkBudget(), full_scan=True)
+        else:
+            env = RadioEnvironment(sim, LinkBudget())
+        assert env.use_spatial_index is not full_scan
         ifaces = {n: env.attach(n, lambda p=p: p) for n, p in positions.items()}
         log = []
         for name, iface in ifaces.items():
@@ -302,12 +307,15 @@ def test_broadcast_prunes_far_receivers_but_counts_them():
     assert sim.monitor.counter_value("radio.frames_delivered") == 1
 
 
-def test_unbounded_link_budget_disables_unsound_range_pruning():
+@pytest.mark.parametrize("fast_math", [False, True], ids=["exact", "statistical"])
+def test_unbounded_link_budget_disables_unsound_range_pruning(fast_math):
     # With min_snr_db this low the link is usable far past effective_range's
     # 10 km scan cap, so range pruning could silently drop reachable
-    # receivers; the environment must fall back to the full scan.
+    # receivers; the environment must fall back to the full scan.  This is
+    # the only way into both plan builders' full-scan branches.
     sim = Simulator(seed=2)
-    env = RadioEnvironment(sim, LinkBudget(min_snr_db=-500.0), use_spatial_index=True)
+    env = RadioEnvironment(sim, LinkBudget(min_snr_db=-500.0, fast_math=fast_math))
+    assert env.fast_math is fast_math
     assert env.use_spatial_index is False
     env.attach("a", lambda: Vec2(0, 0))
     env.attach("b", lambda: Vec2(20_000, 0))  # beyond the scan cap

@@ -1,9 +1,9 @@
 """Batched link-pipeline equivalence and behaviour tests.
 
 The contract under test is *bit*-identity, not approximate equality: the
-radio environment's reference flag (``use_batched_links=False``) is only
-meaningful if the batch kernel reproduces the scalar path exactly, RNG draw
-for RNG draw.
+environment's batched link rows must reproduce the scalar per-pair rows of
+the oracle's :class:`~tests.oracle.ReferenceRadioEnvironment` exactly, RNG
+draw for RNG draw.
 """
 
 import random
@@ -15,6 +15,7 @@ from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.radio.propagation import FreeSpacePathLoss, LogDistancePathLoss
 from repro.simcore.simulator import Simulator
+from tests.oracle import ReferenceRadioEnvironment
 
 
 def quality_tuple(q):
@@ -78,9 +79,10 @@ def test_path_loss_batch_applies_nlos_penalty_per_receiver():
 # ------------------------------------------------- environment row semantics
 
 
-def build_env(use_batched_links, n=12, seed=5):
+def build_env(reference=False, n=12, seed=5):
     sim = Simulator(seed=seed)
-    env = RadioEnvironment(sim, LinkBudget(), use_batched_links=use_batched_links)
+    environment_class = ReferenceRadioEnvironment if reference else RadioEnvironment
+    env = environment_class(sim, LinkBudget())
     rng = random.Random(99)
     for index in range(n):
         pos = Vec2(rng.uniform(0, 400), rng.uniform(0, 400))
@@ -89,8 +91,8 @@ def build_env(use_batched_links, n=12, seed=5):
 
 
 def test_environment_rows_identical_across_batched_flag():
-    _, batched = build_env(use_batched_links=True)
-    _, reference = build_env(use_batched_links=False)
+    _, batched = build_env()
+    _, reference = build_env(reference=True)
     names = batched.node_names
     for src in names:
         assert batched.nodes_in_range(src) == reference.nodes_in_range(src)
@@ -104,8 +106,8 @@ def test_environment_rows_identical_across_batched_flag():
 
 def test_broadcast_delivery_identical_across_batched_flag():
     logs = {}
-    for flag in (True, False):
-        sim, env = build_env(use_batched_links=flag)
+    for reference in (False, True):
+        sim, env = build_env(reference)
         log = []
         for name in env.node_names:
             env.interface_of(name).on_receive(
@@ -117,12 +119,12 @@ def test_broadcast_delivery_identical_across_batched_flag():
             env.interface_of(name).send(f"hello-{name}", 200, destination=None)
         sim.run(until=2.0)
         assert log, "broadcasts must deliver something for the check to bite"
-        logs[flag] = log
-    assert logs[True] == logs[False]
+        logs[reference] = log
+    assert logs[False] == logs[True]
 
 
 def test_rows_are_filled_per_sender_and_flushed_on_epoch_bump():
-    sim, env = build_env(use_batched_links=True, n=6)
+    sim, env = build_env(n=6)
     src = env.node_names[0]
     env.nodes_in_range(src)
     assert src in env._quality_rows
@@ -134,7 +136,7 @@ def test_rows_are_filled_per_sender_and_flushed_on_epoch_bump():
 
 
 def test_unicast_to_unattached_destination_is_dropped_quietly():
-    sim, env = build_env(use_batched_links=True, n=3)
+    sim, env = build_env(n=3)
     sender = env.interface_of(env.node_names[0])
     sender.send("to-nobody", 50, destination="ghost")
     sim.run(until=1.0)
@@ -144,7 +146,7 @@ def test_unicast_to_unattached_destination_is_dropped_quietly():
 
 
 def test_sender_plan_is_built_once_per_epoch_and_flushed_on_bump():
-    sim, env = build_env(use_batched_links=True, n=6)
+    sim, env = build_env(n=6)
     src = env.node_names[0]
     in_range = env.nodes_in_range(src)
     plan = env._plans[src]
@@ -157,7 +159,7 @@ def test_sender_plan_is_built_once_per_epoch_and_flushed_on_bump():
 
 
 def test_legacy_environment_state_swaps_removed_caches_for_new_ones():
-    sim, env = build_env(use_batched_links=True, n=4)
+    sim, env = build_env(n=4)
     state = env.__getstate__()
     del state["_plans"]
     state.update(_in_range_cache={}, _receiver_cache={}, _fast_plans={})

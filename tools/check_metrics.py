@@ -4,6 +4,7 @@
 Usage::
 
     python tools/check_metrics.py metrics.prom
+    python tools/check_metrics.py http://127.0.0.1:9100/metrics
     repro fabric status --store sweep.db --prometheus | python tools/check_metrics.py -
 
 Checks the conformance rules that matter for a scraper:
@@ -26,6 +27,7 @@ and by ``tests/telemetry/test_check_metrics.py``; importable as a module
 from __future__ import annotations
 
 import sys
+import urllib.request
 from typing import Dict, List, Optional, Tuple
 
 METRIC_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
@@ -188,8 +190,12 @@ def main(argv: List[str]) -> int:
         text = sys.stdin.read()
     else:
         try:
-            with open(argv[0], "r", encoding="utf-8") as handle:
-                text = handle.read()
+            if argv[0].startswith(("http://", "https://")):
+                with urllib.request.urlopen(argv[0], timeout=10.0) as response:
+                    text = response.read().decode("utf-8")
+            else:
+                with open(argv[0], "r", encoding="utf-8") as handle:
+                    text = handle.read()
         except OSError as error:
             print(f"check_metrics: {error}", file=sys.stderr)
             return 2
