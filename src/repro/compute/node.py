@@ -187,17 +187,6 @@ class ComputeNode:
             "created_at": self._created_at,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Re-apply captured accounting; in-flight sets must already match."""
-        if len(self._running) != state["running"]:
-            raise ValueError(
-                f"compute snapshot mismatch for {self.owner!r}: "
-                f"{len(self._running)} running != captured {state['running']}"
-            )
-        self.rejected_count = int(state["rejected_count"])
-        self._busy_core_seconds = float(state["busy_core_seconds"])
-        self._created_at = float(state["created_at"])
-
     # ------------------------------------------------------------- summary
 
     def completed_count(self) -> int:

@@ -388,22 +388,6 @@ class AirDnDNode:
             },
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Re-apply a capture onto this (unpickled) node, layer by layer."""
-        if state["name"] != self.name:
-            raise ValueError(
-                f"node snapshot is for {state['name']!r}, not {self.name!r}"
-            )
-        if bool(state["crashed"]) != self._crashed:
-            raise ValueError(
-                f"node {self.name!r}: snapshot crashed={state['crashed']} "
-                f"but live node crashed={self._crashed}"
-            )
-        if state["mesh"] is not None:
-            self.mesh.restore_state(state["mesh"])
-        self.compute.restore_state(state["compute"])
-        self.orchestrator.accepting = bool(state["orchestrator"]["accepting"])
-
     # --------------------------------------------------------------- metrics
 
     def completed_tasks(self) -> List[TaskLifecycle]:

@@ -308,29 +308,6 @@ class FaultInjector:
             "loss_bursts": self.loss_bursts,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Re-apply a capture, including the live radio burst effects."""
-        self._assignment = dict(state["assignment"])
-        self._noise_stack = list(state["noise_stack"])
-        self._loss_stack = list(state["loss_stack"])
-        self._down_since = dict(state["down_since"])
-        self._downtime_total = float(state["downtime_total"])
-        self._await_rejoin = dict(state["await_rejoin"])
-        self.rejoin_delays = list(state["rejoin_delays"])
-        self._created_at = float(state["created_at"])
-        self.crashes_injected = int(state["crashes_injected"])
-        self.recoveries_injected = int(state["recoveries_injected"])
-        self.degradation_bursts = int(state["degradation_bursts"])
-        self.loss_bursts = int(state["loss_bursts"])
-        if self.environment is not None:
-            self.environment.link_budget.noise_penalty_db = (
-                math.fsum(self._noise_stack) if self._noise_stack else 0.0
-            )
-            self.environment.extra_loss_probability = (
-                self._combined_loss() if self._loss_stack else 0.0
-            )
-            self._flush_radio_caches()
-
     # -------------------------------------------------------------- metrics
 
     def downtime_s(self) -> float:

@@ -126,9 +126,9 @@ class SpatialSubstrate:
     def capture_state(self) -> dict:
         """Positions (in insertion order) and epochs as plain data.
 
-        The grid's cell index is derived state and is *not* captured — it is
-        rebuilt by :meth:`restore_state` (and by the grid's own unpickling
-        hook), per the snapshot protocol's capture-vs-rebuild split.
+        The grid's cell index is derived state and is *not* captured — the
+        grid's own unpickling hook rebuilds it, per the snapshot protocol's
+        capture-vs-rebuild split.
         """
         ordered = sorted(self.grid.items(), key=lambda kv: self.grid._seq[kv[0]])
         return {
@@ -138,18 +138,3 @@ class SpatialSubstrate:
             "membership_epoch": self.membership_epoch,
             "commit_count": self.commit_count,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the grid from captured positions and re-apply the epochs.
-
-        Keys are re-inserted in their original insertion order, so the
-        grid's deterministic query ordering (insertion-sequence sort) is
-        preserved exactly.
-        """
-        grid: SpatialGrid = SpatialGrid(cell_size=state["cell_size"])
-        for key, x, y in state["positions"]:
-            grid.update(key, Vec2(x, y))
-        self.grid = grid
-        self.position_epoch = int(state["position_epoch"])
-        self.membership_epoch = int(state["membership_epoch"])
-        self.commit_count = int(state["commit_count"])

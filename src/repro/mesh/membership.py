@@ -21,21 +21,6 @@ from repro.simcore.simulator import Simulator
 
 
 @dataclass
-class MembershipEvent:
-    """One change in a node's mesh view.
-
-    Views keep aggregate :class:`MembershipStats`, not a list of these.
-    Existing snapshot artifacts (the golden test fixture among them) hold
-    such lists, so the class must stay importable for them to load.
-    """
-
-    time: float
-    kind: str  # "join" or "leave"
-    peer: str
-    epoch: int
-
-
-@dataclass
 class MembershipStats:
     """Aggregate statistics over a node's membership history."""
 

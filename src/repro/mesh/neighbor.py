@@ -165,22 +165,3 @@ class NeighborTable:
                 for name, entry in self._entries.items()
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-apply captured timing/count fields onto the live entries.
-
-        The entry set must match the capture — the entries (with their
-        beacons) are restored by unpickling; a name mismatch means the
-        snapshot and the table disagree and is rejected loudly.
-        """
-        if set(state["entries"]) != set(self._entries):
-            raise ValueError(
-                f"neighbour-table mismatch for {self.owner!r}: snapshot has "
-                f"{sorted(state['entries'])}, table has {sorted(self._entries)}"
-            )
-        self.lifetime = float(state["lifetime"])
-        for name, fields in state["entries"].items():
-            entry = self._entries[name]
-            entry.last_seen = fields["last_seen"]
-            entry.first_seen = fields["first_seen"]
-            entry.beacons_received = fields["beacons_received"]

@@ -153,20 +153,3 @@ class MeshNode:
                 "transfers_failed": self.transport.transfers_failed,
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-apply captured counters/timing onto the live (unpickled) stack."""
-        if state["name"] != self.name:
-            raise ValueError(
-                f"mesh snapshot is for {state['name']!r}, not {self.name!r}"
-            )
-        self.beacon_agent.neighbors.restore_state(state["neighbors"])
-        self.membership.epoch = state["membership"]["epoch"]
-        self.beacon_agent.beacons_sent = state["discovery"]["beacons_sent"]
-        self.beacon_agent.beacons_heard = state["discovery"]["beacons_heard"]
-        self.beacon_agent.epoch = state["discovery"]["epoch"]
-        self.router.messages_forwarded = state["routing"]["messages_forwarded"]
-        self.router.messages_delivered = state["routing"]["messages_delivered"]
-        self.router.messages_dropped = state["routing"]["messages_dropped"]
-        self.transport.transfers_succeeded = state["transport"]["transfers_succeeded"]
-        self.transport.transfers_failed = state["transport"]["transfers_failed"]

@@ -48,28 +48,13 @@ class GreedyGeoRouter:
         self.neighbors = neighbors
         self.position_provider = position_provider
         self._delivery_callbacks: List[Callable[[DataMessage], None]] = []
-        self._seen_message_ids: set = set()
+        # Insertion-ordered, so it pickles to the same bytes in every
+        # process and after every restore (a set's layout does not).
+        self._seen_message_ids: Dict[int, None] = {}
         self.messages_forwarded = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         interface.on_receive(self._on_frame)
-
-    def __getstate__(self) -> dict:
-        """Pickle the dedup set as a sorted tuple.
-
-        A live ``set`` pickles in slot-iteration order, which depends on
-        insertion history — and re-inserting in that order can *oscillate*
-        between two layouts, so snapshot-of-restored would not be a fixed
-        point of the bytes.  A sorted tuple is a pure function of
-        membership; ``__setstate__`` rebuilds the set.
-        """
-        state = self.__dict__.copy()
-        state["_seen_message_ids"] = tuple(sorted(self._seen_message_ids))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._seen_message_ids = set(state["_seen_message_ids"])
 
     @property
     def node_name(self) -> str:
@@ -160,7 +145,7 @@ class GreedyGeoRouter:
     def _deliver_local(self, message: DataMessage) -> None:
         if message.message_id in self._seen_message_ids:
             return
-        self._seen_message_ids.add(message.message_id)
+        self._seen_message_ids[message.message_id] = None
         self.messages_delivered += 1
         self.sim.monitor.counter("mesh.messages_delivered").add()
         self.sim.monitor.sample("mesh.delivery_hops").add(float(message.hops_taken))

@@ -41,16 +41,7 @@ class TopologySnapshot:
         }
 
     def __setstate__(self, state: dict) -> None:
-        graph = state.get("graph")
-        if graph is not None:
-            # Artifacts written while snapshots held a networkx graph.
-            self.__init__(
-                state["time"],
-                graph.nodes,
-                {(a, b) if a <= b else (b, a) for a, b in graph.edges},
-            )
-        else:
-            self.__init__(state["time"], state["nodes"], set(state["edges"]))
+        self.__init__(state["time"], state["nodes"], set(state["edges"]))
 
     @property
     def node_count(self) -> int:
@@ -195,9 +186,12 @@ class TopologyObserver:
     def _update_link_lifetimes(self, snapshot: TopologySnapshot) -> None:
         current = snapshot.edges
         known = set(self._link_first_seen)
-        for link in current - known:
+        # Walk the differences sorted, not in hash order: they set the order
+        # of _link_first_seen (pickled) and of link_lifetimes, whose float
+        # sum gives the mean.
+        for link in sorted(current - known):
             self._link_first_seen[link] = snapshot.time
-        for link in known - current:
+        for link in sorted(known - current):
             start = self._link_first_seen.pop(link)
             self.link_lifetimes.append(snapshot.time - start)
 

@@ -48,7 +48,6 @@ transport and the AirDnD offloading protocol) decide what goes inside.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter
@@ -517,17 +516,6 @@ class RadioEnvironment:
 
     # ------------------------------------------------------------- snapshot
 
-    #: Per-epoch derived state the snapshot protocol drops and rebuilds.
-    _EPHEMERAL_DEFAULTS = {
-        "_quality_rows": dict,
-        "_plans": dict,
-        "_fast_universe": lambda: None,
-    }
-
-    #: Per-epoch caches of earlier versions, still present (empty) in
-    #: artifacts written before the sender plans replaced them.
-    _LEGACY_EPHEMERAL = ("_in_range_cache", "_receiver_cache", "_fast_plans")
-
     def __getstate__(self) -> dict:
         """Pickle without per-epoch caches; force a refresh on first use.
 
@@ -539,35 +527,14 @@ class RadioEnvironment:
         mirror grid for unbound environments).
         """
         state = self.__dict__.copy()
-        for name, default in self._EPHEMERAL_DEFAULTS.items():
-            state[name] = default()
+        state["_quality_rows"] = {}
+        state["_plans"] = {}
+        state["_fast_universe"] = None
         state["_synced_epoch"] = -1
         state["_synced_time"] = None
         state["_synced_mobility_epoch"] = -1
         state["_overlay_key"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Legacy artifacts carry the removed caches and lack the new ones;
-        # both are empty per-epoch state, so swap one set for the other.
-        # Keys are interned as the default unpickling path would, so a
-        # re-pickle memoises them exactly like every other instance's.
-        for name in self._LEGACY_EPHEMERAL:
-            state.pop(name, None)
-        for name, default in self._EPHEMERAL_DEFAULTS.items():
-            if name not in state:
-                state[name] = default()
-        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
-
-    def invalidate_caches(self) -> None:
-        """Drop every per-epoch cache and force the next refresh to rebuild."""
-        self._quality_rows.clear()
-        self._plans.clear()
-        self._fast_universe = None
-        self._synced_epoch = -1
-        self._synced_time = None
-        self._synced_mobility_epoch = -1
-        self._overlay_key = None
 
     def capture_state(self) -> dict:
         """The radio layer's durable state as plain data.
@@ -593,33 +560,6 @@ class RadioEnvironment:
                 for name, interface in sorted(self._interfaces.items())
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-apply a capture onto this environment and flush derived state.
-
-        Interface names must match the capture exactly — a restored
-        simulation with a different attachment set is a different simulation
-        and is rejected loudly.
-        """
-        captured = set(state["interfaces"])
-        live = set(self._interfaces)
-        if captured != live:
-            raise ValueError(
-                "radio snapshot names do not match attached interfaces: "
-                f"snapshot-only={sorted(captured - live)}, "
-                f"live-only={sorted(live - captured)}"
-            )
-        self.link_budget.noise_penalty_db = float(state["noise_penalty_db"])
-        self.extra_loss_probability = float(state["extra_loss_probability"])
-        self._position_epoch = int(state["position_epoch"])
-        for name, fields in state["interfaces"].items():
-            interface = self._interfaces[name]
-            interface.bytes_sent = fields["bytes_sent"]
-            interface.bytes_received = fields["bytes_received"]
-            interface.frames_sent = fields["frames_sent"]
-            interface.frames_received = fields["frames_received"]
-            interface.enabled = fields["enabled"]
-        self.invalidate_caches()
 
     # ----------------------------------------------------------- attachment
 

@@ -586,9 +586,7 @@ class Scenario:
             + monitor.counter_value("cellular.bytes_downlinked"),
             offloaded_tasks=offloaded,
             local_tasks=local,
-            # getattr: scenarios unpickled from pre-refactor snapshot
-            # artifacts (e.g. the committed golden fixture) lack the flag.
-            stopped_early=getattr(self, "_stopped_early", False),
+            stopped_early=self._stopped_early,
         )
         if self.faults is not None:
             report.extra.update(self.faults.report_extra())

@@ -105,7 +105,6 @@ class IntersectionScenario(Scenario):
 
         self.metrics = LookAroundMetrics()
         self.perception_results: List[ObjectList] = []
-        self._fused_known_labels: set = set()
 
         self._build_agents()
         self._build_vehicles()
@@ -246,7 +245,6 @@ class IntersectionScenario(Scenario):
         if result.success and isinstance(result.value, ObjectList):
             self.perception_results.append(result.value)
             known |= set(result.value.labels())
-        self._fused_known_labels = known
         self.metrics.record_attempt(self.sim.now, occluded_then, sorted(known))
 
     def _local_object_labels(self) -> List[str]:

@@ -122,7 +122,9 @@ class GenericComputeWorkload:
         self.redundancy = redundancy
         self._rng = sim.streams.get(rng_stream)
         self.submitted: List[TaskDescription] = []
-        self._suspended: set = set()
+        # A dict, not a set: set layout follows the hash seed and would
+        # make snapshot bytes differ across processes.
+        self._suspended: Dict[str, None] = {}
         self._stopped = False
         self._schedule_next()
 
@@ -132,11 +134,11 @@ class GenericComputeWorkload:
 
     def suspend_node(self, node: AirDnDNode) -> None:
         """Stop ``node`` originating tasks (crashed; fault injection)."""
-        self._suspended.add(node.name)
+        self._suspended[node.name] = None
 
     def resume_node(self, node: AirDnDNode) -> None:
         """Let ``node`` originate tasks again (recovered)."""
-        self._suspended.discard(node.name)
+        self._suspended.pop(node.name, None)
 
     def _schedule_next(self) -> None:
         if self._stopped:

@@ -218,10 +218,9 @@ class EventQueue:
     def __getstate__(self) -> dict:
         """Pickle the heap as a list of bare events under ``_heap``.
 
-        That is the layout every snapshot artifact has used, so older
-        artifacts keep loading and the pickled bytes do not depend on the
-        in-memory entry format.  The list is in heap order, which is also a
-        valid heap of bare events (the keys are the same).
+        The pickled bytes then do not depend on the in-memory entry format.
+        The list is in heap order, which is also a valid heap of bare events
+        (the keys are the same).
         """
         state = {"_heap": [entry[3] for entry in self._entries]}
         state.update(
@@ -264,19 +263,3 @@ class EventQueue:
             "next_sequence": self._counter.__reduce__()[1][0],
             "compactions": self.compactions,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-apply captured bookkeeping onto this queue.
-
-        The heap contents must already match (they are restored by
-        unpickling the owning simulator); a mismatched live-event count
-        means the snapshot and the queue disagree and is rejected loudly.
-        """
-        if len(self._entries) != state["heap_len"] or self._active != state["active"]:
-            raise ValueError(
-                "event-queue bookkeeping mismatch: snapshot says "
-                f"{state['active']} active / {state['heap_len']} heap entries, "
-                f"queue holds {self._active} / {len(self._entries)}"
-            )
-        self._counter = itertools.count(state["next_sequence"])
-        self.compactions = state["compactions"]

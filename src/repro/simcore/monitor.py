@@ -205,13 +205,7 @@ class Monitor:
         return self.counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        """Return (creating if needed) the gauge called ``name``.
-
-        getattr guard: monitors unpickled from pre-``Gauge`` snapshot
-        artifacts (e.g. the committed golden fixture) lack the registry.
-        """
-        if getattr(self, "gauges", None) is None:
-            self.gauges = {}
+        """Return (creating if needed) the gauge called ``name``."""
         if name not in self.gauges:
             self.gauges[name] = Gauge(name)
         return self.gauges[name]
@@ -239,7 +233,7 @@ class Monitor:
         out: Dict[str, float] = {}
         for name, counter in self.counters.items():
             out[f"counter.{name}"] = counter.value
-        for name, gauge in (getattr(self, "gauges", None) or {}).items():
+        for name, gauge in self.gauges.items():
             out[f"gauge.{name}"] = gauge.value
         for name, sample in self.samples.items():
             if sample.count:

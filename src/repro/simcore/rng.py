@@ -104,13 +104,3 @@ class RandomStreams:
                 for name, generator in self._streams.items()
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild every stream mid-sequence from :meth:`capture_state`."""
-        self._seed = int(state["seed"])
-        streams: Dict[str, np.random.Generator] = {}
-        for name, bit_state in state["streams"].items():
-            generator = np.random.default_rng(_derive_seed(self._seed, name))
-            generator.bit_generator.state = bit_state
-            streams[name] = generator
-        self._streams = streams

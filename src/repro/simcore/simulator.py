@@ -320,23 +320,6 @@ class Simulator:
             "queue": self._queue.capture_state(),
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Restore clock, RNG streams and queue bookkeeping from a capture.
-
-        The event heap itself must already hold the snapshot's events
-        (restored by unpickling the owning scenario graph); this re-applies
-        the plain-data half on top and validates the queue agrees.
-        """
-        self._now = float(state["now"])
-        self.streams.restore_state(state["rng"])
-        self._queue.restore_state(state["queue"])
-
-    def __setstate__(self, state: dict) -> None:
-        # Artifacts written before the legacy trace log was removed pickle
-        # a disabled ``tracelog``; it has no behaviour, so drop it on load.
-        state.pop("tracelog", None)
-        self.__dict__.update(state)
-
     # -------------------------------------------------------------- entities
 
     def register_entity(self, entity: Any) -> None:

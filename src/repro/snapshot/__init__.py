@@ -25,7 +25,6 @@ from repro.snapshot.counters import (
 from repro.snapshot.scenario import (
     load_snapshot,
     restore_scenario,
-    save_snapshot,
     snapshot_scenario,
 )
 from repro.snapshot.verify import (
@@ -47,7 +46,6 @@ __all__ = [
     "restore_global_counters",
     "load_snapshot",
     "restore_scenario",
-    "save_snapshot",
     "snapshot_scenario",
     "DeliveredFrameLog",
     "scenario_fingerprint",

@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 SNAPSHOT_MAGIC = b"REPROSNAP\x01"
 
 #: Current format version; bumped on any incompatible layout change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Pickle protocol pinned so identical state yields identical payload bytes
 #: regardless of the writing interpreter's default.
@@ -62,21 +62,20 @@ class SnapshotCodec:
 
     def encode(self, payload_obj: Any, metadata: Optional[Dict[str, Any]] = None) -> bytes:
         """Serialise ``payload_obj`` into one self-validating artifact."""
-        payload = pickle.dumps(payload_obj, protocol=PICKLE_PROTOCOL)
-        # Canonicalise: the unpickler interns instance-__dict__ keys, so a
-        # freshly built graph and its restored twin have different string
-        # identity patterns and pickle to different bytes.  dumps(loads(...))
-        # rounds map both onto the same fixed point, making
-        # snapshot-of-restored bit-identical to the original artifact
-        # (asserted by tests/snapshot/test_format_stability.py).  One round
-        # is *usually* enough, but a set whose colliding members re-enter in
-        # iteration order can need another round to settle its slot layout,
-        # so iterate until the bytes stop changing.
-        for _ in range(8):
-            canonical = pickle.dumps(pickle.loads(payload), protocol=PICKLE_PROTOCOL)
-            if canonical == payload:
-                break
-            payload = canonical
+        # One canonical round.  Pickle memoises strings by identity, and a
+        # freshly built graph shares string objects that a restored one
+        # does not (the unpickler interns instance-__dict__ keys, so a plain
+        # dict key that was the same object as an attribute name comes back
+        # as a separate one).  dumps(loads(...)) maps both graphs onto the
+        # restored pattern.  Every pickled class keeps that pattern stable
+        # (no hash-ordered sets, setstate hooks intern like the default), so
+        # one round is a fixed point: snapshot-of-restored is bit-identical
+        # to the original artifact under every hash seed
+        # (tests/snapshot/test_format_stability.py).
+        payload = pickle.dumps(
+            pickle.loads(pickle.dumps(payload_obj, protocol=PICKLE_PROTOCOL)),
+            protocol=PICKLE_PROTOCOL,
+        )
         header = {
             "version": self.version,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),

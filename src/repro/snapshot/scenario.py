@@ -10,14 +10,11 @@ by the layers' ``__getstate__`` hooks and rebuilt on demand after restore;
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Optional, Tuple
 
 from repro.snapshot.codec import SnapshotCodec
 from repro.snapshot.counters import capture_global_counters, restore_global_counters
 from repro.telemetry.trace import current_tracer
-
-_PAYLOAD_KEYS = ("scenario", "counters")
 
 
 def snapshot_scenario(
@@ -27,10 +24,10 @@ def snapshot_scenario(
     tracer = current_tracer()
     trace_start = tracer.clock() if tracer is not None else 0.0
     codec = SnapshotCodec()
-    payload = {
-        "scenario": scenario,
-        "counters": capture_global_counters(),
-    }
+    # A tuple, not a dict: a wrapper key "scenario" would share one string
+    # object with the RNG stream of that name in a fresh graph but not in a
+    # restored one, so snapshot-of-restored could never match the original.
+    payload = (scenario, capture_global_counters())
     header_metadata: Dict[str, Any] = {
         "scenario": scenario.name,
         "time": scenario.sim.now,
@@ -61,13 +58,16 @@ def restore_scenario(blob: bytes) -> Tuple[Any, Dict[str, Any]]:
     tracer = current_tracer()
     trace_start = tracer.clock() if tracer is not None else 0.0
     payload, header = SnapshotCodec().decode(blob)
-    if not isinstance(payload, dict) or any(k not in payload for k in _PAYLOAD_KEYS):
+    if not (
+        isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[1], dict)
+    ):
         raise ValueError(
-            "snapshot payload is not a scenario snapshot (missing "
-            f"{_PAYLOAD_KEYS}); was this artifact written by snapshot_scenario?"
+            "snapshot payload is not a scenario snapshot (expected a "
+            "(scenario, counters) tuple); was this artifact written by "
+            "snapshot_scenario?"
         )
-    restore_global_counters(payload["counters"])
-    scenario = payload["scenario"]
+    scenario, counters = payload
+    restore_global_counters(counters)
     if tracer is not None:
         tracer.span(
             "snapshot_restore",
@@ -77,18 +77,6 @@ def restore_scenario(blob: bytes) -> Tuple[Any, Dict[str, Any]]:
             args={"scenario": header.get("scenario"), "bytes": len(blob)},
         )
     return scenario, header
-
-
-def save_snapshot(
-    scenario: Any, path: str, metadata: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Snapshot ``scenario`` to ``path``; returns the written header."""
-    blob = snapshot_scenario(scenario, metadata)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    return SnapshotCodec().read_header(blob)
 
 
 def load_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:

@@ -1,7 +1,5 @@
 """Tests for topology snapshots and the observer."""
 
-import copyreg
-import io
 import pickle
 import random
 from types import SimpleNamespace
@@ -162,32 +160,3 @@ def test_snapshot_pickle_round_trip_keeps_statistics():
     assert restored.nodes == snapshot.nodes
     assert restored.edges == snapshot.edges
     assert_matches_reference(restored, reference_topology(tables, True))
-
-
-class _LegacyPickler(pickle.Pickler):
-    """Pickles a snapshot exactly as the former ``TopologySnapshot(time,
-    graph)`` dataclass did: the class reference plus its ``__dict__``."""
-
-    def reducer_override(self, obj):
-        if type(obj) is TopologySnapshot:
-            return copyreg.__newobj__, (TopologySnapshot,), vars(obj)
-        return NotImplemented
-
-
-def legacy_pickle(time, graph):
-    legacy = TopologySnapshot.__new__(TopologySnapshot)
-    legacy.__dict__.update(time=time, graph=graph)
-    buffer = io.BytesIO()
-    _LegacyPickler(buffer, protocol=4).dump(legacy)
-    return buffer.getvalue()
-
-
-def test_legacy_graph_snapshot_loads_with_the_same_answers():
-    tables = random_tables(5)
-    reference = reference_topology(tables, True)
-    restored = pickle.loads(legacy_pickle(7.0, reference["graph"]))
-    assert isinstance(restored, TopologySnapshot)
-    assert restored.time == 7.0
-    assert not hasattr(restored, "graph")
-    assert_matches_reference(restored, reference)
-    assert restored.edges == snapshot_of(tables, True).edges

@@ -158,20 +158,6 @@ def test_sender_plan_is_built_once_per_epoch_and_flushed_on_bump():
     assert env._plans[src] is not plan
 
 
-def test_legacy_environment_state_swaps_removed_caches_for_new_ones():
-    sim, env = build_env(n=4)
-    state = env.__getstate__()
-    del state["_plans"]
-    state.update(_in_range_cache={}, _receiver_cache={}, _fast_plans={})
-    legacy = RadioEnvironment.__new__(RadioEnvironment)
-    legacy.__setstate__(state)
-    for removed in ("_in_range_cache", "_receiver_cache", "_fast_plans"):
-        assert not hasattr(legacy, removed)
-    assert legacy._plans == {}
-    src = legacy.node_names[0]
-    assert legacy.nodes_in_range(src) == env.nodes_in_range(src)
-
-
 def test_quality_batch_falls_back_for_models_without_batch_method():
     """External models implementing only the pre-batch Protocol still work."""
 

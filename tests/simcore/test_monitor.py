@@ -105,14 +105,6 @@ def test_monitor_gauge_registry_and_summary_key():
     assert monitor.summary()["gauge.g"] == 4.0
 
 
-def test_monitor_gauge_survives_missing_registry():
-    # Monitors unpickled from pre-Gauge snapshot artifacts lack the dict.
-    monitor = Monitor()
-    monitor.gauges = None
-    monitor.gauge("g").add(1.0)
-    assert monitor.summary()["gauge.g"] == 1.0
-
-
 def test_monitor_summary_contains_all_kinds():
     monitor = Monitor()
     monitor.counter("c").add(3)

@@ -12,6 +12,7 @@ from repro.snapshot import (
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotVersionError,
+    restore_scenario,
 )
 
 
@@ -121,3 +122,20 @@ def test_tampered_hash_does_not_reach_pickle(artifact, monkeypatch):
     )
     with pytest.raises(SnapshotIntegrityError):
         SnapshotCodec().decode(tampered)
+
+
+def test_rejects_v1_artifacts(artifact):
+    tampered = _rewrite_header(artifact, lambda h: h.update(version=1))
+    with pytest.raises(SnapshotVersionError, match="not supported"):
+        SnapshotCodec().decode(tampered)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"answer": 42}, {"scenario": None, "counters": {}}, ("scenario", "counters", {})],
+    ids=["dict", "v1-wrapper", "triple"],
+)
+def test_restore_rejects_a_payload_that_is_not_a_scenario(payload):
+    blob = SnapshotCodec().encode(payload)
+    with pytest.raises(ValueError, match="not a scenario snapshot"):
+        restore_scenario(blob)
