@@ -76,9 +76,17 @@ class DataPond:
         return [f for f in self._frames.get(data_type, ()) if now - f.timestamp <= limit]
 
     def latest(self, data_type: DataType, now: float) -> Optional["SensorFrame"]:
-        """Most recent frame of ``data_type`` within retention, or ``None``."""
-        frames = self.frames(data_type, now)
-        return frames[-1] if frames else None
+        """Most recent frame of ``data_type`` within retention, or ``None``.
+
+        The last element :meth:`frames` would return, found by scanning the
+        bucket from the newest end.
+        """
+        self._evict_stale(data_type, now)
+        retention = self.retention_s
+        for frame in reversed(self._frames.get(data_type, ())):
+            if now - frame.timestamp <= retention:
+                return frame
+        return None
 
     def frame_count(self, data_type: Optional[DataType] = None) -> int:
         """Number of frames currently held (optionally of one type)."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.data.datatypes import DataType, typical_frame_size
 from repro.data.pond import DataPond
 from repro.geometry.los import VisibilityMap
@@ -139,11 +137,13 @@ class LidarSensor:
     def capture(self) -> SensorFrame:
         """Capture one frame now and store it in the pond."""
         origin = self.position_provider()
+        distance_to = origin.distance_to
+        owner_name = self.owner_name
+        range_m = self.range_m
         in_range = [
             (label, position)
             for label, position in self.ground_truth()
-            if label != self.owner_name
-            and origin.distance_to(position) <= self.range_m
+            if label != owner_name and distance_to(position) <= range_m
         ]
         # One LOS batch query for the whole frame (occluded targets never
         # reached the miss-rate draw before either, so the RNG sequence is
@@ -155,16 +155,21 @@ class LidarSensor:
             visible = [target for target, seen in zip(in_range, flags) if seen]
         else:
             visible = in_range
+        # Generator draws with scalar arguments are already Python floats.
+        random = self._rng.random
+        normal = self._rng.normal
+        miss_rate = self.miss_rate
+        noise_std_m = self.noise_std_m
         detections: List[Detection] = []
         for label, position in visible:
-            if self._rng.random() < self.miss_rate:
+            if random() < miss_rate:
                 continue
             noisy = Vec2(
-                position.x + float(self._rng.normal(0.0, self.noise_std_m)),
-                position.y + float(self._rng.normal(0.0, self.noise_std_m)),
+                position.x + normal(0.0, noise_std_m),
+                position.y + normal(0.0, noise_std_m),
             )
-            confidence = float(np.clip(self._rng.normal(0.9, 0.05), 0.0, 1.0))
-            detections.append(Detection(label=label, position=noisy, confidence=confidence))
+            confidence = min(1.0, max(0.0, normal(0.9, 0.05)))
+            detections.append(Detection(label, noisy, confidence))
         frame = SensorFrame(
             data_type=DataType.LIDAR_SCAN,
             timestamp=self.sim.now,

@@ -34,9 +34,16 @@ fuzzes this contract against the brute-force scan.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.geometry.shapes import Polygon, Segment
+from repro.geometry.shapes import (
+    COLLINEAR_EPS,
+    ORIENT_ERR,
+    Polygon,
+    Segment,
+    _segments_intersect,
+)
 from repro.geometry.vector import Vec2
 
 #: Padding (metres) applied when bucketing edges and rasterising query rays.
@@ -47,6 +54,14 @@ EDGE_PAD = 1e-9
 
 #: Fallback cell size when the index is built without obstacles.
 DEFAULT_CELL_SIZE = 50.0
+
+
+def _edge_row(edge: Segment) -> Tuple[float, ...]:
+    a, b = edge.a, edge.b
+    dy, dx = b.y - a.y, b.x - a.x
+    extent = abs(dx) + abs(dy)
+    err = ORIENT_ERR * extent
+    return (a.x, a.y, b.x, b.y, dy, dx, extent, err, COLLINEAR_EPS + err * extent)
 
 
 class ObstacleIndex:
@@ -75,6 +90,12 @@ class ObstacleIndex:
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)
         self._edges: List[Segment] = []
+        #: Per edge ``(ax, ay, bx, by, by - ay, bx - ax, extent, err,
+        #: COLLINEAR_EPS + err * extent)``, with ``extent`` the L1 length
+        #: and ``err = ORIENT_ERR * extent``: the operands of the inlined
+        #: orientation tests in :meth:`blocked`.
+        #: Derived from ``_edges``, so it is left out of the pickled state.
+        self._edge_table: List[Tuple[float, ...]] = []
         self._edge_cells: Dict[Tuple[int, int], List[int]] = {}
         self._poly_cells: Dict[Tuple[int, int], List[int]] = {}
         self._edge_stamp: List[int] = []
@@ -93,6 +114,22 @@ class ObstacleIndex:
             ys = [v.y for v in polygon.vertices]
             total += max(max(xs) - min(xs), max(ys) - min(ys))
         return max(total / len(obstacles), 1.0)
+
+    # -------------------------------------------------------------- snapshot
+
+    def __getstate__(self) -> dict:
+        """Pickle without the derived edge table."""
+        state = self.__dict__.copy()
+        del state["_edge_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Intern the keys as default unpickling does, so a restored index
+        # pickles to the same bytes as the original.  ``_edges`` holds only
+        # segments of vectors, which never reach back to this index, so
+        # they are fully built by the time this runs.
+        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+        self._edge_table = [_edge_row(edge) for edge in self._edges]
 
     # -------------------------------------------------------------- building
 
@@ -132,6 +169,7 @@ class ObstacleIndex:
         for edge in polygon.edges():
             edge_index = len(self._edges)
             self._edges.append(edge)
+            self._edge_table.append(_edge_row(edge))
             self._edge_stamp.append(0)
             for cell in self._cells_of_box(
                 min(edge.a.x, edge.b.x),
@@ -143,20 +181,51 @@ class ObstacleIndex:
 
     # --------------------------------------------------------------- queries
 
-    def _ray_cells(self, a: Vec2, b: Vec2) -> Iterable[Tuple[int, int]]:
-        """Every cell within :data:`EDGE_PAD` of the segment a-b.
+    def blocked(self, a: Vec2, b: Vec2) -> bool:
+        """Whether any obstacle blocks the segment a-b.
 
-        Column walk: for each grid column the segment's bounding box spans,
-        clip the segment to the column's (padded) x-range and emit the cells
-        of the clipped (padded) y-range.  Conservative by construction and
-        immune to the corner cases of an incremental grid traversal.
+        Exactly equivalent to ``not line_of_sight(a, b, self.obstacles)``:
+        first any boundary crossing (only edges bucketed along the ray are
+        tested, each at most once per query via a stamp array), then the
+        fully-interior case — a segment crossing no edge is blocked iff both
+        endpoints lie inside one footprint, and such a footprint necessarily
+        covers ``a``'s cell.
+
+        The cells are visited column by column: for each grid column the
+        segment's bounding box spans, the segment is clipped to the column's
+        (padded) x-range and the cells of the clipped (padded) y-range are
+        scanned.  Conservative by construction and immune to the corner
+        cases of an incremental grid traversal.
+
+        Each candidate edge gets the segment primitive's four orientation
+        values computed inline from the edge table, with ``_orientation``'s
+        expression.  A value whose magnitude exceeds the collinearity band
+        plus a bound on its rounding error has the sign of the exact value,
+        so when all four do, two sign comparisons give the primitive's
+        answer.  Otherwise (rare: a nearly collinear endpoint) the primitive
+        itself decides.  The rounding bound needs the size of each product
+        pair: any endpoint of an edge bucketed along the ray lies within the
+        ray's L1 length, two cells (plus pads) and the edge's own L1 extent
+        of either ray endpoint; ``reach`` adds a metre of slack to that.
         """
+        edge_cells = self._edge_cells
+        if not edge_cells and not self._poly_cells:
+            return False
+        self._query_id += 1
+        query_id = self._query_id
+        edge_stamp = self._edge_stamp
+        table = self._edge_table
         cell = self.cell_size
+        floor = math.floor
         ax, ay, bx, by = a.x, a.y, b.x, b.y
         dx = bx - ax
         dy = by - ay
-        min_cx = math.floor((min(ax, bx) - EDGE_PAD) / cell)
-        max_cx = math.floor((max(ax, bx) + EDGE_PAD) / cell)
+        ray_extent = abs(dx) + abs(dy)
+        reach = ray_extent + 2.0 * cell + 1.0
+        ray_err = ORIENT_ERR * ray_extent
+        ray_base = COLLINEAR_EPS + ray_err * reach
+        min_cx = floor((min(ax, bx) - EDGE_PAD) / cell)
+        max_cx = floor((max(ax, bx) + EDGE_PAD) / cell)
         for cx in range(min_cx, max_cx + 1):
             if dx == 0.0:
                 y_lo, y_hi = min(ay, by), max(ay, by)
@@ -174,42 +243,39 @@ class ObstacleIndex:
                 y0 = ay + t0 * dy
                 y1 = ay + t1 * dy
                 y_lo, y_hi = (y0, y1) if y0 <= y1 else (y1, y0)
-            min_cy = math.floor((y_lo - EDGE_PAD) / cell)
-            max_cy = math.floor((y_hi + EDGE_PAD) / cell)
+            min_cy = floor((y_lo - EDGE_PAD) / cell)
+            max_cy = floor((y_hi + EDGE_PAD) / cell)
             for cy in range(min_cy, max_cy + 1):
-                yield (cx, cy)
-
-    def blocked(self, a: Vec2, b: Vec2) -> bool:
-        """Whether any obstacle blocks the segment a-b.
-
-        Exactly equivalent to ``not line_of_sight(a, b, self.obstacles)``:
-        first any boundary crossing (only edges bucketed along the ray are
-        tested, each at most once per query via a stamp array), then the
-        fully-interior case — a segment crossing no edge is blocked iff both
-        endpoints lie inside one footprint, and such a footprint necessarily
-        covers ``a``'s cell.
-        """
-        edge_cells = self._edge_cells
-        if not edge_cells and not self._poly_cells:
-            return False
-        self._query_id += 1
-        query_id = self._query_id
-        edge_stamp = self._edge_stamp
-        edges = self._edges
-        segment = Segment(a, b)
-        intersects = segment.intersects
-        for cell in self._ray_cells(a, b):
-            for edge_index in edge_cells.get(cell, ()):
-                if edge_stamp[edge_index] == query_id:
-                    continue
-                edge_stamp[edge_index] = query_id
-                if intersects(edges[edge_index]):
-                    return True
+                for edge_index in edge_cells.get((cx, cy), ()):
+                    if edge_stamp[edge_index] == query_id:
+                        continue
+                    edge_stamp[edge_index] = query_id
+                    ex0, ey0, ex1, ey1, edy, edx, extent, edge_err, edge_base = table[
+                        edge_index
+                    ]
+                    # Collinearity band plus rounding bound, for |o1|, |o2|
+                    # (ray-based) and |o3|, |o4| (edge-based).
+                    ray_band = ray_base + ray_err * extent
+                    edge_band = edge_base + edge_err * reach
+                    o1 = dy * (ex0 - bx) - dx * (ey0 - by)
+                    o2 = dy * (ex1 - bx) - dx * (ey1 - by)
+                    o3 = edy * (ax - ex1) - edx * (ay - ey1)
+                    o4 = edy * (bx - ex1) - edx * (by - ey1)
+                    if (
+                        -ray_band < o1 < ray_band
+                        or -ray_band < o2 < ray_band
+                        or -edge_band < o3 < edge_band
+                        or -edge_band < o4 < edge_band
+                    ):
+                        edge = self._edges[edge_index]
+                        if _segments_intersect(a, b, edge.a, edge.b):
+                            return True
+                    elif (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
+                        return True
         poly_stamp = self._poly_stamp
         obstacles = self._obstacles
-        cell = self.cell_size
-        cx = math.floor(a.x / cell)
-        cy = math.floor(a.y / cell)
+        cx = floor(ax / cell)
+        cy = floor(ay / cell)
         for poly_index in self._poly_cells.get((cx, cy), ()):
             if poly_stamp[poly_index] == query_id:
                 continue

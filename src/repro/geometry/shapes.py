@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence
 
 from repro.geometry.vector import Vec2
@@ -41,12 +42,42 @@ class Segment:
         return self.a.lerp(self.b, t).distance_to(p)
 
 
+#: Collinearity band: an orientation value below this magnitude counts as 0.
+COLLINEAR_EPS = 1e-12
+
+#: Bound on the rounding error of a float orientation value, relative to the
+#: summed magnitudes of its two products.  The true bound is about four unit
+#: roundoffs (4.4e-16); the margin covers the rounding of the bound itself.
+ORIENT_ERR = 1e-15
+
+
 def _orientation(p: Vec2, q: Vec2, r: Vec2) -> int:
-    """Orientation of ordered triplet: 0 collinear, 1 clockwise, 2 ccw."""
-    val = (q.y - p.y) * (r.x - q.x) - (q.x - p.x) * (r.y - q.y)
-    if abs(val) < 1e-12:
+    """Orientation of ordered triplet: 0 collinear, 1 clockwise, 2 ccw.
+
+    Classifies the *exact* value of
+    ``(q.y - p.y) * (r.x - q.x) - (q.x - p.x) * (r.y - q.y)``, collinear
+    below :data:`COLLINEAR_EPS`.  The float evaluation decides whenever its
+    rounding error cannot change the class; the rare rest is recomputed in
+    rational arithmetic.  Rounding alone would otherwise flip the sign of
+    nearly collinear triplets and report segments as crossing metres apart.
+    """
+    t1 = (q.y - p.y) * (r.x - q.x)
+    t2 = (q.x - p.x) * (r.y - q.y)
+    val = t1 - t2
+    err = ORIENT_ERR * (abs(t1) + abs(t2))
+    if abs(val) - err >= COLLINEAR_EPS:
+        return 1 if val > 0 else 2
+    if abs(val) + err < COLLINEAR_EPS:
         return 0
-    return 1 if val > 0 else 2
+    try:
+        px, py, qx, qy, rx, ry = map(Fraction, (p.x, p.y, q.x, q.y, r.x, r.y))
+    except (OverflowError, ValueError):  # infinite or NaN coordinates
+        exact = val
+    else:
+        exact = (qy - py) * (rx - qx) - (qx - px) * (ry - qy)
+    if abs(exact) < COLLINEAR_EPS:
+        return 0
+    return 1 if exact > 0 else 2
 
 
 def _on_segment(p: Vec2, q: Vec2, r: Vec2) -> bool:
@@ -58,14 +89,21 @@ def _on_segment(p: Vec2, q: Vec2, r: Vec2) -> bool:
 
 
 def _segments_intersect(p1: Vec2, q1: Vec2, p2: Vec2, q2: Vec2) -> bool:
-    """Classic orientation-based segment intersection test."""
+    """Orientation-based segment intersection test (touching counts).
+
+    The sign test decides only when no point is within the collinearity
+    band.  Otherwise a hit needs a near-collinear endpoint to lie on the
+    other segment: with the band, two "collinear" points no longer imply
+    that the segments share a line, so the sign test alone would report
+    nearly collinear segments as meeting however far apart they are.
+    """
     o1 = _orientation(p1, q1, p2)
     o2 = _orientation(p1, q1, q2)
     o3 = _orientation(p2, q2, p1)
     o4 = _orientation(p2, q2, q1)
 
-    if o1 != o2 and o3 != o4:
-        return True
+    if o1 and o2 and o3 and o4:
+        return o1 != o2 and o3 != o4
     if o1 == 0 and _on_segment(p1, p2, q1):
         return True
     if o2 == 0 and _on_segment(p1, q2, q1):

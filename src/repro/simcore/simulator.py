@@ -226,9 +226,7 @@ class Simulator:
                     hit_budget = True
         finally:
             self._running = False
-        # getattr guard: simulators unpickled from pre-counter snapshot
-        # artifacts lack the attribute (it is bookkeeping, not sim state).
-        self.events_fired = getattr(self, "events_fired", 0) + fired
+        self.events_fired += fired
         if tracer is not None:
             tracer.span(
                 "dispatch_batch", "sim", trace_start,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.compute.faas import FunctionDefinition, FunctionRegistry
 from repro.core.api import AirDnDConfig, AirDnDNode
@@ -11,6 +12,12 @@ from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+
+# Property tests run without hypothesis's 200 ms per-example wall-clock
+# deadline: on a loaded host a slow example would fail a test whose property
+# holds.  Tests that pass their own ``@settings`` inherit this default.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -56,6 +56,32 @@ def test_latest_and_empty_behaviour():
     assert pond.latest(DataType.LIDAR_SCAN, now=2.5).timestamp == 2.0
 
 
+@pytest.mark.parametrize(
+    "timestamps, now",
+    [
+        ([], 1.0),  # empty bucket
+        ([0.0, 1.0], 10.0),  # every frame stale
+        ([0.0, 1.0, 4.0], 5.5),  # stale head, fresh tail
+        ([4.0, 1.0, 3.5], 6.0),  # out of order, all within retention
+        ([4.0, 3.5, 0.5], 6.0),  # out of order, stale tail behind a fresh head
+        ([5.0, 0.5, 0.2], 6.0),  # out of order, only the head is fresh
+        ([2.0, 2.0, 2.0], 2.0),  # equal timestamps: the newest-stored wins
+    ],
+)
+def test_latest_is_the_last_frame_within_retention(timestamps, now):
+    stored = [frame_at(time) for time in timestamps]
+    reference, pond = DataPond("n", retention_s=5.0), DataPond("n", retention_s=5.0)
+    for frame in stored:
+        reference.store(frame)
+        pond.store(frame)
+    frames = reference.frames(DataType.LIDAR_SCAN, now)
+    expected = frames[-1] if frames else None
+    assert pond.latest(DataType.LIDAR_SCAN, now) is expected
+    # Both queries evict the same stale head and create no bucket.
+    assert pond.frame_count() == reference.frame_count()
+    assert pond._frames.keys() == reference._frames.keys()
+
+
 def test_quality_reflects_freshness_and_confidence():
     pond = DataPond("n")
     detections = [Detection("x", Vec2(1, 1), confidence=0.8)]

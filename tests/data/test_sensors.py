@@ -1,5 +1,7 @@
 """Tests for the lidar sensor model."""
 
+import numpy as np
+
 from repro.data.datatypes import DataType
 from repro.data.pond import DataPond
 from repro.data.sensors import LidarSensor
@@ -66,3 +68,23 @@ def test_periodic_capture_fills_pond():
     count = sensor.frames_captured
     sim.run(until=2.0)
     assert sensor.frames_captured == count
+
+
+def test_confidences_are_clamped_like_np_clip():
+    """Confidences stay in [0, 1] and match an ``np.clip`` replay of the stream."""
+    targets = [(f"t{i}", Vec2(1.0 + i * 0.3, 0.5 * (i % 7))) for i in range(200)]
+    sim, pond, sensor = make_sensor(targets, miss_rate=0.05, noise_std_m=0.2)
+    frame = sensor.capture()
+    confidences = [d.confidence for d in frame.detections]
+    assert all(0.0 <= c <= 1.0 for c in confidences)
+    # Replay the same draws, in the same order, from a fresh copy of the stream.
+    rng = Simulator(seed=8).streams.get("lidar:ego")
+    expected = []
+    for label, _ in targets:
+        if rng.random() < 0.05:
+            continue
+        rng.normal(0.0, 0.2)
+        rng.normal(0.0, 0.2)
+        expected.append((label, float(np.clip(rng.normal(0.9, 0.05), 0.0, 1.0))))
+    assert [(d.label, d.confidence) for d in frame.detections] == expected
+    assert 1.0 in confidences  # the seed draws some values past the clamp

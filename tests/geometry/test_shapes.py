@@ -31,6 +31,39 @@ def test_touching_segments_intersect():
     assert a.intersects(b)
 
 
+# Two segments on one line, metres apart.  Exact lerps along an edge's
+# supporting line land within rounding of it, so the float orientation
+# values sit in, or just outside, the collinearity band.
+DISTANT_COLLINEAR_PAIRS = [
+    # Ray past the edge's far end: two values inside the band.
+    (
+        Segment(Vec2(0.0, 1.5219638935924422), Vec2(85.0, 94.0)),
+        Segment(
+            Vec2(0.0, 1.5219638935924422).lerp(Vec2(85.0, 94.0), 1.5),
+            Vec2(0.0, 1.5219638935924422).lerp(Vec2(85.0, 94.0), 1.375),
+        ),
+    ),
+    # Ray ending 9.3 m short of the edge: rounding flips two signs.
+    (
+        Segment(
+            Vec2(-175.46292022401119, 98.12558192815925),
+            Vec2(130.70586605879265, -158.84052176423),
+        ),
+        Segment(
+            Vec2(-433.3940860713618, 314.6060648452116),
+            Vec2(-182.62016961357315, 104.13262958027248),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("edge, ray", DISTANT_COLLINEAR_PAIRS)
+def test_distant_collinear_segments_do_not_intersect(edge, ray):
+    assert not edge.intersects(ray)
+    assert not ray.intersects(edge)
+    assert not Polygon([edge.a, edge.b, Vec2(edge.a.x, edge.b.y)]).intersects_segment(ray)
+
+
 def test_segment_distance_to_point():
     seg = Segment(Vec2(0, 0), Vec2(10, 0))
     assert seg.distance_to_point(Vec2(5, 3)) == 3.0

@@ -1,10 +1,12 @@
 """Property-based tests for geometry primitives."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.shapes import COLLINEAR_EPS, _orientation
 from repro.geometry.spatial_index import SpatialGrid
 from repro.geometry.vector import Vec2
 
@@ -83,3 +85,27 @@ def test_spatial_grid_matches_brute_force(items, qx, qy, radius):
     found = set(grid.query_range(center, radius))
     assert clearly_inside <= found
     assert not (found & clearly_outside)
+
+
+def exact_orientation(p, q, r):
+    """``_orientation``'s class of the value computed in exact arithmetic."""
+    px, py, qx, qy, rx, ry = map(Fraction, (p.x, p.y, q.x, q.y, r.x, r.y))
+    val = (qy - py) * (rx - qx) - (qx - px) * (ry - qy)
+    if abs(val) < COLLINEAR_EPS:
+        return 0
+    return 1 if val > 0 else 2
+
+
+@settings(max_examples=300)
+@given(
+    vectors,
+    vectors,
+    st.floats(min_value=-2.0, max_value=3.0),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+)
+def test_orientation_classifies_the_exact_value(p, q, t, nudge):
+    """Nearly collinear triplets, where float rounding can flip the sign."""
+    on_line = p.lerp(q, t)
+    r = Vec2(on_line.x + nudge, on_line.y - nudge)
+    assert _orientation(p, q, r) == exact_orientation(p, q, r)
+    assert _orientation(r, p, q) == exact_orientation(r, p, q)

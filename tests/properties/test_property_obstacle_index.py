@@ -9,10 +9,12 @@ obstacle boundaries) forced explicitly as well as left to chance.
 """
 
 import math
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import obstacle_index
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.obstacle_index import ObstacleIndex
 from repro.geometry.shapes import Polygon, Rectangle
@@ -112,6 +114,115 @@ def test_visibility_map_flag_paths_agree(obstacles, a, b):
     assert indexed.visible_targets(a, targets, max_range=250.0) == brute.visible_targets(
         a, targets, max_range=250.0
     )
+
+
+# The inlined orientation tests in ``ObstacleIndex.blocked`` hand any
+# near-collinear edge (an orientation value inside the collinearity band
+# plus its rounding bound) to the segment primitive.  The three properties
+# below aim rays straight at that fallback.
+
+offsets = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False)
+
+
+@settings(max_examples=150)
+@given(obstacle_fields, st.data(), offsets, offsets)
+def test_rays_lying_along_an_edge(obstacles, data, s0, s1):
+    """A ray on an edge's supporting line, overlapping it or running past."""
+    if not obstacles:
+        return
+    polygon = data.draw(st.sampled_from(obstacles))
+    edge = data.draw(st.sampled_from(polygon.edges()))
+    a = edge.a.lerp(edge.b, s0)
+    b = edge.a.lerp(edge.b, s1)
+    assert_equivalent(obstacles, a, b)
+    assert_equivalent(obstacles, edge.a, edge.b)
+    assert_equivalent(obstacles, edge.b, edge.a)
+
+
+@settings(max_examples=150)
+@given(obstacle_fields, st.data(), points)
+def test_ray_endpoint_on_a_vertex(obstacles, data, other):
+    """Either endpoint of the ray sits exactly on an obstacle vertex."""
+    if not obstacles:
+        return
+    polygon = data.draw(st.sampled_from(obstacles))
+    vertex = data.draw(st.sampled_from(list(polygon.vertices)))
+    assert_equivalent(obstacles, vertex, other)
+    assert_equivalent(obstacles, other, vertex)
+
+
+@settings(max_examples=150)
+@given(
+    obstacle_fields,
+    st.data(),
+    points,
+    st.floats(min_value=1.0, max_value=3.0, allow_nan=False),
+)
+def test_ray_through_an_edge_endpoint(obstacles, data, start, stretch):
+    """A ray aimed at a vertex and carried on past it."""
+    if not obstacles:
+        return
+    polygon = data.draw(st.sampled_from(obstacles))
+    vertex = data.draw(st.sampled_from(list(polygon.vertices)))
+    end = start.lerp(vertex, stretch)
+    assert_equivalent(obstacles, start, end)
+    assert_equivalent(obstacles, end, start)
+
+
+def test_ray_on_an_edge_line_past_its_end_is_clear():
+    """The segment primitive used to report a hit some 30 m off this ray."""
+    triangle = Polygon(
+        [Vec2(0.0, 0.0), Vec2(0.0, 1.5219638935924422), Vec2(85.0, 94.0)]
+    )
+    edge = triangle.edges()[1]
+    a, b = edge.a.lerp(edge.b, 1.5), edge.a.lerp(edge.b, 1.375)
+    assert_equivalent([triangle], a, b)
+    assert line_of_sight(a, b, [triangle])
+
+
+def test_collinear_ray_takes_the_primitive_fallback(monkeypatch):
+    """A ray along an edge is decided by the segment primitive itself."""
+    calls = []
+    primitive = obstacle_index._segments_intersect
+
+    def counting(*args):
+        calls.append(args)
+        return primitive(*args)
+
+    monkeypatch.setattr(obstacle_index, "_segments_intersect", counting)
+    index = ObstacleIndex([Rectangle(0.0, 0.0, 30.0, 10.0)], cell_size=CELL)
+    # Along the bottom edge, overlapping it: touching counts as blocked.
+    assert index.blocked(Vec2(-5.0, 0.0), Vec2(50.0, 0.0))
+    assert calls
+    # On the same line but stopping short of the edge: collinear, yet clear.
+    calls.clear()
+    assert not index.blocked(Vec2(-20.0, 0.0), Vec2(-5.0, 0.0))
+    assert calls
+    # A clean crossing never needs the fallback.
+    calls.clear()
+    assert index.blocked(Vec2(15.0, -10.0), Vec2(15.0, 20.0))
+    assert not calls
+
+
+@settings(max_examples=100)
+@given(obstacle_fields, st.lists(st.tuples(points, points), min_size=1, max_size=6))
+def test_pickle_round_trip_keeps_answers_and_bytes(obstacles, rays):
+    """A restored index answers alike and pickles to the same bytes.
+
+    The edge table is derived state: it stays out of the pickle and is
+    rebuilt on restore.
+    """
+    index = ObstacleIndex(obstacles, cell_size=CELL)
+    index.blocked(*rays[0])  # stamps and the query counter are pickled too
+    assert "_edge_table" not in index.__getstate__()
+    blob = pickle.dumps(index)
+    assert b"_edge_table" not in blob
+    restored = pickle.loads(blob)
+    assert pickle.dumps(restored) == blob
+    assert [restored.blocked(a, b) for a, b in rays] == [
+        index.blocked(a, b) for a, b in rays
+    ]
+    assert pickle.dumps(restored) == pickle.dumps(index)
 
 
 def test_incremental_add_obstacle_keeps_index_consistent():
