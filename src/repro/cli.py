@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1",
                        help="interface to bind (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8517,
-                       help="TCP port to listen on (default: 8517)")
+                       help="TCP port to listen on; 0 picks a free one, "
+                            "which the banner reports (default: 8517)")
     serve.add_argument("--step-slice", type=int, default=2000, metavar="N",
                        help="events per scheduler slice per session "
                             "(default: 2000)")
@@ -793,8 +794,8 @@ def serve_command(args: argparse.Namespace) -> int:
             backend = "uvicorn"
         except ImportError:
             backend = "stdlib"
-    print(
-        f"repro service on http://{args.host}:{args.port} "
+    banner = (
+        "repro service on http://{}:{} "
         f"({backend} server, step slice {args.step_slice}; Ctrl-C to stop)"
     )
     if backend == "uvicorn":
@@ -805,11 +806,18 @@ def serve_command(args: argparse.Namespace) -> int:
                 "--server uvicorn: uvicorn is not installed "
                 "(pip install 'repro[service]')"
             )
+        print(banner.format(args.host, args.port))
         uvicorn.run(app, host=args.host, port=args.port, log_level="info")
     else:
         from repro.service.httpd import run_server
 
-        run_server(app, host=args.host, port=args.port)
+        # The banner is the readiness signal: printed once the socket is bound.
+        run_server(
+            app,
+            lambda host, port: print(banner.format(host, port), flush=True),
+            host=args.host,
+            port=args.port,
+        )
     return 0
 
 

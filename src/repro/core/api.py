@@ -165,10 +165,8 @@ class AirDnDNode:
         experiments.
     scorer:
         Optional :class:`~repro.core.candidate.CandidateScorer` to use —
-        pass the same instance to every node of a fleet to share one score
-        cache (safe because the network view's freshness token is
-        owner-qualified; see :class:`CandidateScorer`).  Defaults to a
-        private scorer built from ``config``.
+        the scorer is stateless, so a fleet can share one instance.
+        Defaults to a private scorer built from ``config``.
     """
 
     def __init__(

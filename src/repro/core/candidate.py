@@ -12,21 +12,22 @@ computing nodes?"  AirDnD answers with an explicit two-stage procedure:
    trust — with weights that are public, tunable parameters (ablated in
    experiment E6).
 
-:class:`CandidateScorer` memoises score lists per network view.  Its
-reference is the always-recompute path that views without a freshness token
-(hand-built descriptions) take; the tests compare the two on the same
-neighbours.
+:class:`CandidateScorer` ranks a whole network view in one pass; its
+per-neighbour entry point :meth:`CandidateScorer.score_neighbor` is the
+reference that pass must agree with.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.data_model import beacon_digest_matches, digest_quality_score
 from repro.core.models import NeighborDescription, NetworkDescription, TaskDescription
+
+#: Result size assumed when estimating a candidate's round trip, in bytes.
+RESULT_SIZE_HINT = 50_000
 
 
 @dataclass(frozen=True)
@@ -75,24 +76,10 @@ class CandidateScore:
 class CandidateScorer:
     """Filters and ranks candidate executors for a task.
 
-    Scoring is a pure function of the network view and a handful of task
-    fields, and the view itself is already memoised upstream — the
-    :class:`~repro.core.network_model.NetworkDescriptionBuilder` stamps each
-    description with a ``freshness`` token covering ``(owner, time, position
-    epoch, membership epoch, beacons heard)``.  The scorer therefore caches
-    the per-neighbour score list keyed on ``(freshness, task signature)``:
-    re-ranking the same task against the same view (retries, redundant
-    replicas, repeated same-shape submissions within one event) costs a
-    dictionary lookup instead of re-evaluating every filter and subscore.
-
-    Because the freshness token is *owner-qualified*, one scorer instance
-    can safely be shared by every node of a scenario — two owners' views can
-    never collide on a key.  To make sharing actually pay off, the cache
-    holds up to :attr:`CACHE_CAPACITY` recent ``(freshness, task
-    signature)`` entries with LRU eviction, instead of flushing wholesale
-    whenever a different owner (or a new epoch) shows up.  Eviction only
-    ever costs recomputation; results stay byte-identical to the
-    always-recompute path that views without a freshness token take.
+    Scoring is a pure function of the network view, the task and the
+    scorer's knobs, and the scorer keeps no state between calls, so one
+    instance can serve every node of a scenario.  :meth:`all_scores` scores
+    a view in one pass, and :meth:`rank` filters and sorts its result.
 
     Parameters
     ----------
@@ -113,10 +100,6 @@ class CandidateScorer:
         Contact time at which the contact subscore saturates at 1.0.
     """
 
-    #: Maximum number of memoised score lists kept (LRU).  Sized so that a
-    #: fleet sharing one scorer keeps every node's current view cached.
-    CACHE_CAPACITY = 2048
-
     def __init__(
         self,
         weights: Optional[ScoringWeights] = None,
@@ -134,23 +117,17 @@ class CandidateScorer:
         self.reference_headroom_ops = reference_headroom_ops
         self.reference_rate_bps = reference_rate_bps
         self.reference_contact_s = reference_contact_s
-        #: Memoisation telemetry (counted only for memoisable views).
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._score_cache: "OrderedDict[tuple, Tuple[CandidateScore, ...]]" = (
-            OrderedDict()
-        )
 
     # ------------------------------------------------------------ estimates
 
     def estimate_completion_time(
-        self, neighbor: NeighborDescription, task: TaskDescription, result_size_hint: int = 50_000
+        self, neighbor: NeighborDescription, task: TaskDescription
     ) -> float:
         """Estimated seconds from offload to result arrival via ``neighbor``."""
         if neighbor.link_rate_bps <= 0:
             return math.inf
         transfer_out = (task.size_bytes * 8) / neighbor.link_rate_bps
-        transfer_back = (result_size_hint * 8) / neighbor.link_rate_bps
+        transfer_back = (RESULT_SIZE_HINT * 8) / neighbor.link_rate_bps
         headroom = max(neighbor.compute_headroom_ops, 1e6)
         compute = task.operations / headroom
         queue_penalty = 0.05 * neighbor.queue_length
@@ -161,7 +138,11 @@ class CandidateScorer:
     def score_neighbor(
         self, neighbor: NeighborDescription, task: TaskDescription
     ) -> CandidateScore:
-        """Filter and score one neighbour for one task."""
+        """Filter and score one neighbour for one task.
+
+        The plain statement of the selection rule; :meth:`all_scores`
+        inlines it and must return equal scores.
+        """
         completion = self.estimate_completion_time(neighbor, task)
 
         # ---- hard filters -------------------------------------------------
@@ -216,70 +197,100 @@ class CandidateScorer:
             },
         )
 
-    # ---------------------------------------------------------- memoisation
-
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of memoisable score requests answered from cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        """Always ``0.0``: the scorer keeps no memo.
 
-    def _task_signature(self, task: TaskDescription) -> tuple:
-        """The task fields scoring actually reads.
-
-        ``data`` is a frozen dataclass (hashable by value), so two
-        same-shape tasks submitted within one view share a cache entry even
-        when their ``task_id`` differs.
+        Kept only because the scenario benchmark still reports the metric;
+        the property goes when the benchmark drops it.
         """
-        return (task.size_bytes, task.operations, task.deadline_s, task.data)
-
-    def _scores_for(
-        self, network: NetworkDescription, task: TaskDescription
-    ) -> List[CandidateScore]:
-        """Per-neighbour scores, memoised per ``(freshness, task signature)``.
-
-        Views without a ``freshness`` token (hand-built descriptions) are
-        scored directly — there is no safe key to cache them under.
-        """
-        freshness = getattr(network, "freshness", None)
-        if freshness is None:
-            return [self.score_neighbor(neighbor, task) for neighbor in network.neighbors]
-        cache = self._score_cache
-        key = (freshness, self._task_signature(task))
-        cached = cache.get(key)
-        if cached is None:
-            self.cache_misses += 1
-            cached = tuple(
-                self.score_neighbor(neighbor, task) for neighbor in network.neighbors
-            )
-            cache[key] = cached
-            while len(cache) > self.CACHE_CAPACITY:
-                cache.popitem(last=False)
-        else:
-            self.cache_hits += 1
-            cache.move_to_end(key)
-        return list(cached)
+        return 0.0
 
     # -------------------------------------------------------------- ranking
 
     def rank(
         self, network: NetworkDescription, task: TaskDescription
     ) -> List[CandidateScore]:
-        """Score every neighbour and return eligible ones sorted best-first.
-
-        Callers must treat the returned scores as read-only: repeated calls
-        under one freshness token share the cached :class:`CandidateScore`
-        instances (mutating one would poison the cache for later callers).
-        """
-        eligible = [s for s in self._scores_for(network, task) if s.eligible]
+        """Score every neighbour and return eligible ones sorted best-first."""
+        eligible = [s for s in self.all_scores(network, task) if s.eligible]
         eligible.sort(key=lambda s: (-s.score, s.estimated_completion_s, s.name))
         return eligible
 
     def all_scores(
         self, network: NetworkDescription, task: TaskDescription
     ) -> List[CandidateScore]:
-        """Scores for every neighbour, including filtered-out ones (for analysis).
+        """Scores for every neighbour, including filtered-out ones, in one pass.
 
-        Read-only, like :meth:`rank` — cached instances are shared.
+        :meth:`score_neighbor` with the task and scorer constants read once:
+        the same filters in the same order, the same rejection reasons and
+        the same float expressions, so each score equals the per-neighbour one.
         """
-        return self._scores_for(network, task)
+        out_bits = task.size_bytes * 8
+        back_bits = RESULT_SIZE_HINT * 8
+        operations, deadline, data = task.operations, task.deadline_s, task.data
+        max_age, min_trust, margin = self.max_beacon_age_s, self.min_trust, self.contact_margin
+        reference_headroom = self.reference_headroom_ops
+        reference_rate = self.reference_rate_bps
+        reference_contact = self.reference_contact_s
+        weights = self.weights
+        w_compute, w_link, w_contact, w_data, w_trust = (
+            weights.compute, weights.link, weights.contact_time, weights.data, weights.trust
+        )
+        total_weight = max(weights.total(), 1e-9)
+
+        scores: List[CandidateScore] = []
+        for neighbor in network.neighbors:
+            rate = neighbor.link_rate_bps
+            headroom = neighbor.compute_headroom_ops
+            if rate <= 0:
+                completion = math.inf
+            else:
+                completion = (
+                    out_bits / rate
+                    + operations / max(headroom, 1e6)
+                    + back_bits / rate
+                    + 0.05 * neighbor.queue_length
+                )
+            if neighbor.beacon_age_s > max_age:
+                reason = "beacon too stale"
+            elif headroom <= 0:
+                reason = "no compute headroom"
+            elif rate <= 0:
+                reason = "link unusable"
+            elif neighbor.trust_score < min_trust:
+                reason = "trust below threshold"
+            elif data is not None and not beacon_digest_matches(neighbor, data):
+                reason = "required data not advertised"
+            elif deadline > 0 and completion > deadline:
+                reason = "cannot meet deadline"
+            elif neighbor.predicted_contact_time_s < completion * margin:
+                reason = "predicted contact time too short"
+            else:
+                compute_score = min(1.0, headroom / reference_headroom)
+                link_score = min(1.0, rate / reference_rate)
+                contact = neighbor.predicted_contact_time_s
+                contact_score = (
+                    1.0 if math.isinf(contact) else min(1.0, contact / reference_contact)
+                )
+                data_score = (
+                    digest_quality_score(neighbor, data) if data is not None else 1.0
+                )
+                trust_score = min(1.0, max(0.0, neighbor.trust_score))
+                score = (
+                    w_compute * compute_score
+                    + w_link * link_score
+                    + w_contact * contact_score
+                    + w_data * data_score
+                    + w_trust * trust_score
+                ) / total_weight
+                subscores = {
+                    "compute": compute_score,
+                    "link": link_score,
+                    "contact_time": contact_score,
+                    "data": data_score,
+                    "trust": trust_score,
+                }
+                scores.append(CandidateScore(neighbor, True, score, completion, "", subscores))
+                continue
+            scores.append(CandidateScore(neighbor, False, 0.0, completion, reason))
+        return scores

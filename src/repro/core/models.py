@@ -133,13 +133,16 @@ class TaskDescription:
 # --------------------------------------------------------------------- Model 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class NeighborDescription:
     """One neighbour as seen inside a :class:`NetworkDescription`.
 
     All fields derive from the neighbour's most recent beacon and from the
     local link measurement made when that beacon was received — nothing here
     required an extra message exchange.
+
+    Read-only once built.  Not frozen: a frozen ``__init__`` pays one
+    ``object.__setattr__`` per field, most of a view's per-neighbour cost.
     """
 
     name: str
@@ -164,6 +167,8 @@ class NeighborDescription:
 class NetworkDescription:
     """Model 1: one node's instantaneous view of its surrounding mesh.
 
+    Built afresh on every request and read-only once built.
+
     Attributes
     ----------
     owner:
@@ -176,14 +181,6 @@ class NetworkDescription:
         Every in-range neighbour with its derived properties.
     epoch:
         The owner's membership epoch (for diagnosing staleness).
-    freshness:
-        Opaque hashable token identifying the observation state this view
-        was materialised from (owner, time, position epoch, membership
-        epoch, beacons heard).  Two descriptions with equal ``freshness``
-        are guaranteed identical, which is what lets the
-        :class:`~repro.core.candidate.CandidateScorer` memoise per view;
-        ``None`` (e.g. hand-built descriptions in tests) disables that
-        memoisation.
     """
 
     owner: str
@@ -191,7 +188,6 @@ class NetworkDescription:
     position: Vec2
     neighbors: List[NeighborDescription] = field(default_factory=list)
     epoch: int = 0
-    freshness: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.neighbors)

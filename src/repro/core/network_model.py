@@ -11,12 +11,31 @@ both nodes' positions and velocities under a constant-velocity assumption.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.models import NeighborDescription, NetworkDescription
 from repro.geometry.vector import Vec2
 from repro.mesh.node import MeshNode
 from repro.radio.interfaces import RadioEnvironment
+
+
+def _contact_time(
+    distance: float, px: float, py: float, vx: float, vy: float, comm_range: float
+) -> float:
+    """:func:`predict_contact_time` on the relative position ``(px, py)``, its
+    length ``distance`` (``math.hypot(px, py)``) and relative velocity."""
+    if distance > comm_range:
+        return 0.0
+    v_sq = vx * vx + vy * vy
+    if v_sq < 1e-12:
+        return math.inf
+    # Solve |p + v t|^2 = R^2  ->  v_sq t^2 + 2 (p·v) t + (|p|^2 - R^2) = 0
+    b = 2.0 * (px * vx + py * vy)
+    c = (px * px + py * py) - comm_range * comm_range
+    discriminant = b * b - 4.0 * v_sq * c
+    if discriminant < 0:
+        return math.inf
+    root = (-b + math.sqrt(discriminant)) / (2.0 * v_sq)
+    return max(0.0, root)
 
 
 def predict_contact_time(
@@ -32,25 +51,16 @@ def predict_contact_time(
     relative velocity ``v``; returns ``inf`` when the nodes never separate
     (zero relative velocity inside range) and ``0`` when already out of range.
     """
-    p = position_b - position_a
-    v = velocity_b - velocity_a
-    if p.length() > comm_range:
-        return 0.0
-    v_sq = v.length_squared()
-    if v_sq < 1e-12:
-        return math.inf
-    # Solve |p + v t|^2 = R^2  ->  v_sq t^2 + 2 (p·v) t + (|p|^2 - R^2) = 0
-    b = 2.0 * p.dot(v)
-    c = p.length_squared() - comm_range * comm_range
-    discriminant = b * b - 4.0 * v_sq * c
-    if discriminant < 0:
-        return math.inf
-    root = (-b + math.sqrt(discriminant)) / (2.0 * v_sq)
-    return max(0.0, root)
+    px = position_b.x - position_a.x
+    py = position_b.y - position_a.y
+    vx = velocity_b.x - velocity_a.x
+    vy = velocity_b.y - velocity_a.y
+    return _contact_time(math.hypot(px, py), px, py, vx, vy, comm_range)
 
 
 class NetworkDescriptionBuilder:
-    """Materialises :class:`NetworkDescription` views for one mesh node.
+    """Materialises :class:`NetworkDescription` views for one mesh node
+    (afresh on every :meth:`build`: it keeps no memo).
 
     Parameters
     ----------
@@ -64,97 +74,67 @@ class NetworkDescriptionBuilder:
     def __init__(self, mesh_node: MeshNode, environment: RadioEnvironment) -> None:
         self.mesh_node = mesh_node
         self.environment = environment
-        self._cache_key: Optional[tuple] = None
-        self._cache: Optional[NetworkDescription] = None
 
     def rebind_mesh(self, mesh_node: MeshNode) -> None:
-        """Adopt a freshly built mesh stack (node recovery after a crash).
-
-        The memoised view is dropped: its key was derived from the old
-        stack's membership epoch and beacon count, which the new stack
-        restarts from zero.
-        """
+        """Adopt a freshly built mesh stack (node recovery after a crash)."""
         self.mesh_node = mesh_node
-        self._cache_key = None
-        self._cache = None
-
-    def _current_key(self, now: float) -> tuple:
-        """Cache key: the description only changes when the clock advances,
-        positions move (radio position epoch), the membership epoch bumps,
-        or another beacon is heard (a refresh from a known neighbour updates
-        entry contents without an epoch bump, so the beacon count is part of
-        the key)."""
-        return (
-            now,
-            self.environment.position_epoch,
-            self.mesh_node.membership.epoch,
-            self.mesh_node.beacon_agent.beacons_heard,
-        )
 
     def build(self, now: float) -> NetworkDescription:
         """Build the owner's current network description.
 
-        Memoised on ``(now, position epoch, membership epoch, beacons
-        heard)`` so repeated views within one event — e.g. a description
-        immediately followed by a :meth:`reachable_headroom` check — do not
-        rebuild the neighbour list.  Callers must treat the returned
+        One pass of float arithmetic per neighbour entry: the beacon is
+        dead-reckoned to ``now`` with :meth:`Beacon.predicted_position`'s
+        arithmetic, and distance and contact time are taken from the same
+        relative position.  Each neighbour costs one :class:`Vec2` and one
+        :class:`NeighborDescription`; its velocity and data digest are the
+        beacon's own (immutable) objects.  Callers must treat the returned
         description as read-only.
         """
-        key = self._current_key(now)
-        if self._cache is not None and key == self._cache_key:
-            return self._cache
-        owner = self.mesh_node.name
-        own_position = self.mesh_node.position
-        own_velocity = getattr(self.mesh_node.mobile, "velocity", Vec2.zero())
+        mesh_node = self.mesh_node
+        own_position = mesh_node.position
+        own_velocity = getattr(mesh_node.mobile, "velocity", Vec2.zero())
+        ox, oy = own_position.x, own_position.y
+        ovx, ovy = own_velocity.x, own_velocity.y
         comm_range = self.environment.max_range
 
         neighbors = []
-        for entry in self.mesh_node.neighbors.entries():
+        for entry in mesh_node.neighbors.entries():
             beacon = entry.beacon
-            predicted_position = beacon.predicted_position(now)
-            distance = own_position.distance_to(predicted_position)
+            position = beacon.position
+            velocity = beacon.velocity
+            vx, vy = velocity.x, velocity.y
+            horizon = max(0.0, now - beacon.timestamp)
+            x = position.x + vx * horizon
+            y = position.y + vy * horizon
+            dx = x - ox
+            dy = y - oy
+            distance = math.hypot(dx, dy)
             link_quality = entry.link_quality
             rate = link_quality.rate_bps if link_quality is not None else 0.0
             snr = link_quality.snr_db if link_quality is not None else 0.0
-            contact = predict_contact_time(
-                own_position,
-                own_velocity,
-                predicted_position,
-                beacon.velocity,
-                comm_range,
-            )
             neighbors.append(
                 NeighborDescription(
                     name=beacon.sender,
-                    position=predicted_position,
-                    velocity=beacon.velocity,
+                    position=Vec2(x, y),
+                    velocity=velocity,
                     distance_m=distance,
                     link_rate_bps=rate,
                     link_snr_db=snr,
                     compute_headroom_ops=beacon.compute_headroom_ops,
                     queue_length=beacon.queue_length,
-                    data_summary=dict(beacon.data_summary),
+                    data_summary=beacon.data_summary,
                     trust_score=beacon.trust_score,
-                    beacon_age_s=entry.age(now),
-                    predicted_contact_time_s=contact,
+                    beacon_age_s=max(0.0, now - entry.last_seen),
+                    predicted_contact_time_s=_contact_time(
+                        distance, dx, dy, vx - ovx, vy - ovy, comm_range
+                    ),
                 )
             )
         neighbors.sort(key=lambda n: n.name)
-        description = NetworkDescription(
-            owner=owner,
+        return NetworkDescription(
+            owner=mesh_node.name,
             time=now,
             position=own_position,
             neighbors=neighbors,
-            epoch=self.mesh_node.membership.epoch,
-            # Owner-qualified cache key: downstream consumers (the memoised
-            # candidate scorer) may be shared across nodes, so the token must
-            # never collide between two owners' views.
-            freshness=(owner,) + key,
+            epoch=mesh_node.membership.epoch,
         )
-        self._cache_key = key
-        self._cache = description
-        return description
-
-    def reachable_headroom(self, now: float) -> float:
-        """Total spare compute currently advertised by in-range neighbours."""
-        return self.build(now).total_headroom_ops()

@@ -408,10 +408,8 @@ class RadioEnvironment:
       moves.
 
     In all regimes the combined :attr:`position_epoch` (environment epoch +
-    bound manager epoch) is exported so higher layers — e.g.
-    :class:`~repro.core.network_model.NetworkDescriptionBuilder` and the
-    memoised :class:`~repro.core.candidate.CandidateScorer` — can key their
-    own caches on the same single value.  Cached derived state is valid
+    bound manager epoch) is exported so higher layers can key their own
+    caches on the same single value.  Cached derived state is valid
     exactly as long as ``position_epoch`` is unchanged; callers must not
     mutate returned lists or hold them across epochs.
 

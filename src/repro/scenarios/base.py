@@ -156,10 +156,9 @@ class BaseScenarioConfig:
         """One :class:`~repro.core.candidate.CandidateScorer` for the fleet.
 
         The scoring knobs (weights, trust threshold, margins) are uniform
-        across a scenario's nodes, and the network view's freshness token is
-        owner-qualified, so a single scorer — and its LRU score cache — can
-        serve every node.  Scenarios build one of these and pass it to each
-        :class:`~repro.core.api.AirDnDNode`.
+        across a scenario's nodes and the scorer keeps no state between
+        calls, so a single scorer can serve every node.  Scenarios build one
+        of these and pass it to each :class:`~repro.core.api.AirDnDNode`.
 
         Derived from the same :meth:`node_config` every node receives (the
         compute spec does not feed the scorer), so a future scenario knob

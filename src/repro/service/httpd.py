@@ -16,7 +16,7 @@ import base64
 import hashlib
 import json
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: RFC 6455 magic GUID concatenated to ``Sec-WebSocket-Key`` in handshakes.
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -325,8 +325,8 @@ class StdlibASGIServer:
             self._server = None
 
 
-async def _serve_with_lifespan(app, host: str, port: int) -> None:
-    """Run lifespan startup, serve forever, lifespan shutdown on cancel."""
+async def _serve_with_lifespan(app, host: str, port: int, on_ready) -> None:
+    """Lifespan startup, bind, ``on_ready``, serve forever, shutdown on cancel."""
     to_app: asyncio.Queue = asyncio.Queue()
     from_app: asyncio.Queue = asyncio.Queue()
     lifespan = asyncio.get_running_loop().create_task(
@@ -336,6 +336,8 @@ async def _serve_with_lifespan(app, host: str, port: int) -> None:
     await from_app.get()  # startup.complete
     server = StdlibASGIServer(app, host, port)
     try:
+        await server.start()
+        on_ready(server.host, server.port)
         await server.serve_forever()
     finally:
         await server.stop()
@@ -346,9 +348,12 @@ async def _serve_with_lifespan(app, host: str, port: int) -> None:
             lifespan.cancel()
 
 
-def run_server(app, host: str = "127.0.0.1", port: int = 8000) -> None:
-    """Blocking entry point used by ``repro serve`` (Ctrl-C to stop)."""
+def run_server(
+    app, on_ready: Callable[[str, int], None], host: str = "127.0.0.1", port: int = 8000
+) -> None:
+    """Blocking entry point used by ``repro serve`` (Ctrl-C to stop); calls
+    ``on_ready(host, port)`` once the socket is bound, with the bound port."""
     try:
-        asyncio.run(_serve_with_lifespan(app, host, port))
+        asyncio.run(_serve_with_lifespan(app, host, port, on_ready))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass

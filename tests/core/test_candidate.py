@@ -161,144 +161,3 @@ def test_all_scores_includes_ineligible():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         ScoringWeights(compute=-0.1)
-
-
-# ------------------------------------------------------------- memoisation
-
-
-def network_with_freshness(freshness, *neighbors):
-    return NetworkDescription(
-        owner="ego",
-        time=1.0,
-        position=Vec2(0, 0),
-        neighbors=list(neighbors),
-        freshness=freshness,
-    )
-
-
-def test_repeated_rank_hits_cache_for_same_epoch_and_beacons():
-    scorer = CandidateScorer()
-    # Freshness token as stamped by NetworkDescriptionBuilder:
-    # (owner, now, position_epoch, membership_epoch, beacons_heard).
-    network = network_with_freshness(
-        ("ego", 1.0, 5, 2, 7), make_neighbor("a"), make_neighbor("b")
-    )
-    task = make_task()
-    first = scorer.rank(network, task)
-    assert (scorer.cache_hits, scorer.cache_misses) == (0, 1)
-    assert scorer.rank(network, task) == first
-    assert scorer.all_scores(network, task)  # same cache entry serves all_scores
-    assert (scorer.cache_hits, scorer.cache_misses) == (2, 1)
-    assert scorer.cache_hit_rate == pytest.approx(2 / 3)
-
-
-def test_epoch_bump_invalidates_scorer_cache():
-    scorer = CandidateScorer()
-    task = make_task()
-    neighbor = make_neighbor("a")
-    scorer.rank(network_with_freshness(("ego", 1.0, 5, 2, 7), neighbor), task)
-    # Position epoch bumped (mobility tick): same neighbours, new token.
-    scorer.rank(network_with_freshness(("ego", 1.0, 6, 2, 7), neighbor), task)
-    assert (scorer.cache_hits, scorer.cache_misses) == (0, 2)
-    # Another beacon heard: bumps the token as well.
-    scorer.rank(network_with_freshness(("ego", 1.0, 6, 2, 8), neighbor), task)
-    assert (scorer.cache_hits, scorer.cache_misses) == (0, 3)
-    # Stale views stay cached (bounded LRU) so other owners sharing this
-    # scorer are not flushed — but a stale token is still a miss, never a
-    # wrong answer.
-    assert len(scorer._score_cache) == 3
-
-
-def test_shared_scorer_keeps_every_owners_view_cached():
-    """Interleaved owners (one shared scorer) all keep hitting the cache."""
-    scorer = CandidateScorer()
-    task = make_task()
-    views = [
-        network_with_freshness((f"owner-{i}", 1.0, 5, 2, 7), make_neighbor("a"))
-        for i in range(8)
-    ]
-    for view in views:
-        scorer.rank(view, task)
-    assert (scorer.cache_hits, scorer.cache_misses) == (0, 8)
-    # A second interleaved round is served entirely from cache.
-    for view in views:
-        scorer.rank(view, task)
-    assert (scorer.cache_hits, scorer.cache_misses) == (8, 8)
-
-
-def test_scorer_cache_capacity_is_enforced_lru():
-    scorer = CandidateScorer()
-    scorer.CACHE_CAPACITY = 2
-    task = make_task()
-    neighbor = make_neighbor("a")
-    tokens = [("ego", 1.0, epoch, 2, 7) for epoch in (1, 2, 3)]
-    for token in tokens:
-        scorer.rank(network_with_freshness(token, neighbor), task)
-    assert len(scorer._score_cache) == 2
-    # Oldest token was evicted: ranking it again is a miss, the newest hits.
-    scorer.rank(network_with_freshness(tokens[0], neighbor), task)
-    assert scorer.cache_misses == 4
-    scorer.rank(network_with_freshness(tokens[2], neighbor), task)
-    assert scorer.cache_hits == 1
-
-
-def test_distinct_task_shapes_get_distinct_cache_entries():
-    scorer = CandidateScorer()
-    network = network_with_freshness(("ego", 1.0, 5, 2, 7), make_neighbor("a"))
-    scorer.rank(network, make_task(operations=1e8))
-    scorer.rank(network, make_task(operations=2e8))
-    assert (scorer.cache_hits, scorer.cache_misses) == (0, 2)
-    # Same shape again (even a different TaskDescription object) hits.
-    scorer.rank(network, make_task(operations=2e8))
-    assert scorer.cache_hits == 1
-
-
-def test_memoised_scores_byte_identical_to_unmemoised_path():
-    import random
-
-    rng = random.Random(42)
-    neighbors = [
-        make_neighbor(
-            name=f"n{i}",
-            headroom=rng.uniform(0, 8e9),
-            rate=rng.uniform(0, 30e6),
-            contact=rng.uniform(0.0, 80.0),
-            trust=rng.uniform(0, 1),
-            beacon_age=rng.uniform(0, 3.0),
-            queue=rng.randrange(5),
-        )
-        for i in range(40)
-    ]
-    task = make_task(operations=3e8, deadline_s=5.0)
-    memoised = CandidateScorer()
-    reference = CandidateScorer()
-    network = network_with_freshness(("ego", 1.0, 5, 2, 7), *neighbors)
-    # The reference is the always-recompute path: the same neighbours in a
-    # hand-built view without a freshness token.
-    unmemoised = network_of(*neighbors)
-
-    def flatten(scores):
-        return [
-            (s.name, s.eligible, s.score, s.estimated_completion_s,
-             s.rejection_reason, s.subscores)
-            for s in scores
-        ]
-
-    for _ in range(3):  # repeated calls stay identical, not just the first
-        assert flatten(memoised.rank(network, task)) == flatten(
-            reference.rank(unmemoised, task)
-        )
-        assert flatten(memoised.all_scores(network, task)) == flatten(
-            reference.all_scores(unmemoised, task)
-        )
-    assert memoised.cache_hits > 0
-    assert (reference.cache_hits, reference.cache_misses) == (0, 0)
-
-
-def test_descriptions_without_freshness_are_never_cached():
-    scorer = CandidateScorer()
-    network = network_of(make_neighbor("a"))
-    assert network.freshness is None
-    scorer.rank(network, make_task())
-    scorer.rank(network, make_task())
-    assert (scorer.cache_hits, scorer.cache_misses) == (0, 0)

@@ -18,14 +18,20 @@ agreeing with the reference here.
 * :class:`BruteForceVisibility` — a visibility map that tests every polygon
   with :func:`~repro.geometry.los.line_of_sight` instead of querying the
   obstacle index.
+* :func:`reference_network_description` — Model 1 built with :class:`Vec2`
+  arithmetic per neighbour (dead-reckoned beacon position, ``distance_to``,
+  :func:`reference_contact_time`) instead of the builder's flat float pass.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import networkx as nx
 
+from repro.core.models import NeighborDescription, NetworkDescription
+from repro.core.network_model import NetworkDescriptionBuilder
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
 from repro.radio.interfaces import Frame, RadioEnvironment, RadioInterface
@@ -165,3 +171,70 @@ def reference_topology(
         "is_connected": nx.is_connected(graph) if nodes else False,
         "graph": graph,
     }
+
+
+def reference_contact_time(
+    position_a: Vec2,
+    velocity_a: Vec2,
+    position_b: Vec2,
+    velocity_b: Vec2,
+    comm_range: float,
+) -> float:
+    """Contact time from :class:`Vec2` arithmetic (``predict_contact_time``'s rule)."""
+    p = position_b - position_a
+    v = velocity_b - velocity_a
+    if p.length() > comm_range:
+        return 0.0
+    v_sq = v.length_squared()
+    if v_sq < 1e-12:
+        return math.inf
+    b = 2.0 * p.dot(v)
+    c = p.length_squared() - comm_range * comm_range
+    discriminant = b * b - 4.0 * v_sq * c
+    if discriminant < 0:
+        return math.inf
+    root = (-b + math.sqrt(discriminant)) / (2.0 * v_sq)
+    return max(0.0, root)
+
+
+def reference_network_description(
+    builder: NetworkDescriptionBuilder, now: float
+) -> NetworkDescription:
+    """The view :meth:`NetworkDescriptionBuilder.build` must return, built
+    neighbour by neighbour from :class:`Vec2` objects."""
+    mesh_node = builder.mesh_node
+    own_position = mesh_node.position
+    own_velocity = getattr(mesh_node.mobile, "velocity", Vec2.zero())
+    comm_range = builder.environment.max_range
+    neighbors = []
+    for entry in mesh_node.neighbors.entries():
+        beacon = entry.beacon
+        predicted_position = beacon.predicted_position(now)
+        link_quality = entry.link_quality
+        neighbors.append(
+            NeighborDescription(
+                name=beacon.sender,
+                position=predicted_position,
+                velocity=beacon.velocity,
+                distance_m=own_position.distance_to(predicted_position),
+                link_rate_bps=link_quality.rate_bps if link_quality is not None else 0.0,
+                link_snr_db=link_quality.snr_db if link_quality is not None else 0.0,
+                compute_headroom_ops=beacon.compute_headroom_ops,
+                queue_length=beacon.queue_length,
+                data_summary=dict(beacon.data_summary),
+                trust_score=beacon.trust_score,
+                beacon_age_s=entry.age(now),
+                predicted_contact_time_s=reference_contact_time(
+                    own_position, own_velocity, predicted_position, beacon.velocity,
+                    comm_range,
+                ),
+            )
+        )
+    neighbors.sort(key=lambda n: n.name)
+    return NetworkDescription(
+        owner=mesh_node.name,
+        time=now,
+        position=own_position,
+        neighbors=neighbors,
+        epoch=mesh_node.membership.epoch,
+    )

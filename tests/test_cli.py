@@ -379,34 +379,38 @@ def test_serve_rejects_unknown_server_backend():
 
 def test_serve_command_serves_requests_over_tcp():
     import json
-    import socket
+    import os
+    import subprocess
+    import sys
     import threading
     import urllib.request
 
-    from repro.cli import serve_command
+    import repro
 
-    # An ephemeral port avoids collisions with parallel test runs.
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    parser = build_parser()
-    args = parser.parse_args(
-        ["serve", "--port", str(port), "--server", "stdlib"]
+    # The banner is the readiness signal: the stdlib server prints it once
+    # the socket is bound, with the port the OS picked for ``--port 0``.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--server", "stdlib"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        text=True,
     )
-    thread = threading.Thread(target=serve_command, args=(args,), daemon=True)
-    thread.start()
-    payload = None
-    for _ in range(50):
-        try:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=1
-            ) as response:
-                payload = json.loads(response.read())
-            break
-        except OSError:
-            import time
-
-            time.sleep(0.1)
+    # A server that never binds must fail the test, not hang it.
+    watchdog = threading.Timer(120.0, server.kill)
+    watchdog.start()
+    try:
+        banner = server.stdout.readline()
+        assert banner.startswith("repro service on http://127.0.0.1:"), banner
+        url = banner.split()[3]
+        with urllib.request.urlopen(f"{url}/healthz", timeout=30) as response:
+            payload = json.loads(response.read())
+    finally:
+        watchdog.cancel()
+        server.kill()
+        server.wait()
     assert payload["status"] == "ok"
     assert payload["sessions"] == 0
     assert payload["states"]["running"] == 0
