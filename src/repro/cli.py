@@ -2,9 +2,9 @@
 
 Usage::
 
-    repro intersection --vehicles 6 --duration 25 --seed 7
-    repro urban-grid   --vehicles 20 --duration 30
-    repro highway      --vehicles 8  --duration 25
+    repro run --scenario intersection --vehicles 6 --duration 25 --seed 7
+    repro run --scenario urban-grid --vehicles 20 --duration 30
+    repro run --scenario highway --vehicles 8 --duration 25
     repro sweep --scenario urban-grid --set n=10,20,40 --repetitions 3
     repro sweep --scenario highway --set n=8,16 --set beacon_period=0.2,0.5 \\
                 --jobs 4 --out results.json --out results.csv
@@ -13,9 +13,9 @@ Usage::
 (``repro`` is the installed console script; ``python -m repro.cli`` works
 identically from a source checkout.)
 
-The scenario commands build the corresponding scenario, run it, and print
-the scenario report as an aligned table — the quickest way to poke at the
-system without writing any code.  ``sweep`` drives one scenario over the
+``run`` builds the named scenario, runs it, and prints the scenario report
+as an aligned table — the quickest way to poke at the system without
+writing any code.  ``sweep`` drives one scenario over the
 cartesian grid of every ``--set`` knob (``--n A B C`` is an alias for
 ``--set n=A,B,C``) with seeded repetitions through the
 :mod:`~repro.experiments.runner` harness, prints mean/stddev per metric per
@@ -58,7 +58,7 @@ from repro.experiments.runner import (
     sweep_scenario_grid_warm,
 )
 from repro.metrics.report import ResultTable
-from repro.scenarios import SCENARIO_BUILDERS, build_scenario as build_named_scenario
+from repro.scenarios import SCENARIOS, build_scenario
 
 #: Metrics shown by ``repro sweep`` unless ``--metrics`` selects others.
 DEFAULT_SWEEP_METRICS = [
@@ -84,31 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--duration", type=float, default=20.0,
-                        help="virtual seconds to simulate (default: 20)")
-    common.add_argument("--seed", type=int, default=0, help="experiment seed (default: 0)")
-
-    intersection = subparsers.add_parser(
-        "intersection", parents=[common],
-        help="the 'looking around the corner' use case",
-    )
-    intersection.add_argument("--vehicles", type=int, default=6,
-                              help="number of vehicles (default: 6)")
-
-    grid = subparsers.add_parser(
-        "urban-grid", parents=[common],
-        help="Manhattan grid with a generic compute workload",
-    )
-    grid.add_argument("--vehicles", type=int, default=20,
-                      help="number of vehicles (default: 20)")
-
-    highway = subparsers.add_parser(
-        "highway", parents=[common], help="two opposing platoons on a highway"
-    )
-    highway.add_argument("--vehicles", type=int, default=8,
-                         help="vehicles per direction (default: 8)")
-
     run_cmd = subparsers.add_parser(
         "run",
         help="run one scenario with optional checkpoint/restore "
@@ -116,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument("--scenario", default=None,
                          type=lambda name: name.replace("_", "-"),
-                         choices=sorted(SCENARIO_BUILDERS),
+                         choices=sorted(SCENARIOS),
                          help="scenario to run (required unless --from-snapshot)")
     run_cmd.add_argument("--vehicles", type=int, default=None,
                          help="fleet size (scenario default when omitted)")
@@ -161,19 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not advance running sessions in the "
                             "background; every slice must be requested "
                             "via POST /sessions/{id}/step")
-    serve.add_argument("--server", choices=("auto", "uvicorn", "stdlib"),
-                       default="auto",
-                       help="ASGI server: uvicorn when installed (the "
-                            "[service] extra), else the bundled stdlib "
-                            "server (default: auto)")
 
     sweep = subparsers.add_parser(
-        "sweep", parents=[common],
+        "sweep",
         help="sweep one scenario over a grid of config knobs with repetitions",
     )
+    sweep.add_argument("--duration", type=float, default=20.0,
+                       help="virtual seconds to simulate (default: 20)")
+    sweep.add_argument("--seed", type=int, default=0,
+                       help="experiment seed (default: 0)")
     sweep.add_argument("--scenario", required=True,
                        type=lambda name: name.replace("_", "-"),
-                       choices=sorted(SCENARIO_BUILDERS),
+                       choices=sorted(SCENARIOS),
                        help="which scenario to sweep (underscores accepted: "
                             "urban_grid == urban-grid)")
     sweep.add_argument("--set", dest="sets", action="append", default=None,
@@ -299,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_scenario(args: argparse.Namespace):
-    """Instantiate the scenario selected on the command line."""
-    return build_named_scenario(args.command, n=args.vehicles, seed=args.seed)
-
-
 def report_table(scenario_name: str, report) -> ResultTable:
     """Render a scenario report as a two-column table."""
     table = ResultTable(f"AirDnD scenario report: {scenario_name}", ["metric", "value"])
@@ -331,7 +300,7 @@ def _parse_knob_value(token: str):
 #: Scenario-specific fleet-size field names, normalised to the uniform ``n``
 #: (passing them through verbatim would collide with the builder's own
 #: ``n`` forwarding).
-FLEET_KNOB_ALIASES = ("num_vehicles", "vehicles_per_direction")
+FLEET_KNOB_ALIASES = frozenset(fleet for _, _, fleet in SCENARIOS.values())
 
 
 def parse_sweep_dimensions(args: argparse.Namespace) -> Dict[str, List[object]]:
@@ -761,7 +730,7 @@ def _execute_run(args: argparse.Namespace) -> int:
         raise SystemExit("run needs --scenario NAME or --from-snapshot PATH")
     if (args.snapshot_at is None) != (args.snapshot_out is None):
         raise SystemExit("--snapshot-at and --snapshot-out must be given together")
-    scenario = build_named_scenario(args.scenario, n=args.vehicles, seed=args.seed)
+    scenario = build_scenario(args.scenario, n=args.vehicles, seed=args.seed)
     duration = 20.0 if args.duration is None else args.duration
     report = scenario.run(
         duration=duration,
@@ -777,47 +746,27 @@ def _execute_run(args: argparse.Namespace) -> int:
 def serve_command(args: argparse.Namespace) -> int:
     """The ``repro serve`` subcommand: expose the session service over HTTP.
 
-    Prefers uvicorn when it is installed (the ``[service]`` optional
-    extra); otherwise serves through the bundled stdlib ASGI server in
-    :mod:`repro.service.httpd` — same app, no extra dependency.
+    Serves through the bundled stdlib ASGI server in
+    :mod:`repro.service.httpd`.
     """
     from repro.service import SessionRegistry, create_app
+    from repro.service.httpd import run_server
 
     registry = SessionRegistry(
         step_slice=args.step_slice, snapshot_dir=args.snapshot_dir
     )
     app = create_app(registry, auto_drive=not args.no_auto_drive)
-    backend = args.server
-    if backend == "auto":
-        try:
-            import uvicorn  # noqa: F401
-            backend = "uvicorn"
-        except ImportError:
-            backend = "stdlib"
     banner = (
         "repro service on http://{}:{} "
-        f"({backend} server, step slice {args.step_slice}; Ctrl-C to stop)"
+        f"(stdlib server, step slice {args.step_slice}; Ctrl-C to stop)"
     )
-    if backend == "uvicorn":
-        try:
-            import uvicorn
-        except ImportError:
-            raise SystemExit(
-                "--server uvicorn: uvicorn is not installed "
-                "(pip install 'repro[service]')"
-            )
-        print(banner.format(args.host, args.port))
-        uvicorn.run(app, host=args.host, port=args.port, log_level="info")
-    else:
-        from repro.service.httpd import run_server
-
-        # The banner is the readiness signal: printed once the socket is bound.
-        run_server(
-            app,
-            lambda host, port: print(banner.format(host, port), flush=True),
-            host=args.host,
-            port=args.port,
-        )
+    # The banner is the readiness signal: printed once the socket is bound.
+    run_server(
+        app,
+        lambda host, port: print(banner.format(host, port), flush=True),
+        host=args.host,
+        port=args.port,
+    )
     return 0
 
 
@@ -841,12 +790,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "worker":
         return worker_command(args)
-    if args.command == "fabric":
-        return fabric_command(args)
-    scenario = build_scenario(args)
-    report = scenario.run(duration=args.duration)
-    print(report_table(args.command, report).render())
-    return 0
+    return fabric_command(args)
 
 
 if __name__ == "__main__":   # pragma: no cover - exercised via subprocess in examples

@@ -332,10 +332,10 @@ class RadioInterface:
         environment: the next distinct event time).  Calling this makes a
         same-timestamp move visible to the very next transmission or range
         query for any interface whose position the environment itself tracks:
-        the unbound and epoch-bound mirrors and the substrate overlay.  A
-        node registered with a *bound mobility manager* lives in the shared
-        substrate, which this environment only reads — move it through the
-        substrate (``substrate.update(name, pos)`` + ``commit()``, as
+        the unbound mirror and the substrate overlay.  A node registered
+        with a *bound mobility manager* lives in the shared substrate, which
+        this environment only reads — move it through the substrate
+        (``substrate.update(name, pos)`` + ``commit()``, as
         :class:`~repro.mobility.manager.MobilityManager` does each tick);
         that commit is its own dirty-mark.
         """
@@ -384,8 +384,8 @@ class RadioEnvironment:
 
     The environment never polls positions; it trusts an epoch counter and
     lazily refreshes derived state (spatial candidate lookup, the per-epoch
-    link rows and sender plans) when that counter advances.  Three
-    regimes, from fastest to safest:
+    link rows and sender plans) when that counter advances.  Two regimes,
+    the fast one first:
 
     * **Substrate-bound** (a :class:`~repro.mobility.manager.MobilityManager`
       passed as ``mobility=`` or via :meth:`bind_mobility`): candidate
@@ -397,21 +397,15 @@ class RadioEnvironment:
       the substrate does not track (e.g. a roadside unit attached to the
       radio but never registered as a mobile node).  There is no second grid
       sync: positions are written exactly once per tick, by the manager.
-    * **Epoch-bound** (``bind_mobility`` with any object exposing a
-      monotonic ``position_epoch`` but no ``substrate``): the environment
-      keeps its own mirror grid and resyncs it once per epoch bump.
-    * **Unbound**: the mirror is resynced whenever the virtual clock
-      advances — O(N) per distinct event time.  Manual position writes at
-      the *current* timestamp still need an explicit dirty-mark
-      (:meth:`RadioInterface.notify_moved` /
+    * **Unbound**: the environment keeps its own mirror grid and resyncs it
+      whenever the virtual clock advances — O(N) per distinct event time.
+      Manual position writes at the *current* timestamp still need an
+      explicit dirty-mark (:meth:`RadioInterface.notify_moved` /
       :meth:`notify_positions_changed`) to be seen before the clock next
       moves.
 
-    In all regimes the combined :attr:`position_epoch` (environment epoch +
-    bound manager epoch) is exported so higher layers can key their own
-    caches on the same single value.  Cached derived state is valid
-    exactly as long as ``position_epoch`` is unchanged; callers must not
-    mutate returned lists or hold them across epochs.
+    Cached derived state is valid until the epoch it was built for moves
+    on; callers must not mutate returned lists or hold them across epochs.
 
     Parameters
     ----------
@@ -428,9 +422,9 @@ class RadioEnvironment:
         Name of the random stream used for frame-loss draws.
     mobility:
         Optional :class:`~repro.mobility.manager.MobilityManager`.  When
-        given, its ``position_epoch`` drives the invalidation scheme (see
-        :meth:`bind_mobility`); without it the environment resyncs whenever
-        the clock advances.
+        given, its substrate's ``position_epoch`` drives the invalidation
+        scheme (see :meth:`bind_mobility`); without it the environment
+        resyncs whenever the clock advances.
 
     The equivalence tier follows the link budget: a ``fast_math`` budget
     selects the *statistical* tier — sender plans from the fused numpy link
@@ -478,14 +472,17 @@ class RadioEnvironment:
             Vec2(0.0, 0.0), Vec2(self._query_radius, 0.0), None
         ).usable
         #: Private mirror grid.  Substrate-bound environments use it only as
-        #: an *overlay* for interfaces the substrate does not track; other
-        #: regimes mirror every interface into it.
+        #: an *overlay* for interfaces the substrate does not track; unbound
+        #: environments mirror every interface into it.
         self._grid: SpatialGrid = SpatialGrid(cell_size=max(self._query_radius, 1.0))
         self._position_epoch = 0
         self._synced_epoch = -1
         self._synced_time: Optional[float] = None
         self._mobility: Optional[Any] = None
         self._substrate: Optional[Any] = None
+        # Read by nothing; kept only because every snapshot pickles it, and
+        # dropping it would move their bytes.  It goes with the next
+        # SNAPSHOT_VERSION bump.
         self._synced_mobility_epoch = -1
         self._overlay_names: List[str] = []
         self._overlay_key: Optional[Tuple[int, int]] = None
@@ -530,7 +527,6 @@ class RadioEnvironment:
         state["_fast_universe"] = None
         state["_synced_epoch"] = -1
         state["_synced_time"] = None
-        state["_synced_mobility_epoch"] = -1
         state["_overlay_key"] = None
         return state
 
@@ -590,24 +586,18 @@ class RadioEnvironment:
     # ---------------------------------------------------------- invalidation
 
     def bind_mobility(self, mobility: Any) -> None:
-        """Drive cache invalidation from a mobility manager's position epoch.
+        """Drive cache invalidation from a mobility manager's substrate.
 
-        ``mobility`` must expose a monotonic ``position_epoch`` attribute (as
-        :class:`~repro.mobility.manager.MobilityManager` does, bumped on each
-        tick and on membership changes).  Once bound, the environment trusts
-        that positions only change when that epoch advances — which turns
-        grid resyncs and cache flushes from per-event-time into
-        per-mobility-tick work.
-
-        When ``mobility`` additionally exposes a ``substrate``
-        (:class:`~repro.geometry.substrate.SpatialSubstrate`), the
-        environment drops its own mirror entirely and queries that substrate
-        read-only — one position sync per tick then serves both the mobility
+        ``mobility`` is a :class:`~repro.mobility.manager.MobilityManager`.
+        Once bound, the environment drops its own mirror and queries the
+        manager's :class:`~repro.geometry.substrate.SpatialSubstrate`
+        read-only, trusting that positions only change when the substrate's
+        ``position_epoch`` advances (once per tick and on membership
+        changes).  One position sync per tick then serves both the mobility
         and radio layers (see the class docstring's freshness contract).
         """
         self._mobility = mobility
-        self._substrate = getattr(mobility, "substrate", None)
-        self._synced_mobility_epoch = -1
+        self._substrate = mobility.substrate
         self._synced_epoch = -1
         self._overlay_key = None
 
@@ -619,21 +609,6 @@ class RadioEnvironment:
         """The visibility map's occluder epoch (0 for open terrain)."""
         visibility = self.visibility
         return 0 if visibility is None else visibility.obstacle_epoch
-
-    @property
-    def position_epoch(self) -> int:
-        """Monotonic counter bumped whenever link geometry may have changed.
-
-        Combines the environment's own epoch (attach/detach/manual
-        notifications) with the bound mobility manager's and the visibility
-        map's :attr:`~repro.geometry.los.VisibilityMap.obstacle_epoch` (a
-        moved occluder changes NLOS penalties even though no node moved), so
-        consumers can key caches on this single value.
-        """
-        own = self._position_epoch + self._obstacle_epoch()
-        if self._mobility is not None:
-            own += self._mobility.position_epoch
-        return own
 
     def spatial_stats(self) -> Dict[str, float]:
         """Counters describing how candidate lookup is being served.
@@ -677,13 +652,8 @@ class RadioEnvironment:
             self._fast_universe = None
             self._synced_epoch = epoch
             return
-        mobility = self._mobility
-        if self._synced_epoch == own:
-            if mobility is not None:
-                if self._synced_mobility_epoch == mobility.position_epoch:
-                    return
-            elif self._synced_time == self.sim.now:
-                return
+        if self._synced_epoch == own and self._synced_time == self.sim.now:
+            return
         grid = self._grid
         for name, interface in self._interfaces.items():
             grid.update(name, interface.position)
@@ -692,9 +662,6 @@ class RadioEnvironment:
         self._plans.clear()
         self._fast_universe = None
         self._synced_epoch = own
-        self._synced_mobility_epoch = (
-            mobility.position_epoch if mobility is not None else -1
-        )
         self._synced_time = self.sim.now
 
     def _sync_overlay(self) -> None:

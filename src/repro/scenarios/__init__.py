@@ -1,8 +1,11 @@
 """Ready-made evaluation scenarios.
 
-Each scenario builder assembles a full simulation — road network, obstacles,
-mobility, radio, AirDnD nodes, sensors and a workload — and returns a
-:class:`~repro.scenarios.base.Scenario` whose :meth:`run` method produces a
+Each scenario is a full simulation — road network, obstacles, mobility,
+radio, AirDnD nodes, sensors and a workload.  A scenario class states only
+its geography, its fleet and its extra report fields; the
+:class:`~repro.scenarios.base.Scenario` base class assembles the shared
+world (mobility manager, radio environment, function registry, shared
+scorer) and one AirDnD node per vehicle.  :meth:`Scenario.run` produces a
 :class:`~repro.scenarios.base.ScenarioReport` with the headline metrics the
 benchmarks consume.
 
@@ -15,39 +18,43 @@ benchmarks consume.
 * :mod:`repro.scenarios.workloads` — workload generators shared by the
   scenarios and the baselines.
 
-:data:`SCENARIO_BUILDERS` / :func:`build_scenario` give the CLI and the
+:data:`SCENARIOS` maps each scenario name to its config class, scenario
+class and fleet-size field; :func:`build_scenario` gives the CLI and the
 experiment sweep runner one uniform way to instantiate any scenario by name
-with a fleet size: the per-scenario fleet parameter (``num_vehicles`` vs.
-``vehicles_per_direction``) is normalised to ``n``, and any other config
-field — including the protocol knobs every scenario exposes uniformly
-(``beacon_period``, ``min_trust``, ``task_rate_per_s``) — can be overridden
-by keyword, which is how ``repro sweep --set`` reaches them.
+with a fleet size: the per-scenario fleet field (``num_vehicles`` vs.
+``vehicles_per_direction``) is normalised to ``n``, its default is the
+config dataclass's, and any other config field — including the protocol
+knobs every scenario exposes uniformly (``beacon_period``, ``min_trust``,
+``task_rate_per_s``) — can be overridden by keyword, which is how
+``repro sweep --set`` reaches them.
 """
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple, Type
 
-from repro.scenarios.base import Scenario, ScenarioReport
-from repro.scenarios.intersection import IntersectionScenario, build_intersection_scenario
-from repro.scenarios.urban_grid import UrbanGridScenario, build_urban_grid_scenario
-from repro.scenarios.highway import HighwayScenario, build_highway_scenario
+from repro.scenarios.base import BaseScenarioConfig, Scenario, ScenarioReport
+from repro.scenarios.intersection import (
+    IntersectionConfig,
+    IntersectionScenario,
+    build_intersection_scenario,
+)
+from repro.scenarios.urban_grid import (
+    UrbanGridConfig,
+    UrbanGridScenario,
+    build_urban_grid_scenario,
+)
+from repro.scenarios.highway import HighwayConfig, HighwayScenario, build_highway_scenario
 from repro.scenarios.workloads import (
     GenericComputeWorkload,
     register_generic_functions,
 )
 
-#: Uniform scenario builders: ``name -> builder(n, seed, **overrides)``.
-#: ``n`` is the scenario's fleet-size knob (vehicles, or vehicles per
-#: direction for the highway); ``None`` keeps the scenario's default.
-SCENARIO_BUILDERS: Dict[str, Callable[..., Scenario]] = {
-    "intersection": lambda n=6, seed=0, **overrides: build_intersection_scenario(
-        num_vehicles=n, seed=seed, **overrides
-    ),
-    "urban-grid": lambda n=20, seed=0, **overrides: build_urban_grid_scenario(
-        num_vehicles=n, seed=seed, **overrides
-    ),
-    "highway": lambda n=8, seed=0, **overrides: build_highway_scenario(
-        vehicles_per_direction=n, seed=seed, **overrides
-    ),
+#: ``name -> (config class, scenario class, fleet-size field)``.  The fleet
+#: field is the config knob ``n`` stands for (vehicles, or vehicles per
+#: direction for the highway).
+SCENARIOS: Dict[str, Tuple[Type[BaseScenarioConfig], Type[Scenario], str]] = {
+    "intersection": (IntersectionConfig, IntersectionScenario, "num_vehicles"),
+    "urban-grid": (UrbanGridConfig, UrbanGridScenario, "num_vehicles"),
+    "highway": (HighwayConfig, HighwayScenario, "vehicles_per_direction"),
 }
 
 
@@ -59,29 +66,28 @@ def build_scenario(
     Parameters
     ----------
     name:
-        A key of :data:`SCENARIO_BUILDERS` (``intersection``, ``urban-grid``
-        or ``highway``).
+        A key of :data:`SCENARIOS` (``intersection``, ``urban-grid`` or
+        ``highway``).
     n:
-        Fleet size (scenario-specific default when ``None``).
+        Fleet size (the config's default when ``None``).
     seed:
         Experiment seed.
     overrides:
         Extra keyword arguments forwarded to the scenario's config.
     """
     try:
-        builder = SCENARIO_BUILDERS[name]
+        config_class, scenario_class, fleet_field = SCENARIOS[name]
     except KeyError:
-        known = ", ".join(sorted(SCENARIO_BUILDERS))
+        known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r} (known: {known})") from None
-    if n is None:
-        return builder(seed=seed, **overrides)
-    return builder(n=n, seed=seed, **overrides)
+    fleet = {} if n is None else {fleet_field: n}
+    return scenario_class(config_class(seed=seed, **fleet, **overrides))
 
 
 __all__ = [
     "Scenario",
     "ScenarioReport",
-    "SCENARIO_BUILDERS",
+    "SCENARIOS",
     "build_scenario",
     "IntersectionScenario",
     "build_intersection_scenario",

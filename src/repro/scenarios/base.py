@@ -5,15 +5,22 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.compute.faas import FunctionRegistry
 from repro.compute.resources import ResourceSpec
 from repro.core.api import AirDnDConfig, AirDnDNode
 from repro.core.candidate import CandidateScorer
 from repro.core.lifecycle import TaskLifecycle
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultKnobs, FaultSchedule
+from repro.geometry.los import VisibilityMap
 from repro.metrics.report import reputation_gap, wrong_result_acceptance_rate
+from repro.metrics.statistics import percentile
+from repro.mobility.manager import MobilityManager
+from repro.mobility.vehicle import Vehicle
+from repro.radio.interfaces import RadioEnvironment
+from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator, StepOutcome
 from repro.telemetry.trace import current_tracer
 
@@ -227,7 +234,13 @@ class ScenarioReport:
 
 
 class Scenario:
-    """Base class: owns the simulator and the AirDnD nodes, builds reports."""
+    """Base class: owns the simulator and the AirDnD nodes, builds reports.
+
+    A scenario subclass states its geography, its fleet and its extra report
+    fields; the shared world (:meth:`_build_world`) and each vehicle's node
+    (:meth:`_add_node`) are assembled here, in the order every scenario's
+    events, RNG draws and snapshot bytes depend on.
+    """
 
     def __init__(self, sim: Simulator, name: str = "scenario") -> None:
         self.sim = sim
@@ -242,6 +255,56 @@ class Scenario:
         # can finish the window.
         self._window_end: Optional[float] = None
         self._window_duration = 0.0
+
+    # -------------------------------------------------------------- assembly
+
+    def _build_world(
+        self,
+        tick: float,
+        cell_size: float,
+        functions: Callable[[FunctionRegistry], None],
+        visibility: Optional[VisibilityMap] = None,
+    ) -> None:
+        """Build ``mobility``, ``environment``, ``registry`` and ``scorer``.
+
+        ``functions`` registers the scenario's FaaS functions; the radio
+        runs the default log-distance link budget on ``self.config``'s
+        equivalence tier, with ``visibility`` for NLOS penalties (open
+        terrain when ``None``).
+        """
+        config = self.config  # type: ignore[attr-defined]
+        self.mobility = MobilityManager(self.sim, tick=tick, cell_size=cell_size)
+        self.environment = RadioEnvironment(
+            self.sim,
+            LinkBudget(fast_math=config.fast_math),
+            visibility=visibility,
+            mobility=self.mobility,
+        )
+        self.registry = FunctionRegistry()
+        functions(self.registry)
+        self.scorer = config.shared_scorer()
+
+    def _add_node(self, vehicle: Vehicle, spec: ResourceSpec) -> AirDnDNode:
+        """Put ``vehicle`` on the road and give it an AirDnD node.
+
+        Registers the vehicle with ``mobility``, appends it to ``vehicles``
+        (which the scenario creates) and its node, built with ``spec`` and
+        the config's per-node knobs, to ``nodes``.
+        """
+        config = self.config  # type: ignore[attr-defined]
+        self.mobility.add_node(vehicle)
+        self.vehicles.append(vehicle)
+        node = AirDnDNode(
+            self.sim,
+            self.environment,
+            vehicle,
+            self.registry,
+            config=config.node_config(spec),
+            scorer=self.scorer,
+            placement=config.placement_policy(),
+        )
+        self.nodes.append(node)
+        return node
 
     # ---------------------------------------------------------------- faults
 
@@ -550,19 +613,6 @@ class Scenario:
         completed = [l for l in terminal if l.succeeded]
         failed = [l for l in terminal if not l.succeeded]
         latencies = [l.total_latency() for l in completed if l.total_latency() is not None]
-        latencies_sorted = sorted(latencies)
-
-        def percentile(values: List[float], q: float) -> float:
-            if not values:
-                return math.nan
-            rank = (q / 100.0) * (len(values) - 1)
-            low = int(math.floor(rank))
-            high = int(math.ceil(rank))
-            if low == high:
-                return values[low]
-            frac = rank - low
-            return values[low] * (1 - frac) + values[high] * frac
-
         offloaded = sum(
             1 for l in completed if l.result is not None and l.result.executor != l.task.requester
         )
@@ -579,7 +629,7 @@ class Scenario:
             mean_task_latency_s=(
                 sum(latencies) / len(latencies) if latencies else math.nan
             ),
-            p95_task_latency_s=percentile(latencies_sorted, 95),
+            p95_task_latency_s=percentile(latencies, 95),
             mesh_bytes=float(mesh_bytes),
             cellular_bytes=monitor.counter_value("cellular.bytes_uplinked")
             + monitor.counter_value("cellular.bytes_downlinked"),

@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.compute.faas import FunctionRegistry
 from repro.compute.resources import ResourceSpec
-from repro.core.api import AirDnDNode
 from repro.geometry.vector import Vec2
-from repro.mobility.manager import MobilityManager
 from repro.mobility.vehicle import Vehicle, VehicleParameters
-from repro.radio.interfaces import RadioEnvironment
-from repro.radio.link import LinkBudget
 from repro.scenarios.base import BaseScenarioConfig, Scenario, ScenarioReport
 from repro.scenarios.workloads import GenericComputeWorkload, register_generic_functions
 from repro.simcore.simulator import Simulator
@@ -48,14 +43,7 @@ class HighwayScenario(Scenario):
         super().__init__(sim, name="highway")
         cfg = self.config
 
-        self.mobility = MobilityManager(sim, tick=0.2, cell_size=250.0)
-        self.environment = RadioEnvironment(
-            sim, LinkBudget(fast_math=cfg.fast_math), mobility=self.mobility
-        )
-        self.registry = FunctionRegistry()
-        register_generic_functions(self.registry)
-        self.scorer = cfg.shared_scorer()
-
+        self._build_world(tick=0.2, cell_size=250.0, functions=register_generic_functions)
         self._build_vehicles()
         self.workload = GenericComputeWorkload(
             sim,
@@ -71,7 +59,6 @@ class HighwayScenario(Scenario):
         params_fwd = VehicleParameters(max_speed=cfg.forward_speed)
         params_bwd = VehicleParameters(max_speed=cfg.backward_speed)
         self.vehicles: List[Vehicle] = []
-        self.nodes = []
         spec = ResourceSpec(cpu_ops_per_second=3e9, cores=2, memory_mb=4096)
         for index in range(cfg.vehicles_per_direction):
             start_x = -float(index) * cfg.headway
@@ -82,7 +69,7 @@ class HighwayScenario(Scenario):
                 name=f"fwd-{index}",
                 initial_speed=cfg.forward_speed,
             )
-            self._register_vehicle(vehicle, spec)
+            self._add_node(vehicle, spec)
         for index in range(cfg.vehicles_per_direction):
             start_x = cfg.road_length + float(index) * cfg.headway
             vehicle = Vehicle(
@@ -92,21 +79,7 @@ class HighwayScenario(Scenario):
                 name=f"bwd-{index}",
                 initial_speed=cfg.backward_speed,
             )
-            self._register_vehicle(vehicle, spec)
-
-    def _register_vehicle(self, vehicle: Vehicle, spec: ResourceSpec) -> None:
-        self.mobility.add_node(vehicle)
-        self.vehicles.append(vehicle)
-        node = AirDnDNode(
-            self.sim,
-            self.environment,
-            vehicle,
-            self.registry,
-            config=self.config.node_config(spec),
-            scorer=self.scorer,
-            placement=self.config.placement_policy(),
-        )
-        self.nodes.append(node)
+            self._add_node(vehicle, spec)
 
     # --------------------------------------------------------------- report
 

@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.compute.faas import FunctionRegistry
 from repro.compute.resources import ResourceSpec
-from repro.core.api import AirDnDNode
 from repro.core.models import DataDescription, TaskResult
 from repro.data.datatypes import DataType
 from repro.data.quality import DataQuality
@@ -34,7 +32,6 @@ from repro.data.sensors import LidarSensor
 from repro.geometry.los import VisibilityMap
 from repro.geometry.shapes import Rectangle
 from repro.geometry.vector import Vec2
-from repro.mobility.manager import MobilityManager
 from repro.mobility.providers import PositionOf
 from repro.mobility.road_network import RoadNetwork, single_intersection
 from repro.mobility.vehicle import Vehicle, VehicleParameters
@@ -45,9 +42,6 @@ from repro.perception.lookaround import (
 )
 from repro.perception.objects import ObjectList
 from repro.perception.visibility import observer_visibility
-from repro.radio.interfaces import RadioEnvironment
-from repro.radio.link import LinkBudget
-from repro.radio.propagation import LogDistancePathLoss
 from repro.scenarios.base import BaseScenarioConfig, Scenario, ScenarioReport
 from repro.simcore.simulator import Simulator
 
@@ -92,16 +86,12 @@ class IntersectionScenario(Scenario):
         self.network: RoadNetwork = single_intersection(arm_length=cfg.arm_length)
         self.buildings = corner_buildings()
         self.visibility = VisibilityMap(self.buildings)
-        self.mobility = MobilityManager(sim, tick=0.1, cell_size=150.0)
-        self.environment = RadioEnvironment(
-            sim,
-            LinkBudget(LogDistancePathLoss(), fast_math=cfg.fast_math),
+        self._build_world(
+            tick=0.1,
+            cell_size=150.0,
+            functions=register_perception_functions,
             visibility=self.visibility,
-            mobility=self.mobility,
         )
-        self.registry = FunctionRegistry()
-        register_perception_functions(self.registry)
-        self.scorer = cfg.shared_scorer()
 
         self.metrics = LookAroundMetrics()
         self.perception_results: List[ObjectList] = []
@@ -128,6 +118,7 @@ class IntersectionScenario(Scenario):
         rng = self.sim.streams.get("scenario")
         arms = ["south", "west", "north", "east"]
         params = VehicleParameters(max_speed=cfg.vehicle_speed)
+        spec = ResourceSpec(cpu_ops_per_second=4e9, cores=4, memory_mb=8192)
         self.vehicles: List[Vehicle] = []
         for index in range(cfg.num_vehicles):
             arm = arms[index % len(arms)]
@@ -145,21 +136,7 @@ class IntersectionScenario(Scenario):
                 name=f"veh-{index}",
                 initial_speed=cfg.vehicle_speed * 0.8,
             )
-            self.mobility.add_node(vehicle)
-            self.vehicles.append(vehicle)
-
-        self.nodes = []
-        spec = ResourceSpec(cpu_ops_per_second=4e9, cores=4, memory_mb=8192)
-        for vehicle in self.vehicles:
-            node = AirDnDNode(
-                self.sim,
-                self.environment,
-                vehicle,
-                self.registry,
-                config=self.config.node_config(spec),
-                scorer=self.scorer,
-                placement=self.config.placement_policy(),
-            )
+            node = self._add_node(vehicle, spec)
             LidarSensor(
                 self.sim,
                 vehicle.name,
@@ -169,7 +146,6 @@ class IntersectionScenario(Scenario):
                 visibility=self.visibility,
                 range_m=self.config.sensor_range,
             )
-            self.nodes.append(node)
         self.ego = self.nodes[0]
 
     # ---------------------------------------------------------- ground truth

@@ -14,17 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.compute.faas import FunctionRegistry
 from repro.compute.resources import ResourceSpec
-from repro.core.api import AirDnDNode
 from repro.geometry.los import VisibilityMap
 from repro.geometry.shapes import Rectangle
 from repro.mesh.topology import TopologyObserver
-from repro.mobility.manager import MobilityManager
 from repro.mobility.road_network import manhattan_grid
 from repro.mobility.vehicle import Vehicle, VehicleParameters
-from repro.radio.interfaces import RadioEnvironment
-from repro.radio.link import LinkBudget
 from repro.scenarios.base import BaseScenarioConfig, Scenario, ScenarioReport
 from repro.scenarios.workloads import GenericComputeWorkload, register_generic_functions
 from repro.simcore.simulator import Simulator
@@ -113,17 +108,12 @@ class UrbanGridScenario(Scenario):
             else []
         )
         self.visibility = VisibilityMap(self.buildings) if self.buildings else None
-        self.mobility = MobilityManager(sim, tick=0.2, cell_size=200.0)
-        self.environment = RadioEnvironment(
-            sim,
-            LinkBudget(fast_math=cfg.fast_math),
+        self._build_world(
+            tick=0.2,
+            cell_size=200.0,
+            functions=register_generic_functions,
             visibility=self.visibility,
-            mobility=self.mobility,
         )
-        self.registry = FunctionRegistry()
-        register_generic_functions(self.registry)
-        self.scorer = cfg.shared_scorer()
-
         self._build_vehicles()
         self.topology = TopologyObserver(
             sim, [node.mesh.beacon_agent for node in self.nodes], period=1.0
@@ -145,7 +135,6 @@ class UrbanGridScenario(Scenario):
         rng = self.sim.streams.get("scenario")
         params = VehicleParameters(max_speed=cfg.vehicle_speed)
         self.vehicles: List[Vehicle] = []
-        self.nodes = []
         for index in range(cfg.num_vehicles):
             path = self.network.random_route(rng, min_hops=3)
             route = self.network.path_to_polyline(path)
@@ -157,19 +146,7 @@ class UrbanGridScenario(Scenario):
                 initial_speed=cfg.vehicle_speed * 0.5,
                 loop_route=True,
             )
-            self.mobility.add_node(vehicle)
-            self.vehicles.append(vehicle)
-            spec = self._compute_spec(index, rng)
-            node = AirDnDNode(
-                self.sim,
-                self.environment,
-                vehicle,
-                self.registry,
-                config=cfg.node_config(spec),
-                scorer=self.scorer,
-                placement=cfg.placement_policy(),
-            )
-            self.nodes.append(node)
+            self._add_node(vehicle, self._compute_spec(index, rng))
 
     def _compute_spec(self, index: int, rng) -> ResourceSpec:
         """Heterogeneous fleet: every third vehicle is compute-rich."""

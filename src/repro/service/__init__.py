@@ -18,11 +18,10 @@ Layers, bottom up (each importable without the ones above it):
   cooperative round-robin scheduling of many sessions.
 - :mod:`repro.service.app` — the framework-free ASGI HTTP + WebSocket
   facade (``repro serve``).
-- :mod:`repro.service.httpd` / :mod:`repro.service.testing` — a stdlib
-  ASGI server fallback and an in-process test client.
+- :mod:`repro.service.httpd` / :mod:`repro.service.testing` — the stdlib
+  ASGI server ``repro serve`` runs and an in-process test client.
 
-Everything is stdlib-plus-repo only; uvicorn (the ``[service]`` extra) is
-an optional nicety for production serving, never a requirement.
+Everything is stdlib-plus-repo only.
 """
 
 from repro.service.app import ServiceApp, create_app

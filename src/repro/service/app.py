@@ -2,11 +2,9 @@
 
 The app speaks the plain `ASGI 3 <https://asgi.readthedocs.io/>`_ protocol
 directly — no web framework — so the service layer stays importable with
-zero dependencies beyond the package itself.  Run it under any ASGI server:
-``repro serve`` uses uvicorn when installed (the ``[service]`` extra) and
-otherwise falls back to the bundled stdlib server in
-:mod:`repro.service.httpd`; tests drive it in-process through
-:class:`repro.service.testing.ASGITestClient`.
+zero dependencies beyond the package itself.  ``repro serve`` runs it
+under the bundled stdlib server in :mod:`repro.service.httpd`; tests drive
+it in-process through :class:`repro.service.testing.ASGITestClient`.
 
 Endpoints (JSON in/out unless noted; full protocol in ``docs/SERVICE.md``)::
 

@@ -1,8 +1,7 @@
 """A minimal stdlib ASGI server: HTTP/1.1 + WebSocket over ``asyncio``.
 
-``repro serve`` prefers uvicorn (the ``[service]`` optional extra) — this
-module is the dependency-free fallback that makes the service usable from a
-bare install.  It implements just enough of HTTP/1.1 (request parsing,
+``repro serve`` runs the service through this module, so the service is
+usable from a bare install.  It implements just enough of HTTP/1.1 (request parsing,
 ``Content-Length`` bodies, keep-alive) and RFC 6455 (handshake, masked
 client frames, text/close/ping opcodes, unfragmented messages) to carry the
 facade in :mod:`repro.service.app`; it is intentionally not a

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.metrics.statistics import percentile
+
 
 class Counter:
     """A named monotonically increasing total.
@@ -116,20 +118,7 @@ class SampleSeries:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile ``q`` in ``[0, 100]``."""
-        if not self.values:
-            return math.nan
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        ordered = sorted(self.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        return percentile(self.values, q)
 
     def stddev(self) -> float:
         """Population standard deviation, or ``nan`` for fewer than 2 samples."""

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.scenarios import SCENARIO_BUILDERS, build_scenario
+from repro.scenarios import SCENARIOS, build_scenario
 
 SMALL_FLEET = {"intersection": 3, "urban-grid": 3, "highway": 2}
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_build_scenario_forwards_protocol_knobs(name):
     scenario = build_scenario(name, n=SMALL_FLEET[name], seed=1,
                               beacon_period=0.25, min_trust=0.7)
@@ -22,7 +22,7 @@ def test_build_scenario_forwards_protocol_knobs(name):
         assert node.orchestrator.scorer.min_trust == 0.7
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_defaults_keep_airdnd_defaults(name):
     scenario = build_scenario(name, n=SMALL_FLEET[name], seed=1)
     for node in scenario.nodes:
@@ -37,7 +37,7 @@ def test_invalid_knob_values_fail_at_construction():
         build_scenario("highway", n=2, seed=0, min_trust=1.5)
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_scenario_installs_a_fault_injector(name):
     scenario = build_scenario(name, n=SMALL_FLEET[name], seed=1)
     assert scenario.faults is not None
@@ -51,7 +51,7 @@ def test_every_scenario_installs_a_fault_injector(name):
     assert "reputation_gap" in report.extra
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fault_knobs_reach_the_injector(name):
     fleet = {"intersection": 4, "urban-grid": 4, "highway": 2}[name]
     scenario = build_scenario(
@@ -130,7 +130,7 @@ def test_urban_grid_street_width_knob_fails_fast():
         UrbanGridConfig(street_width=-20.0)  # would pave buildings over roads
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fast_math_knob_selects_the_radio_tier(name):
     exact = build_scenario(name, n=SMALL_FLEET[name], seed=1)
     fast = build_scenario(name, n=SMALL_FLEET[name], seed=1, fast_math=True)

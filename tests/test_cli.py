@@ -2,18 +2,23 @@
 
 import pytest
 
-from repro.cli import build_parser, build_scenario, main, report_table
+from repro.cli import build_parser, main
+from repro.scenarios import build_scenario
 from repro.scenarios.highway import HighwayScenario
-from repro.scenarios.intersection import IntersectionScenario
+from repro.scenarios.intersection import IntersectionConfig, IntersectionScenario
 from repro.scenarios.urban_grid import UrbanGridScenario
 
 
 def test_parser_defaults_and_overrides():
     parser = build_parser()
-    args = parser.parse_args(["intersection"])
-    assert args.vehicles == 6 and args.duration == 20.0 and args.seed == 0
-    args = parser.parse_args(["urban-grid", "--vehicles", "9", "--duration", "5", "--seed", "3"])
-    assert (args.vehicles, args.duration, args.seed) == (9, 5.0, 3)
+    args = parser.parse_args(["run", "--scenario", "intersection"])
+    assert args.vehicles is None and args.duration is None and args.seed == 0
+    args = parser.parse_args(["run", "--scenario", "urban_grid", "--vehicles", "9",
+                              "--duration", "5", "--seed", "3"])
+    assert (args.scenario, args.vehicles, args.duration, args.seed) == ("urban-grid", 9, 5.0, 3)
+    # `repro run --scenario NAME` is the one way to run a scenario.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["intersection"])
 
 
 def test_parser_requires_a_scenario():
@@ -22,14 +27,17 @@ def test_parser_requires_a_scenario():
 
 
 def test_build_scenario_dispatch():
-    parser = build_parser()
-    assert isinstance(build_scenario(parser.parse_args(["intersection"])), IntersectionScenario)
-    assert isinstance(build_scenario(parser.parse_args(["urban-grid"])), UrbanGridScenario)
-    assert isinstance(build_scenario(parser.parse_args(["highway"])), HighwayScenario)
+    intersection = build_scenario("intersection")
+    assert isinstance(intersection, IntersectionScenario)
+    # Without --vehicles the fleet size is the config dataclass's default.
+    assert len(intersection.nodes) == IntersectionConfig().num_vehicles
+    assert isinstance(build_scenario("urban-grid"), UrbanGridScenario)
+    assert isinstance(build_scenario("highway"), HighwayScenario)
 
 
 def test_main_runs_and_prints_report(capsys):
-    exit_code = main(["intersection", "--vehicles", "4", "--duration", "5", "--seed", "1"])
+    exit_code = main(["run", "--scenario", "intersection", "--vehicles", "4",
+                      "--duration", "5", "--seed", "1"])
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "AirDnD scenario report: intersection" in captured.out
@@ -37,9 +45,14 @@ def test_main_runs_and_prints_report(capsys):
     assert "occluded_detection_rate" in captured.out
 
 
-def test_report_table_contains_every_metric():
-    exit_code = main(["urban-grid", "--vehicles", "6", "--duration", "5", "--seed", "2"])
+def test_report_table_contains_every_metric(capsys):
+    exit_code = main(["run", "--scenario", "urban-grid", "--vehicles", "6",
+                      "--duration", "5", "--seed", "2"])
+    out = capsys.readouterr().out
     assert exit_code == 0
+    assert "AirDnD scenario report: urban-grid" in out
+    for metric in build_scenario("urban-grid", n=6, seed=2).run(5.0).as_dict():
+        assert metric in out
 
 
 def test_sweep_parser_defaults_and_overrides():
@@ -360,21 +373,14 @@ def test_serve_parser_defaults_and_overrides():
     assert args.step_slice == 2000
     assert args.snapshot_dir is None
     assert not args.no_auto_drive
-    assert args.server == "auto"
     args = parser.parse_args([
         "serve", "--host", "0.0.0.0", "--port", "9000",
         "--step-slice", "500", "--snapshot-dir", "/tmp/evict",
-        "--no-auto-drive", "--server", "stdlib",
+        "--no-auto-drive",
     ])
     assert (args.host, args.port, args.step_slice) == ("0.0.0.0", 9000, 500)
     assert args.snapshot_dir == "/tmp/evict"
     assert args.no_auto_drive
-    assert args.server == "stdlib"
-
-
-def test_serve_rejects_unknown_server_backend():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["serve", "--server", "gunicorn"])
 
 
 def test_serve_command_serves_requests_over_tcp():
@@ -392,8 +398,7 @@ def test_serve_command_serves_requests_over_tcp():
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--server", "stdlib"],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
         env=dict(os.environ, PYTHONPATH=path),
         stdout=subprocess.PIPE,
         text=True,
