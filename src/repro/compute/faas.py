@@ -226,6 +226,7 @@ class _PendingInvocation:
             requirement=self.requirement,
             on_complete=self.run_body,
             label=self.definition.name,
+            execution_id=self.runtime.sim.new_id("execution"),
         )
         accepted = self.runtime.compute.submit(execution)
         if not accepted:

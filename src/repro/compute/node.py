@@ -8,16 +8,13 @@ scorer.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 from collections import deque
 
 from repro.compute.energy import EnergyModel
 from repro.compute.resources import ResourceRequirement, ResourceSpec
 from repro.simcore.simulator import Simulator
-
-_execution_ids = itertools.count()
 
 
 @dataclass
@@ -27,7 +24,8 @@ class TaskExecution:
     requirement: ResourceRequirement
     on_complete: Optional[Callable[["TaskExecution"], None]] = None
     label: str = ""
-    execution_id: int = field(default_factory=lambda: next(_execution_ids))
+    #: Issued by the FaaS runtime's simulation; -1 for work submitted directly.
+    execution_id: int = -1
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -173,9 +171,8 @@ class ComputeNode:
         """In-flight work and accounting as plain data.
 
         The executions themselves (and their pending finish events) travel
-        with the snapshot's object graph; execution ids come from a
-        process-global counter whose offset is not observable state, so
-        only the in-flight counts are captured.
+        with the snapshot's object graph, and the simulator's capture holds
+        the id numbering, so only the in-flight counts are captured.
         """
         return {
             "owner": self.owner,

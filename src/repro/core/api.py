@@ -377,8 +377,8 @@ class AirDnDNode:
                 "scores": dict(sorted(self.trust.recorded_scores().items())),
                 "events": len(self.trust.events),
             },
-            # Task ids come from a process-global counter whose offset is
-            # not observable state; capture the in-flight count only.
+            # The simulator's capture holds the id numbering; capture the
+            # in-flight count only.
             "orchestrator": {
                 "accepting": self.orchestrator.accepting,
                 "pending_tasks": len(self.orchestrator._pending),

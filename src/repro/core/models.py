@@ -21,15 +21,12 @@ locally from beacons (network descriptions).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.data.datatypes import DataType
 from repro.data.quality import DataQuality
 from repro.geometry.vector import Vec2
-
-_task_ids = itertools.count()
 
 
 # --------------------------------------------------------------------- Model 3
@@ -88,6 +85,9 @@ class TaskDescription:
     requester:
         Name of the node that created the task (filled in by the
         orchestrator).
+    task_id:
+        Identifier issued by the requester's simulation when the task is
+        submitted (-1 before that).
     size_bytes:
         Serialized size of the description itself (small by construction).
     redundancy:
@@ -104,7 +104,7 @@ class TaskDescription:
     requester: str = ""
     size_bytes: int = 600
     redundancy: int = 1
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    task_id: int = -1
 
     def __post_init__(self) -> None:
         if self.operations <= 0:
@@ -112,22 +112,11 @@ class TaskDescription:
         if self.redundancy < 1:
             raise ValueError("redundancy must be at least 1")
 
-    def with_requester(self, requester: str) -> "TaskDescription":
-        """Copy of the task stamped with its requesting node."""
-        clone = TaskDescription(
-            function_name=self.function_name,
-            parameters=dict(self.parameters),
-            operations=self.operations,
-            memory_mb=self.memory_mb,
-            data=self.data,
-            deadline_s=self.deadline_s,
-            requester=requester,
-            size_bytes=self.size_bytes,
-            redundancy=self.redundancy,
+    def with_requester(self, requester: str, task_id: int) -> "TaskDescription":
+        """Copy of the task stamped with its requesting node and its id."""
+        return replace(
+            self, parameters=dict(self.parameters), requester=requester, task_id=task_id
         )
-        # Preserve identity: a re-stamped task is the same task.
-        clone.task_id = self.task_id
-        return clone
 
 
 # --------------------------------------------------------------------- Model 1

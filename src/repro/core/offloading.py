@@ -21,8 +21,7 @@ in :mod:`repro.core.orchestrator`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.compute.faas import FaaSRuntime, InvocationResult
@@ -34,8 +33,6 @@ from repro.core.trust import TrustManager
 from repro.data.pond import DataPond
 from repro.mesh.node import MeshNode
 from repro.simcore.simulator import Simulator
-
-_offer_ids = itertools.count()
 
 #: Serialized sizes (bytes) of the small protocol messages.
 REJECT_SIZE_BYTES = 120
@@ -49,7 +46,7 @@ class TaskOffer:
     task: TaskDescription
     requester: str
     sent_at: float
-    offer_id: int = field(default_factory=lambda: next(_offer_ids))
+    offer_id: int
 
 
 @dataclass

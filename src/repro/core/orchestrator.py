@@ -136,7 +136,7 @@ class Orchestrator:
         self, task: TaskDescription, on_result: Optional[ResultCallback] = None
     ) -> TaskLifecycle:
         """Submit a task for orchestration; returns its lifecycle immediately."""
-        task = task.with_requester(self.name)
+        task = task.with_requester(self.name, self.sim.new_id("task"))
         lifecycle = TaskLifecycle(task=task, created_at=self.sim.now)
         self.lifecycles.append(lifecycle)
         pending = _PendingTask(
@@ -194,7 +194,12 @@ class Orchestrator:
 
     def _send_offer(self, pending: _PendingTask, candidate: CandidateScore) -> None:
         task = pending.lifecycle.task
-        offer = TaskOffer(task=task, requester=self.name, sent_at=self.sim.now)
+        offer = TaskOffer(
+            task=task,
+            requester=self.name,
+            sent_at=self.sim.now,
+            offer_id=self.sim.new_id("offer"),
+        )
         pending.outstanding_offers[offer.offer_id] = candidate.name
         pending.lifecycle.record_attempt(candidate.name)
         if pending.lifecycle.state == TaskState.SELECTING:

@@ -14,13 +14,10 @@ Only two message families exist at the mesh layer:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.geometry.vector import Vec2
-
-_message_ids = itertools.count()
 
 #: Approximate serialized size of a beacon frame in bytes.  Beacons carry a
 #: node id, position, velocity, compute summary and a short data-catalog
@@ -96,7 +93,8 @@ class DataMessage:
     hop_limit:
         Remaining hops before the message is dropped (TTL).
     message_id:
-        Unique identifier (assigned automatically).
+        Identifier issued by the sending simulation; routers drop a message
+        whose id they have already seen.
     """
 
     source: str
@@ -105,7 +103,7 @@ class DataMessage:
     payload: Any
     size_bytes: int
     hop_limit: int = 8
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    message_id: int = field(kw_only=True)
     hops_taken: int = 0
 
     def next_hop_copy(self) -> "DataMessage":

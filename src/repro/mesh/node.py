@@ -143,9 +143,8 @@ class MeshNode:
                 "messages_dropped": self.router.messages_dropped,
                 "seen_messages": len(self.router._seen_message_ids),
             },
-            # Transfer ids come from a process-global counter whose offset
-            # is not observable state, so only the in-flight counts are
-            # captured — that keeps fingerprints comparable across restores.
+            # The simulator's capture holds the id numbering, so only the
+            # in-flight counts are captured here.
             "transport": {
                 "outgoing": len(self.transport._outgoing),
                 "incoming": len(self.transport._incoming),

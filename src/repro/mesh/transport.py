@@ -12,15 +12,12 @@ error.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.mesh.messages import DataMessage
 from repro.mesh.routing import GreedyGeoRouter
 from repro.simcore.simulator import Simulator
-
-_transfer_ids = itertools.count()
 
 #: Maximum bytes of application payload per mesh fragment.
 DEFAULT_MTU = 2000
@@ -130,7 +127,7 @@ class ReliableTransport:
     ) -> Transfer:
         """Start a reliable transfer toward ``destination``."""
         transfer = Transfer(
-            transfer_id=next(_transfer_ids),
+            transfer_id=self.sim.new_id("transfer"),
             destination=destination,
             payload=payload,
             size_bytes=size_bytes,
@@ -172,6 +169,7 @@ class ReliableTransport:
                 kind=transfer.kind,
                 payload=fragment,
                 size_bytes=fragment.size_bytes + 40,  # fragment header overhead
+                message_id=self.sim.new_id("message"),
             )
             self.router.send(message)
         self.sim.schedule(
@@ -223,6 +221,7 @@ class ReliableTransport:
             kind="ack",
             payload=_Ack(transfer_id=transfer_id),
             size_bytes=60,
+            message_id=self.sim.new_id("message"),
         )
         self.router.send(ack)
         self.sim.monitor.counter("mesh.transfers_received").add()

@@ -69,15 +69,6 @@ class MobilityManager:
         """The substrate's underlying grid (kept for backwards compatibility)."""
         return self.substrate.grid
 
-    @property
-    def position_epoch(self) -> int:
-        """Monotonic counter bumped whenever node positions may have changed.
-
-        Delegates to the substrate, which is the single invalidation source:
-        each tick commits one bump, and membership changes bump immediately.
-        """
-        return self.substrate.position_epoch
-
     # ---------------------------------------------------------- membership
 
     def add_node(self, node) -> None:

@@ -10,13 +10,10 @@ generated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.simcore.simulator import Simulator
-
-_transfer_ids = itertools.count()
 
 
 @dataclass
@@ -83,7 +80,7 @@ class CellularNetwork:
         self, size_bytes: float, on_complete: Callable[[], Any], kind: str = "data"
     ) -> int:
         """Start an uplink transfer; ``on_complete`` fires when it finishes."""
-        transfer_id = next(_transfer_ids)
+        transfer_id = self.sim.new_id("cellular_transfer")
         self.bytes_uplinked += size_bytes
         monitor = self.sim.monitor
         monitor.counter("cellular.bytes_uplinked").add(size_bytes)
@@ -95,7 +92,7 @@ class CellularNetwork:
         self, size_bytes: float, on_complete: Callable[[], Any], kind: str = "result"
     ) -> int:
         """Start a downlink transfer; ``on_complete`` fires when it finishes."""
-        transfer_id = next(_transfer_ids)
+        transfer_id = self.sim.new_id("cellular_transfer")
         self.bytes_downlinked += size_bytes
         monitor = self.sim.monitor
         monitor.counter("cellular.bytes_downlinked").add(size_bytes)

@@ -47,7 +47,6 @@ transport and the AirDnD offloading protocol) decide what goes inside.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter
@@ -61,8 +60,6 @@ from repro.geometry.vector import Vec2
 from repro.radio.link import LinkBudget, LinkQuality
 from repro.simcore.monitor import Counter
 from repro.simcore.simulator import Simulator
-
-_frame_ids = itertools.count()
 
 #: ``LinkBudget.effective_range`` walks outward in 5 m steps, so the true
 #: usable boundary lies at most one step beyond the reported range.  The
@@ -82,7 +79,7 @@ class Frame:
     Attributes
     ----------
     frame_id:
-        Unique identifier (assigned automatically).
+        Identifier issued by the sending simulation (:meth:`Simulator.new_id`).
     sender:
         Name of the sending node.
     destination:
@@ -100,7 +97,7 @@ class Frame:
     payload: Any
     size_bytes: int
     kind: str = "data"
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(kw_only=True)
 
 
 class _FrameDelivery:
@@ -359,6 +356,7 @@ class RadioInterface:
             payload=payload,
             size_bytes=size_bytes,
             kind=kind,
+            frame_id=self.environment.sim.new_id("frame"),
         )
         if self.enabled:
             self.bytes_sent += size_bytes
@@ -480,10 +478,6 @@ class RadioEnvironment:
         self._synced_time: Optional[float] = None
         self._mobility: Optional[Any] = None
         self._substrate: Optional[Any] = None
-        # Read by nothing; kept only because every snapshot pickles it, and
-        # dropping it would move their bytes.  It goes with the next
-        # SNAPSHOT_VERSION bump.
-        self._synced_mobility_epoch = -1
         self._overlay_names: List[str] = []
         self._overlay_key: Optional[Tuple[int, int]] = None
         #: Full mirror resync passes performed (stays 0 when substrate-bound;

@@ -99,10 +99,9 @@ class HighwayScenario(Scenario):
 
 
 def build_highway_scenario(
-    vehicles_per_direction: int = 8, seed: int = 0, **overrides
+    vehicles_per_direction: Optional[int] = None, seed: int = 0, **overrides
 ) -> HighwayScenario:
-    """Convenience builder for the highway scenario."""
-    config = HighwayConfig(
-        vehicles_per_direction=vehicles_per_direction, seed=seed, **overrides
-    )
-    return HighwayScenario(config)
+    """``build_scenario("highway", ...)``; the fleet defaults to the config's."""
+    from repro.scenarios import build_scenario  # the package imports this module
+
+    return build_scenario("highway", vehicles_per_direction, seed, **overrides)

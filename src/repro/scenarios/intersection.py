@@ -70,7 +70,6 @@ class IntersectionConfig(BaseScenarioConfig):
     region_radius: float = 40.0
     vehicle_speed: float = 10.0
     pedestrian_offset: float = 35.0
-    use_cellular_baseline: bool = False
     seed: int = 0
 
 
@@ -266,8 +265,9 @@ class _PerceptionFusion:
 
 
 def build_intersection_scenario(
-    num_vehicles: int = 6, seed: int = 0, **overrides
+    num_vehicles: Optional[int] = None, seed: int = 0, **overrides
 ) -> IntersectionScenario:
-    """Convenience builder used by the quickstart and the benchmarks."""
-    config = IntersectionConfig(num_vehicles=num_vehicles, seed=seed, **overrides)
-    return IntersectionScenario(config)
+    """``build_scenario("intersection", ...)``; the fleet defaults to the config's."""
+    from repro.scenarios import build_scenario  # the package imports this module
+
+    return build_scenario("intersection", num_vehicles, seed, **overrides)

@@ -179,8 +179,9 @@ class UrbanGridScenario(Scenario):
 
 
 def build_urban_grid_scenario(
-    num_vehicles: int = 20, seed: int = 0, **overrides
+    num_vehicles: Optional[int] = None, seed: int = 0, **overrides
 ) -> UrbanGridScenario:
-    """Convenience builder for the urban-grid scenario."""
-    config = UrbanGridConfig(num_vehicles=num_vehicles, seed=seed, **overrides)
-    return UrbanGridScenario(config)
+    """``build_scenario("urban-grid", ...)``; the fleet defaults to the config's."""
+    from repro.scenarios import build_scenario  # the package imports this module
+
+    return build_scenario("urban-grid", num_vehicles, seed, **overrides)

@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.simcore.simulator import Simulator
-
-_entity_ids = itertools.count()
 
 
 class SimEntity:
     """Anything with an identity that participates in a simulation.
 
     Subclasses include vehicles, radios, mesh agents, compute nodes and the
-    AirDnD orchestrator nodes.  The base class provides a unique
-    ``entity_id`` and a back-reference to the
+    AirDnD orchestrator nodes.  The base class provides an
+    ``entity_id``, unique within its simulation, and a back-reference to the
     :class:`~repro.simcore.simulator.Simulator`.
     """
 
     def __init__(self, sim: Simulator, name: Optional[str] = None) -> None:
         self.sim = sim
-        self.entity_id = next(_entity_ids)
+        self.entity_id = sim.new_id("entity")
         self.name = name if name is not None else f"{type(self).__name__}-{self.entity_id}"
         sim.register_entity(self)
 

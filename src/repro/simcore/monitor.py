@@ -35,17 +35,11 @@ class Counter:
     value can be exported as a Prometheus counter and rate()-ed without
     resets ever meaning "someone subtracted".  Use :class:`Gauge` for
     values that go down.
-
-    ``increments`` counts :meth:`add` calls, not units: the radio medium
-    adds a whole broadcast's total in one call, so for ``radio.*`` counters
-    it is roughly one per broadcast.  Nothing reads it; it stays only
-    because snapshot artifacts pickle it.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float = 0.0
-        self.increments: int = 0
 
     def add(self, amount: float = 1.0) -> None:
         """Add a non-negative ``amount`` to the counter."""
@@ -55,7 +49,6 @@ class Counter:
                 "(use a Gauge for values that go down)"
             )
         self.value += amount
-        self.increments += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}={self.value})"
@@ -67,17 +60,14 @@ class Gauge:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float = 0.0
-        self.updates: int = 0
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
         self.value = float(value)
-        self.updates += 1
 
     def add(self, amount: float = 1.0) -> None:
         """Move the gauge by ``amount`` (negative deltas are the point)."""
         self.value += amount
-        self.updates += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Gauge({self.name}={self.value})"

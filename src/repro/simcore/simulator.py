@@ -14,7 +14,7 @@ over ``step``, so the two are byte-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.monitor import Monitor
@@ -81,6 +81,8 @@ class Simulator:
         self._running = False
         self._entities: List[Any] = []
         self._stop_requested = False
+        #: Next id of each kind handed out by :meth:`new_id`.
+        self._next_ids: Dict[str, int] = {}
         #: Cumulative events fired over the simulator's lifetime (pure
         #: bookkeeping — deliberately not part of the snapshot state
         #: contract, though it travels with pickled simulators).
@@ -301,10 +303,23 @@ class Simulator:
         """Whether a stop has been requested and not yet cleared."""
         return self._stop_requested
 
+    # -------------------------------------------------------------------- ids
+
+    def new_id(self, kind: str) -> int:
+        """The next id of ``kind`` ("frame", "task", ...), counting from 0.
+
+        Each simulation numbers its own frames, messages, tasks and so on,
+        so ids never depend on what else ran in the process, and the
+        numbering travels with a snapshot like any other state.
+        """
+        value = self._next_ids.get(kind, 0)
+        self._next_ids[kind] = value + 1
+        return value
+
     # -------------------------------------------------------------- snapshot
 
     def capture_state(self) -> dict:
-        """Clock, RNG-stream and event-queue state as one plain-data dict.
+        """Clock, RNG-stream, event-queue and id state as one plain-data dict.
 
         This is the simulation core's half of the snapshot protocol: the
         values here (together with the pickled event graph the codec
@@ -316,6 +331,7 @@ class Simulator:
             "now": self._now,
             "rng": self.streams.capture_state(),
             "queue": self._queue.capture_state(),
+            "ids": dict(self._next_ids),
         }
 
     # -------------------------------------------------------------- entities

@@ -17,11 +17,6 @@ from repro.snapshot.codec import (
     SnapshotIntegrityError,
     SnapshotVersionError,
 )
-from repro.snapshot.counters import (
-    GLOBAL_COUNTERS,
-    capture_global_counters,
-    restore_global_counters,
-)
 from repro.snapshot.scenario import (
     load_snapshot,
     restore_scenario,
@@ -41,9 +36,6 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotIntegrityError",
     "SnapshotVersionError",
-    "GLOBAL_COUNTERS",
-    "capture_global_counters",
-    "restore_global_counters",
     "load_snapshot",
     "restore_scenario",
     "snapshot_scenario",

@@ -1,10 +1,11 @@
 """Scenario-level snapshot orchestration.
 
-A snapshot payload is the scenario's whole object graph (simulator, event
-queue, RNG streams, nodes, radio environment, fault injector, mobility)
-plus the process-global id counters.  Ephemeral derived structures — radio
-link/fast-plan caches, spatial-grid cell sets — are dropped at capture time
-by the layers' ``__getstate__`` hooks and rebuilt on demand after restore;
+A snapshot payload is the scenario itself: its whole object graph
+(simulator with its id numbering, event queue, RNG streams, nodes, radio
+environment, fault injector, mobility) and nothing else, so a restore sets
+no process-global state.  Ephemeral derived structures — radio link/plan
+caches, spatial-grid cell sets — are dropped at capture time by the layers'
+``__getstate__`` hooks and rebuilt on demand after restore;
 ``docs/SNAPSHOTS.md`` tabulates what is captured versus rebuilt.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.scenarios.base import Scenario
 from repro.snapshot.codec import SnapshotCodec
-from repro.snapshot.counters import capture_global_counters, restore_global_counters
 from repro.telemetry.trace import current_tracer
 
 
@@ -24,10 +25,6 @@ def snapshot_scenario(
     tracer = current_tracer()
     trace_start = tracer.clock() if tracer is not None else 0.0
     codec = SnapshotCodec()
-    # A tuple, not a dict: a wrapper key "scenario" would share one string
-    # object with the RNG stream of that name in a fresh graph but not in a
-    # restored one, so snapshot-of-restored could never match the original.
-    payload = (scenario, capture_global_counters())
     header_metadata: Dict[str, Any] = {
         "scenario": scenario.name,
         "time": scenario.sim.now,
@@ -37,7 +34,7 @@ def snapshot_scenario(
     }
     if metadata:
         header_metadata.update(metadata)
-    blob = codec.encode(payload, header_metadata)
+    blob = codec.encode(scenario, header_metadata)
     if tracer is not None:
         tracer.span(
             "snapshot_capture",
@@ -52,22 +49,17 @@ def snapshot_scenario(
 def restore_scenario(blob: bytes) -> Tuple[Any, Dict[str, Any]]:
     """Rebuild a scenario from a snapshot artifact.
 
-    Returns ``(scenario, header)``.  The global id counters are advanced to
-    at least their captured values so the restored run never re-issues ids.
+    Returns ``(scenario, header)``.
     """
     tracer = current_tracer()
     trace_start = tracer.clock() if tracer is not None else 0.0
-    payload, header = SnapshotCodec().decode(blob)
-    if not (
-        isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[1], dict)
-    ):
+    scenario, header = SnapshotCodec().decode(blob)
+    if not isinstance(scenario, Scenario):
         raise ValueError(
             "snapshot payload is not a scenario snapshot (expected a "
-            "(scenario, counters) tuple); was this artifact written by "
-            "snapshot_scenario?"
+            f"Scenario, got {type(scenario).__name__}); was this artifact "
+            "written by snapshot_scenario?"
         )
-    scenario, counters = payload
-    restore_global_counters(counters)
     if tracer is not None:
         tracer.span(
             "snapshot_restore",

@@ -8,8 +8,9 @@ Two tools certify that a restored simulation is *the same* simulation:
   snapshot/restore run must produce equal records.
 * :func:`scenario_fingerprint` — one nested, ``==``-comparable plain-data
   dict aggregating every layer's ``capture_state()``.  Equal fingerprints
-  mean equal clocks, RNG stream states, queue bookkeeping, caches-excluded
-  radio state, fault stacks and per-node mesh/compute/trust state.
+  mean equal clocks, RNG stream states, queue bookkeeping, id numbering,
+  caches-excluded radio state, fault stacks and per-node
+  mesh/compute/trust state.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 #: One delivered frame: (time, sender, receiver, snr_db, rate_bps).
-#: Frame ids are deliberately excluded — they come from a process-global
-#: counter whose offset is not part of the simulation's observable state.
+#: Frame ids are left out: a record holds what the receiver observed, and
+#: the id numbering is simulator state, which :func:`scenario_fingerprint`
+#: compares.
 FrameRecord = Tuple[float, str, str, float, float]
 
 

@@ -30,21 +30,27 @@ def make_neighbor(name="n1", data_types=("lidar_scan",), headroom=1e9):
     )
 
 
-def test_task_description_validation_and_ids():
-    a = TaskDescription(function_name="f")
-    b = TaskDescription(function_name="f")
-    assert a.task_id != b.task_id
+def test_task_description_validation_and_ids(two_nodes):
+    # A description gets its id when submitted, from the requester's
+    # simulation, so two submissions of one description are two tasks.
+    task = TaskDescription(function_name="noop", operations=1e7)
+    assert task.task_id == -1
+    first = two_nodes[0].submit_task(task).task
+    second = two_nodes[0].submit_task(task).task
+    assert first.task_id != second.task_id
+    assert task.task_id == -1
     with pytest.raises(ValueError):
         TaskDescription(function_name="f", operations=0)
     with pytest.raises(ValueError):
         TaskDescription(function_name="f", redundancy=0)
 
 
-def test_with_requester_preserves_identity():
+def test_with_requester_stamps_requester_and_id():
     task = TaskDescription(function_name="f", parameters={"a": 1})
-    stamped = task.with_requester("ego")
+    stamped = task.with_requester("ego", 5)
     assert stamped.requester == "ego"
-    assert stamped.task_id == task.task_id
+    assert stamped.task_id == 5
+    assert task.requester == "" and task.task_id == -1
     assert stamped.parameters == {"a": 1}
     assert stamped.parameters is not task.parameters
 

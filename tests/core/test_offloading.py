@@ -13,7 +13,7 @@ from tests.conftest import make_static_airdnd_nodes
 
 
 def offer_for(task, requester, at):
-    return TaskOffer(task=task, requester=requester, sent_at=at)
+    return TaskOffer(task=task, requester=requester, sent_at=at, offer_id=0)
 
 
 def test_executor_runs_offer_and_returns_result(sim, environment, registry):
@@ -26,7 +26,7 @@ def test_executor_runs_offer_and_returns_result(sim, environment, registry):
         if kind == "airdnd.result"
         else None
     )
-    task = build_task(registry, "noop").with_requester(requester.name)
+    task = build_task(registry, "noop").with_requester(requester.name, sim.new_id("task"))
     requester.mesh.send_reliable(
         executor.name, offer_for(task, requester.name, sim.now), 600, kind="airdnd.offer"
     )
@@ -77,7 +77,7 @@ def test_executor_rejects_when_data_missing(sim, environment, registry):
             data_type=DataType.LIDAR_SCAN,
             required_quality=DataQuality(freshness_s=1.0, coverage_radius_m=10.0, resolution=0.5, accuracy=0.5),
         ),
-    ).with_requester(requester.name)
+    ).with_requester(requester.name, sim.new_id("task"))
     requester.mesh.send_reliable(
         executor.name, offer_for(task, requester.name, sim.now), 600, kind="airdnd.offer"
     )
@@ -103,7 +103,7 @@ def test_executor_rejects_when_queue_full(sim, environment, registry):
         if kind == "airdnd.reject"
         else None
     )
-    task = build_task(registry, "noop").with_requester(requester.name)
+    task = build_task(registry, "noop").with_requester(requester.name, sim.new_id("task"))
     requester.mesh.send_reliable(
         executor.name, offer_for(task, requester.name, sim.now), 600, kind="airdnd.offer"
     )
@@ -129,7 +129,7 @@ def test_malicious_executor_corrupts_result(sim, environment, registry):
         if kind == "airdnd.result"
         else None
     )
-    task = build_task(registry, "noop").with_requester(requester.name)
+    task = build_task(registry, "noop").with_requester(requester.name, sim.new_id("task"))
     requester.mesh.send_reliable(
         evil.name, offer_for(task, requester.name, sim.now), 600, kind="airdnd.offer"
     )

@@ -30,12 +30,11 @@ def run_fleet(with_null_injector: bool, seed: int = 77):
         mobile = StaticNode(sim, Vec2(index * 45.0, 0.0), name=f"n-{index}")
         node = AirDnDNode(sim, environment, mobile, registry)
         receiver = node.name
-        # frame_id is excluded: it comes from a process-global counter, so
-        # it differs between two runs in one process without saying anything
-        # about the delivered-frame sequence.
+        # Each simulation numbers its own frames, so the two runs in this
+        # process must agree on frame ids too.
         node.mesh.interface.on_receive(
             lambda frame, quality, receiver=receiver: log.append(
-                (sim.now, frame.sender, receiver,
+                (sim.now, frame.frame_id, frame.sender, receiver,
                  quality.snr_db, quality.rate_bps)
             )
         )

@@ -20,12 +20,20 @@ def build(positions):
     return sim, routers
 
 
+def outgoing(sim, destination, payload, size_bytes, **kwargs):
+    """A message from "a", numbered by its simulation like the transport does."""
+    return DataMessage(
+        "a", destination, "data", payload, size_bytes,
+        message_id=sim.new_id("message"), **kwargs,
+    )
+
+
 def test_direct_neighbor_delivery():
     sim, routers = build({"a": Vec2(0, 0), "b": Vec2(60, 0)})
     sim.run(until=2.0)   # let discovery settle
     received = []
     routers["b"].on_deliver(lambda message: received.append(message.payload))
-    routers["a"].send(DataMessage("a", "b", "data", "payload", 500))
+    routers["a"].send(outgoing(sim, "b", "payload", 500))
     sim.run(until=3.0)
     assert received == ["payload"]
     assert routers["b"].messages_delivered == 1
@@ -37,7 +45,7 @@ def test_multi_hop_delivery_through_chain():
     sim.run(until=2.5)
     received = []
     routers["c"].on_deliver(lambda message: received.append(message))
-    routers["a"].send(DataMessage("a", "c", "data", "hop-hop", 500, hop_limit=5))
+    routers["a"].send(outgoing(sim, "c", "hop-hop", 500, hop_limit=5))
     sim.run(until=4.0)
     assert len(received) == 1
     assert received[0].payload == "hop-hop"
@@ -47,7 +55,7 @@ def test_multi_hop_delivery_through_chain():
 def test_message_to_unknown_destination_without_neighbors_is_dropped():
     sim, routers = build({"a": Vec2(0, 0)})
     sim.run(until=1.0)
-    ok = routers["a"].send(DataMessage("a", "ghost", "data", None, 100))
+    ok = routers["a"].send(outgoing(sim, "ghost", None, 100))
     assert ok is False
     assert routers["a"].messages_dropped == 1
 
@@ -55,7 +63,7 @@ def test_message_to_unknown_destination_without_neighbors_is_dropped():
 def test_ttl_exhaustion_drops_message():
     sim, routers = build({"a": Vec2(0, 0), "b": Vec2(60, 0)})
     sim.run(until=2.0)
-    ok = routers["a"].send(DataMessage("a", "b", "data", None, 100, hop_limit=0))
+    ok = routers["a"].send(outgoing(sim, "b", None, 100, hop_limit=0))
     assert ok is False
     assert sim.monitor.counter_value("mesh.routing_drops_ttl") == 1
 
@@ -64,7 +72,7 @@ def test_local_delivery_short_circuits():
     sim, routers = build({"a": Vec2(0, 0)})
     received = []
     routers["a"].on_deliver(lambda m: received.append(m.payload))
-    routers["a"].send(DataMessage("a", "a", "data", "self", 10))
+    routers["a"].send(outgoing(sim, "a", "self", 10))
     assert received == ["self"]
 
 
@@ -73,7 +81,7 @@ def test_duplicate_deliveries_suppressed():
     sim.run(until=2.0)
     received = []
     routers["b"].on_deliver(lambda m: received.append(m.payload))
-    message = DataMessage("a", "b", "data", "once", 100)
+    message = outgoing(sim, "b", "once", 100)
     routers["a"].send(message)
     routers["a"].send(message)   # identical message id resent
     sim.run(until=3.0)

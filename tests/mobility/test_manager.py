@@ -90,15 +90,15 @@ def test_invalid_tick_rejected():
 def test_position_epoch_advances_on_ticks_and_membership():
     sim = Simulator()
     manager = MobilityManager(sim, tick=0.1)
-    start = manager.position_epoch
+    start = manager.substrate.position_epoch
     node = StaticNode(sim, Vec2(0, 0), name="s")
     manager.add_node(node)
-    assert manager.position_epoch == start + 1
+    assert manager.substrate.position_epoch == start + 1
     sim.run(until=1.0)
-    after_ticks = manager.position_epoch
+    after_ticks = manager.substrate.position_epoch
     assert after_ticks >= start + 1 + 10  # one bump per tick
     manager.remove_node("s")
-    assert manager.position_epoch == after_ticks + 1
+    assert manager.substrate.position_epoch == after_ticks + 1
 
 
 def test_manager_grid_is_the_substrate_grid():

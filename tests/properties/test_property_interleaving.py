@@ -3,11 +3,11 @@
 The session engine multiplexes many simulations by stepping each one in
 bounded event slices.  The contract: however two sessions' slices are
 interleaved — alternating, lopsided, varying sizes — each session's fleet
-delivered-frame sequence, final report and full state fingerprint are
-byte-identical to running its scenario to completion in one undisturbed
-``Scenario.run()`` call.  Quantified over scenario, seed, slice pattern,
-equivalence tier (exact and fast_math) and fault activity; a deterministic
-acceptance test pins the tier × faults matrix explicitly.
+delivered-frame sequence, final report, full state fingerprint and final
+snapshot bytes are identical to running its scenario to completion in one
+undisturbed ``Scenario.run()`` call.  Quantified over scenario, seed, slice
+pattern, equivalence tier (exact and fast_math) and fault activity; a
+deterministic acceptance test pins the tier × faults matrix explicitly.
 """
 
 import itertools
@@ -42,7 +42,9 @@ def _solo(scenario_name, seed, fast_math, faults):
     scenario = _build(scenario_name, seed, fast_math, faults)
     log = DeliveredFrameLog().attach(scenario)
     report = scenario.run(DURATION)
-    return log.records, report.as_dict(), scenario_fingerprint(scenario)
+    return (
+        log.records, report.as_dict(), scenario_fingerprint(scenario), scenario.snapshot()
+    )
 
 
 def _interleaved_pair(scenario_name, seeds, fast_math, faults, slices):
@@ -62,7 +64,12 @@ def _interleaved_pair(scenario_name, seeds, fast_math, faults, slices):
             if session.state is SessionState.RUNNING:
                 session.step(next(budgets))
     return [
-        (log.records, session.report.as_dict(), scenario_fingerprint(session.scenario))
+        (
+            log.records,
+            session.report.as_dict(),
+            scenario_fingerprint(session.scenario),
+            session.scenario.snapshot(),
+        )
         for session, log in zip(sessions, logs)
     ]
 
@@ -86,15 +93,18 @@ def test_interleaved_sessions_are_byte_identical_to_solo_runs(
 ):
     seeds = (seed, seed + 1)
     interleaved = _interleaved_pair(scenario_name, seeds, fast_math, faults, slices)
-    for one_seed, (frames, report, fingerprint) in zip(seeds, interleaved):
-        frames_solo, report_solo, fp_solo = _solo(
+    for one_seed, (frames, report, fingerprint, snapshot) in zip(seeds, interleaved):
+        frames_solo, report_solo, fp_solo, snapshot_solo = _solo(
             scenario_name, one_seed, fast_math, faults
         )
         assert frames == frames_solo
         assert report == report_solo
-        # Fingerprint equality covers clocks, queue bookkeeping, per-node
-        # state and every named RNG stream's bit-generator state.
+        # Fingerprint equality covers clocks, queue bookkeeping, id
+        # numbering, per-node state and every named RNG stream's state.
         assert fingerprint == fp_solo
+        # Both sessions and the solo runs share this process, so equal
+        # bytes also show that no id leaks from one simulation to another.
+        assert snapshot == snapshot_solo
 
 
 @pytest.mark.parametrize("fast_math", [False, True], ids=["exact", "fast"])
@@ -105,8 +115,11 @@ def test_acceptance_matrix_interleaving_with_faults(fast_math, faults):
     interleaved = _interleaved_pair(
         "urban-grid", seeds, fast_math, faults, slices=[17, 160, 3]
     )
-    for seed, (frames, report, fingerprint) in zip(seeds, interleaved):
-        frames_solo, report_solo, fp_solo = _solo("urban-grid", seed, fast_math, faults)
+    for seed, (frames, report, fingerprint, snapshot) in zip(seeds, interleaved):
+        frames_solo, report_solo, fp_solo, snapshot_solo = _solo(
+            "urban-grid", seed, fast_math, faults
+        )
         assert frames == frames_solo
         assert report == report_solo
         assert fingerprint == fp_solo
+        assert snapshot == snapshot_solo

@@ -3,9 +3,9 @@
 Scenario assembly fixes the construction order, the RNG draws, the event
 sequence and the attribute order that reports and snapshots are made of.
 These pins hold all of it still for the three scenarios on the exact radio
-tier, one case with the fault injector active.  Each case runs in a fresh
-interpreter: the process-global id counters are part of the snapshot, so a
-scenario run earlier in the same process would change its bytes.
+tier, one case with the fault injector active.  Every id in a snapshot is
+numbered by its own simulation, so the cases run in this process and the
+bytes must not depend on what ran before them.
 
 After an intentional change of scenario behaviour, re-capture the pins with
 ``python tests/scenarios/test_scenario_pins.py CASE`` (``PYTHONPATH=src``).
@@ -14,11 +14,11 @@ After an intentional change of scenario behaviour, re-capture the pins with
 import functools
 import hashlib
 import json
-import os
-import subprocess
 import sys
 
 import pytest
+
+from repro.scenarios import build_scenario
 
 FAULT_KNOBS = dict(
     crash_rate=0.08,
@@ -42,27 +42,25 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "468d39a16299185819b9bd0a7ea69a0a94e8dd189ba2ae6d044fe43108504461",
+        "2efabd5c5529378e5c30cf4231c4c4f452f680c593dfaa9e3c467c2518524863",
     ),
     "highway-faults": (
         "89a1c61168d7b5a93ccb25f8ec428ae4d245752ce0e4b41112d876fc7a260c1d",
-        "b8cd358c78315d207b18fdd3932e66ec8bc6118fd84e23458e2ea4ab7b3a953a",
+        "f9d4cac50ee0abdcdbc19bdb45a337de97ae91e1b6e91a9c63bd8652d4e939a3",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "a61fc6e4a861574c97e13139b89d627444b7dd632eb251579a5565e4504277aa",
+        "ca3ee17831caae49234d4ede465c2de5b70eeff79b8b32eefe403907b8139fc4",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "2d1e771ee1bcce94a3be21c0240280d65f2a7cb9fb9ab35021f431a474a34fc3",
+        "7aea5a18ca08b75bbf0e1b2d5e0657f3a8cfdb4b9323f54f7936c82224fef680",
     ),
 }
 
 
 def case_shas(case):
     """Run ``case`` in this process; return (report sha, snapshot sha)."""
-    from repro.scenarios import build_scenario
-
     name, fleet, seed, knobs, duration = CASES[case]
     scenario = build_scenario(name, n=fleet, seed=seed, **knobs)
     scenario.open_window(duration)
@@ -73,32 +71,26 @@ def case_shas(case):
     return hashlib.sha256(report.encode()).hexdigest(), snapshot_sha
 
 
-@functools.lru_cache(maxsize=None)
-def fresh_case_shas(case):
-    """:func:`case_shas` in a fresh interpreter."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), case],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    report_sha, snapshot_sha = result.stdout.split()
-    return report_sha, snapshot_sha
+pinned_case_shas = functools.lru_cache(maxsize=None)(case_shas)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_are_pinned(case):
-    assert fresh_case_shas(case)[0] == PINS[case][0]
+    assert pinned_case_shas(case)[0] == PINS[case][0]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_mid_run_snapshot_bytes_are_pinned(case):
-    assert fresh_case_shas(case)[1] == PINS[case][1]
+    assert pinned_case_shas(case)[1] == PINS[case][1]
+
+
+def test_snapshot_bytes_do_not_depend_on_earlier_runs():
+    # A run that sends frames and messages, submits and offloads tasks and
+    # crashes nodes draws every kind of id; the next scenario still starts
+    # its own numbering from zero.
+    earlier = build_scenario("highway", n=4, seed=9, **FAULT_KNOBS).run(8.0)
+    assert earlier.tasks_submitted > 0 and earlier.extra["crashes_injected"] > 0
+    assert case_shas("urban-grid") == PINS["urban-grid"]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator."""
 
+import pickle
+
 import pytest
 
 from repro.simcore.simulator import Simulator, StopSimulation
@@ -174,3 +176,14 @@ def test_schedule_batch_events_are_cancellable():
     events[1].cancel()
     sim.run(until=1.0)
     assert fired == ["keep"]
+
+
+def test_new_id_numbers_each_kind_per_simulation():
+    sim = Simulator()
+    assert [sim.new_id("frame") for _ in range(3)] == [0, 1, 2]
+    assert sim.new_id("task") == 0
+    # Another simulation starts its own numbering, whatever ran before.
+    assert Simulator().new_id("frame") == 0
+    assert sim.capture_state()["ids"] == {"frame": 3, "task": 1}
+    restored = pickle.loads(pickle.dumps(sim))
+    assert restored.new_id("frame") == sim.new_id("frame") == 3

@@ -130,10 +130,22 @@ def test_rejects_v1_artifacts(artifact):
         SnapshotCodec().decode(tampered)
 
 
+def test_rejects_v2_artifacts(artifact):
+    # v2 payloads carried process-global id counters next to the scenario.
+    tampered = _rewrite_header(artifact, lambda h: h.update(version=2))
+    with pytest.raises(SnapshotVersionError, match="not supported"):
+        SnapshotCodec().decode(tampered)
+
+
 @pytest.mark.parametrize(
     "payload",
-    [{"answer": 42}, {"scenario": None, "counters": {}}, ("scenario", "counters", {})],
-    ids=["dict", "v1-wrapper", "triple"],
+    [
+        {"answer": 42},
+        {"scenario": None, "counters": {}},
+        ("scenario", "counters", {}),
+        ("scenario", {"radio.frame_ids": 0}),
+    ],
+    ids=["dict", "v1-wrapper", "triple", "v2-pair"],
 )
 def test_restore_rejects_a_payload_that_is_not_a_scenario(payload):
     blob = SnapshotCodec().encode(payload)

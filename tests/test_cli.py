@@ -540,3 +540,14 @@ def test_fabric_status_prometheus_is_valid_exposition(tmp_path, capsys):
     text = capsys.readouterr().out
     assert check_exposition(text) == []
     assert 'repro_fabric_cells{state="pending"} 1' in text
+
+
+def test_sweep_rejects_the_removed_cellular_baseline_knob():
+    # Nothing ever read use_cellular_baseline, so the field is gone: sweeping
+    # it fails as an unknown knob instead of silently changing nothing.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'use_cellular_baseline'"):
+        main([
+            "sweep", "--scenario", "intersection", "--n", "2",
+            "--set", "use_cellular_baseline=true,false",
+            "--duration", "1", "--repetitions", "1",
+        ])

@@ -20,7 +20,7 @@ from repro.simcore.event import Event
 def make_instances():
     return [
         Event(time=1.0, callback=lambda: None, name="t"),
-        Frame(sender="a", destination=None, payload="x", size_bytes=10),
+        Frame(sender="a", destination=None, payload="x", size_bytes=10, frame_id=0),
         Beacon(sender="a", timestamp=0.0, position=Vec2(0, 0), velocity=Vec2(0, 0)),
         LinkQuality(10.0, 1e6, 0.01, True, 50.0),
         _FrameDelivery(None, None, None),
