@@ -109,17 +109,14 @@ class NetworkDescriptionBuilder:
             dx = x - ox
             dy = y - oy
             distance = math.hypot(dx, dy)
-            link_quality = entry.link_quality
-            rate = link_quality.rate_bps if link_quality is not None else 0.0
-            snr = link_quality.snr_db if link_quality is not None else 0.0
             neighbors.append(
                 NeighborDescription(
                     name=beacon.sender,
                     position=Vec2(x, y),
                     velocity=velocity,
                     distance_m=distance,
-                    link_rate_bps=rate,
-                    link_snr_db=snr,
+                    link_rate_bps=entry.rate_bps,
+                    link_snr_db=entry.snr_db,
                     compute_headroom_ops=beacon.compute_headroom_ops,
                     queue_length=beacon.queue_length,
                     data_summary=beacon.data_summary,

@@ -92,14 +92,9 @@ class FaultInjector:
         self.recoveries_injected = 0
         self.degradation_bursts = 0
         self.loss_bursts = 0
-        self._on_crash: List[Callable[[Any], None]] = []
         self._on_recover: List[Callable[[Any], None]] = []
 
     # ------------------------------------------------------------ listeners
-
-    def on_crash(self, callback: Callable[[Any], None]) -> None:
-        """Register a callback fired with the node after each crash."""
-        self._on_crash.append(callback)
 
     def on_recover(self, callback: Callable[[Any], None]) -> None:
         """Register a callback fired with the node after each recovery."""
@@ -192,8 +187,6 @@ class FaultInjector:
         self._await_rejoin.pop(name, None)
         self.crashes_injected += 1
         self.sim.monitor.counter("faults.crashes").add()
-        for callback in self._on_crash:
-            callback(node)
         return True
 
     def recover(self, name: str) -> bool:

@@ -272,12 +272,6 @@ class FaultSchedule:
             events.append(FaultEvent(t + length, end_kind, magnitude=magnitude))
         return events
 
-    # -------------------------------------------------------------- queries
-
-    def expected_crashes(self, node_count: int, duration: float) -> float:
-        """Expected crash count (diagnostics; ignores downtime pauses)."""
-        return self.knobs.crash_rate * node_count * duration
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultSchedule(seed={self.seed}, knobs={self.knobs})"
 

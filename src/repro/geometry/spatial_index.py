@@ -14,7 +14,6 @@ randomisation.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import sys
 from typing import Dict, Generic, Hashable, Iterable, List, Set, Tuple, TypeVar
@@ -41,7 +40,7 @@ class SpatialGrid(Generic[K]):
         self._positions: Dict[K, Vec2] = {}
         self._cells: Dict[Tuple[int, int], Set[K]] = {}
         self._seq: Dict[K, int] = {}
-        self._seq_counter = itertools.count()
+        self._next_seq = 0
         #: Total :meth:`update` calls ever made — cheap instrumentation used
         #: by benchmark E11 to assert the fleet is synced exactly once per
         #: mobility tick (no second mirror pass).
@@ -99,7 +98,8 @@ class SpatialGrid(Generic[K]):
                 self._discard_from_cell(old_cell, key)
                 self._cells.setdefault(new_cell, set()).add(key)
         else:
-            self._seq[key] = next(self._seq_counter)
+            self._seq[key] = self._next_seq
+            self._next_seq += 1
             self._cells.setdefault(self._cell_of(position), set()).add(key)
         self._positions[key] = position
 

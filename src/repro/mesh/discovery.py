@@ -132,7 +132,9 @@ class BeaconAgent:
             return
         beacon: Beacon = frame.payload
         self.beacons_heard += 1
-        is_new = self.neighbors.observe(beacon, self.sim.now, quality)
+        is_new = self.neighbors.observe(
+            beacon, self.sim.now, quality.snr_db, quality.rate_bps
+        )
         if is_new:
             self.epoch += 1
             self.sim.monitor.counter("mesh.neighbor_up_events").add()

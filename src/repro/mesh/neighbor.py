@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.mesh.messages import Beacon
-from repro.radio.link import LinkQuality
 
 
 @dataclass
@@ -21,7 +20,10 @@ class NeighborEntry:
 
     beacon: Beacon
     last_seen: float
-    link_quality: Optional[LinkQuality] = None
+    #: Signal-to-noise ratio and link rate of the frame that carried the
+    #: latest beacon.
+    snr_db: float = 0.0
+    rate_bps: float = 0.0
     beacons_received: int = 1
     first_seen: float = 0.0
 
@@ -60,7 +62,7 @@ class NeighborTable:
         return name in self._entries
 
     def observe(
-        self, beacon: Beacon, now: float, link_quality: Optional[LinkQuality] = None
+        self, beacon: Beacon, now: float, snr_db: float = 0.0, rate_bps: float = 0.0
     ) -> bool:
         """Record a received beacon.
 
@@ -75,14 +77,16 @@ class NeighborTable:
             self._entries[beacon.sender] = NeighborEntry(
                 beacon=beacon,
                 last_seen=now,
-                link_quality=link_quality,
+                snr_db=snr_db,
+                rate_bps=rate_bps,
                 beacons_received=1,
                 first_seen=now,
             )
             return True
         existing.beacon = beacon
         existing.last_seen = now
-        existing.link_quality = link_quality
+        existing.snr_db = snr_db
+        existing.rate_bps = rate_bps
         existing.beacons_received += 1
         return False
 
@@ -124,14 +128,6 @@ class NeighborTable:
         return [
             name
             for name, entry in self._entries.items()
-            if entry.age(now) <= self.lifetime
-        ]
-
-    def active_entries(self, now: float) -> List[NeighborEntry]:
-        """Entries not yet past the lifetime (see :meth:`active_names`)."""
-        return [
-            entry
-            for entry in self._entries.values()
             if entry.age(now) <= self.lifetime
         ]
 

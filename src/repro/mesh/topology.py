@@ -100,7 +100,11 @@ class TopologySnapshot:
 
 
 class TopologyObserver:
-    """Periodically snapshots the union of all nodes' neighbour tables."""
+    """Periodically snapshots the union of all nodes' neighbour tables.
+
+    Only the latest snapshot is kept whole; every tick leaves one summary
+    row, and ended links leave only their running lifetime sum.
+    """
 
     def __init__(
         self,
@@ -112,14 +116,14 @@ class TopologyObserver:
         self.sim = sim
         self.agents = list(agents)
         self.require_bidirectional = require_bidirectional
-        self.snapshots: List[TopologySnapshot] = []
+        self._latest: Optional[TopologySnapshot] = None
+        #: One ``(time, nodes, edges, largest component)`` row per tick.
+        self.rows: List[Tuple[float, int, int, int]] = []
         self._link_first_seen: Dict[Tuple[str, str], float] = {}
-        self.link_lifetimes: List[float] = []
+        # Lifetimes of ended links, summed in the order they end.
+        self._lifetime_total = 0.0
+        self._links_ended = 0
         self._task = sim.schedule_periodic(period, self.take_snapshot, name="topology")
-
-    def add_agent(self, agent: BeaconAgent) -> None:
-        """Track an agent added after construction."""
-        self.agents.append(agent)
 
     def replace_agent(self, agent: BeaconAgent) -> None:
         """Swap in a rebuilt agent for the same node name (crash recovery).
@@ -142,7 +146,7 @@ class TopologyObserver:
     # ------------------------------------------------------------ snapshots
 
     def take_snapshot(self) -> TopologySnapshot:
-        """Build a snapshot now and append it to the history."""
+        """Build a snapshot now; it replaces the latest one."""
         now = self.sim.now
         heard: Dict[str, List[str]] = {}
         for agent in self.agents:
@@ -174,42 +178,41 @@ class TopologyObserver:
             }
         snapshot = TopologySnapshot(now, nodes, edges)
         self._update_link_lifetimes(snapshot)
-        self.snapshots.append(snapshot)
-        self.sim.monitor.timeseries("mesh.largest_component").record(
-            now, float(snapshot.largest_component_size())
-        )
-        self.sim.monitor.timeseries("mesh.edge_count").record(
-            now, float(snapshot.edge_count)
-        )
+        self._latest = snapshot
+        largest = snapshot.largest_component_size()
+        self.rows.append((now, snapshot.node_count, snapshot.edge_count, largest))
+        monitor = self.sim.monitor
+        monitor.gauge("mesh.largest_component").set(largest)
+        monitor.gauge("mesh.edge_count").set(snapshot.edge_count)
         return snapshot
 
     def _update_link_lifetimes(self, snapshot: TopologySnapshot) -> None:
         current = snapshot.edges
         known = set(self._link_first_seen)
         # Walk the differences sorted, not in hash order: they set the order
-        # of _link_first_seen (pickled) and of link_lifetimes, whose float
-        # sum gives the mean.
+        # of _link_first_seen (pickled) and of the lifetime float sum.
         for link in sorted(current - known):
             self._link_first_seen[link] = snapshot.time
         for link in sorted(known - current):
             start = self._link_first_seen.pop(link)
-            self.link_lifetimes.append(snapshot.time - start)
+            self._lifetime_total += snapshot.time - start
+            self._links_ended += 1
 
     # ------------------------------------------------------------- analysis
 
     def latest(self) -> Optional[TopologySnapshot]:
         """Most recent snapshot, or ``None`` before the first tick."""
-        return self.snapshots[-1] if self.snapshots else None
+        return self._latest
 
     def mean_link_lifetime(self) -> float:
         """Average observed lifetime of links that have already ended."""
-        if not self.link_lifetimes:
+        if not self._links_ended:
             return 0.0
-        return sum(self.link_lifetimes) / len(self.link_lifetimes)
+        return self._lifetime_total / self._links_ended
 
     def formation_time(self, min_size: int) -> Optional[float]:
         """First time the largest component reached ``min_size`` nodes."""
-        for snapshot in self.snapshots:
-            if snapshot.largest_component_size() >= min_size:
-                return snapshot.time
+        for time, _nodes, _edges, largest in self.rows:
+            if largest >= min_size:
+                return time
         return None

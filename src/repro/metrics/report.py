@@ -42,14 +42,6 @@ class ResultTable:
         """Append a row from a dict keyed by column name."""
         self.add_row(*[row.get(column, "") for column in self.columns])
 
-    def as_records(self) -> List[Dict[str, str]]:
-        """Rows as dicts keyed by column name (cells already formatted).
-
-        The machine-readable twin of :meth:`render`, used by tests and by
-        callers that post-process a table without re-parsing aligned text.
-        """
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def render(self) -> str:
         """Render the table as aligned plain text."""
         widths = [len(c) for c in self.columns]

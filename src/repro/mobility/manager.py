@@ -57,7 +57,6 @@ class MobilityManager:
         self.traces: Dict[str, TrajectoryTrace] = {}
         self._nodes: Dict[str, object] = {}
         self._listeners: List[Callable[[float], None]] = []
-        self._active_nodes_series = sim.monitor.timeseries("mobility.active_nodes")
         self._task = sim.schedule_periodic(
             tick, self._on_tick, start_delay=tick, name="mobility-tick"
         )
@@ -141,6 +140,6 @@ class MobilityManager:
                     now, node.position, getattr(node, "speed", 0.0)
                 )
         substrate.commit()
-        self._active_nodes_series.record(now, float(len(self._nodes)))
+        self.sim.monitor.gauge("mobility.active_nodes").set(len(self._nodes))
         for listener in self._listeners:
             listener(now)

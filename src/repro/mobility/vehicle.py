@@ -73,13 +73,6 @@ class Vehicle(SimEntity):
         """Velocity vector (heading scaled by speed)."""
         return self.heading * self.speed
 
-    @property
-    def current_target(self) -> Optional[Vec2]:
-        """The waypoint the vehicle is currently driving toward."""
-        if self.finished:
-            return None
-        return self.route[self._waypoint_index]
-
     def remaining_route_length(self) -> float:
         """Metres left to drive along the remaining waypoints."""
         if self.finished:

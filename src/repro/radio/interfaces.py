@@ -1026,7 +1026,7 @@ class RadioEnvironment:
                 mask = kept.tolist()
                 receivers = compress(receivers, mask)
                 qualities = compress(qualities, mask)
-            self._link_delay.values.extend(delays.tolist())
+            self._link_delay.add_many(delays)
             times = (delays + self.sim.now).tolist()
             callbacks = map(_FrameDelivery, receivers, repeat(frame), qualities)
         # Absolute times straight into the queue (the delays are positive by
@@ -1057,8 +1057,8 @@ class RadioEnvironment:
             delays, return_inverse=True, return_counts=True
         )
         members = indices[np.argsort(inverse, kind="stable")].tolist()
+        self._link_delay.add_many(delays)
         now = self.sim.now
-        delay_samples = self._link_delay.values
         receivers = plan.receivers
         qualities = plan.qualities
         times: List[float] = []
@@ -1075,7 +1075,6 @@ class RadioEnvironment:
                     receivers, qualities, members[start : start + size], frame
                 )
             start += size
-            delay_samples.extend(repeat(delay, size))
             times.append(now + delay)
             callbacks.append(callback)
         return times, callbacks

@@ -17,11 +17,10 @@ telecom assumption).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.compute.faas import FunctionDefinition, FunctionRegistry
 from repro.core.api import AirDnDNode
-from repro.core.models import TaskDescription
 from repro.core.task_model import build_task
 from repro.data.datatypes import DataType
 from repro.simcore.simulator import Simulator
@@ -121,7 +120,8 @@ class GenericComputeWorkload:
         self.deadline_s = deadline_s
         self.redundancy = redundancy
         self._rng = sim.streams.get(rng_stream)
-        self.submitted: List[TaskDescription] = []
+        #: Tasks submitted so far.
+        self.submitted = 0
         # A dict, not a set: set layout follows the hash seed and would
         # make snapshot bytes differ across processes.
         self._suspended: Dict[str, None] = {}
@@ -166,10 +166,10 @@ class GenericComputeWorkload:
         task = build_task(
             self.registry,
             "generic_compute",
-            parameters={"operations": operations, "label": f"wl-{len(self.submitted)}"},
+            parameters={"operations": operations, "label": f"wl-{self.submitted}"},
             deadline_s=self.deadline_s,
             redundancy=self.redundancy,
         )
-        self.submitted.append(task)
+        self.submitted += 1
         node.submit_task(task)
         self._schedule_next()

@@ -336,23 +336,23 @@ class SimulationSession:
         observer = getattr(self.scenario, "topology", None)
         if observer is None:
             return 0
-        return len(observer.snapshots)
+        return len(observer.rows)
 
     def _publish_topology(self) -> None:
-        """Emit one event per topology snapshot taken since the last slice."""
+        """Emit one event per topology tick taken since the last slice."""
         observer = getattr(self.scenario, "topology", None)
         if observer is None:
             return
-        snapshots = observer.snapshots
-        for snapshot in snapshots[self._topology_seen:]:
+        rows = observer.rows
+        for time, nodes, edges, largest in rows[self._topology_seen:]:
             self.bus.publish(
                 {
                     "type": "topology",
                     "session": self.id,
-                    "time": snapshot.time,
-                    "nodes": snapshot.node_count,
-                    "edges": snapshot.edge_count,
-                    "largest_component": snapshot.largest_component_size(),
+                    "time": time,
+                    "nodes": nodes,
+                    "edges": edges,
+                    "largest_component": largest,
                 }
             )
-        self._topology_seen = len(snapshots)
+        self._topology_seen = len(rows)

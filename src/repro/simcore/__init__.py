@@ -11,14 +11,14 @@ dependency-free discrete-event simulator.  The kernel provides:
   number streams keyed by name so that changing one subsystem's randomness
   does not perturb another's.
 * :class:`~repro.simcore.monitor.Monitor` — metric collection (counters,
-  time series, samples) queried by the experiment harness.
+  gauges, bucketed samples) queried by the experiment harness.
 
 Event tracing lives in :mod:`repro.telemetry.trace`.
 """
 
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.entity import SimEntity
-from repro.simcore.monitor import Counter, Monitor, SampleSeries, TimeSeries
+from repro.simcore.monitor import Counter, Monitor, SampleSeries
 from repro.simcore.rng import RandomStreams
 from repro.simcore.simulator import Simulator, StepOutcome, StopSimulation
 
@@ -32,6 +32,5 @@ __all__ = [
     "RandomStreams",
     "Monitor",
     "Counter",
-    "TimeSeries",
     "SampleSeries",
 ]

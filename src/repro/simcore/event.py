@@ -10,7 +10,6 @@ experiments.
 from __future__ import annotations
 
 import heapq
-import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Tuple
@@ -102,7 +101,8 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._entries: list[HeapEntry] = []
-        self._counter = itertools.count()
+        #: Sequence number the next pushed event gets.
+        self._next_sequence = 0
         self._active = 0
         #: In-place rebuilds performed to shed cancelled events.
         self.compactions = 0
@@ -125,7 +125,8 @@ class EventQueue:
         Returns the :class:`Event` so callers may later :meth:`Event.cancel`
         it.
         """
-        sequence = next(self._counter)
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
         # Positional: the generated __init__ takes keywords at twice the cost.
         event = Event(time, priority, sequence, callback, name, False, self)
         heapq.heappush(self._entries, (time, priority, sequence, event))
@@ -143,14 +144,15 @@ class EventQueue:
         instead of k sifts (O(k log n)) — this is the entry point both radio
         tiers use to schedule a whole broadcast's arrivals at once.
         """
-        counter = self._counter
+        sequence = self._next_sequence
         events = []
         batch = []
         for time, callback, priority, name in entries:
-            sequence = next(counter)
             event = Event(time, priority, sequence, callback, name, False, self)
             events.append(event)
             batch.append((time, priority, sequence, event))
+            sequence += 1
+        self._next_sequence = sequence
         if not batch:
             return events
         heap = self._entries
@@ -260,6 +262,6 @@ class EventQueue:
         return {
             "heap_len": len(self._entries),
             "active": self._active,
-            "next_sequence": self._counter.__reduce__()[1][0],
+            "next_sequence": self._next_sequence,
             "compactions": self.compactions,
         }

@@ -1,31 +1,39 @@
 """Metric collection for simulations.
 
 The :class:`Monitor` is a lightweight metric registry shared by every entity
-in a simulation.  Four metric kinds cover the needs of the benchmark
+in a simulation.  Three metric kinds cover the needs of the benchmark
 harness:
 
 * :class:`Counter` — strictly monotonically increasing totals (bytes sent,
   tasks done); a negative delta is a programming error and raises.
 * :class:`Gauge` — a value that legitimately goes up *and* down (mesh
   size, leased cells, queue depth).
-* :class:`SampleSeries` — unordered numeric observations (latencies) with
-  percentile/mean summaries.
-* :class:`TimeSeries` — ``(time, value)`` pairs for quantities that evolve
-  over virtual time (mesh size, utilisation), with time-weighted averaging.
+* :class:`SampleSeries` — numeric observations (latencies) kept as a
+  count, a running sum and fixed-bucket counts, not as raw values.
 
 The kinds map one-to-one onto Prometheus families in
-:mod:`repro.telemetry.prometheus` (counter/gauge/histogram/gauge
-respectively), which is why the counter/gauge split is enforced rather
-than documented away.
+:mod:`repro.telemetry.prometheus` (counter/gauge/histogram respectively),
+which is why the counter/gauge split is enforced rather than documented
+away.  Every kind is a fixed-size aggregate, so a monitor's size grows with
+the number of metric names, not with run length.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Tuple
 
-from repro.metrics.statistics import percentile
+import numpy as np
+
+#: Upper bucket bounds (seconds-flavoured, the Prometheus defaults) of every
+#: :class:`SampleSeries`; the exposition's ``+Inf`` bucket is implicit.
+DEFAULT_BUCKETS: Tuple[float, ...] = (
+    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+_BOUNDS = np.array(DEFAULT_BUCKETS)
 
 
 class Counter:
@@ -74,98 +82,56 @@ class Gauge:
 
 
 class SampleSeries:
-    """A bag of numeric observations with summary statistics."""
+    """Numeric observations folded into a fixed-bucket histogram.
+
+    Holds a count, a running sum and one count per bucket of
+    :data:`DEFAULT_BUCKETS` (plus an overflow bucket above the last bound),
+    so its size does not grow with the run.  An observation lands in the
+    first bucket whose upper bound is at least its value, the exposition's
+    ``le`` rule; NaN observations are skipped.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.values: List[float] = []
+        self.count = 0
+        self.sum = 0.0
+        #: Observations per bucket; the last entry counts those above every
+        #: bound.
+        self.bucket_counts: List[int] = [0] * (len(DEFAULT_BUCKETS) + 1)
 
     def add(self, value: float) -> None:
         """Record one observation."""
-        self.values.append(float(value))
+        value = float(value)
+        if value != value:
+            return
+        self.count += 1
+        self.sum += value
+        self.bucket_counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def count(self) -> int:
-        """Number of observations recorded."""
-        return len(self.values)
+    def add_many(self, values: np.ndarray) -> None:
+        """Record every element of a float array."""
+        total = float(values.sum())
+        if total != total:
+            values = values[~np.isnan(values)]
+            total = float(values.sum())
+        self.count += values.size
+        self.sum += total
+        per_bucket = np.bincount(
+            np.searchsorted(_BOUNDS, values), minlength=len(self.bucket_counts)
+        )
+        self.bucket_counts = [
+            have + new for have, new in zip(self.bucket_counts, per_bucket.tolist())
+        ]
 
     def mean(self) -> float:
         """Arithmetic mean, or ``nan`` when empty."""
-        if not self.values:
+        if not self.count:
             return math.nan
-        return sum(self.values) / len(self.values)
+        return self.sum / self.count
 
-    def minimum(self) -> float:
-        """Smallest observation, or ``nan`` when empty."""
-        return min(self.values) if self.values else math.nan
-
-    def maximum(self) -> float:
-        """Largest observation, or ``nan`` when empty."""
-        return max(self.values) if self.values else math.nan
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile ``q`` in ``[0, 100]``."""
-        return percentile(self.values, q)
-
-    def stddev(self) -> float:
-        """Population standard deviation, or ``nan`` for fewer than 2 samples."""
-        if len(self.values) < 2:
-            return math.nan
-        mu = self.mean()
-        return math.sqrt(sum((v - mu) ** 2 for v in self.values) / len(self.values))
-
-
-class TimeSeries:
-    """``(time, value)`` observations of a quantity evolving over time."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append an observation; times must be non-decreasing."""
-        if self.points and time < self.points[-1][0]:
-            raise ValueError(
-                f"TimeSeries {self.name}: time {time} precedes last "
-                f"observation at {self.points[-1][0]}"
-            )
-        self.points.append((float(time), float(value)))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def last(self) -> Optional[float]:
-        """Most recent value, or ``None`` when empty."""
-        return self.points[-1][1] if self.points else None
-
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Average value weighted by how long each value was held.
-
-        The final value is held until ``until`` (defaults to the last
-        observation time, making the last point weightless).
-        """
-        if not self.points:
-            return math.nan
-        end = self.points[-1][0] if until is None else until
-        total = 0.0
-        duration = 0.0
-        for (t0, v0), (t1, _v1) in zip(self.points, self.points[1:]):
-            total += v0 * (t1 - t0)
-            duration += t1 - t0
-        last_t, last_v = self.points[-1]
-        if end > last_t:
-            total += last_v * (end - last_t)
-            duration += end - last_t
-        if duration <= 0:
-            return self.points[-1][1]
-        return total / duration
-
-    def maximum(self) -> float:
-        """Largest recorded value, or ``nan`` when empty."""
-        return max(v for _, v in self.points) if self.points else math.nan
+    def cumulative_buckets(self) -> Tuple[Tuple[float, int], ...]:
+        """``(upper bound, observations at or below it)`` per bound."""
+        return tuple(zip(DEFAULT_BUCKETS, accumulate(self.bucket_counts)))
 
 
 @dataclass
@@ -174,7 +140,6 @@ class Monitor:
 
     counters: Dict[str, Counter] = field(default_factory=dict)
     samples: Dict[str, SampleSeries] = field(default_factory=dict)
-    series: Dict[str, TimeSeries] = field(default_factory=dict)
     gauges: Dict[str, Gauge] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
@@ -195,12 +160,6 @@ class Monitor:
             self.samples[name] = SampleSeries(name)
         return self.samples[name]
 
-    def timeseries(self, name: str) -> TimeSeries:
-        """Return (creating if needed) the time series called ``name``."""
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
-
     def counter_value(self, name: str, default: float = 0.0) -> float:
         """Value of a counter without creating it."""
         if name in self.counters:
@@ -217,10 +176,5 @@ class Monitor:
         for name, sample in self.samples.items():
             if sample.count:
                 out[f"sample.{name}.mean"] = sample.mean()
-                out[f"sample.{name}.p95"] = sample.percentile(95)
                 out[f"sample.{name}.count"] = float(sample.count)
-        for name, ts in self.series.items():
-            if len(ts):
-                out[f"series.{name}.mean"] = ts.time_weighted_mean()
-                out[f"series.{name}.last"] = float(ts.last() or 0.0)
         return out

@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 SNAPSHOT_MAGIC = b"REPROSNAP\x01"
 
 #: Current format version; bumped on any incompatible layout change.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: Pickle protocol pinned so identical state yields identical payload bytes
 #: regardless of the writing interpreter's default.

@@ -25,11 +25,9 @@ trace-event schema, and the zero-perturbation contract.
 
 from repro.telemetry.prometheus import (
     CONTENT_TYPE,
-    DEFAULT_BUCKETS,
     HistogramPoint,
     MetricPoint,
     TelemetryRegistry,
-    histogram_from_values,
     job_store_exposition,
     job_store_points,
     monitor_points,
@@ -50,7 +48,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "CONTENT_TYPE",
-    "DEFAULT_BUCKETS",
     "HistogramPoint",
     "MetricPoint",
     "TRACE_SCHEMA",
@@ -59,7 +56,6 @@ __all__ = [
     "activate",
     "current_tracer",
     "deactivate",
-    "histogram_from_values",
     "job_store_exposition",
     "job_store_points",
     "monitor_points",

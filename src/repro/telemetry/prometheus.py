@@ -22,7 +22,6 @@ Monitor kind              Prometheus family
 ========================  =============================================
 ``Counter``               counter ``repro_<name>_total``
 ``Gauge``                 gauge ``repro_<name>``
-``TimeSeries``            gauge ``repro_<name>`` (last value)
 ``SampleSeries``          histogram ``repro_<name>`` (+ ``_sum``/``_count``)
 ========================  =============================================
 """
@@ -31,8 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-
-import numpy as np
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -41,12 +38,6 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Metric-name prefix for every family this repo exports.
 NAMESPACE = "repro"
-
-#: Upper bucket bounds (seconds-flavoured, Prometheus defaults) used when a
-#: ``SampleSeries`` is rendered as a histogram.  ``+Inf`` is implicit.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_SCRUB = re.compile(r"[^a-zA-Z0-9_]")
@@ -147,36 +138,6 @@ def point(
     )
 
 
-def histogram_from_values(
-    name: str,
-    values: Iterable[float],
-    *,
-    buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    help: str = "",
-    labels: Optional[Mapping[str, object]] = None,
-) -> HistogramPoint:
-    """Bucket raw observations into a cumulative exposition histogram.
-
-    Vectorised: a ``SampleSeries`` holds every raw observation of a run, so
-    a scrape re-buckets the full history — at fleet scale that is hundreds
-    of thousands of floats per family, and a pure-Python sort per scrape
-    was the dominant telemetry cost in benchmark E19.
-    """
-    data = np.asarray(values if isinstance(values, np.ndarray) else list(values),
-                      dtype=float)
-    finite = np.sort(data[~np.isnan(data)]) if data.size else data
-    bounds = sorted(buckets)
-    counts = np.searchsorted(finite, bounds, side="right")
-    return HistogramPoint(
-        name=name,
-        buckets=tuple((bound, int(cum)) for bound, cum in zip(bounds, counts)),
-        sum=float(finite.sum()) if finite.size else 0.0,
-        count=int(finite.size),
-        help=help,
-        labels=_labels_tuple(labels),
-    )
-
-
 # ------------------------------------------------------------------ monitor
 
 
@@ -205,21 +166,16 @@ def monitor_points(
                 help=f"Monitor gauge {name!r}", labels=labels,
             )
         )
-    for name, series in getattr(monitor, "series", {}).items():
-        if len(series):
-            out.append(
-                point(
-                    name, "gauge", series.last(),
-                    help=f"Monitor time series {name!r} (last value)",
-                    labels=labels,
-                )
-            )
     for name, sample in getattr(monitor, "samples", {}).items():
         if sample.count:
             out.append(
-                histogram_from_values(
-                    name, sample.values,
-                    help=f"Monitor sample series {name!r}", labels=labels,
+                HistogramPoint(
+                    name=name,
+                    buckets=sample.cumulative_buckets(),
+                    sum=sample.sum,
+                    count=sample.count,
+                    help=f"Monitor sample series {name!r}",
+                    labels=_labels_tuple(labels),
                 )
             )
     return out

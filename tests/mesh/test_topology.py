@@ -59,6 +59,19 @@ def test_formation_time_detected():
     assert formation <= 3.0
 
 
+def test_topology_gauges_hold_the_latest_tick():
+    # a -- b -- c: the chain's two links join all three nodes from the
+    # first tick that sees both directions of each link.
+    sim, observer = build({"a": Vec2(0, 0), "b": Vec2(150, 0), "c": Vec2(300, 0)})
+    sim.run(until=4.0)
+    time, nodes, edges, largest = observer.rows[-1]
+    assert len(observer.rows) == 4            # one row per tick
+    assert (time, nodes, edges, largest) == (4.0, 3, 2, 3)
+    gauges = sim.monitor.gauges
+    assert gauges["mesh.largest_component"].value == largest
+    assert gauges["mesh.edge_count"].value == edges
+
+
 def test_link_lifetimes_recorded_when_node_stops():
     sim = Simulator(seed=2)
     env = RadioEnvironment(sim, LinkBudget())

@@ -21,6 +21,13 @@ agreeing with the reference here.
 * :func:`reference_network_description` — Model 1 built with :class:`Vec2`
   arithmetic per neighbour (dead-reckoned beacon position, ``distance_to``,
   :func:`reference_contact_time`) instead of the builder's flat float pass.
+* :func:`reference_histogram` — a sample series' exposition buckets
+  computed from the raw observations (sort, then one ``searchsorted`` per
+  bound) instead of the streaming per-bucket counts.
+
+:func:`tap_link_delays` is not an oracle but a tap: it records the raw
+``radio.link_delay`` observations, which the production series folds into
+buckets, so tests can compare them value by value.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.models import NeighborDescription, NetworkDescription
 from repro.core.network_model import NetworkDescriptionBuilder
@@ -36,6 +44,8 @@ from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
 from repro.radio.interfaces import Frame, RadioEnvironment, RadioInterface
 from repro.radio.link import LinkQuality
+from repro.simcore.monitor import DEFAULT_BUCKETS, SampleSeries
+from repro.simcore.simulator import Simulator
 
 
 class BruteForceVisibility(VisibilityMap):
@@ -210,15 +220,14 @@ def reference_network_description(
     for entry in mesh_node.neighbors.entries():
         beacon = entry.beacon
         predicted_position = beacon.predicted_position(now)
-        link_quality = entry.link_quality
         neighbors.append(
             NeighborDescription(
                 name=beacon.sender,
                 position=predicted_position,
                 velocity=beacon.velocity,
                 distance_m=own_position.distance_to(predicted_position),
-                link_rate_bps=link_quality.rate_bps if link_quality is not None else 0.0,
-                link_snr_db=link_quality.snr_db if link_quality is not None else 0.0,
+                link_rate_bps=entry.rate_bps,
+                link_snr_db=entry.snr_db,
                 compute_headroom_ops=beacon.compute_headroom_ops,
                 queue_length=beacon.queue_length,
                 data_summary=dict(beacon.data_summary),
@@ -238,3 +247,40 @@ def reference_network_description(
         neighbors=neighbors,
         epoch=mesh_node.membership.epoch,
     )
+
+
+def reference_histogram(
+    values: Iterable[float],
+) -> Tuple[Tuple[Tuple[float, int], ...], int]:
+    """``(cumulative buckets, count)`` of raw observations on
+    :data:`DEFAULT_BUCKETS`: NaN dropped, the rest sorted, and each bound's
+    cumulative count read with one ``searchsorted``."""
+    data = np.asarray(list(values), dtype=float)
+    finite = np.sort(data[~np.isnan(data)])
+    counts = np.searchsorted(finite, DEFAULT_BUCKETS, side="right")
+    return tuple(zip(DEFAULT_BUCKETS, counts.tolist())), int(finite.size)
+
+
+class _RecordingSeries(SampleSeries):
+    """A sample series that also keeps every raw observation, in order."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.values: List[float] = []
+
+    def add(self, value: float) -> None:
+        super().add(value)
+        self.values.append(float(value))
+
+    def add_many(self, values: np.ndarray) -> None:
+        super().add_many(values)
+        self.values.extend(values.tolist())
+
+
+def tap_link_delays(sim: Simulator) -> List[float]:
+    """The list every later ``radio.link_delay`` observation of ``sim`` is
+    appended to.  Call it before the radio environment is built: the
+    environment resolves the series once, at construction."""
+    series = _RecordingSeries("radio.link_delay")
+    sim.monitor.samples[series.name] = series
+    return series.values

@@ -27,7 +27,6 @@ from repro.data.quality import DataQuality
 from repro.geometry.vector import Vec2
 from repro.mesh.messages import Beacon
 from repro.mesh.neighbor import NeighborEntry
-from repro.radio.link import LinkQuality
 from tests.oracle import reference_network_description
 
 
@@ -90,17 +89,8 @@ digests = st.dictionaries(
     ),
     max_size=2,
 )
-link_qualities = st.one_of(
-    st.none(),
-    st.builds(
-        LinkQuality,
-        snr_db=signed(st.floats(min_value=-10.0, max_value=40.0)),
-        rate_bps=signed(st.floats(min_value=0.0, max_value=30e6)),
-        packet_error_rate=st.floats(min_value=0.0, max_value=1.0),
-        usable=st.booleans(),
-        distance=st.floats(min_value=0.0, max_value=400.0),
-    ),
-)
+snrs = signed(st.floats(min_value=-10.0, max_value=40.0))
+rates = signed(st.floats(min_value=0.0, max_value=30e6))
 
 
 @st.composite
@@ -137,7 +127,8 @@ def mesh_views(draw):
             NeighborEntry(
                 beacon=beacon,
                 last_seen=now + draw(st.floats(min_value=-5.0, max_value=2.0)),
-                link_quality=draw(link_qualities),
+                snr_db=draw(snrs),
+                rate_bps=draw(rates),
             )
         )
     mesh_node = SimpleNamespace(
@@ -169,7 +160,7 @@ def test_build_matches_the_vec2_reference_bit_for_bit(case):
 
 def test_build_covers_the_degenerate_neighbours():
     """The cases the property must reach, pinned once: zero relative
-    velocity (inf), out of range (0.0), a future beacon, no link quality."""
+    velocity (inf), out of range (0.0), a future beacon, default link figures."""
     mobile = SimpleNamespace(position=Vec2(0.0, 0.0), velocity=Vec2(3.0, 0.0))
     beacons = [
         Beacon("parallel", 1.0, Vec2(50.0, 0.0), Vec2(3.0, 0.0)),

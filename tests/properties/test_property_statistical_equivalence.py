@@ -28,6 +28,7 @@ from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import tap_link_delays
 
 #: Seed ensemble the paired comparison runs over.  Ten seeds keeps the suite
 #: fast while giving the CI enough pairs to reject a biased kernel.
@@ -56,6 +57,7 @@ def run_aggregates(seed: int, **budget_kwargs) -> Dict[str, float]:
     exercised on both tiers), beaconing for ``DURATION_S`` sim-seconds.
     """
     sim = Simulator(seed=seed)
+    delays = tap_link_delays(sim)
     mobility = MobilityManager(sim, tick=0.5, cell_size=150.0)
     side = max(1, math.ceil(math.sqrt(N)))
     visibility = VisibilityMap(
@@ -85,7 +87,6 @@ def run_aggregates(seed: int, **budget_kwargs) -> Dict[str, float]:
     delivered = monitor.counter_value("radio.frames_delivered")
     lost = monitor.counter_value("radio.frames_lost")
     attempted = delivered + lost
-    delays = monitor.sample("radio.link_delay").values
     return {
         "delivery_ratio": delivered / attempted if attempted else math.nan,
         "loss_rate": lost / attempted if attempted else math.nan,

@@ -16,7 +16,11 @@ from repro.geometry.vector import Vec2
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
-from tests.oracle import ReferenceRadioEnvironment, use_reference_transmit
+from tests.oracle import (
+    ReferenceRadioEnvironment,
+    tap_link_delays,
+    use_reference_transmit,
+)
 
 ROUNDS = 4
 ROUND_S = 0.5
@@ -24,6 +28,7 @@ ROUND_S = 0.5
 
 def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
     sim = Simulator(seed=seed)
+    delays = tap_link_delays(sim)
     environment_class = RadioEnvironment if batched_rows else ReferenceRadioEnvironment
     env = environment_class(sim, LinkBudget())
     if reference:
@@ -79,7 +84,7 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
         for name, counter in sim.monitor.counters.items()
         if name.startswith("radio.")
     }
-    return log, counters, list(sim.monitor.sample("radio.link_delay").values)
+    return log, counters, delays
 
 
 @pytest.mark.parametrize("batched_rows", [True, False])

@@ -20,6 +20,7 @@ from repro.geometry.vector import Vec2
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import tap_link_delays
 
 #: The SIMD kernels and scalar libm differ in the last ulp; anything beyond
 #: this tolerance is a real divergence, not rounding.
@@ -125,6 +126,7 @@ def test_scalar_quality_probe_routes_through_fast_kernel():
 
 def build_fleet(fast_math: bool, count: int = 16, seed: int = 9):
     sim = Simulator(seed=seed)
+    tap_link_delays(sim)
     environment = RadioEnvironment(sim, LinkBudget(fast_math=fast_math))
     received = []
     positions = lattice(count, step=45.0)
@@ -174,6 +176,7 @@ def test_fast_broadcast_delivers_exactly_the_surviving_receivers():
     monitor = sim.monitor
     assert monitor.counter_value("radio.frames_lost") > 0
     assert len(received) == monitor.counter_value("radio.frames_delivered") > 0
+    # Every delivered frame left one raw delay on build_fleet's tap.
     assert len(monitor.sample("radio.link_delay").values) == len(received)
 
 

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "2efabd5c5529378e5c30cf4231c4c4f452f680c593dfaa9e3c467c2518524863",
+        "ee08139e7e64647420a84654c160d75163e83a826e9ab7f84960600d452a0b5b",
     ),
     "highway-faults": (
         "89a1c61168d7b5a93ccb25f8ec428ae4d245752ce0e4b41112d876fc7a260c1d",
-        "f9d4cac50ee0abdcdbc19bdb45a337de97ae91e1b6e91a9c63bd8652d4e939a3",
+        "e35bb596bc019c77c362caa4404766e256eacef4e9421352de8b5f3f207e9fba",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "ca3ee17831caae49234d4ede465c2de5b70eeff79b8b32eefe403907b8139fc4",
+        "0c92e52b4b3636089522483c4aa854e7ca03156bf30ff2d6ae3babb8f675aef2",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "7aea5a18ca08b75bbf0e1b2d5e0657f3a8cfdb4b9323f54f7936c82224fef680",
+        "5fde0ba96f21f9d1bb188680c4db993b4d65b831c3c7d69f28f9f229fde823e6",
     ),
 }
 

@@ -233,18 +233,19 @@ def _drain(queue):
     return names
 
 
-#: ``_pickling_queue()`` pickled (protocol 4) when the heap held bare
-#: events rather than ``(time, priority, sequence, event)`` tuples.
+#: ``_pickling_queue()`` pickled (protocol 4): the heap as bare events
+#: rather than ``(time, priority, sequence, event)`` tuples, and the next
+#: sequence number as a plain int (snapshot format v4).
 BARE_EVENT_HEAP_PICKLE = base64.b64decode(
-    "gASVuQEAAAAAAACME3JlcHJvLnNpbWNvcmUuZXZlbnSUjApFdmVudFF1ZXVllJOUKYGU"
+    "gASVpQEAAAAAAACME3JlcHJvLnNpbWNvcmUuZXZlbnSUjApFdmVudFF1ZXVllJOUKYGU"
     "fZQojAVfaGVhcJRdlChoAIwFRXZlbnSUk5QpgZROfZQojAR0aW1llEc/8AAAAAAAAIwI"
     "cHJpb3JpdHmUSv////+MCHNlcXVlbmNllEsCjAhjYWxsYmFja5ROjARuYW1llIwFZmly"
     "c3SUjAljYW5jZWxsZWSUiYwFcXVldWWUaAN1hpRiaAgpgZROfZQoaAtHP/AAAAAAAABo"
     "DEsAaA1LBGgOTmgPjAJhMpRoEYloEmgDdYaUYmgIKYGUTn2UKGgLRz/wAAAAAAAAaAxL"
     "AGgNSwFoDk5oD4wBYZRoEYloEmgDdYaUYmgIKYGUTn2UKGgLR0AIAAAAAAAAaAxLAGgN"
     "SwNoDk5oD4wHZHJvcHBlZJRoEYhoEk51hpRiaAgpgZROfZQoaAtHQAAAAAAAAABoDEsA"
-    "aA1LAGgOTmgPjAFilGgRiWgSaAN1hpRiZYwIX2NvdW50ZXKUjAlpdGVydG9vbHOUjAVj"
-    "b3VudJSTlEsFhZRSlIwHX2FjdGl2ZZRLBIwLY29tcGFjdGlvbnOUSwB1Yi4="
+    "aA1LAGgOTmgPjAFilGgRiWgSaAN1hpRiZYwOX25leHRfc2VxdWVuY2WUSwWMB19hY3Rp"
+    "dmWUSwSMC2NvbXBhY3Rpb25zlEsAdWIu"
 )
 
 
@@ -271,13 +272,13 @@ def test_restored_queue_still_cancels_and_counts():
 def test_pickled_heap_holds_bare_events():
     queue = _pickling_queue()
     state = queue.__reduce_ex__(4)[2]
-    assert list(state) == ["_heap", "_counter", "_active", "compactions"]
+    assert list(state) == ["_heap", "_next_sequence", "_active", "compactions"]
     heap = state["_heap"]
     assert all(type(event) is Event for event in heap)
     assert [event.name for event in heap] == [
         entry[3].name for entry in queue._entries
     ]
-    # Byte for byte the layout earlier snapshot artifacts carry.
+    # Byte for byte the layout snapshot artifacts carry.
     assert pickle.dumps(queue, protocol=4) == BARE_EVENT_HEAP_PICKLE
 
 

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.simcore.monitor import Counter, Gauge, Monitor, SampleSeries, TimeSeries
+import numpy as np
+
+from repro.simcore.monitor import DEFAULT_BUCKETS, Counter, Gauge, Monitor, SampleSeries
 
 
 def test_counter_accumulates():
@@ -36,53 +38,42 @@ def test_sample_series_statistics():
     for value in [1.0, 2.0, 3.0, 4.0]:
         series.add(value)
     assert series.mean() == 2.5
-    assert series.minimum() == 1.0
-    assert series.maximum() == 4.0
-    assert series.percentile(50) == 2.5
-    assert series.percentile(0) == 1.0
-    assert series.percentile(100) == 4.0
+    assert series.sum == 10.0
     assert series.count == 4
+    buckets = dict(series.cumulative_buckets())
+    assert list(buckets) == list(DEFAULT_BUCKETS)
+    assert buckets[0.5] == 0
+    assert buckets[1.0] == 1      # a value on a bound lands in that bucket
+    assert buckets[2.5] == 2
+    assert buckets[5.0] == buckets[10.0] == 4
 
 
 def test_sample_series_empty_is_nan():
     series = SampleSeries("empty")
     assert math.isnan(series.mean())
-    assert math.isnan(series.percentile(50))
-    assert math.isnan(series.stddev())
+    assert series.count == 0
+    assert all(cumulative == 0 for _, cumulative in series.cumulative_buckets())
 
 
-def test_sample_percentile_rejects_bad_q():
+def test_sample_series_skips_nan():
     series = SampleSeries("x")
-    series.add(1.0)
-    with pytest.raises(ValueError):
-        series.percentile(101)
+    series.add(float("nan"))
+    series.add_many(np.array([0.2, float("nan"), 20.0]))
+    series.add(0.2)
+    assert series.count == 3
+    assert series.sum == pytest.approx(20.4)
+    assert series.bucket_counts[-1] == 1    # 20.0 is above every bound
+    assert dict(series.cumulative_buckets())[0.25] == 2
 
 
-def test_timeseries_time_weighted_mean():
-    series = TimeSeries("load")
-    series.record(0.0, 0.0)
-    series.record(10.0, 1.0)   # value 0 held for 10 s
-    series.record(20.0, 1.0)   # value 1 held for 10 s
-    assert series.time_weighted_mean() == pytest.approx(0.5)
-    # Extending the horizon holds the final value longer.
-    assert series.time_weighted_mean(until=40.0) == pytest.approx((0 * 10 + 1 * 30) / 40)
-
-
-def test_timeseries_rejects_time_going_backwards():
-    series = TimeSeries("x")
-    series.record(5.0, 1.0)
-    with pytest.raises(ValueError):
-        series.record(4.0, 2.0)
-
-
-def test_timeseries_last_and_max():
-    series = TimeSeries("x")
-    assert series.last() is None
-    series.record(0.0, 3.0)
-    series.record(1.0, 7.0)
-    series.record(2.0, 5.0)
-    assert series.last() == 5.0
-    assert series.maximum() == 7.0
+def test_sample_series_size_does_not_grow_with_observations():
+    series = SampleSeries("x")
+    series.add_many(np.linspace(0.0, 20.0, 10_000))
+    for value in range(1000):
+        series.add(value / 100.0)
+    assert series.count == 11_000
+    assert len(series.bucket_counts) == len(DEFAULT_BUCKETS) + 1
+    assert set(vars(series)) == {"name", "count", "sum", "bucket_counts"}
 
 
 def test_monitor_creates_and_reuses_metrics():
@@ -92,7 +83,6 @@ def test_monitor_creates_and_reuses_metrics():
     assert monitor.counter_value("a") == 2
     assert monitor.counter_value("missing", default=-1) == -1
     assert monitor.sample("s") is monitor.sample("s")
-    assert monitor.timeseries("t") is monitor.timeseries("t")
 
 
 def test_monitor_gauge_registry_and_summary_key():
@@ -107,11 +97,9 @@ def test_monitor_summary_contains_all_kinds():
     monitor.counter("c").add(3)
     monitor.sample("s").add(1.0)
     monitor.sample("s").add(2.0)
-    monitor.timeseries("t").record(0.0, 1.0)
-    monitor.timeseries("t").record(1.0, 2.0)
+    monitor.gauge("g").set(2.0)
     summary = monitor.summary()
     assert summary["counter.c"] == 3
     assert summary["sample.s.mean"] == 1.5
     assert summary["sample.s.count"] == 2
-    assert "series.t.mean" in summary
-    assert summary["series.t.last"] == 2.0
+    assert summary["gauge.g"] == 2.0

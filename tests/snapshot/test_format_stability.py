@@ -95,6 +95,19 @@ def test_snapshot_of_restored_scenario_is_bit_identical(case):
     assert second == first
 
 
+@pytest.mark.parametrize("case", sorted(RESTORE_CASES))
+def test_snapshot_pickles_no_itertools_objects(case):
+    """Python 3.12 deprecated pickling itertools objects and 3.14 removes
+    it, so no artifact may hold one (counters are plain ints)."""
+    name, fleet, seed, knobs, cut = RESTORE_CASES[case]
+    scenario = build_scenario(name, n=fleet, seed=seed, **knobs)
+    scenario.open_window(2 * cut)
+    scenario.advance(until=cut)
+    payload = scenario.snapshot()
+    assert b"repro.simcore.event" in payload  # class modules are named
+    assert b"itertools" not in payload
+
+
 _MID_RUN_SHAS = """
 import hashlib
 from repro.scenarios import build_scenario

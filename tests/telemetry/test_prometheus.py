@@ -13,7 +13,6 @@ from repro.telemetry.prometheus import (
     TelemetryRegistry,
     escape_label_value,
     format_value,
-    histogram_from_values,
     monitor_points,
     point,
     render_exposition,
@@ -92,9 +91,10 @@ def test_duplicate_sample_raises():
 
 
 def test_histogram_rendering_is_cumulative_with_inf():
-    histogram = histogram_from_values(
-        "lat", [0.004, 0.02, 0.02, 9.0, 100.0], help="latencies"
-    )
+    monitor = Monitor()
+    for value in [0.004, 0.02, 0.02, 9.0, 100.0]:
+        monitor.sample("lat").add(value)
+    (histogram,) = monitor_points(monitor)
     assert isinstance(histogram, HistogramPoint)
     text = render_exposition([histogram])
     lines = text.splitlines()
@@ -102,6 +102,7 @@ def test_histogram_rendering_is_cumulative_with_inf():
     assert 'repro_lat_bucket{le="0.025"} 3' in lines
     assert 'repro_lat_bucket{le="10"} 4' in lines
     assert 'repro_lat_bucket{le="+Inf"} 5' in lines
+    assert "repro_lat_sum 109.044" in lines
     assert "repro_lat_count 5" in lines
     assert check_exposition(text) == []
 
@@ -118,8 +119,6 @@ def test_monitor_points_covers_every_metric_kind():
     monitor = Monitor()
     monitor.counter("radio.frames").add(3)
     monitor.gauge("queue.depth").set(7.0)
-    monitor.timeseries("cpu.load").record(0.0, 0.25)
-    monitor.timeseries("cpu.load").record(1.0, 0.75)
     monitor.sample("task.latency").add(0.1)
     monitor.sample("task.latency").add(0.3)
     monitor.sample("empty.series")  # zero observations: not exported
@@ -130,8 +129,6 @@ def test_monitor_points_covers_every_metric_kind():
     assert by_name["radio.frames"].value == 3
     assert by_name["queue.depth"].kind == "gauge"
     assert by_name["queue.depth"].value == 7.0
-    assert by_name["cpu.load"].kind == "gauge"
-    assert by_name["cpu.load"].value == 0.75  # last value
     assert by_name["task.latency"].kind == "histogram"
     assert by_name["task.latency"].count == 2
     assert "empty.series" not in by_name
