@@ -2,7 +2,7 @@
 
 The telemetry layer (``repro.telemetry``) promises *zero perturbation*: with
 tracing active and a Prometheus scrape hitting the monitor between slices,
-a run's delivered-frame sequence, report and RNG stream states are
+a run's delivered-frame sequence, report and final snapshot bytes are
 byte-identical to the untraced run, and the wall-clock overhead stays below
 3 % on the paper's urban-grid scenario at N = 1000.
 
@@ -50,10 +50,10 @@ GATE_MAX_OVERHEAD = 0.03
 OUTPUT_PATH = Path("BENCH_E19.json")
 
 
-def run_arm(traced: bool) -> Tuple[float, List[tuple], str, dict, int]:
+def run_arm(traced: bool) -> Tuple[float, List[tuple], str, bytes, int]:
     """One full run of the benchmark scenario; returns its observables.
 
-    ``(wall_s, frame_log, report_json, rng_state, trace_events)`` — wall
+    ``(wall_s, frame_log, report_json, snapshot, trace_events)`` — wall
     time brackets only the window drive, not scenario construction.
     """
     scenario = build_scenario("urban-grid", n=N, seed=SEED)
@@ -84,7 +84,7 @@ def run_arm(traced: bool) -> Tuple[float, List[tuple], str, dict, int]:
         wall,
         log.records,
         json.dumps(report.as_dict(), sort_keys=True),
-        scenario.sim.streams.capture_state(),
+        scenario.snapshot(),
         len(tracer) if tracer is not None else 0,
     )
 
@@ -137,7 +137,7 @@ def test_e19_telemetry_overhead_and_invisibility(print_table):
         for run in arms[traced]:
             assert run[1] == reference[1], "delivered-frame sequence diverged"
             assert run[2] == reference[2], "scenario report diverged"
-            assert run[3] == reference[3], "RNG stream states diverged"
+            assert run[3] == reference[3], "snapshot bytes diverged"
     assert events > 0, "tracer recorded nothing — hooks not firing"
 
     # --- the acceptance gate: <= 3% wall overhead at N=1000 (full mode) ----

@@ -62,6 +62,12 @@ class ComputeNode:
         remainder is advertised as headroom to the mesh.
     """
 
+    #: Finished executions, and their queueing delays summed in finish
+    #: order.  Class-level zeros, so a node that never finished work pickles
+    #: neither.
+    _completed = 0
+    _queueing_delay_total = 0.0
+
     def __init__(
         self,
         sim: Simulator,
@@ -79,7 +85,6 @@ class ComputeNode:
         self.energy = energy_model or EnergyModel()
         self._running: List[TaskExecution] = []
         self._queue: Deque[TaskExecution] = deque()
-        self.completed: List[TaskExecution] = []
         self.rejected_count = 0
         self._busy_core_seconds = 0.0
         self._created_at = sim.now
@@ -159,43 +164,24 @@ class ComputeNode:
         execution.finished_at = self.sim.now
         if execution in self._running:
             self._running.remove(execution)
-        self.completed.append(execution)
+        self._completed += 1
+        self._queueing_delay_total += execution.queueing_delay
         self.sim.monitor.counter("compute.completed").add()
         if execution.on_complete is not None:
             execution.on_complete(execution)
         self._try_start()
 
-    # ------------------------------------------------------------ snapshot
-
-    def capture_state(self) -> dict:
-        """In-flight work and accounting as plain data.
-
-        The executions themselves (and their pending finish events) travel
-        with the snapshot's object graph, and the simulator's capture holds
-        the id numbering, so only the in-flight counts are captured.
-        """
-        return {
-            "owner": self.owner,
-            "running": len(self._running),
-            "queued": len(self._queue),
-            "completed_count": len(self.completed),
-            "rejected_count": self.rejected_count,
-            "busy_core_seconds": self._busy_core_seconds,
-            "created_at": self._created_at,
-        }
-
     # ------------------------------------------------------------- summary
 
     def completed_count(self) -> int:
         """Number of finished executions."""
-        return len(self.completed)
+        return self._completed
 
     def mean_queueing_delay(self) -> float:
         """Average queueing delay over completed executions."""
-        delays = [e.queueing_delay for e in self.completed if e.queueing_delay is not None]
-        if not delays:
+        if not self._completed:
             return 0.0
-        return sum(delays) / len(delays)
+        return self._queueing_delay_total / self._completed
 
 
 class _ExecutionFinish:

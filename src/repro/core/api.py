@@ -358,34 +358,6 @@ class AirDnDNode:
         self.orchestrator.accepting = True
         self.mesh.beacon_agent.add_enricher(self._enrich_beacon)
 
-    # -------------------------------------------------------------- snapshot
-
-    def capture_state(self) -> dict:
-        """One node's durable state across every layer, as plain data.
-
-        Aggregates the mesh stack, compute accounting, trust scores and the
-        orchestrator's in-flight task set — the per-node half of the
-        snapshot protocol.  A crashed node has no mesh attachment, so its
-        mesh entry is ``None``.
-        """
-        return {
-            "name": self.name,
-            "crashed": self._crashed,
-            "mesh": None if self._crashed else self.mesh.capture_state(),
-            "compute": self.compute.capture_state(),
-            "trust": {
-                "scores": dict(sorted(self.trust.recorded_scores().items())),
-                "events": len(self.trust.events),
-            },
-            # The simulator's capture holds the id numbering; capture the
-            # in-flight count only.
-            "orchestrator": {
-                "accepting": self.orchestrator.accepting,
-                "pending_tasks": len(self.orchestrator._pending),
-                "lifecycles": len(self.orchestrator.lifecycles),
-            },
-        }
-
     # --------------------------------------------------------------- metrics
 
     def completed_tasks(self) -> List[TaskLifecycle]:

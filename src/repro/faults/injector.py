@@ -274,33 +274,6 @@ class FaultInjector:
             self._combined_loss() if self._loss_stack else 0.0
         )
 
-    # ------------------------------------------------------------- snapshot
-
-    def capture_state(self) -> dict:
-        """The injector's durable state as plain data.
-
-        Covers the adversary assignment, in-progress burst windows (the
-        noise/loss stacks), open crash intervals and every counter.  The
-        *remaining* fault timeline — events armed but not yet fired — lives
-        in the simulator's event queue and travels with the object graph;
-        an in-progress burst restores as exactly the stack the matching
-        ``*_end`` event will later pop.
-        """
-        return {
-            "assignment": dict(self._assignment),
-            "noise_stack": list(self._noise_stack),
-            "loss_stack": list(self._loss_stack),
-            "down_since": dict(self._down_since),
-            "downtime_total": self._downtime_total,
-            "await_rejoin": dict(self._await_rejoin),
-            "rejoin_delays": list(self.rejoin_delays),
-            "created_at": self._created_at,
-            "crashes_injected": self.crashes_injected,
-            "recoveries_injected": self.recoveries_injected,
-            "degradation_bursts": self.degradation_bursts,
-            "loss_bursts": self.loss_bursts,
-        }
-
     # -------------------------------------------------------------- metrics
 
     def downtime_s(self) -> float:

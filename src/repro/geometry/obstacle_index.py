@@ -34,7 +34,6 @@ fuzzes this contract against the brute-force scan.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.geometry.shapes import (
@@ -98,6 +97,8 @@ class ObstacleIndex:
         self._edge_table: List[Tuple[float, ...]] = []
         self._edge_cells: Dict[Tuple[int, int], List[int]] = {}
         self._poly_cells: Dict[Tuple[int, int], List[int]] = {}
+        #: Per-query scratch (the last query that visited each edge and
+        #: polygon), also left out of the pickled state.
         self._edge_stamp: List[int] = []
         self._poly_stamp: List[int] = []
         self._query_id = 0
@@ -118,18 +119,25 @@ class ObstacleIndex:
     # -------------------------------------------------------------- snapshot
 
     def __getstate__(self) -> dict:
-        """Pickle without the derived edge table."""
+        """Pickle without the derived edge table and the query scratch.
+
+        The stamps and the query counter only deduplicate candidates within
+        one query, so their values carry no state; a restored index starts
+        them from zero.
+        """
         state = self.__dict__.copy()
-        del state["_edge_table"]
+        for key in ("_edge_table", "_edge_stamp", "_poly_stamp", "_query_id"):
+            del state[key]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Intern the keys as default unpickling does, so a restored index
-        # pickles to the same bytes as the original.  ``_edges`` holds only
-        # segments of vectors, which never reach back to this index, so
-        # they are fully built by the time this runs.
-        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+        # ``_edges`` holds only segments of vectors, which never reach back
+        # to this index, so they are fully built by the time this runs.
+        self.__dict__.update(state)
         self._edge_table = [_edge_row(edge) for edge in self._edges]
+        self._edge_stamp = [0] * len(self._edges)
+        self._poly_stamp = [0] * len(self._obstacles)
+        self._query_id = 0
 
     # -------------------------------------------------------------- building
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from typing import Dict, Generic, Hashable, Iterable, List, Set, Tuple, TypeVar
 
 from repro.geometry.vector import Vec2
@@ -65,9 +64,7 @@ class SpatialGrid(Generic[K]):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Intern the keys as default unpickling does, so a restored grid
-        # pickles to the same bytes as the original.
-        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+        self.__dict__.update(state)
         cells: Dict[Tuple[int, int], Set[K]] = {}
         for key, position in self._positions.items():
             cells.setdefault(self._cell_of(position), set()).add(key)

@@ -120,21 +120,3 @@ class SpatialSubstrate:
     def nearest(self, center: Vec2, count: int = 1) -> List[K]:
         """The ``count`` keys nearest to ``center``."""
         return self.grid.nearest(center, count)
-
-    # ------------------------------------------------------------- snapshot
-
-    def capture_state(self) -> dict:
-        """Positions (in insertion order) and epochs as plain data.
-
-        The grid's cell index is derived state and is *not* captured — the
-        grid's own unpickling hook rebuilds it, per the snapshot protocol's
-        capture-vs-rebuild split.
-        """
-        ordered = sorted(self.grid.items(), key=lambda kv: self.grid._seq[kv[0]])
-        return {
-            "cell_size": self.grid.cell_size,
-            "positions": [(key, pos.x, pos.y) for key, pos in ordered],
-            "position_epoch": self.position_epoch,
-            "membership_epoch": self.membership_epoch,
-            "commit_count": self.commit_count,
-        }

@@ -138,26 +138,3 @@ class NeighborTable:
     def clear(self) -> None:
         """Drop every neighbour."""
         self._entries.clear()
-
-    # ------------------------------------------------------------- snapshot
-
-    def capture_state(self, now: float = 0.0) -> dict:
-        """Per-neighbour timing/count state (plus current ages) as plain data.
-
-        The beacon objects themselves travel with the snapshot's object
-        graph; this captures the fields that define expiry behaviour so a
-        restored table is ``==``-comparable with the original.
-        """
-        return {
-            "owner": self.owner,
-            "lifetime": self.lifetime,
-            "entries": {
-                name: {
-                    "last_seen": entry.last_seen,
-                    "first_seen": entry.first_seen,
-                    "beacons_received": entry.beacons_received,
-                    "age": entry.age(now),
-                }
-                for name, entry in self._entries.items()
-            },
-        }

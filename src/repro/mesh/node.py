@@ -113,42 +113,3 @@ class MeshNode:
         """Stop beaconing (the node disappears from the mesh after expiry)."""
         self.beacon_agent.stop()
         self.interface.enabled = False
-
-    # ------------------------------------------------------------- snapshot
-
-    def capture_state(self) -> dict:
-        """The whole mesh stack's durable state as one plain-data dict.
-
-        Covers the neighbour table (with ages), the membership view, and
-        the discovery/routing/transport counters.  In-flight transfers and
-        scheduled beacon/expiry firings live in the simulator's event queue
-        and travel with the snapshot's object graph.
-        """
-        now = self.sim.now
-        return {
-            "name": self.name,
-            "neighbors": self.beacon_agent.neighbors.capture_state(now),
-            "membership": {
-                "epoch": self.membership.epoch,
-                "members": sorted(self.membership.members()),
-            },
-            "discovery": {
-                "beacons_sent": self.beacon_agent.beacons_sent,
-                "beacons_heard": self.beacon_agent.beacons_heard,
-                "epoch": self.beacon_agent.epoch,
-            },
-            "routing": {
-                "messages_forwarded": self.router.messages_forwarded,
-                "messages_delivered": self.router.messages_delivered,
-                "messages_dropped": self.router.messages_dropped,
-                "seen_messages": len(self.router._seen_message_ids),
-            },
-            # The simulator's capture holds the id numbering, so only the
-            # in-flight counts are captured here.
-            "transport": {
-                "outgoing": len(self.transport._outgoing),
-                "incoming": len(self.transport._incoming),
-                "transfers_succeeded": self.transport.transfers_succeeded,
-                "transfers_failed": self.transport.transfers_failed,
-            },
-        }

@@ -524,31 +524,6 @@ class RadioEnvironment:
         state["_overlay_key"] = None
         return state
 
-    def capture_state(self) -> dict:
-        """The radio layer's durable state as plain data.
-
-        Everything here survives a snapshot/restore cycle verbatim; the
-        per-epoch caches intentionally do not (see :meth:`__getstate__`) and
-        therefore never appear in a capture.  Pending frame deliveries live
-        in the simulator's event queue and travel with the object graph.
-        """
-        return {
-            "noise_penalty_db": getattr(self.link_budget, "noise_penalty_db", 0.0),
-            "extra_loss_probability": self.extra_loss_probability,
-            "position_epoch": self._position_epoch,
-            "fast_math": self.fast_math,
-            "interfaces": {
-                name: {
-                    "bytes_sent": interface.bytes_sent,
-                    "bytes_received": interface.bytes_received,
-                    "frames_sent": interface.frames_sent,
-                    "frames_received": interface.frames_received,
-                    "enabled": interface.enabled,
-                }
-                for name, interface in sorted(self._interfaces.items())
-            },
-        }
-
     # ----------------------------------------------------------- attachment
 
     def attach(

@@ -10,7 +10,6 @@ experiments.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Tuple
 
@@ -231,11 +230,10 @@ class EventQueue:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Intern the keys as default unpickling does, so a restored queue
-        # pickles to the same bytes as the original.  The heap entries are
-        # rebuilt on first use (see __getattr__), not here: in a cyclic
-        # graph an event can reach this queue before its own state is set.
-        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+        # The heap entries are rebuilt on first use (see __getattr__), not
+        # here: in a cyclic graph an event can reach this queue before its
+        # own state is set.
+        self.__dict__.update(state)
 
     def __getattr__(self, name: str) -> Any:
         # Only reached when normal lookup fails, i.e. on the first use of a
@@ -248,20 +246,3 @@ class EventQueue:
             (event.time, event.priority, event.sequence, event) for event in events
         ]
         return self._entries
-
-    def capture_state(self) -> dict:
-        """The queue's bookkeeping as plain data.
-
-        The heap itself (events and their callbacks) travels inside the
-        snapshot codec's object-graph payload; this captures the counters a
-        restored queue must agree on — the next sequence number (ordering of
-        future same-time events), the live/cancelled split and the
-        compaction count — so tests can assert restored bookkeeping exactly
-        matches the original.
-        """
-        return {
-            "heap_len": len(self._entries),
-            "active": self._active,
-            "next_sequence": self._next_sequence,
-            "compactions": self.compactions,
-        }

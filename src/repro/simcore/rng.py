@@ -86,21 +86,3 @@ class RandomStreams:
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams
-
-    # ------------------------------------------------------------- snapshot
-
-    def capture_state(self) -> dict:
-        """Every stream's exact generator state as plain data.
-
-        Stream order is creation order (itself deterministic for a seeded
-        run), and each entry is the bit generator's state dictionary, so two
-        captures are ``==``-comparable and a restored factory continues the
-        exact draw sequence the original would have produced.
-        """
-        return {
-            "seed": self._seed,
-            "streams": {
-                name: generator.bit_generator.state
-                for name, generator in self._streams.items()
-            },
-        }

@@ -316,24 +316,6 @@ class Simulator:
         self._next_ids[kind] = value + 1
         return value
 
-    # -------------------------------------------------------------- snapshot
-
-    def capture_state(self) -> dict:
-        """Clock, RNG-stream, event-queue and id state as one plain-data dict.
-
-        This is the simulation core's half of the snapshot protocol: the
-        values here (together with the pickled event graph the codec
-        serialises) fully determine every future event the simulator will
-        fire.  Two captures compare with ``==``, which is what the
-        byte-identity test harness asserts before and after a restore.
-        """
-        return {
-            "now": self._now,
-            "rng": self.streams.capture_state(),
-            "queue": self._queue.capture_state(),
-            "ids": dict(self._next_ids),
-        }
-
     # -------------------------------------------------------------- entities
 
     def register_entity(self, entity: Any) -> None:

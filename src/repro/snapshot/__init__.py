@@ -4,7 +4,7 @@ The snapshot subsystem serialises a *running* simulation — clock, event
 queue, RNG streams, node state, radio environment, fault timelines — into a
 versioned, hash-stamped artifact, and restores it such that continuing the
 run is byte-identical to never having stopped (delivered-frame sequences,
-reports and RNG draws all match).  See ``docs/SNAPSHOTS.md``.
+reports and snapshot bytes all match).  See ``docs/SNAPSHOTS.md``.
 """
 
 from repro.snapshot.codec import (
@@ -22,10 +22,7 @@ from repro.snapshot.scenario import (
     restore_scenario,
     snapshot_scenario,
 )
-from repro.snapshot.verify import (
-    DeliveredFrameLog,
-    scenario_fingerprint,
-)
+from repro.snapshot.verify import DeliveredFrameLog
 
 __all__ = [
     "PICKLE_PROTOCOL",
@@ -40,5 +37,4 @@ __all__ = [
     "restore_scenario",
     "snapshot_scenario",
     "DeliveredFrameLog",
-    "scenario_fingerprint",
 ]

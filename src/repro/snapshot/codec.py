@@ -22,15 +22,19 @@ Every failure mode is a distinct, loud error:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
+import sys
 from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 #: Leading bytes of every snapshot artifact.
 SNAPSHOT_MAGIC = b"REPROSNAP\x01"
 
 #: Current format version; bumped on any incompatible layout change.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 #: Pickle protocol pinned so identical state yields identical payload bytes
 #: regardless of the writing interpreter's default.
@@ -55,6 +59,45 @@ class SnapshotIntegrityError(SnapshotError):
     """The payload does not match the hash stamped in the header."""
 
 
+class _CanonicalPickler(pickle.Pickler):
+    """Pickles every string and numpy dtype as a persistent id.
+
+    The id of an exact ``str`` is its interned copy, and the id of a dtype
+    is the first equal dtype this pickler met, so equal values share one
+    id (and one memo entry) whichever objects held them.
+    """
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=PICKLE_PROTOCOL)
+        self._dtypes: Dict[np.dtype, np.dtype] = {}
+
+    def persistent_id(self, obj: Any) -> Any:
+        if type(obj) is str:
+            return sys.intern(obj)
+        if isinstance(obj, np.dtype):
+            return self._dtypes.setdefault(obj, obj)
+        return None
+
+
+class _CanonicalUnpickler(pickle.Unpickler):
+    """Loads a :class:`_CanonicalPickler` stream: each id is the value."""
+
+    def persistent_load(self, pid: Any) -> Any:
+        return pid
+
+
+def _canonical_copy(obj: Any) -> Any:
+    """``obj`` copied through one :class:`_CanonicalPickler` round.
+
+    The intermediate stream is freed on return, before the caller pickles
+    the copy.
+    """
+    buffer = io.BytesIO()
+    _CanonicalPickler(buffer).dump(obj)
+    buffer.seek(0)
+    return _CanonicalUnpickler(buffer).load()
+
+
 class SnapshotCodec:
     """Encodes/decodes snapshot artifacts in the versioned wire format."""
 
@@ -62,20 +105,18 @@ class SnapshotCodec:
 
     def encode(self, payload_obj: Any, metadata: Optional[Dict[str, Any]] = None) -> bytes:
         """Serialise ``payload_obj`` into one self-validating artifact."""
-        # One canonical round.  Pickle memoises strings by identity, and a
-        # freshly built graph shares string objects that a restored one
-        # does not (the unpickler interns instance-__dict__ keys, so a plain
-        # dict key that was the same object as an attribute name comes back
-        # as a separate one).  dumps(loads(...)) maps both graphs onto the
-        # restored pattern.  Every pickled class keeps that pattern stable
-        # (no hash-ordered sets, setstate hooks intern like the default), so
-        # one round is a fixed point: snapshot-of-restored is bit-identical
-        # to the original artifact under every hash seed
-        # (tests/snapshot/test_format_stability.py).
-        payload = pickle.dumps(
-            pickle.loads(pickle.dumps(payload_obj, protocol=PICKLE_PROTOCOL)),
-            protocol=PICKLE_PROTOCOL,
-        )
+        # One canonical round.  Pickle memoises by identity, and a freshly
+        # built graph shares objects that a restored graph holds copies of:
+        # the interpreter's interned string literals, numpy's builtin dtype
+        # singletons (a restored array carries its own dtype copy, a new one
+        # the singleton).  The first pass pickles each string and dtype as a
+        # persistent id naming one object per value, so equal values are
+        # one object in the loaded graph whichever run they came from, and
+        # the plain final dumps then depends on the state's values alone:
+        # equal state gives equal bytes, restored or not, under every hash
+        # seed (tests/snapshot/test_format_stability.py,
+        # tests/properties/test_property_snapshot.py).
+        payload = pickle.dumps(_canonical_copy(payload_obj), protocol=PICKLE_PROTOCOL)
         header = {
             "version": self.version,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),

@@ -1,26 +1,22 @@
-"""Byte-identity verification helpers.
+"""Byte-identity verification helper: the fleet-wide delivered-frame log.
 
-Two tools certify that a restored simulation is *the same* simulation:
-
-* :class:`DeliveredFrameLog` — a picklable fleet-wide recorder of every
-  delivered frame.  Attached before a run, it travels with snapshots, so a
-  restored run keeps appending to the same log; an uninterrupted run and a
-  snapshot/restore run must produce equal records.
-* :func:`scenario_fingerprint` — one nested, ``==``-comparable plain-data
-  dict aggregating every layer's ``capture_state()``.  Equal fingerprints
-  mean equal clocks, RNG stream states, queue bookkeeping, id numbering,
-  caches-excluded radio state, fault stacks and per-node
-  mesh/compute/trust state.
+A restored simulation is *the same* simulation when its snapshot bytes equal
+the uninterrupted run's: the bytes cover every pickled field, and equal
+state gives equal bytes (:mod:`repro.snapshot.codec`).  The state keeps only
+aggregates of the run's history, so :class:`DeliveredFrameLog` records the
+history itself, every delivered frame fleet-wide.  Attached before a run,
+it travels with snapshots, so a restored run keeps appending to the same
+log; an uninterrupted run and a snapshot/restore run must produce equal
+records.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 #: One delivered frame: (time, sender, receiver, snr_db, rate_bps).
 #: Frame ids are left out: a record holds what the receiver observed, and
-#: the id numbering is simulator state, which :func:`scenario_fingerprint`
-#: compares.
+#: the id numbering is simulator state, which the snapshot bytes cover.
 FrameRecord = Tuple[float, str, str, float, float]
 
 
@@ -58,7 +54,11 @@ class _RecoverTap:
 
 
 class DeliveredFrameLog:
-    """Fleet-wide delivered-frame recorder that survives snapshots."""
+    """Fleet-wide delivered-frame recorder that survives snapshots.
+
+    Once attached, the log is part of the scenario's object graph, so its
+    records are in the scenario's snapshot bytes too.
+    """
 
     def __init__(self) -> None:
         self.records: List[FrameRecord] = []
@@ -86,18 +86,3 @@ class DeliveredFrameLog:
                     return callback.log
         raise LookupError("scenario has no attached DeliveredFrameLog")
 
-
-def scenario_fingerprint(scenario: Any) -> Dict[str, Any]:
-    """Aggregate every layer's ``capture_state()`` into one comparable dict."""
-    fingerprint: Dict[str, Any] = {
-        "sim": scenario.sim.capture_state(),
-        "radio": scenario.environment.capture_state(),
-        "nodes": [node.capture_state() for node in scenario.nodes],
-    }
-    injector = getattr(scenario, "faults", None)
-    if injector is not None:
-        fingerprint["faults"] = injector.capture_state()
-    substrate = getattr(getattr(scenario, "mobility", None), "substrate", None)
-    if substrate is not None:
-        fingerprint["substrate"] = substrate.capture_state()
-    return fingerprint

@@ -15,7 +15,7 @@ import pytest
 from repro.faults.schedule import LOSS_END, LOSS_START, RADIO_DEGRADE, RADIO_RESTORE
 from repro.scenarios import build_scenario
 from repro.scenarios.base import Scenario
-from repro.snapshot import DeliveredFrameLog, scenario_fingerprint
+from repro.snapshot import DeliveredFrameLog
 
 DURATION = 12.0
 
@@ -76,47 +76,47 @@ def test_snapshot_inside_burst_window_is_byte_identical(kind):
     # The cut really was inside a window: the restored injector carries the
     # in-progress burst on its stack at the moment of restore *before*
     # resuming would pop it.
-    stacks = restored.faults.capture_state()
-    assert stacks["noise_stack"] or stacks["loss_stack"]
+    assert restored.faults._noise_stack or restored.faults._loss_stack
 
     report = restored.resume()
     assert DeliveredFrameLog.find(restored).records == ref_log.records
     assert report.as_dict() == ref_report.as_dict()
-    assert scenario_fingerprint(restored) == scenario_fingerprint(reference)
+    assert restored.snapshot() == reference.snapshot()
 
 
 def test_adversary_profiles_survive_restore():
     scenario = _build()
-    assigned = dict(scenario.faults.capture_state()["assignment"])
+    assigned = dict(scenario.faults._assignment)
     assert assigned, "malicious_fraction should assign adversaries"
     restored = _round_trip(scenario, cut=5.0)
-    assert dict(restored.faults.capture_state()["assignment"]) == assigned
+    assert restored.faults._assignment == assigned
     assert restored.faults.malicious_names == scenario.faults.malicious_names
     # Malicious behaviour keeps running after restore: the resumed report
-    # matches an uninterrupted adversarial run exactly (fingerprint includes
-    # per-node trust scores shaped by the adversaries).
+    # matches an uninterrupted adversarial run exactly (the snapshot bytes
+    # include per-node trust scores shaped by the adversaries).
     reference = _build()
     ref_report = reference.run(DURATION)
     report = restored.resume()
     assert report.as_dict() == ref_report.as_dict()
-    assert scenario_fingerprint(restored) == scenario_fingerprint(reference)
+    assert restored.snapshot() == reference.snapshot()
 
 
 def test_crash_recovery_sequence_unchanged_across_restore():
     reference = _build(seed=23)
     ref_report = reference.run(DURATION)
-    ref_state = reference.faults.capture_state()
-    assert ref_state["crashes_injected"] > 0, "crash_rate should crash someone"
+    ref_faults = reference.faults
+    assert ref_faults.crashes_injected > 0, "crash_rate should crash someone"
 
     scenario = _build(seed=23)
     restored = _round_trip(scenario, cut=4.0)
     report = restored.resume()
-    state = restored.faults.capture_state()
-    assert state["crashes_injected"] == ref_state["crashes_injected"]
-    assert state["recoveries_injected"] == ref_state["recoveries_injected"]
-    assert state["down_since"] == ref_state["down_since"]
-    assert state["downtime_total"] == ref_state["downtime_total"]
+    faults = restored.faults
+    assert faults.crashes_injected == ref_faults.crashes_injected
+    assert faults.recoveries_injected == ref_faults.recoveries_injected
+    assert faults._down_since == ref_faults._down_since
+    assert faults._downtime_total == ref_faults._downtime_total
     assert report.as_dict() == ref_report.as_dict()
+    assert restored.snapshot() == reference.snapshot()
 
 
 def test_crashed_node_restores_crashed_and_recovers_on_schedule():
@@ -136,7 +136,7 @@ def test_crashed_node_restores_crashed_and_recovers_on_schedule():
 
     restored = _round_trip(scenario, cut)
     down = [node for node in restored.nodes if node.name == first.node]
-    assert down and down[0].capture_state()["crashed"]
+    assert down and down[0].crashed
 
     reference = _build(seed=23)
     ref_report = reference.run(DURATION)
@@ -144,5 +144,5 @@ def test_crashed_node_restores_crashed_and_recovers_on_schedule():
     # The node came back on schedule after restore.
     recovered = [node for node in restored.nodes if node.name == first.node]
     if recover < DURATION:
-        assert not recovered[0].capture_state()["crashed"]
+        assert not recovered[0].crashed
     assert report.as_dict() == ref_report.as_dict()

@@ -3,8 +3,8 @@
 The session engine multiplexes many simulations by stepping each one in
 bounded event slices.  The contract: however two sessions' slices are
 interleaved — alternating, lopsided, varying sizes — each session's fleet
-delivered-frame sequence, final report, full state fingerprint and final
-snapshot bytes are identical to running its scenario to completion in one
+delivered-frame sequence, final report and final snapshot bytes are
+identical to running its scenario to completion in one
 undisturbed ``Scenario.run()`` call.  Quantified over scenario, seed, slice
 pattern, equivalence tier (exact and fast_math) and fault activity; a
 deterministic acceptance test pins the tier × faults matrix explicitly.
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.scenarios import build_scenario
 from repro.service import SessionState, SimulationSession
-from repro.snapshot import DeliveredFrameLog, scenario_fingerprint
+from repro.snapshot import DeliveredFrameLog
 
 DURATION = 6.0
 
@@ -42,9 +42,7 @@ def _solo(scenario_name, seed, fast_math, faults):
     scenario = _build(scenario_name, seed, fast_math, faults)
     log = DeliveredFrameLog().attach(scenario)
     report = scenario.run(DURATION)
-    return (
-        log.records, report.as_dict(), scenario_fingerprint(scenario), scenario.snapshot()
-    )
+    return log.records, report.as_dict(), scenario.snapshot()
 
 
 def _interleaved_pair(scenario_name, seeds, fast_math, faults, slices):
@@ -64,12 +62,7 @@ def _interleaved_pair(scenario_name, seeds, fast_math, faults, slices):
             if session.state is SessionState.RUNNING:
                 session.step(next(budgets))
     return [
-        (
-            log.records,
-            session.report.as_dict(),
-            scenario_fingerprint(session.scenario),
-            session.scenario.snapshot(),
-        )
+        (log.records, session.report.as_dict(), session.scenario.snapshot())
         for session, log in zip(sessions, logs)
     ]
 
@@ -93,17 +86,16 @@ def test_interleaved_sessions_are_byte_identical_to_solo_runs(
 ):
     seeds = (seed, seed + 1)
     interleaved = _interleaved_pair(scenario_name, seeds, fast_math, faults, slices)
-    for one_seed, (frames, report, fingerprint, snapshot) in zip(seeds, interleaved):
-        frames_solo, report_solo, fp_solo, snapshot_solo = _solo(
+    for one_seed, (frames, report, snapshot) in zip(seeds, interleaved):
+        frames_solo, report_solo, snapshot_solo = _solo(
             scenario_name, one_seed, fast_math, faults
         )
         assert frames == frames_solo
         assert report == report_solo
-        # Fingerprint equality covers clocks, queue bookkeeping, id
-        # numbering, per-node state and every named RNG stream's state.
-        assert fingerprint == fp_solo
-        # Both sessions and the solo runs share this process, so equal
-        # bytes also show that no id leaks from one simulation to another.
+        # Equal bytes cover clocks, queue bookkeeping, id numbering,
+        # per-node state and every named RNG stream's state.  Both sessions
+        # and the solo runs share this process, so they also show that no
+        # id leaks from one simulation to another.
         assert snapshot == snapshot_solo
 
 
@@ -115,11 +107,10 @@ def test_acceptance_matrix_interleaving_with_faults(fast_math, faults):
     interleaved = _interleaved_pair(
         "urban-grid", seeds, fast_math, faults, slices=[17, 160, 3]
     )
-    for seed, (frames, report, fingerprint, snapshot) in zip(seeds, interleaved):
-        frames_solo, report_solo, fp_solo, snapshot_solo = _solo(
+    for seed, (frames, report, snapshot) in zip(seeds, interleaved):
+        frames_solo, report_solo, snapshot_solo = _solo(
             "urban-grid", seed, fast_math, faults
         )
         assert frames == frames_solo
         assert report == report_solo
-        assert fingerprint == fp_solo
         assert snapshot == snapshot_solo

@@ -3,7 +3,9 @@
 The core contract of :mod:`repro.snapshot` — run to ``T``, snapshot,
 restore in a fresh object graph, run to the end — must be *byte-identical*
 to never having stopped: the fleet-wide delivered-frame sequence, the
-scenario report, and every RNG stream's state (hence draw count) all match.
+scenario report and the final snapshot bytes all match.  The bytes cover
+every pickled field — clocks, queue bookkeeping, id numbering, every RNG
+stream's state (hence draw count), per-node mesh/compute/trust state.
 The property is quantified over scenario, seed, cut point, equivalence tier
 (exact and fast_math) and fault activity; a deterministic test pins the
 full acceptance matrix explicitly.
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.scenarios import build_scenario
 from repro.scenarios.base import Scenario
-from repro.snapshot import DeliveredFrameLog, scenario_fingerprint
+from repro.snapshot import DeliveredFrameLog
 
 DURATION = 10.0
 
@@ -42,7 +44,7 @@ def _uninterrupted(scenario_name, seed, fast_math, faults):
     scenario = _build(scenario_name, seed, fast_math, faults)
     log = DeliveredFrameLog().attach(scenario)
     report = scenario.run(DURATION)
-    return log.records, report.as_dict(), scenario_fingerprint(scenario)
+    return log.records, report.as_dict(), scenario.snapshot()
 
 
 def _interrupted(scenario_name, seed, fast_math, faults, cut):
@@ -57,7 +59,7 @@ def _interrupted(scenario_name, seed, fast_math, faults, cut):
         os.unlink(path)
     report = restored.resume()
     log = DeliveredFrameLog.find(restored)
-    return log.records, report.as_dict(), scenario_fingerprint(restored)
+    return log.records, report.as_dict(), restored.snapshot()
 
 
 @settings(
@@ -76,15 +78,21 @@ def _interrupted(scenario_name, seed, fast_math, faults, cut):
 # only the recovered nodes' rebuilt interfaces carry the frame log.
 @example(scenario_name="intersection", seed=278, cut=1.0, fast_math=False, faults=True)
 @example(scenario_name="urban-grid", seed=280, cut=5.0, fast_math=True, faults=True)
+# Rebuilding the dropped radio caches costs the restored run extra
+# line-of-sight queries, so per-query scratch must stay out of the pickle.
+@example(scenario_name="intersection", seed=280, cut=5.0, fast_math=False, faults=False)
+# A stream first drawn after the cut: its seed arrays carry numpy's builtin
+# dtype, the restored streams' arrays an equal copy.
+@example(scenario_name="urban-grid", seed=8724, cut=2.612, fast_math=False, faults=True)
 def test_snapshot_restore_is_byte_identical(scenario_name, seed, cut, fast_math, faults):
-    frames_a, report_a, fp_a = _uninterrupted(scenario_name, seed, fast_math, faults)
-    frames_b, report_b, fp_b = _interrupted(scenario_name, seed, fast_math, faults, cut)
+    frames_a, report_a, blob_a = _uninterrupted(scenario_name, seed, fast_math, faults)
+    frames_b, report_b, blob_b = _interrupted(scenario_name, seed, fast_math, faults, cut)
     assert frames_b == frames_a
     assert report_b == report_a
-    # Fingerprint equality covers clocks, event-queue bookkeeping, per-node
-    # mesh/compute/trust state and — critically — every named RNG stream's
-    # bit-generator state, which implies equal draw counts per stream.
-    assert fp_b == fp_a
+    # Equal state gives equal bytes, so this covers every pickled field —
+    # critically every named RNG stream's bit-generator state, which
+    # implies equal draw counts per stream.
+    assert blob_b == blob_a
 
 
 @pytest.mark.parametrize("scenario_name", ["highway", "urban-grid", "intersection"])
@@ -94,13 +102,13 @@ def test_acceptance_matrix_restore_then_run_is_byte_identical(
     scenario_name, fast_math, faults
 ):
     """The ISSUE acceptance grid: 3 scenarios x 2 tiers x faults off/on."""
-    frames_a, report_a, fp_a = _uninterrupted(scenario_name, 7, fast_math, faults)
-    frames_b, report_b, fp_b = _interrupted(
+    frames_a, report_a, blob_a = _uninterrupted(scenario_name, 7, fast_math, faults)
+    frames_b, report_b, blob_b = _interrupted(
         scenario_name, 7, fast_math, faults, cut=0.4 * DURATION
     )
     assert frames_b == frames_a
     assert report_b == report_a
-    assert fp_b == fp_a
+    assert blob_b == blob_a
 
 
 def test_rng_draw_streams_continue_not_restart():
@@ -114,13 +122,14 @@ def test_rng_draw_streams_continue_not_restart():
     finally:
         os.unlink(path)
     fresh = _build("highway", 3, False, False)
-    streams = restored.sim.streams.capture_state()
-    fresh_streams = fresh.sim.streams.capture_state()
-    assert streams["seed"] == fresh_streams["seed"]
+    streams = restored.sim.streams
+    fresh_streams = fresh.sim.streams
+    assert streams.seed == fresh_streams.seed
     # At least one stream must have advanced past its just-seeded state.
-    common = set(streams["streams"]) & set(fresh_streams["streams"])
+    common = set(streams._streams) & set(fresh_streams._streams)
     assert common
     assert any(
-        streams["streams"][name] != fresh_streams["streams"][name]
+        streams._streams[name].bit_generator.state
+        != fresh_streams._streams[name].bit_generator.state
         for name in common
     )

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "ee08139e7e64647420a84654c160d75163e83a826e9ab7f84960600d452a0b5b",
+        "8f2e55484aa91f3f88d728e9c3ace7582b01192b053cd48a25acebce9e27d426",
     ),
     "highway-faults": (
         "89a1c61168d7b5a93ccb25f8ec428ae4d245752ce0e4b41112d876fc7a260c1d",
-        "e35bb596bc019c77c362caa4404766e256eacef4e9421352de8b5f3f207e9fba",
+        "5b9989738400e57767fea304902b6b9de93fbde1e7d8ee1ee444449f2822ca6e",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "0c92e52b4b3636089522483c4aa854e7ca03156bf30ff2d6ae3babb8f675aef2",
+        "fe6fc218347cfe165a9ac2057274d476f84af321732bde875969d7a1e2711454",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "5fde0ba96f21f9d1bb188680c4db993b4d65b831c3c7d69f28f9f229fde823e6",
+        "4809598d4a09346dac9b7e7efdbea6c624d462a4804778c5f6558278ded59ea9",
     ),
 }
 

@@ -184,6 +184,6 @@ def test_new_id_numbers_each_kind_per_simulation():
     assert sim.new_id("task") == 0
     # Another simulation starts its own numbering, whatever ran before.
     assert Simulator().new_id("frame") == 0
-    assert sim.capture_state()["ids"] == {"frame": 3, "task": 1}
+    assert sim._next_ids == {"frame": 3, "task": 1}
     restored = pickle.loads(pickle.dumps(sim))
     assert restored.new_id("frame") == sim.new_id("frame") == 3

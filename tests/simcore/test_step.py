@@ -153,8 +153,6 @@ def test_events_fired_counter_accumulates_across_windows():
     assert sim.events_fired == 2
     sim.run(until=4.0)
     assert sim.events_fired == 3
-    # Bookkeeping only: the snapshot state contract is unchanged.
-    assert "events_fired" not in sim.capture_state()
 
 
 def test_step_outcome_exhausted_classification():

@@ -1,7 +1,9 @@
 """The snapshot codec rejects everything that is not exactly right."""
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.snapshot import (
@@ -135,6 +137,24 @@ def test_rejects_v2_artifacts(artifact):
     tampered = _rewrite_header(artifact, lambda h: h.update(version=2))
     with pytest.raises(SnapshotVersionError, match="not supported"):
         SnapshotCodec().decode(tampered)
+
+
+def test_equal_values_encode_alike_whichever_objects_hold_them():
+    """Strings and numpy dtypes are shared by value, not by identity.
+
+    A fresh run shares interned literals and builtin dtypes that a restored
+    run holds copies of, so a graph holding one object twice and a graph
+    holding two equal copies must give the same bytes.
+    """
+    word = "beacon-jitter:car-1"
+    word_copy = word[:7] + word[7:]
+    dtype = np.dtype("u4")
+    dtype_copy = pickle.loads(pickle.dumps(dtype))
+    assert word_copy is not word and dtype_copy is not dtype
+    shared = [word, word, np.zeros(2, dtype), np.zeros(2, dtype)]
+    copied = [word, word_copy, np.zeros(2, dtype), np.zeros(2, dtype_copy)]
+    assert pickle.dumps(copied, protocol=4) != pickle.dumps(shared, protocol=4)
+    assert SnapshotCodec().encode(copied) == SnapshotCodec().encode(shared)
 
 
 @pytest.mark.parametrize(
