@@ -724,7 +724,13 @@ def _execute_run(args: argparse.Namespace) -> int:
                 report = scenario.resume(until=window_start + args.duration)
         except (RuntimeError, ValueError, TypeError) as error:
             raise SystemExit(f"--from-snapshot: cannot resume: {error}")
-        print(report_table(scenario.name, report).render())
+        # Titled by the CLI name, as `repro run --scenario` titles it.
+        name = next(
+            (key for key, (_, scenario_class, _) in SCENARIOS.items()
+             if type(scenario) is scenario_class),
+            scenario.name,
+        )
+        print(report_table(name, report).render())
         return 0
     if args.scenario is None:
         raise SystemExit("run needs --scenario NAME or --from-snapshot PATH")

@@ -189,7 +189,16 @@ class AirDnDNode:
         self._crashed = False
 
         # --- substrates -------------------------------------------------------
-        self.mesh = self._build_mesh()
+        self.mesh = MeshNode(
+            sim,
+            environment,
+            mobile,
+            beacon_period=self.config.beacon_period,
+            neighbor_lifetime=self.config.neighbor_lifetime,
+            mtu=self.config.mtu,
+            ack_timeout=self.config.ack_timeout,
+            max_attempts=self.config.transfer_attempts,
+        )
         self.compute = ComputeNode(
             sim,
             spec=self.config.compute_spec,
@@ -236,25 +245,7 @@ class AirDnDNode:
             max_attempts=self.config.max_attempts,
             allow_local_fallback=self.config.allow_local_fallback,
         )
-        self.mesh.beacon_agent.add_enricher(self._enrich_beacon)
-
-    def _build_mesh(self) -> MeshNode:
-        """One full mesh stack configured from this node's knobs.
-
-        Called at construction and again on :meth:`recover`, where a fresh
-        stack is exactly what rejoining demands: empty neighbour table, new
-        membership view, clean transport state.
-        """
-        return MeshNode(
-            self.sim,
-            self.environment,
-            self.mobile,
-            beacon_period=self.config.beacon_period,
-            neighbor_lifetime=self.config.neighbor_lifetime,
-            mtu=self.config.mtu,
-            ack_timeout=self.config.ack_timeout,
-            max_attempts=self.config.transfer_attempts,
-        )
+        self.mesh.add_enricher(self._enrich_beacon)
 
     # ----------------------------------------------------------------- state
 
@@ -266,7 +257,6 @@ class AirDnDNode:
             queue_length=self.compute.queue_length,
             data_summary=self.pond.summary(self.sim.now),
             trust_score=self.trust.self_score(),
-            epoch=self.mesh.membership.epoch,
         )
 
     @property
@@ -341,22 +331,17 @@ class AirDnDNode:
     def recover(self) -> None:
         """Bring a crashed node back with *fresh* neighbour state.
 
-        A brand-new mesh stack is built (empty neighbour table, membership
-        epoch restarted, clean transport) and the executor, orchestrator and
-        network-description builder are rebound to it; the beacon enricher is
-        re-registered so the node advertises its compute/data/trust state
-        again.  The node rejoins the mesh the same way it joined originally:
-        by beaconing and hearing beacons.  Idempotent.
+        The mesh stack restarts in place (:meth:`MeshNode.restart`): empty
+        neighbour table, epoch restarted, clean transport, and every hook
+        registered through it (transfer receivers, beacon enrichers, frame
+        taps) carried over.  The node rejoins the mesh the same way it
+        joined originally: by beaconing and hearing beacons.  Idempotent.
         """
         if not self._crashed:
             return
         self._crashed = False
-        self.mesh = self._build_mesh()
-        self.network_builder.rebind_mesh(self.mesh)
-        self.executor.rebind_mesh(self.mesh)
-        self.orchestrator.rebind_mesh(self.mesh)
+        self.mesh.restart()
         self.orchestrator.accepting = True
-        self.mesh.beacon_agent.add_enricher(self._enrich_beacon)
 
     # --------------------------------------------------------------- metrics
 

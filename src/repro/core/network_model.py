@@ -75,10 +75,6 @@ class NetworkDescriptionBuilder:
         self.mesh_node = mesh_node
         self.environment = environment
 
-    def rebind_mesh(self, mesh_node: MeshNode) -> None:
-        """Adopt a freshly built mesh stack (node recovery after a crash)."""
-        self.mesh_node = mesh_node
-
     def build(self, now: float) -> NetworkDescription:
         """Build the owner's current network description.
 
@@ -133,5 +129,5 @@ class NetworkDescriptionBuilder:
             time=now,
             position=own_position,
             neighbors=neighbors,
-            epoch=mesh_node.membership.epoch,
+            epoch=mesh_node.beacon_agent.epoch,
         )

@@ -150,11 +150,6 @@ class ExecutorAgent:
         """Name of the node this agent executes for."""
         return self.mesh_node.name
 
-    def rebind_mesh(self, mesh_node: MeshNode) -> None:
-        """Adopt a freshly built mesh stack (node recovery after a crash)."""
-        self.mesh_node = mesh_node
-        mesh_node.on_receive(self._on_transfer)
-
     # -------------------------------------------------------------- receive
 
     def _on_transfer(self, source: str, kind: str, payload: Any, _size: int) -> None:

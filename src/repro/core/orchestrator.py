@@ -101,16 +101,6 @@ class Orchestrator:
         """Name of the node this orchestrator serves."""
         return self.mesh_node.name
 
-    def rebind_mesh(self, mesh_node: MeshNode) -> None:
-        """Adopt a freshly built mesh stack (node recovery after a crash).
-
-        The old stack's transport keeps its receive callbacks but its
-        interface stays disabled and detached, so the only live wiring is the
-        new one registered here.
-        """
-        self.mesh_node = mesh_node
-        mesh_node.on_receive(self._on_transfer)
-
     def abort_all(self, reason: str) -> int:
         """Fail every in-flight task (the node crashed / went offline).
 

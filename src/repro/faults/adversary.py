@@ -2,9 +2,9 @@
 
 A profile configures one :class:`~repro.core.api.AirDnDNode` to misbehave in
 a specific, detectable-or-not way; the fault injector assigns profiles to a
-seeded ``malicious_fraction`` of the fleet and re-applies them after a node
-recovers from a crash (recovery rebuilds the mesh stack, which drops
-beacon-level profile hooks).
+seeded ``malicious_fraction`` of the fleet once.  A profile outlives crashes:
+its beacon hook is registered through the node's
+:class:`~repro.mesh.node.MeshNode`, which carries it across restarts.
 
 Three profiles ship, matching the trust layer's three defences:
 
@@ -51,11 +51,7 @@ class CorruptedResult:
 
 
 class AdversaryProfile:
-    """Base class: applies one malicious behaviour to an AirDnD node.
-
-    ``apply`` must be idempotent-safe: the injector re-applies profiles on
-    every recovery, against a freshly rebuilt mesh stack.
-    """
+    """Base class: applies one malicious behaviour to an AirDnD node."""
 
     #: Registry key; subclasses override.
     name = "abstract"
@@ -110,9 +106,9 @@ class ReputationInflatingBeaconer(AdversaryProfile):
 
     def apply(self, node: Any) -> None:
         # Registered after the node's own enricher, so the lie overwrites
-        # the honest values.  Recovery rebuilds the beacon agent, which is
-        # why the injector re-applies profiles then.
-        node.mesh.beacon_agent.add_enricher(
+        # the honest values; the mesh node re-registers both, in this order,
+        # when it restarts after a crash.
+        node.mesh.add_enricher(
             BeaconInflater(self.CLAIMED_HEADROOM_OPS)
         )
 

@@ -7,9 +7,9 @@ A :class:`FaultInjector` owns the runtime effects of an expanded
   :meth:`~repro.core.api.AirDnDNode.crash` /
   :meth:`~repro.core.api.AirDnDNode.recover`, plus the pieces the node
   cannot reach itself: pulling the mobile out of (and back into) the
-  mobility manager's substrate, suspending/resuming the node as a workload
-  origin, and re-applying the node's adversary profile after the mesh stack
-  is rebuilt;
+  mobility manager's substrate and suspending/resuming the node as a
+  workload origin (the node's adversary profile survives: recovery restarts
+  its mesh stack in place, with the profile's beacon hook carried over);
 * **radio degradation** — a stack of active noise-figure bumps pushed onto
   the environment's link budget (``noise_penalty_db``), flushed through the
   per-epoch link caches via ``notify_positions_changed``;
@@ -25,7 +25,7 @@ stays byte-identical to one with no injector at all (benchmark E14).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.faults.adversary import apply_profile
 from repro.faults.schedule import (
@@ -92,13 +92,6 @@ class FaultInjector:
         self.recoveries_injected = 0
         self.degradation_bursts = 0
         self.loss_bursts = 0
-        self._on_recover: List[Callable[[Any], None]] = []
-
-    # ------------------------------------------------------------ listeners
-
-    def on_recover(self, callback: Callable[[Any], None]) -> None:
-        """Register a callback fired with the node after each recovery."""
-        self._on_recover.append(callback)
 
     # ---------------------------------------------------------- adversaries
 
@@ -108,7 +101,7 @@ class FaultInjector:
         return sorted(self._assignment)
 
     def assign_adversaries(self, assignment: Mapping[str, str]) -> None:
-        """Apply ``node name → profile name`` and remember it for re-application.
+        """Apply ``node name → profile name`` once, for the rest of the run.
 
         Unknown node names are rejected: a silent skip would make a sweep
         with a typo'd fleet report an honest fleet as attacked.
@@ -197,12 +190,6 @@ class FaultInjector:
         if self.mobility is not None and not self.mobility.has_node(name):
             self.mobility.add_node(node.mobile)
         node.recover()
-        profile_name = self._assignment.get(name)
-        if profile_name is not None:
-            # Recovery rebuilt the mesh stack; beacon-level behaviours must
-            # be re-applied (executor-level flags survive but re-applying is
-            # idempotent).
-            apply_profile(node, profile_name)
         if self.workload is not None:
             self.workload.resume_node(node)
         down_since = self._down_since.pop(name, None)
@@ -211,12 +198,10 @@ class FaultInjector:
         self._watch_rejoin(node)
         self.recoveries_injected += 1
         self.sim.monitor.counter("faults.recoveries").add()
-        for callback in self._on_recover:
-            callback(node)
         return True
 
     def _watch_rejoin(self, node: Any) -> None:
-        """Measure recovery → first regained neighbour on the new stack."""
+        """Measure recovery → first regained neighbour on the fresh stack."""
         recovered_at = self.sim.now
         self._await_rejoin[node.name] = recovered_at
         node.mesh.beacon_agent.on_neighbor_up(

@@ -8,8 +8,8 @@ when they drive apart.
 
 * :mod:`repro.mesh.messages` — beacon and data message formats.
 * :mod:`repro.mesh.neighbor` — per-node neighbour tables with expiry.
-* :mod:`repro.mesh.discovery` — the asynchronous beaconing agent.
-* :mod:`repro.mesh.membership` — per-node mesh membership views and epochs.
+* :mod:`repro.mesh.discovery` — the asynchronous beaconing agent, which
+  also keeps the node's membership epoch.
 * :mod:`repro.mesh.topology` — global topology snapshots for evaluation.
 * :mod:`repro.mesh.routing` — greedy geographic multi-hop forwarding.
 * :mod:`repro.mesh.transport` — reliable fragmenting transfers with
@@ -21,7 +21,6 @@ when they drive apart.
 from repro.mesh.messages import Beacon, DataMessage
 from repro.mesh.neighbor import NeighborEntry, NeighborTable
 from repro.mesh.discovery import BeaconAgent
-from repro.mesh.membership import MeshMembership
 from repro.mesh.topology import TopologyObserver, TopologySnapshot
 from repro.mesh.routing import GreedyGeoRouter
 from repro.mesh.transport import ReliableTransport, Transfer
@@ -33,7 +32,6 @@ __all__ = [
     "NeighborEntry",
     "NeighborTable",
     "BeaconAgent",
-    "MeshMembership",
     "TopologyObserver",
     "TopologySnapshot",
     "GreedyGeoRouter",

@@ -5,6 +5,11 @@ Every node runs a :class:`BeaconAgent` that broadcasts a
 (period plus per-node jitter) and records the beacons it hears in its
 :class:`~repro.mesh.neighbor.NeighborTable`.  No node ever waits for another:
 this is the "asynchronous" in AirDnD.
+
+The table is the node's own view of the mesh it belongs to: there is no
+global "the mesh", and two nodes may disagree transiently.  The agent counts
+the view's changes in a per-node ``epoch``, one step per joined neighbour
+and one per evicted neighbour, and carries it in every beacon.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ class BeaconAgent:
         synchronise.
     neighbor_lifetime:
         Neighbour-table expiry, in seconds.
+
+    ``epoch`` starts at 0 and advances once per neighbour that joins the
+    table and once per neighbour evicted from it; each step also counts one
+    ``mesh.joins`` or ``mesh.leaves`` on the monitor.
     """
 
     def __init__(
@@ -137,15 +146,15 @@ class BeaconAgent:
         )
         if is_new:
             self.epoch += 1
-            self.sim.monitor.counter("mesh.neighbor_up_events").add()
+            self.sim.monitor.counter("mesh.joins").add()
             for callback in self._neighbor_up_callbacks:
                 callback(beacon.sender, beacon)
 
     def _expire_neighbors(self) -> None:
         expired = self.neighbors.expire(self.sim.now)
         if expired:
-            self.epoch += 1
-            self.sim.monitor.counter("mesh.neighbor_down_events").add(len(expired))
+            self.epoch += len(expired)
+            self.sim.monitor.counter("mesh.leaves").add(len(expired))
             for name in expired:
                 for callback in self._neighbor_down_callbacks:
                     callback(name)

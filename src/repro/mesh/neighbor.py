@@ -67,8 +67,8 @@ class NeighborTable:
         """Record a received beacon.
 
         Returns ``True`` when the sender is a *new* neighbour (not currently
-        in the table), which is the membership-change trigger used by
-        :class:`~repro.mesh.membership.MeshMembership`.
+        in the table), which is the join trigger used by
+        :class:`~repro.mesh.discovery.BeaconAgent`.
         """
         if beacon.sender == self.owner:
             return False

@@ -1,23 +1,28 @@
 """The full per-node mesh stack, bundled.
 
 :class:`MeshNode` wires together a radio interface, the beaconing agent, the
-membership view, the greedy router and the reliable transport for one mobile
-node.  The AirDnD core builds its orchestration node on top of exactly one
-``MeshNode``; tests and baselines can also use it directly.
+greedy router and the reliable transport for one mobile node.  The AirDnD
+core builds its orchestration node on top of exactly one ``MeshNode``, which
+lives as long as the node does: a reboot (:meth:`MeshNode.restart`) swaps
+fresh parts in underneath and re-registers the hooks its users gave it.
+Tests and baselines can also use it directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.geometry.vector import Vec2
-from repro.mesh.discovery import BeaconAgent
-from repro.mesh.membership import MeshMembership
+from repro.mesh.discovery import BeaconAgent, BeaconEnricher
 from repro.mesh.routing import GreedyGeoRouter
 from repro.mesh.transport import ReliableTransport, Transfer
 from repro.mobility.providers import PositionOf
-from repro.radio.interfaces import RadioEnvironment
+from repro.radio.interfaces import Frame, RadioEnvironment
+from repro.radio.link import LinkQuality
 from repro.simcore.simulator import Simulator
+
+#: Interface counters a restart carries over to the fresh interface.
+_INTERFACE_COUNTERS = ("bytes_sent", "bytes_received", "frames_sent", "frames_received")
 
 
 class MeshNode:
@@ -49,29 +54,42 @@ class MeshNode:
         max_attempts: int = 3,
     ) -> None:
         self.sim = sim
+        self.environment = environment
         self.mobile = mobile
         self.name = mobile.name
-        self.interface = environment.attach(self.name, PositionOf(self.mobile))
+        self.beacon_period = beacon_period
+        self.neighbor_lifetime = neighbor_lifetime
+        self.mtu = mtu
+        self.ack_timeout = ack_timeout
+        self.max_attempts = max_attempts
+        # Hooks registered through this node, in registration order; a
+        # restart registers them again on the fresh parts.
+        self._receivers: List[Callable[[str, str, Any, int], None]] = []
+        self._enrichers: List[BeaconEnricher] = []
+        self._frame_taps: List[Callable[[Frame, LinkQuality], None]] = []
+        self._build_parts()
+
+    def _build_parts(self) -> None:
+        self.interface = self.environment.attach(self.name, PositionOf(self.mobile))
         self.beacon_agent = BeaconAgent(
-            sim,
+            self.sim,
             self.interface,
             state_provider=self._kinematic_state,
-            beacon_period=beacon_period,
-            neighbor_lifetime=neighbor_lifetime,
+            beacon_period=self.beacon_period,
+            neighbor_lifetime=self.neighbor_lifetime,
         )
-        self.membership = MeshMembership(sim, self.beacon_agent)
         self.router = GreedyGeoRouter(
-            sim,
+            self.sim,
             self.interface,
             self.beacon_agent.neighbors,
             position_provider=PositionOf(self.mobile),
         )
         self.transport = ReliableTransport(
-            sim,
+            self.sim,
             self.router,
-            mtu=mtu,
-            ack_timeout=ack_timeout,
-            max_attempts=max_attempts,
+            mtu=self.mtu,
+            ack_timeout=self.ack_timeout,
+            max_attempts=self.max_attempts,
         )
 
     # -------------------------------------------------------------- helpers
@@ -90,6 +108,23 @@ class MeshNode:
         """The node's neighbour table."""
         return self.beacon_agent.neighbors
 
+    # ----------------------------------------------------------------- hooks
+
+    def on_receive(self, callback: Callable[[str, str, Any, int], None]) -> None:
+        """Register for completed incoming transfers."""
+        self._receivers.append(callback)
+        self.transport.on_receive(callback)
+
+    def add_enricher(self, enricher: BeaconEnricher) -> None:
+        """Let a higher layer rewrite this node's outgoing beacons."""
+        self._enrichers.append(enricher)
+        self.beacon_agent.add_enricher(enricher)
+
+    def on_frame(self, callback: Callable[[Frame, LinkQuality], None]) -> None:
+        """Observe every frame the node's radio interface delivers."""
+        self._frame_taps.append(callback)
+        self.interface.on_receive(callback)
+
     # ------------------------------------------------------------ messaging
 
     def send_reliable(
@@ -105,11 +140,32 @@ class MeshNode:
             destination, payload, size_bytes, kind=kind, on_complete=on_complete
         )
 
-    def on_receive(self, callback: Callable[[str, str, Any, int], None]) -> None:
-        """Register for completed incoming transfers."""
-        self.transport.on_receive(callback)
+    # ------------------------------------------------------------- lifecycle
 
     def shutdown(self) -> None:
         """Stop beaconing (the node disappears from the mesh after expiry)."""
         self.beacon_agent.stop()
         self.interface.enabled = False
+
+    def restart(self) -> None:
+        """Reboot the stack: fresh parts, the same hooks and byte counters.
+
+        The node rejoins with an empty neighbour table, epoch 0 and a clean
+        transport, as a rebooted device would.  The old parts are shut down,
+        detached and abandoned: the old interface stays disabled, so the old
+        transport's pending retransmissions never reach the air (which is
+        why the fresh parts get a new interface rather than the old one
+        re-enabled).
+        """
+        old_interface = self.interface
+        self.shutdown()
+        self.environment.detach(self.name)
+        self._build_parts()
+        for counter in _INTERFACE_COUNTERS:
+            setattr(self.interface, counter, getattr(old_interface, counter))
+        for callback in self._receivers:
+            self.transport.on_receive(callback)
+        for enricher in self._enrichers:
+            self.beacon_agent.add_enricher(enricher)
+        for callback in self._frame_taps:
+            self.interface.on_receive(callback)

@@ -10,7 +10,7 @@ timeout, keeping the routing layer stateless and asynchronous.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.geometry.vector import Vec2
 from repro.mesh.messages import DataMessage
@@ -48,9 +48,6 @@ class GreedyGeoRouter:
         self.neighbors = neighbors
         self.position_provider = position_provider
         self._delivery_callbacks: List[Callable[[DataMessage], None]] = []
-        # Insertion-ordered, so it pickles to the same bytes in every
-        # process and after every restore (a set's layout does not).
-        self._seen_message_ids: Dict[int, None] = {}
         self.messages_forwarded = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -143,9 +140,8 @@ class GreedyGeoRouter:
             self.send(message.next_hop_copy())
 
     def _deliver_local(self, message: DataMessage) -> None:
-        if message.message_id in self._seen_message_ids:
-            return
-        self._seen_message_ids[message.message_id] = None
+        # An id arrives here at most once: each send issues a fresh id, and
+        # a forward is one unicast copy along a single greedy path.
         self.messages_delivered += 1
         self.sim.monitor.counter("mesh.messages_delivered").add()
         self.sim.monitor.sample("mesh.delivery_hops").add(float(message.hops_taken))

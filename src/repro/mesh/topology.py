@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.mesh.discovery import BeaconAgent
+from repro.mesh.node import MeshNode
 from repro.simcore.simulator import Simulator
 
 Edge = Tuple[str, str]
@@ -100,7 +100,8 @@ class TopologySnapshot:
 
 
 class TopologyObserver:
-    """Periodically snapshots the union of all nodes' neighbour tables.
+    """Periodically snapshots the union of the given mesh nodes' neighbour
+    tables.
 
     Only the latest snapshot is kept whole; every tick leaves one summary
     row, and ended links leave only their running lifetime sum.
@@ -109,12 +110,12 @@ class TopologyObserver:
     def __init__(
         self,
         sim: Simulator,
-        agents: Sequence[BeaconAgent],
+        meshes: Sequence[MeshNode],
         period: float = 1.0,
         require_bidirectional: bool = True,
     ) -> None:
         self.sim = sim
-        self.agents = list(agents)
+        self.meshes = list(meshes)
         self.require_bidirectional = require_bidirectional
         self._latest: Optional[TopologySnapshot] = None
         #: One ``(time, nodes, edges, largest component)`` row per tick.
@@ -124,20 +125,6 @@ class TopologyObserver:
         self._lifetime_total = 0.0
         self._links_ended = 0
         self._task = sim.schedule_periodic(period, self.take_snapshot, name="topology")
-
-    def replace_agent(self, agent: BeaconAgent) -> None:
-        """Swap in a rebuilt agent for the same node name (crash recovery).
-
-        A recovered node gets a brand-new beacon agent; the old one's frozen
-        neighbour table must stop contributing to snapshots.
-        """
-        name = agent.interface.node_name
-        self.agents = [
-            existing
-            for existing in self.agents
-            if existing.interface.node_name != name
-        ]
-        self.agents.append(agent)
 
     def stop(self) -> None:
         """Stop periodic snapshotting."""
@@ -149,12 +136,13 @@ class TopologyObserver:
         """Build a snapshot now; it replaces the latest one."""
         now = self.sim.now
         heard: Dict[str, List[str]] = {}
-        for agent in self.agents:
+        for mesh in self.meshes:
             # Age-filtered: a silent (e.g. crashed) peer stops contributing
             # edges once past the neighbour lifetime, even between the
-            # owner's periodic expiry sweeps.
-            heard.setdefault(agent.interface.node_name, []).extend(
-                agent.neighbors.active_names(now)
+            # owner's periodic expiry sweeps.  Read through the mesh node,
+            # so a restarted node contributes its fresh table.
+            heard.setdefault(mesh.name, []).extend(
+                mesh.beacon_agent.neighbors.active_names(now)
             )
         nodes: Dict[str, None] = dict.fromkeys(heard)
         if self.require_bidirectional:

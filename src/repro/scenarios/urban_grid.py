@@ -78,18 +78,6 @@ class UrbanGridConfig(BaseScenarioConfig):
             )
 
 
-class _TopologyAgentSwap:
-    """Recovery listener re-pointing the topology observer (picklable)."""
-
-    __slots__ = ("topology",)
-
-    def __init__(self, topology: TopologyObserver) -> None:
-        self.topology = topology
-
-    def __call__(self, node) -> None:
-        self.topology.replace_agent(node.mesh.beacon_agent)
-
-
 class UrbanGridScenario(Scenario):
     """Assembled urban-grid scenario."""
 
@@ -116,7 +104,7 @@ class UrbanGridScenario(Scenario):
         )
         self._build_vehicles()
         self.topology = TopologyObserver(
-            sim, [node.mesh.beacon_agent for node in self.nodes], period=1.0
+            sim, [node.mesh for node in self.nodes], period=1.0
         )
         self.workload = GenericComputeWorkload(
             sim,
@@ -126,9 +114,6 @@ class UrbanGridScenario(Scenario):
             redundancy=cfg.task_redundancy,
         )
         self.install_faults(workload=self.workload)
-        # Recovery rebuilds a node's beacon agent; swap the dead stack's
-        # agent out of the topology observer for the live one.
-        self.faults.on_recover(_TopologyAgentSwap(self.topology))
 
     def _build_vehicles(self) -> None:
         cfg = self.config

@@ -21,7 +21,7 @@ FrameRecord = Tuple[float, str, str, float, float]
 
 
 class _InterfaceTap:
-    """Picklable per-interface receive callback feeding one shared log."""
+    """Picklable per-node frame tap feeding one shared log."""
 
     __slots__ = ("log", "sim", "receiver")
 
@@ -34,23 +34,6 @@ class _InterfaceTap:
         self.log.records.append(
             (self.sim.now, frame.sender, self.receiver, quality.snr_db, quality.rate_bps)
         )
-
-
-class _RecoverTap:
-    """Picklable recovery listener tapping a recovered node's new interface.
-
-    Crash recovery builds a fresh mesh stack, and with it a fresh radio
-    interface that has none of the old interface's receive callbacks.
-    """
-
-    __slots__ = ("log", "sim")
-
-    def __init__(self, log: "DeliveredFrameLog", sim: Any) -> None:
-        self.log = log
-        self.sim = sim
-
-    def __call__(self, node: Any) -> None:
-        node.mesh.interface.on_receive(_InterfaceTap(self.log, self.sim, node.name))
 
 
 class DeliveredFrameLog:
@@ -66,22 +49,19 @@ class DeliveredFrameLog:
     def attach(self, scenario: Any) -> "DeliveredFrameLog":
         """Tap every node's radio interface in ``scenario``; returns self.
 
-        With fault injection, each recovered node's rebuilt interface is
-        tapped too.  The taps only observe, so the run is unchanged.
+        The taps are registered through each node's mesh stack, which
+        keeps them across crash restarts.  They only observe, so the run is
+        unchanged.
         """
         for node in scenario.nodes:
-            interface = node.mesh.interface
-            interface.on_receive(_InterfaceTap(self, scenario.sim, node.name))
-        injector = getattr(scenario, "faults", None)
-        if injector is not None:
-            injector.on_recover(_RecoverTap(self, scenario.sim))
+            node.mesh.on_frame(_InterfaceTap(self, scenario.sim, node.name))
         return self
 
     @staticmethod
     def find(scenario: Any) -> "DeliveredFrameLog":
         """Locate the log attached to a (possibly restored) scenario."""
         for node in scenario.nodes:
-            for callback in node.mesh.interface._receive_callbacks:
+            for callback in node.mesh._frame_taps:
                 if isinstance(callback, _InterfaceTap):
                     return callback.log
         raise LookupError("scenario has no attached DeliveredFrameLog")

@@ -57,20 +57,21 @@ def test_crashed_peer_leaves_live_views_within_beacon_timeout():
     sim.run(until=2.0)
     observer = nodes[0]
     victim = nodes[1]
-    assert observer.mesh.membership.is_member(victim.name)
-    leaves_before = observer.mesh.membership.stats.leaves
+    assert victim.name in observer.mesh.neighbors.active_names(sim.now)
+    leaves_before = sim.monitor.counter_value("mesh.leaves")
+    epoch_before = observer.mesh.beacon_agent.epoch
     injector.crash(victim.name)
     crash_time = sim.now
     lifetime = observer.config.neighbor_lifetime
     # Within one neighbour lifetime (plus in-flight slack) the peer is out of
     # the *view*, even though the expiry sweep may not have fired yet.
     sim.run(until=crash_time + lifetime + 0.2)
-    assert not observer.mesh.membership.is_member(victim.name)
-    assert victim.name not in observer.mesh.membership.members()
+    assert victim.name not in observer.mesh.neighbors.active_names(sim.now)
     # ... and by the next sweep (half a lifetime later at worst) it has been
     # evicted and counted as a leave.
     sim.run(until=crash_time + 1.5 * lifetime + 0.2)
-    assert observer.mesh.membership.stats.leaves > leaves_before
+    assert sim.monitor.counter_value("mesh.leaves") > leaves_before
+    assert observer.mesh.beacon_agent.epoch > epoch_before
     assert victim.name not in observer.mesh.neighbors.names()
 
 
@@ -79,23 +80,56 @@ def test_recover_rejoins_with_fresh_neighbor_state():
     injector = FaultInjector(sim, nodes, environment=environment)
     sim.run(until=2.0)
     victim = nodes[1]
-    old_mesh = victim.mesh
-    assert len(old_mesh.neighbors) > 0
+    old_interface = victim.mesh.interface
+    assert len(victim.mesh.neighbors) > 0
     injector.crash(victim.name)
     sim.run(until=sim.now + 1.0)
     assert injector.recover(victim.name)
     assert not victim.crashed
     assert not injector.recover(victim.name)  # idempotent
-    # Brand-new stack, empty table, re-attached interface.
-    assert victim.mesh is not old_mesh
+    # Fresh state: empty table, epoch 0, a live interface re-attached; the
+    # dead one stays disabled.
     assert len(victim.mesh.neighbors) == 0
-    assert victim.name in environment.node_names
+    assert victim.mesh.beacon_agent.epoch == 0
+    assert environment.interface_of(victim.name) is victim.mesh.interface
+    assert victim.mesh.interface.enabled and not old_interface.enabled
     rejoin_start = sim.now
     sim.run(until=rejoin_start + 3.0)
     # The node heard fresh beacons and neighbours re-discovered it.
     assert len(victim.mesh.neighbors) > 0
-    assert nodes[0].mesh.membership.is_member(victim.name)
+    assert victim.name in nodes[0].mesh.neighbors.active_names(sim.now)
     assert injector.rejoin_delays and injector.mean_recovery_time_s() > 0
+
+
+def test_bytes_sent_survive_crash_and_recovery():
+    sim, environment, _, _, nodes = build_fleet()
+    injector = FaultInjector(sim, nodes, environment=environment)
+    sim.run(until=2.0)
+    victim = nodes[1]
+    before_crash = victim.bytes_sent()
+    assert before_crash > 0
+    injector.crash(victim.name)
+    sim.run(until=sim.now + 1.0)
+    assert victim.bytes_sent() == before_crash
+    injector.recover(victim.name)
+    assert victim.bytes_sent() == before_crash
+    sim.run(until=sim.now + 2.0)
+    assert victim.bytes_sent() > before_crash
+
+
+def test_adversary_profile_outlives_a_crash():
+    sim, environment, _, _, nodes = build_fleet()
+    injector = FaultInjector(sim, nodes, environment=environment)
+    victim = nodes[1]
+    injector.assign_adversaries({victim.name: "inflator"})
+    sim.run(until=2.0)
+    injector.crash(victim.name)
+    sim.run(until=sim.now + 1.0)
+    injector.recover(victim.name)
+    # The inflating enricher rides along once, after the honest one.
+    enrichers = victim.mesh.beacon_agent._enrichers
+    assert [type(e).__name__ for e in enrichers] == ["method", "BeaconInflater"]
+    assert victim.mesh.beacon_agent.build_beacon().compute_headroom_ops == 1e12
 
 
 def test_recovered_node_serves_tasks_again():

@@ -1,5 +1,7 @@
 """Tests for the bundled MeshNode stack."""
 
+from dataclasses import replace
+
 from repro.geometry.vector import Vec2
 from repro.mesh.node import MeshNode
 from repro.mobility.vehicle import Vehicle
@@ -21,7 +23,7 @@ def test_mesh_nodes_discover_and_exchange():
     sim, env, a, b = build_pair()
     sim.run(until=2.0)
     assert "b" in a.neighbors.names()
-    assert b.membership.is_member("a")
+    assert "a" in b.neighbors.active_names(sim.now)
     received = []
     b.on_receive(lambda src, kind, payload, size: received.append(payload))
     a.send_reliable("b", "hello", 600)
@@ -52,3 +54,32 @@ def test_shutdown_removes_node_from_mesh_after_expiry():
     b.shutdown()
     sim.run(until=10.0)
     assert "b" not in a.neighbors.names()
+
+
+def test_restart_keeps_hooks_and_counters_on_fresh_parts():
+    sim, env, a, b = build_pair()
+    received, frames = [], []
+    b.on_receive(lambda src, kind, payload, size: received.append(payload))
+    b.on_frame(lambda frame, quality: frames.append(frame.sender))
+    b.add_enricher(lambda beacon: replace(beacon, queue_length=7))
+    sim.run(until=2.0)
+    old_interface, old_agent = b.interface, b.beacon_agent
+    sent, heard = old_interface.bytes_sent, old_interface.frames_received
+    assert sent > 0 and heard > 0 and old_agent.epoch == 1
+
+    b.restart()
+    assert b.interface is not old_interface and b.beacon_agent is not old_agent
+    assert not old_interface.enabled
+    assert env.interface_of("b") is b.interface
+    assert len(b.neighbors) == 0 and b.beacon_agent.epoch == 0
+    assert (b.interface.bytes_sent, b.interface.frames_received) == (sent, heard)
+
+    frames.clear()
+    sim.run(until=4.0)
+    assert "a" in b.neighbors.names()
+    assert "a" in frames                      # the frame tap followed
+    assert a.neighbors.entry("b").beacon.queue_length == 7  # so did the enricher
+    assert b.interface.bytes_sent > sent
+    a.send_reliable("b", "after restart", 600)
+    sim.run(until=6.0)
+    assert received == ["after restart"]      # and the transfer receiver

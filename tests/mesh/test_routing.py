@@ -6,6 +6,7 @@ from repro.mesh.messages import DataMessage
 from repro.mesh.routing import GreedyGeoRouter
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
+from repro.scenarios import build_scenario
 from repro.simcore.simulator import Simulator
 
 
@@ -76,13 +77,27 @@ def test_local_delivery_short_circuits():
     assert received == ["self"]
 
 
-def test_duplicate_deliveries_suppressed():
-    sim, routers = build({"a": Vec2(0, 0), "b": Vec2(60, 0)})
-    sim.run(until=2.0)
-    received = []
-    routers["b"].on_deliver(lambda m: received.append(m.payload))
-    message = outgoing(sim, "b", "once", 100)
-    routers["a"].send(message)
-    routers["a"].send(message)   # identical message id resent
-    sim.run(until=3.0)
-    assert received == ["once"]
+def test_delivered_message_ids_are_unique_in_a_faulted_run(monkeypatch):
+    """The router keeps no seen-id set, because no id can arrive twice.
+
+    Each send issues a fresh id, a forward is one unicast copy along one
+    greedy path, and a retransmission takes fresh ids.  Crashes, loss bursts
+    and k=3 redundant offers are where a repeat would show.
+    """
+    delivered = []
+    deliver_local = GreedyGeoRouter._deliver_local
+
+    def tap(router, message):
+        delivered.append(message.message_id)
+        deliver_local(router, message)
+
+    monkeypatch.setattr(GreedyGeoRouter, "_deliver_local", tap)
+    scenario = build_scenario(
+        "urban-grid", n=12, seed=4, crash_rate=0.05, mean_downtime=2.0,
+        loss_burst_rate=0.4, task_redundancy=3, task_rate_per_s=2.0,
+    )
+    report = scenario.run(15.0)
+    assert report.extra["crashes_injected"] > 0
+    assert report.extra["recoveries_injected"] > 0
+    assert len(delivered) > 100
+    assert len(set(delivered)) == len(delivered)

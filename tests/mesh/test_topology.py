@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.geometry.vector import Vec2
-from repro.mesh.discovery import BeaconAgent
+from repro.mesh.node import MeshNode
 from repro.mesh.topology import TopologyObserver, TopologySnapshot
+from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
@@ -18,13 +19,11 @@ from tests.oracle import reference_topology
 def build(positions):
     sim = Simulator(seed=2)
     env = RadioEnvironment(sim, LinkBudget())
-    agents = []
-    for name, pos in positions.items():
-        iface = env.attach(name, lambda p=pos: p)
-        agents.append(
-            BeaconAgent(sim, iface, lambda p=pos: (p, Vec2(0, 0)), beacon_period=0.4)
-        )
-    observer = TopologyObserver(sim, agents, period=1.0)
+    meshes = [
+        MeshNode(sim, env, StaticNode(sim, pos, name=name), beacon_period=0.4)
+        for name, pos in positions.items()
+    ]
+    observer = TopologyObserver(sim, meshes, period=1.0)
     return sim, observer
 
 
@@ -76,15 +75,14 @@ def test_link_lifetimes_recorded_when_node_stops():
     sim = Simulator(seed=2)
     env = RadioEnvironment(sim, LinkBudget())
     pos = {"a": Vec2(0, 0), "b": Vec2(60, 0)}
-    agents = []
-    for name, p in pos.items():
-        iface = env.attach(name, lambda q=p: q)
-        agents.append(BeaconAgent(sim, iface, lambda q=p: (q, Vec2(0, 0)), beacon_period=0.4,
-                                  neighbor_lifetime=1.5))
-    observer = TopologyObserver(sim, agents, period=0.5)
+    meshes = [
+        MeshNode(sim, env, StaticNode(sim, p, name=name), beacon_period=0.4,
+                 neighbor_lifetime=1.5)
+        for name, p in pos.items()
+    ]
+    observer = TopologyObserver(sim, meshes, period=0.5)
     sim.run(until=4.0)
-    agents[1].stop()
-    env.interface_of("b").enabled = False
+    meshes[1].shutdown()
     sim.run(until=12.0)
     assert observer.mean_link_lifetime() > 0.0
 
@@ -102,12 +100,13 @@ def test_empty_observer_has_no_snapshot_stats():
 # ------------------------------------------- set-based snapshots vs networkx
 
 
-class FakeAgent:
+class FakeMesh:
     """Just what the observer reads: an owner name and its active names."""
 
     def __init__(self, owner, names):
-        self.interface = SimpleNamespace(node_name=owner)
-        self.neighbors = SimpleNamespace(active_names=lambda now: list(names))
+        self.name = owner
+        neighbors = SimpleNamespace(active_names=lambda now: list(names))
+        self.beacon_agent = SimpleNamespace(neighbors=neighbors)
 
 
 def random_tables(seed, nodes=30, outsiders=4):
@@ -126,9 +125,9 @@ def random_tables(seed, nodes=30, outsiders=4):
 
 def snapshot_of(tables, require_bidirectional):
     sim = Simulator()
-    agents = [FakeAgent(owner, names) for owner, names in tables]
+    meshes = [FakeMesh(owner, names) for owner, names in tables]
     observer = TopologyObserver(
-        sim, agents, require_bidirectional=require_bidirectional
+        sim, meshes, require_bidirectional=require_bidirectional
     )
     return observer.take_snapshot()
 

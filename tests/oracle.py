@@ -245,7 +245,7 @@ def reference_network_description(
         time=now,
         position=own_position,
         neighbors=neighbors,
-        epoch=mesh_node.membership.epoch,
+        epoch=mesh_node.beacon_agent.epoch,
     )
 
 

@@ -136,7 +136,7 @@ def mesh_views(draw):
         position=own_position,
         mobile=mobile,
         neighbors=SimpleNamespace(entries=lambda: list(entries)),
-        membership=SimpleNamespace(epoch=draw(st.integers(min_value=0, max_value=9))),
+        beacon_agent=SimpleNamespace(epoch=draw(st.integers(min_value=0, max_value=9))),
     )
     # Ranges from 20 m put most neighbours out of range, 700 m none; a
     # range equal to one neighbour's distance puts it on the boundary, where
@@ -171,7 +171,7 @@ def test_build_covers_the_degenerate_neighbours():
     mesh_node = SimpleNamespace(
         name="ego", position=mobile.position, mobile=mobile,
         neighbors=SimpleNamespace(entries=lambda: entries),
-        membership=SimpleNamespace(epoch=0),
+        beacon_agent=SimpleNamespace(epoch=0),
     )
     builder = NetworkDescriptionBuilder(mesh_node, SimpleNamespace(max_range=300.0))
     view = builder.build(2.0)

@@ -16,12 +16,12 @@ EARLY, LATE = 4.0, 20.0
 
 
 def _observer_state(observer):
-    """The observer's own state, without the agents and simulator it reads
+    """The observer's own state, without the mesh nodes and simulator it reads
     and without its per-tick rows."""
     return {
         key: value
         for key, value in vars(observer).items()
-        if key not in ("sim", "agents", "_task", "rows")
+        if key not in ("sim", "meshes", "_task", "rows")
     }
 
 

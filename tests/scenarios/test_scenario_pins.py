@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "8f2e55484aa91f3f88d728e9c3ace7582b01192b053cd48a25acebce9e27d426",
+        "7ed7dc2104e3593e239047b78cffc2a3e04eeecedb30fcb90bf5eff510d77b72",
     ),
     "highway-faults": (
-        "89a1c61168d7b5a93ccb25f8ec428ae4d245752ce0e4b41112d876fc7a260c1d",
-        "5b9989738400e57767fea304902b6b9de93fbde1e7d8ee1ee444449f2822ca6e",
+        "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
+        "3981b118bcf29c86ca0254d29b0bc54dbca727bbc74ce044ec0ab0778146d7cc",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "fe6fc218347cfe165a9ac2057274d476f84af321732bde875969d7a1e2711454",
+        "97badf2f696f58ed3414f390977703affeb5caa876a09d21247e7bccef2e1178",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "4809598d4a09346dac9b7e7efdbea6c624d462a4804778c5f6558278ded59ea9",
+        "f44bbec0ba0b7158562ed623ccf73e4e00c04ddda98ed0ee2206b98d46379877",
     ),
 }
 

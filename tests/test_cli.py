@@ -55,6 +55,21 @@ def test_report_table_contains_every_metric(capsys):
         assert metric in out
 
 
+def test_restored_run_prints_the_uninterrupted_report(capsys, tmp_path):
+    run = ["run", "--scenario", "urban-grid", "--vehicles", "6", "--duration", "6",
+           "--seed", "3"]
+    assert main(run) == 0
+    uninterrupted = capsys.readouterr().out
+    path = str(tmp_path / "cut.reprosnap")
+    assert main(run + ["--snapshot-at", "3", "--snapshot-out", path]) == 0
+    capsys.readouterr()
+    assert main(["run", "--from-snapshot", path]) == 0
+    restored_line, table = capsys.readouterr().out.split("\n", 1)
+    assert restored_line.startswith("restored 'urban_grid' snapshot at t=3")
+    # Titled by the CLI name too, so the whole table matches.
+    assert table == uninterrupted
+
+
 def test_sweep_parser_defaults_and_overrides():
     parser = build_parser()
     args = parser.parse_args(["sweep", "--scenario", "highway", "--n", "4", "8"])
