@@ -8,9 +8,9 @@ the two optimisations that replaced that path at the fleet size the sweep
 engine targets, each against its reference in the test oracle
 (``tests/oracle.py``):
 
-* batched link rows — per-sender rows filled by one ``quality_batch`` call
-  per position epoch instead of N scalar probes
-  (reference: ``ReferenceRadioEnvironment``);
+* batched links — each sender plan evaluated by one exact column-kernel
+  call over the epoch's position columns instead of N scalar probes on
+  spatial-grid candidates (reference: ``ReferenceRadioEnvironment``);
 * the obstacle index — LOS tests that only touch the obstacle edges
   grid-bucketed along the ray instead of every footprint
   (reference: ``BruteForceVisibility``).

@@ -68,6 +68,8 @@ class BeaconAgent:
         self.neighbors = NeighborTable(interface.node_name, lifetime=neighbor_lifetime)
         self._enrichers: List[BeaconEnricher] = []
         self._neighbor_up_callbacks: List[Callable[[str, Beacon], None]] = []
+        # Never read: kept only so the pickled agent keeps its layout until
+        # the next snapshot-format change drops it.
         self._neighbor_down_callbacks: List[Callable[[str], None]] = []
         self.beacons_sent = 0
         self.beacons_heard = 0
@@ -100,10 +102,6 @@ class BeaconAgent:
     def on_neighbor_up(self, callback: Callable[[str, Beacon], None]) -> None:
         """Register a callback fired when a new neighbour is discovered."""
         self._neighbor_up_callbacks.append(callback)
-
-    def on_neighbor_down(self, callback: Callable[[str], None]) -> None:
-        """Register a callback fired when a neighbour expires."""
-        self._neighbor_down_callbacks.append(callback)
 
     def stop(self) -> None:
         """Stop beaconing and expiry (node shutting down)."""
@@ -155,6 +153,3 @@ class BeaconAgent:
         if expired:
             self.epoch += len(expired)
             self.sim.monitor.counter("mesh.leaves").add(len(expired))
-            for name in expired:
-                for callback in self._neighbor_down_callbacks:
-                    callback(name)

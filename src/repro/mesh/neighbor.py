@@ -122,7 +122,7 @@ class NeighborTable:
         now?" — must not report those: a crashed peer has to leave every
         live node's view within the beacon timeout, not within timeout plus
         sweep phase (regression-tested by the fault-injection suite).  This
-        is a non-mutating filter; eviction (and the leave callbacks) still
+        is a non-mutating filter; eviction (and the leave count) still
         happen on the sweep.
         """
         return [

@@ -9,24 +9,24 @@ simulator.
 
 Broadcast used to be the fleet-wide hot path: every beacon evaluated the link
 budget against every attached interface — O(N²) work per beacon interval.
-The environment now answers "who could hear this?" with a spatial range
-query and only touches candidate receivers inside the link budget's
-effective range.  The per-pair physics is batched as well: link qualities
-are held in *per-sender rows* filled by one
-:meth:`~repro.radio.link.LinkBudget.quality_batch` call per sender per
-position epoch.  On top of the rows, each sender gets one broadcast *plan*
-per position epoch — its usable receivers with their PER, contention-scaled
-rate and propagation-delay columns — so a broadcast is a few whole-array
-steps and :meth:`RadioEnvironment.nodes_in_range` is a lookup.  When a
-:class:`~repro.mobility.manager.MobilityManager` is bound, the query runs
-directly against the manager's shared
-:class:`~repro.geometry.substrate.SpatialSubstrate` — the environment keeps
-*no* mirror of mobile positions, so the manager's one position sync per tick
-serves both layers (see :class:`RadioEnvironment` for the full freshness
-contract).  Unbound environments fall back to mirroring interface positions
-into a private grid resynced whenever the virtual clock advances, which
-costs O(N) per distinct event time — bind the mobility manager for anything
-beyond unit-test scale.  A position changed manually *between* events at the
+The environment now reads every interface's position once per position
+epoch into one name-sorted *universe* of coordinate columns, and each sender
+gets one broadcast *plan* per epoch: its candidates from one squared-distance
+mask against the universe (the link budget's effective range plus a slack),
+their link qualities from one column-kernel call, and the usable receivers
+kept with their PER, contention-scaled rate and propagation-delay columns —
+so a broadcast is a few whole-array steps and
+:meth:`RadioEnvironment.nodes_in_range` is a lookup.  Both equivalence tiers
+build their plans this way; they differ only in the kernel
+(:meth:`~repro.radio.link.LinkBudget.exact_arrays_xy` or the statistical
+:meth:`~repro.radio.link.LinkBudget.quality_arrays_xy`).  Unicast and
+:meth:`RadioEnvironment.link_quality` read *per-sender link rows*, filled
+pair by pair through :meth:`~repro.radio.link.LinkBudget.quality_batch` (the
+same kernel).  When a :class:`~repro.mobility.manager.MobilityManager` is
+bound, the manager's shared :class:`~repro.geometry.substrate.SpatialSubstrate`
+drives the epoch (see :class:`RadioEnvironment` for the full freshness
+contract); unbound environments advance it whenever the virtual clock
+advances.  A position changed manually *between* events at the
 same timestamp is invisible to any refresh scheme until the epoch advances;
 call :meth:`RadioInterface.notify_moved` (or
 :meth:`RadioEnvironment.notify_positions_changed`) after such writes to make
@@ -35,11 +35,11 @@ manager's to move: write through the substrate (whose commit is its own
 dirty-mark) instead.
 
 Receivers are always iterated in name-sorted order, so the frame-loss RNG
-draws — and therefore the delivered-frame sequence — do not depend on which
-candidates the spatial query returns first.  The reference implementations
-these paths are checked against (scalar per-pair link rows, the
-full-scan candidate set, the per-receiver broadcast loop) live in the test
-suite's oracle module, ``tests/oracle.py``.
+draws — and therefore the delivered-frame sequence — do not depend on how
+candidates were found.  The reference implementations these paths are
+checked against (plans from spatial-grid candidates and scalar per-pair link
+rows, the full-scan candidate set, the per-receiver broadcast loop) live in
+the test suite's oracle module, ``tests/oracle.py``.
 
 Frames carry opaque payload objects plus a byte size; higher layers (the mesh
 transport and the AirDnD offloading protocol) decide what goes inside.
@@ -49,8 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,13 +62,9 @@ from repro.simcore.simulator import Simulator
 
 #: ``LinkBudget.effective_range`` walks outward in 5 m steps, so the true
 #: usable boundary lies at most one step beyond the reported range.  The
-#: spatial query radius adds this slack so range pruning can never drop a
+#: candidate query radius adds this slack so range pruning can never drop a
 #: receiver that the full link-budget evaluation would have reached.
 _RANGE_STEP_SLACK_M = 5.0
-
-_PER = attrgetter("packet_error_rate")
-_RATE = attrgetter("rate_bps")
-_DISTANCE = attrgetter("distance")
 
 
 @dataclass(slots=True)
@@ -197,8 +192,10 @@ class _QualityColumns:
     were never observed (a receiver with no receive callbacks never looks at
     its quality).  The columns are plain Python lists (``ndarray.tolist``,
     so consumers get genuine ``float`` values); ``__getitem__`` materialises
-    a quality on demand.  All rows are usable by construction — the plan
-    only keeps receivers that cleared the SNR threshold.
+    a quality on demand, and iterating materialises them all in one C-level
+    ``map`` (the exact tier's broadcast hands one to every delivery).  All
+    rows are usable by construction — the plan only keeps receivers that
+    cleared the SNR threshold.
     """
 
     __slots__ = ("snrs", "rates", "pers", "distances")
@@ -227,14 +224,19 @@ class _QualityColumns:
             self.distances[index],
         )
 
+    def __iter__(self) -> Iterator[LinkQuality]:
+        return map(
+            LinkQuality, self.snrs, self.rates, self.pers, repeat(True), self.distances
+        )
+
 
 class _SenderPlan:
     """One sender's broadcast state, valid for one position epoch.
 
-    Both equivalence tiers broadcast from this one structure; they differ
-    only in how it is built (:meth:`RadioEnvironment._build_plan` from the
-    exact link rows, :meth:`RadioEnvironment._build_fast_plan` from the
-    statistical kernel) and in how losses are drawn and arrivals scheduled.
+    Both equivalence tiers broadcast from this one structure, built by
+    :meth:`RadioEnvironment._build_plan` with the tier's column kernel; they
+    differ only in that kernel and in how losses are drawn and arrivals
+    scheduled.
 
     ``receivers``/``qualities`` are the *usable* receivers, name-sorted —
     their names are the answer to :meth:`RadioEnvironment.nodes_in_range`.
@@ -279,16 +281,25 @@ class _SenderPlan:
         self.out_of_range = out_of_range
 
 
-class _FastUniverse:
+class _EpochUniverse:
     """Per-epoch position snapshot of every attached interface, name-sorted.
 
-    The statistical tier gathers each interface's live position exactly once
-    per epoch into parallel coordinate arrays; every sender plan then finds
-    its broadcast candidates with one vectorised distance mask against the
-    environment's query radius — the same exact ``<= radius`` criterion the
+    Each interface's live position is read exactly once per epoch into
+    parallel coordinate arrays; every sender plan of either tier then finds
+    its broadcast candidates with one vectorised squared-distance mask
+    against the environment's query radius — the ``<= radius`` criterion the
     spatial grid applies, without per-sender grid walks or per-candidate
     position-provider calls.  ``RadioEnvironment._refresh`` discards it with
-    the other per-epoch caches.
+    the other per-epoch caches, and it is never pickled.
+
+    On the exact tier the plans stay bit-identical to plans built from grid
+    candidates and per-pair link rows (the oracle in ``tests/oracle.py``).
+    The query radius is the effective range plus the 5 m step slack, and
+    the link budget is monotone in distance (an NLOS penalty only lowers
+    SNR), so every usable receiver is a candidate of either method, and
+    ``out_of_range`` — the others minus the usable — cannot differ.  The
+    positions are the same live positions the link rows read, and the
+    receivers are name-sorted either way, so the RNG draws line up.
     """
 
     __slots__ = ("interfaces", "positions", "xs", "ys", "index_of")
@@ -381,22 +392,21 @@ class RadioEnvironment:
     ---------------------------
 
     The environment never polls positions; it trusts an epoch counter and
-    lazily refreshes derived state (spatial candidate lookup, the per-epoch
-    link rows and sender plans) when that counter advances.  Two regimes,
-    the fast one first:
+    lazily refreshes derived state (the per-epoch position universe, link
+    rows and sender plans) when that counter advances.  Two regimes, the
+    fast one first:
 
     * **Substrate-bound** (a :class:`~repro.mobility.manager.MobilityManager`
-      passed as ``mobility=`` or via :meth:`bind_mobility`): candidate
-      queries go straight to the manager's shared
-      :class:`~repro.geometry.substrate.SpatialSubstrate`, read-only.  The
-      substrate's ``position_epoch`` — bumped once per mobility tick and on
-      membership changes — is the single invalidation source; a refresh is a
-      cache flush plus an overlay touch-up for the (usually zero) interfaces
-      the substrate does not track (e.g. a roadside unit attached to the
-      radio but never registered as a mobile node).  There is no second grid
-      sync: positions are written exactly once per tick, by the manager.
-    * **Unbound**: the environment keeps its own mirror grid and resyncs it
-      whenever the virtual clock advances — O(N) per distinct event time.
+      passed as ``mobility=`` or via :meth:`bind_mobility`): the manager's
+      shared :class:`~repro.geometry.substrate.SpatialSubstrate`'s
+      ``position_epoch`` — bumped once per mobility tick and on membership
+      changes — is the single invalidation source; a refresh is a cache
+      flush plus an overlay touch-up for the (usually zero) interfaces the
+      substrate does not track (e.g. a roadside unit attached to the radio
+      but never registered as a mobile node).
+    * **Unbound**: the epoch advances whenever the virtual clock advances,
+      and each refresh also resyncs the environment's mirror grid — O(N)
+      per distinct event time.
       Manual position writes at the *current* timestamp still need an
       explicit dirty-mark (:meth:`RadioInterface.notify_moved` /
       :meth:`notify_positions_changed`) to be seen before the clock next
@@ -431,11 +441,12 @@ class RadioEnvironment:
     events — with distribution-level metric agreement with the exact tier
     (benchmark E15), not byte-identical frame sequences.
 
-    Broadcasts only evaluate receivers returned by a spatial range query
-    around the sender.  :attr:`use_spatial_index` turns ``False`` — every
-    attached interface becomes a candidate — only when the link budget is
-    still usable past :meth:`~repro.radio.link.LinkBudget.effective_range`'s
-    scan cap, where range pruning would drop reachable receivers.
+    Broadcasts only evaluate receivers within the query radius of the
+    sender (the effective range plus a 5 m slack).  :attr:`use_spatial_index`
+    turns ``False`` — every attached interface becomes a candidate — only
+    when the link budget is still usable past
+    :meth:`~repro.radio.link.LinkBudget.effective_range`'s scan cap, where
+    range pruning would drop reachable receivers.
     """
 
     def __init__(
@@ -471,7 +482,9 @@ class RadioEnvironment:
         ).usable
         #: Private mirror grid.  Substrate-bound environments use it only as
         #: an *overlay* for interfaces the substrate does not track; unbound
-        #: environments mirror every interface into it.
+        #: environments mirror every interface into it.  Plans no longer
+        #: read it (the test oracle's grid candidates do); it stays in the
+        #: pickled state until the next snapshot-format change.
         self._grid: SpatialGrid = SpatialGrid(cell_size=max(self._query_radius, 1.0))
         self._position_epoch = 0
         self._synced_epoch = -1
@@ -484,13 +497,14 @@ class RadioEnvironment:
         #: asserted by benchmark E11).
         self.mirror_sync_passes = 0
         #: Per-sender link rows, valid for one position epoch: sender name →
-        #: {receiver name → LinkQuality}.  Rows are filled in bulk (one
-        #: ``quality_batch`` call for all receivers a sender needs this
-        #: epoch) instead of one cache entry per ``(src, dst)`` probe.
+        #: {receiver name → LinkQuality}, read by unicast and
+        #: :meth:`link_quality` (broadcasts read the plans).
         self._quality_rows: Dict[str, Dict[str, LinkQuality]] = {}
         #: Broadcast plans (both tiers), memoised per sender per epoch.
         self._plans: Dict[str, _SenderPlan] = {}
-        self._fast_universe: Optional[_FastUniverse] = None
+        #: The epoch's :class:`_EpochUniverse` (both tiers; the attribute
+        #: keeps its older name, which snapshots record).
+        self._fast_universe: Optional[_EpochUniverse] = None
         # Hot-path counters, resolved once instead of per frame.
         monitor = sim.monitor
         self._frames_out_of_range = monitor.counter("radio.frames_out_of_range")
@@ -508,10 +522,10 @@ class RadioEnvironment:
     def __getstate__(self) -> dict:
         """Pickle without per-epoch caches; force a refresh on first use.
 
-        Link rows and sender plans are pure functions of positions and the
-        link budget — rebuilding them after restore is cheap and keeps the
-        snapshot free of numpy scratch arrays and hash-ordered
-        intermediates.  The sync sentinels are reset so the first
+        Link rows, sender plans and the universe are pure functions of
+        positions and the link budget — rebuilding them after restore is
+        cheap and keeps the snapshot free of numpy scratch arrays and
+        hash-ordered intermediates.  The sync sentinels are reset so the first
         :meth:`_refresh` after restore rebuilds everything (including the
         mirror grid for unbound environments).
         """
@@ -582,8 +596,8 @@ class RadioEnvironment:
     def spatial_stats(self) -> Dict[str, float]:
         """Counters describing how candidate lookup is being served.
 
-        ``substrate_shared`` is 1.0 when broadcasts query the mobility
-        manager's grid directly; ``mirror_updates`` counts writes into the
+        ``substrate_shared`` is 1.0 when the mobility manager's substrate
+        drives the position epoch; ``mirror_updates`` counts writes into the
         environment's private grid (overlay-only when substrate-shared);
         ``mirror_sync_passes`` counts full mirror resyncs (0 when shared).
         """
@@ -669,12 +683,13 @@ class RadioEnvironment:
     ) -> Dict[str, LinkQuality]:
         """The sender's link row, guaranteed to cover ``wanted`` receivers.
 
-        Rows live for one position epoch (:meth:`_refresh` flushes them).
-        Missing entries are computed in one
-        :meth:`~repro.radio.link.LinkBudget.quality_batch` call, bit-identical
-        to scalar :meth:`~repro.radio.link.LinkBudget.quality` per pair.
-        Names without an attached interface are skipped (callers guard their
-        lookups the same way).
+        Rows live for one position epoch (:meth:`_refresh` flushes them) and
+        serve unicast and :meth:`link_quality`.  Missing entries are
+        computed in one :meth:`~repro.radio.link.LinkBudget.quality_batch`
+        call, bit-identical to scalar
+        :meth:`~repro.radio.link.LinkBudget.quality` per pair on the exact
+        tier.  Names without an attached interface are skipped (callers
+        guard their lookups the same way).
         """
         row = self._quality_rows.get(src)
         if row is None:
@@ -693,33 +708,13 @@ class RadioEnvironment:
             row.update(zip(missing, qualities))
         return row
 
-    def _candidate_names(self, center: Vec2) -> List[str]:
-        """Attached interface names within the spatial query radius.
-
-        Callers must have called :meth:`_refresh` first.  Substrate-bound
-        environments query the shared grid (dropping substrate entries with
-        no radio interface, e.g. tracked pedestrians) plus the overlay;
-        otherwise the private mirror is authoritative.
-        """
-        substrate = self._substrate
-        if substrate is None:
-            return self._grid.query_range(center, self._query_radius)
-        names = [
-            name
-            for name in substrate.query_range(center, self._query_radius)
-            if name in self._interfaces
-        ]
-        if self._overlay_names:
-            names.extend(self._grid.query_range(center, self._query_radius))
-        return names
-
     def nodes_in_range(self, node_name: str) -> List[str]:
         """Other nodes whose link from ``node_name`` is currently usable.
 
         The usable receivers of the node's sender plan, name-sorted; the
         plan is memoised per position epoch.  On the statistical tier the
-        plan comes from the fused kernel, not the link rows, so for a link
-        right at the SNR threshold this may disagree with
+        plan comes from the fused kernel with ``np.sqrt`` distances, so for
+        a link right at the SNR threshold this may disagree with
         :meth:`link_quality` — within that tier's aggregate contract.
         """
         self._refresh()
@@ -735,61 +730,20 @@ class RadioEnvironment:
         """
         plan = self._plans.get(sender.node_name)
         if plan is None:
-            if self.fast_math:
-                plan = self._build_fast_plan(sender.node_name, sender.position)
-            else:
-                plan = self._build_plan(sender.node_name, sender.position)
+            plan = self._build_plan(sender)
             self._plans[sender.node_name] = plan
         return plan
 
-    def _build_plan(self, sender_name: str, position: Vec2) -> _SenderPlan:
-        """Exact-tier plan: the sender's link row, filtered to usable links.
-
-        Candidates are the attached interfaces within the spatial query
-        radius (every other interface when range pruning is off, see
-        :attr:`use_spatial_index`), and their qualities come from
-        :meth:`_ensure_row`.  The spatially pruned
-        interfaces are counted into ``out_of_range`` wholesale — the link
-        budget is monotone in distance, so none of them could have been
-        usable.
-        """
-        interfaces = self._interfaces
-        if self.use_spatial_index:
-            candidates = sorted(
-                name
-                for name in self._candidate_names(position)
-                if name != sender_name
-            )
-            others = len(interfaces) - (1 if sender_name in interfaces else 0)
-            pruned = others - len(candidates)
-        else:
-            candidates = sorted(name for name in interfaces if name != sender_name)
-            pruned = 0
-        row = self._ensure_row(sender_name, candidates)
-        names = [name for name in candidates if row[name].usable]
-        qualities = [row[name] for name in names]
-        count = len(names)
-        return _SenderPlan(
-            [interfaces[name] for name in names],
-            qualities,
-            np.fromiter(map(_PER, qualities), np.float64, count),
-            np.fromiter(map(_RATE, qualities), np.float64, count),
-            np.fromiter(map(_DISTANCE, qualities), np.float64, count),
-            pruned + len(candidates) - count,
-            self.contention_factor,
-        )
-
-    def _ensure_fast_universe(self) -> "_FastUniverse":
-        """The per-epoch position snapshot, built on first fast broadcast.
+    def _ensure_universe(self) -> _EpochUniverse:
+        """The per-epoch position snapshot, built on the epoch's first plan.
 
         One position-provider call per attached interface per epoch; every
-        sender plan of the epoch reuses the arrays.  Name-sorted so the
-        candidate order derived from it matches the exact tier's sorted
-        receiver lists.
+        sender plan of the epoch reuses the arrays.  Name-sorted, so the
+        candidates derived from it come out in receiver order.
         """
         universe = self._fast_universe
         if universe is None:
-            universe = _FastUniverse()
+            universe = _EpochUniverse()
             interfaces = [
                 self._interfaces[name] for name in sorted(self._interfaces)
             ]
@@ -810,54 +764,60 @@ class RadioEnvironment:
             self._fast_universe = universe
         return universe
 
-    def _build_fast_plan(self, sender_name: str, position: Vec2) -> _SenderPlan:
-        """Statistical-tier plan: one vectorised pass over the epoch universe.
+    def _build_plan(self, sender: RadioInterface) -> _SenderPlan:
+        """The sender's plan: one vectorised pass over the epoch universe.
 
-        Candidates come from one distance mask over the epoch's
-        :class:`_FastUniverse` (the same exact ``<= query radius`` test the
-        spatial grid applies, minus the grid walk — live positions instead
-        of the substrate's committed ones, which the statistical tier's
-        aggregate contract permits); one
-        :meth:`~repro.radio.link.LinkBudget.quality_arrays_xy` call fills
-        the columns in array form, and the qualities stay column-major
-        (:class:`_QualityColumns`) until a receive callback observes one.
+        Candidates come from one squared-distance mask over the epoch's
+        :class:`_EpochUniverse` (every other interface when range pruning is
+        off, see :attr:`use_spatial_index`).  The tier's column kernel —
+        :meth:`~repro.radio.link.LinkBudget.exact_arrays_xy` or the
+        statistical :meth:`~repro.radio.link.LinkBudget.quality_arrays_xy`,
+        which reuses the mask's squared distances — evaluates them in one
+        call, and the usable receivers' qualities stay column-major
+        (:class:`_QualityColumns`).  Every other interface that is not a
+        usable receiver counts into ``out_of_range``.
         """
-        universe = self._ensure_fast_universe()
-        sender_index = universe.index_of.get(sender_name)
+        universe = self._ensure_universe()
+        sender_index = universe.index_of.get(sender.node_name)
+        if sender_index is None:
+            position = sender.position
+        else:
+            position = universe.positions[sender_index]
         dx = universe.xs - position.x
         dy = universe.ys - position.y
         squared = dx * dx + dy * dy
         if self.use_spatial_index:
-            # Same exact criterion as the spatial grid's range query, on
-            # squared distances so the sqrt only runs over the survivors.
+            # Same criterion as the spatial grid's range query, on squared
+            # distances so no sqrt runs over the pruned interfaces.
             in_range = squared <= self._query_radius * self._query_radius
         else:
             in_range = np.ones(len(universe.interfaces), dtype=bool)
         if sender_index is not None:
             in_range[sender_index] = False
-        candidate_indices = np.flatnonzero(in_range)
+        candidates = np.flatnonzero(in_range)
         others = len(universe.interfaces) - (1 if sender_index is not None else 0)
-        pruned = others - int(candidate_indices.size)
-        candidate_positions = None
-        if self.visibility is not None:
-            positions = universe.positions
-            candidate_positions = [
-                positions[index] for index in candidate_indices.tolist()
-            ]
-        snrs, rates, pers, usable, distances = self.link_budget.quality_arrays_xy(
-            position,
-            universe.xs[candidate_indices],
-            universe.ys[candidate_indices],
-            self.visibility,
-            rxs=candidate_positions,
-            distances=np.sqrt(squared[candidate_indices]),
-        )
+        positions = universe.positions
+        rxs = [positions[index] for index in candidates.tolist()]
+        xs = universe.xs[candidates]
+        ys = universe.ys[candidates]
+        if self.fast_math:
+            columns = self.link_budget.quality_arrays_xy(
+                position,
+                xs,
+                ys,
+                self.visibility,
+                rxs=rxs,
+                distances=np.sqrt(squared[candidates]),
+            )
+        else:
+            columns = self.link_budget.exact_arrays_xy(
+                position, xs, ys, self.visibility, rxs=rxs
+            )
+        snrs, rates, pers, usable, distances = columns
         usable_indices = np.flatnonzero(usable)
-        unusable = int(candidate_indices.size) - int(usable_indices.size)
         all_interfaces = universe.interfaces
         receivers = [
-            all_interfaces[index]
-            for index in candidate_indices[usable_indices].tolist()
+            all_interfaces[index] for index in candidates[usable_indices].tolist()
         ]
         usable_distances = distances[usable_indices]
         qualities = _QualityColumns(
@@ -872,7 +832,7 @@ class RadioEnvironment:
             pers[usable_indices],
             rates[usable_indices],
             usable_distances,
-            pruned + unusable,
+            others - len(receivers),
             self.contention_factor,
         )
 

@@ -6,23 +6,25 @@ and an effective range — all the quantities the mesh transport and the AirDnD
 candidate scorer consume.
 
 Two evaluation forms exist: the scalar :meth:`LinkBudget.quality` (one pair)
-and the batched :meth:`LinkBudget.quality_batch` (one sender, all its
-receivers in one pass — the radio environment's per-sender link rows are
-filled this way).  On the default **exact** equivalence tier the batch is
-**bit-identical** to the scalar path by construction: numpy carries the
-exact IEEE arithmetic (subtraction, scaling, thresholding) in the scalar
-association order, while the transcendentals
-(``hypot``/``log10``/``log2``/``pow``/``exp``) run through the same
-:mod:`math` C-library entry points — numpy's SIMD kernels for those round
-differently in the last ulp, which would silently break the byte-identical
-contract against the scalar-row reference (``ReferenceRadioEnvironment`` in
-``tests/oracle.py``) asserted by benchmark E13.
+and the column kernels (one sender, all its receivers in one pass), which
+:meth:`LinkBudget.quality_batch` materialises into :class:`LinkQuality`
+objects.  On the default **exact** equivalence tier the kernel is
+:meth:`LinkBudget.exact_arrays_xy`, **bit-identical** to the scalar path by
+construction: numpy carries the exact IEEE arithmetic (subtraction,
+scaling, thresholding, the rate cap) in the scalar association order, while
+the transcendentals (``hypot``/``log10``/``pow``/``log2``/``exp``) run as
+``map`` over the same :mod:`math` C-library entry points — the iteration
+happens in C, and numpy's SIMD kernels for those functions, which round
+differently in the last ulp, are never called.  The radio environment's
+broadcast plans and its unicast link rows both come from this one kernel,
+and benchmark E13 asserts its byte-identical contract against the scalar
+reference (``ReferenceRadioEnvironment`` in ``tests/oracle.py``).
 
-``fast_math=True`` selects the **statistical** equivalence tier instead: a
-fused path-loss→SNR→rate→PER kernel computes the whole receiver row with
-numpy SIMD ``hypot``/``log10``/``log2``/``exp`` and no Python-level loop.
-Its outputs differ from the exact tier in the last ulp, which is enough to
-flip individual RNG loss comparisons — so the statistical tier promises
+``fast_math=True`` selects the **statistical** equivalence tier instead:
+:meth:`LinkBudget.quality_arrays_xy`, a fused path-loss→SNR→rate→PER
+kernel on numpy SIMD ``hypot``/``log10``/``log2``/``exp``.  Its outputs
+differ from the exact tier in the last ulp, which is enough to flip
+individual RNG loss comparisons — so the statistical tier promises
 *distribution-level* agreement of per-run aggregate metrics (asserted over
 a seed ensemble by ``tests/properties/test_property_statistical_equivalence
 .py`` and benchmark E15), not byte-level frame identity.  The tier table
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,7 +92,7 @@ class LinkBudget:
     efficiency:
         Fraction of Shannon capacity actually achieved.
     fast_math:
-        Equivalence tier of the batch kernel.  ``False`` (default) is the
+        Equivalence tier of the column kernels.  ``False`` (default) is the
         *exact* tier: :meth:`quality_batch` is bit-identical to the scalar
         path.  ``True`` is the *statistical* tier: the fused numpy SIMD
         kernel, last-ulp different, distribution-level equivalent (see the
@@ -151,7 +154,7 @@ class LinkBudget:
         agree with each other within one tier.
         """
         if self.fast_math:
-            return self._quality_batch_fast(tx, (rx,), visibility)[0]
+            return self.quality_batch(tx, (rx,), visibility)[0]
         snr = self.snr_db(tx, rx, visibility)
         distance = tx.distance_to(rx)
         if snr < self.min_snr_db:
@@ -174,23 +177,54 @@ class LinkBudget:
     ) -> List[LinkQuality]:
         """:class:`LinkQuality` from one sender to every receiver in ``rxs``.
 
-        One vectorised pass: distances, path losses (with a single
-        line-of-sight batch query), SNRs, rates and PERs are computed for
-        the whole receiver list with all constants hoisted, instead of
-        re-resolving them per pair.  Element ``i`` is bit-identical to
-        ``quality(tx, rxs[i], visibility)`` (see the module docstring for
-        why the transcendentals stay on the scalar :mod:`math` entry
-        points).
+        :meth:`quality_arrays` materialised into plain Python floats and
+        bools.  On the exact tier element ``i`` is bit-identical to
+        ``quality(tx, rxs[i], visibility)``.
+        """
+        columns = self.quality_arrays(tx, rxs, visibility)
+        return list(map(LinkQuality, *(column.tolist() for column in columns)))
+
+    def quality_arrays(
+        self,
+        tx: Vec2,
+        rxs: Sequence[Vec2],
+        visibility: Optional[VisibilityMap] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The tier's column kernel on receivers given as :class:`Vec2`.
+
+        Returns ``(snrs, rates, pers, usable, distances)`` from
+        :meth:`exact_arrays_xy` on the exact tier and from
+        :meth:`quality_arrays_xy` on the statistical tier.
         """
         count = len(rxs)
-        if count == 0:
-            return []
-        if self.fast_math:
-            return self._quality_batch_fast(tx, rxs, visibility)
-        tx_x = tx.x
-        tx_y = tx.y
-        hypot = math.hypot
-        distances = [hypot(tx_x - rx.x, tx_y - rx.y) for rx in rxs]
+        xs = np.fromiter((rx.x for rx in rxs), np.float64, count)
+        ys = np.fromiter((rx.y for rx in rxs), np.float64, count)
+        kernel = self.quality_arrays_xy if self.fast_math else self.exact_arrays_xy
+        return kernel(tx, xs, ys, visibility, rxs=rxs)
+
+    def exact_arrays_xy(
+        self,
+        tx: Vec2,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        visibility: Optional[VisibilityMap] = None,
+        *,
+        rxs: Sequence[Vec2],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The exact-tier kernel: :meth:`quality` for a column of receivers.
+
+        Returns ``(snrs, rates, pers, usable, distances)``; element ``i`` is
+        bit-identical to ``quality(tx, rxs[i], visibility)`` (see the module
+        docstring).  ``xs``/``ys`` are the coordinates of ``rxs``, which the
+        propagation model's line-of-sight batch reads.  Models without
+        ``path_loss_db_batch`` are evaluated pair by pair.
+        """
+        count = len(xs)
+        distances = np.fromiter(
+            map(math.hypot, (xs - tx.x).tolist(), (ys - tx.y).tolist()),
+            np.float64,
+            count,
+        )
         loss_batch = getattr(self.propagation, "path_loss_db_batch", None)
         if loss_batch is not None:
             losses = loss_batch(tx, rxs, distances, visibility)
@@ -205,58 +239,29 @@ class LinkBudget:
         snrs = (self.tx_power_dbm - losses) - (self.noise_dbm + self.noise_penalty_db)
         # Mirror the scalar branch condition exactly (`snr < min` selects the
         # unusable arm), not its negation, so NaN SNRs land on the same side.
-        unusable = snrs < self.min_snr_db
+        usable = ~(snrs < self.min_snr_db)
         rates = np.zeros(count)
         pers = np.ones(count)
-        snr_values = snrs.tolist()
-        if not unusable.all():
-            bandwidth = self.bandwidth_hz
-            max_rate = self.max_rate_bps
-            efficiency = self.efficiency
-            min_snr = self.min_snr_db
-            log2 = math.log2
-            exp = math.exp
-            for index in np.nonzero(~unusable)[0].tolist():
-                snr = snr_values[index]
-                capacity = bandwidth * log2(1.0 + 10.0 ** (snr / 10.0))
-                rate = efficiency * capacity
-                rates[index] = rate if rate < max_rate else max_rate
-                pers[index] = 1.0 / (1.0 + exp(0.9 * (snr - min_snr)))
-        rate_values = rates.tolist()
-        per_values = pers.tolist()
-        usable_values = (~unusable).tolist()
-        return [
-            LinkQuality(
-                snr_values[index],
-                rate_values[index],
-                per_values[index],
-                usable_values[index],
-                distances[index],
+        live = snrs[usable]
+        if live.size:
+            powers = np.fromiter(
+                map(math.pow, repeat(10.0), (live / 10.0).tolist()),
+                np.float64,
+                live.size,
             )
-            for index in range(count)
-        ]
-
-    def quality_arrays(
-        self,
-        tx: Vec2,
-        rxs: Sequence[Vec2],
-        visibility: Optional[VisibilityMap] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The fused statistical-tier kernel: one numpy pass, no inner loop.
-
-        Distance (``np.hypot``), path loss (the propagation model's
-        ``path_loss_db_simd`` when it has one), SNR, Shannon rate
-        (``np.log2``), the rate cap and the logistic PER (``np.exp``) are
-        all computed on whole arrays.  Returns the raw columns
-        ``(snrs, rates, pers, usable, distances)`` so bulk consumers — the
-        radio medium's statistical-tier broadcast plan — can keep working in
-        array form; :meth:`quality_batch` materialises them into
-        :class:`LinkQuality` objects for everyone else.
-        """
-        count = len(rxs)
-        xs = np.fromiter((rx.x for rx in rxs), np.float64, count)
-        ys = np.fromiter((rx.y for rx in rxs), np.float64, count)
-        return self.quality_arrays_xy(tx, xs, ys, visibility, rxs=rxs)
+            capacity = self.bandwidth_hz * np.fromiter(
+                map(math.log2, (1.0 + powers).tolist()), np.float64, live.size
+            )
+            rate = self.efficiency * capacity
+            # `min(max_rate, rate)`: the cap wins unless the rate is smaller.
+            rates[usable] = np.where(rate < self.max_rate_bps, rate, self.max_rate_bps)
+            growth = np.fromiter(
+                map(math.exp, (0.9 * (live - self.min_snr_db)).tolist()),
+                np.float64,
+                live.size,
+            )
+            pers[usable] = 1.0 / (1.0 + growth)
+        return snrs, rates, pers, usable, distances
 
     def quality_arrays_xy(
         self,
@@ -268,16 +273,21 @@ class LinkBudget:
         rxs: Optional[Sequence[Vec2]] = None,
         distances: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`quality_arrays` on pre-assembled coordinate columns.
+        """The fused statistical-tier kernel: one numpy pass, no inner loop.
 
-        Bulk callers that already hold receiver coordinates in array form
-        (the radio medium keeps one position universe per epoch) skip the
-        per-receiver gather entirely.  ``rxs`` only matters on the NLOS
-        path: a SIMD propagation model needs the receiver :class:`Vec2`
-        objects for its line-of-sight batch, so it is required whenever
-        ``visibility`` is given and built lazily otherwise.  ``distances``
-        may carry precomputed sender→receiver distances (skipping the
-        ``np.hypot``); it must correspond to ``xs``/``ys``.
+        Distance (``np.hypot``), path loss (the propagation model's
+        ``path_loss_db_simd`` when it has one), SNR, Shannon rate
+        (``np.log2``), the rate cap and the logistic PER (``np.exp``) are
+        all computed on whole arrays and returned as the columns
+        ``(snrs, rates, pers, usable, distances)``, like
+        :meth:`exact_arrays_xy`.  Receivers come as coordinate columns (the
+        radio medium keeps one position universe per epoch).  ``rxs`` only
+        matters on the NLOS path: a SIMD propagation model needs the
+        receiver :class:`Vec2` objects for its line-of-sight batch, so it is
+        required whenever ``visibility`` is given and built lazily
+        otherwise.  ``distances`` may carry precomputed sender→receiver
+        distances (skipping the ``np.hypot``); it must correspond to
+        ``xs``/``ys``.
         """
         count = len(xs)
         if distances is None:
@@ -326,33 +336,6 @@ class LinkBudget:
         rates[unusable] = 0.0
         pers[unusable] = 1.0
         return snrs, rates, pers, ~unusable, distances
-
-    def _quality_batch_fast(
-        self,
-        tx: Vec2,
-        rxs: Sequence[Vec2],
-        visibility: Optional[VisibilityMap] = None,
-    ) -> List[LinkQuality]:
-        """:meth:`quality_arrays` materialised into :class:`LinkQuality`
-        objects (plain Python floats/bools, like the exact tier returns)."""
-        snrs, rates, pers, usable, distances = self.quality_arrays(
-            tx, rxs, visibility
-        )
-        snr_values = snrs.tolist()
-        rate_values = rates.tolist()
-        per_values = pers.tolist()
-        usable_values = usable.tolist()
-        distance_values = distances.tolist()
-        return [
-            LinkQuality(
-                snr_values[index],
-                rate_values[index],
-                per_values[index],
-                usable_values[index],
-                distance_values[index],
-            )
-            for index in range(len(rxs))
-        ]
 
     # ---------------------------------------------------------------- range
 

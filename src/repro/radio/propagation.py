@@ -96,13 +96,12 @@ class FreeSpacePathLoss:
         """Vectorised free-space losses (obstacles ignored, as in the scalar
         path).  The two frequency-dependent terms are evaluated once and
         added in the scalar path's association order."""
-        log10 = math.log10
-        frequency_term = 20.0 * log10(self.frequency_hz)
-        geometry_term = 20.0 * log10(4.0 * math.pi / SPEED_OF_LIGHT)
-        log_terms = np.fromiter(
-            (20.0 * log10(d if d > 1.0 else 1.0) for d in distances),
-            np.float64,
-            len(distances),
+        frequency_term = 20.0 * math.log10(self.frequency_hz)
+        geometry_term = 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
+        distances = np.asarray(distances, dtype=np.float64)
+        clamped = np.where(distances > 1.0, distances, 1.0)
+        log_terms = 20.0 * np.fromiter(
+            map(math.log10, clamped.tolist()), np.float64, len(clamped)
         )
         return (log_terms + frequency_term) + geometry_term
 
@@ -189,14 +188,12 @@ class LogDistancePathLoss:
         instead of one obstacle scan per pair.
         """
         d0 = self.reference_distance
-        scale = 10.0 * self.exponent
-        log10 = math.log10
+        distances = np.asarray(distances, dtype=np.float64)
+        ratios = np.where(distances > d0, distances, d0) / d0
         log_terms = np.fromiter(
-            (log10((d if d > d0 else d0) / d0) for d in distances),
-            np.float64,
-            len(distances),
+            map(math.log10, ratios.tolist()), np.float64, len(ratios)
         )
-        losses = self._reference_loss + scale * log_terms
+        losses = self._reference_loss + (10.0 * self.exponent) * log_terms
         if visibility is not None:
             occluded = ~np.fromiter(
                 visibility.line_of_sight_batch(tx, rxs), np.bool_, len(rxs)

@@ -40,18 +40,21 @@ def test_out_of_range_nodes_do_not_discover():
     assert len(agents["a"].neighbors) == 0
 
 
-def test_neighbor_up_and_down_callbacks():
+def test_neighbor_up_callback_and_expiry_leave():
     sim, env, agents = make_agents({"a": Vec2(0, 0), "b": Vec2(50, 0)}, neighbor_lifetime=1.5)
-    ups, downs = [], []
+    ups = []
     agents["a"].on_neighbor_up(lambda name, beacon: ups.append(name))
-    agents["a"].on_neighbor_down(lambda name: downs.append(name))
     sim.run(until=2.0)
     assert ups == ["b"]
+    assert agents["a"].epoch == 1
+    assert sim.monitor.counter_value("mesh.leaves") == 0
     # Silence b: stop it beaconing and let a's table expire it.
     agents["b"].stop()
     sim.run(until=8.0)
-    assert downs == ["b"]
     assert "b" not in agents["a"].neighbors
+    assert agents["a"].epoch == 2  # one join, one leave
+    # b still hears a, so the only leave fleet-wide is a evicting b.
+    assert sim.monitor.counter_value("mesh.leaves") == 1
 
 
 def test_epoch_increases_on_membership_changes():

@@ -37,6 +37,16 @@ def test_expiry_removes_silent_neighbors():
     assert table.names() == ["b"]
 
 
+def test_expiry_and_active_view_share_the_lifetime_boundary():
+    # An entry aged exactly ``lifetime`` is still active, so the sweep keeps
+    # it; one beyond is evicted.
+    table = NeighborTable("me", lifetime=2.0)
+    table.observe(beacon_from("a"), now=0.0)
+    assert table.active_names(2.0) == ["a"]
+    assert table.expire(now=2.0) == []
+    assert table.expire(now=2.5) == ["a"]
+
+
 def test_entry_age_and_contact_duration():
     table = NeighborTable("me", lifetime=10.0)
     table.observe(beacon_from("a", 0.0), now=0.0)

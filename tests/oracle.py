@@ -11,10 +11,12 @@ agreeing with the reference here.
   arrival.  :func:`use_reference_transmit` swaps it into an environment.
 * :func:`reference_topology` — a topology snapshot's statistics computed
   with networkx from the same neighbour tables the observer reads.
-* :class:`ReferenceRadioEnvironment` — a radio environment whose link rows
-  are filled pair by pair with scalar :meth:`LinkBudget.quality` calls
-  instead of one ``quality_batch`` per sender, optionally scanning every
-  attached interface instead of the spatial range query.
+* :class:`ReferenceRadioEnvironment` — a radio environment whose exact-tier
+  plans are built the way they were before the epoch universe: candidates
+  from a spatial-grid range query (:func:`candidate_names`), name-sorted,
+  their qualities from link rows filled pair by pair with scalar
+  :meth:`LinkBudget.quality` calls instead of the column kernel, optionally
+  scanning every attached interface instead of the range query.
 * :class:`BruteForceVisibility` — a visibility map that tests every polygon
   with :func:`~repro.geometry.los.line_of_sight` instead of querying the
   obstacle index.
@@ -42,7 +44,12 @@ from repro.core.models import NeighborDescription, NetworkDescription
 from repro.core.network_model import NetworkDescriptionBuilder
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
-from repro.radio.interfaces import Frame, RadioEnvironment, RadioInterface
+from repro.radio.interfaces import (
+    Frame,
+    RadioEnvironment,
+    RadioInterface,
+    _SenderPlan,
+)
 from repro.radio.link import LinkQuality
 from repro.simcore.monitor import DEFAULT_BUCKETS, SampleSeries
 from repro.simcore.simulator import Simulator
@@ -58,19 +65,64 @@ class BruteForceVisibility(VisibilityMap):
         return [line_of_sight(origin, target, self._obstacles) for target in targets]
 
 
+def candidate_names(env: RadioEnvironment, center: Vec2) -> List[str]:
+    """Attached interface names within ``env``'s query radius of ``center``.
+
+    Call ``env._refresh()`` first.  Substrate-bound environments query the
+    shared grid (dropping substrate entries with no radio interface, e.g.
+    tracked pedestrians) plus the overlay grid of interfaces the substrate
+    does not track; otherwise the environment's mirror grid is
+    authoritative.
+    """
+    radius = env._query_radius
+    substrate = env._substrate
+    if substrate is None:
+        return env._grid.query_range(center, radius)
+    names = [
+        name for name in substrate.query_range(center, radius)
+        if name in env._interfaces
+    ]
+    if env._overlay_names:
+        names.extend(env._grid.query_range(center, radius))
+    return names
+
+
 class ReferenceRadioEnvironment(RadioEnvironment):
     """A :class:`RadioEnvironment` on the scalar reference paths.
 
-    Link rows hold one scalar ``link_budget.quality`` call per pair.  With
-    ``full_scan`` set, range pruning is off (``use_spatial_index = False``),
-    so every attached interface is a broadcast candidate.  Both must leave
-    the delivered-frame sequence of the exact tier unchanged.
+    An exact-tier plan takes its candidates from :func:`candidate_names`,
+    sorts them by name and reads their qualities from link rows that hold
+    one scalar ``link_budget.quality`` call per pair; the spatially pruned
+    interfaces count into ``out_of_range`` wholesale.  With ``full_scan``
+    set, range pruning is off (``use_spatial_index = False``), so every
+    attached interface is a broadcast candidate.  Both must leave the
+    delivered-frame sequence of the exact tier unchanged.
     """
 
     def __init__(self, *args, full_scan: bool = False, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if full_scan:
             self.use_spatial_index = False
+
+    def _build_plan(self, sender: RadioInterface) -> _SenderPlan:
+        if self.fast_math:
+            return super()._build_plan(sender)
+        interfaces = self._interfaces
+        name = sender.node_name
+        candidates = _reference_candidates(self, sender)
+        others = len(interfaces) - (1 if name in interfaces else 0)
+        row = self._ensure_row(name, candidates)
+        names = [other for other in candidates if row[other].usable]
+        qualities = [row[other] for other in names]
+        return _SenderPlan(
+            [interfaces[other] for other in names],
+            qualities,
+            np.array([quality.packet_error_rate for quality in qualities]),
+            np.array([quality.rate_bps for quality in qualities]),
+            np.array([quality.distance for quality in qualities]),
+            others - len(names),
+            self.contention_factor,
+        )
 
     def _ensure_row(self, src: str, wanted: Sequence[str]) -> Dict[str, LinkQuality]:
         row = self._quality_rows.setdefault(src, {})
@@ -88,7 +140,7 @@ def _reference_candidates(env: RadioEnvironment, sender: RadioInterface) -> List
     """Name-sorted broadcast candidates: in query range, or all on the
     brute-force path."""
     if env.use_spatial_index:
-        names = env._candidate_names(sender.position)
+        names = candidate_names(env, sender.position)
     else:
         names = list(env._interfaces)
     return sorted(name for name in names if name != sender.node_name)

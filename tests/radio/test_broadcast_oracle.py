@@ -5,8 +5,9 @@ two frame sizes, a few unicasts, positions that move between rounds — one
 through ``RadioEnvironment.transmit`` and one through
 :func:`tests.oracle.reference_transmit`.  The delivered-frame logs and
 every ``radio.*`` counter and sample must match exactly, with and without
-the fault injector's extra loss, on batched link rows and on the oracle's
-scalar per-pair rows (:class:`tests.oracle.ReferenceRadioEnvironment`).
+the fault injector's extra loss, on production plans (epoch universe and
+column kernel) and on the oracle's grid-candidate plans over scalar per-pair
+rows (:class:`tests.oracle.ReferenceRadioEnvironment`).
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """Batched link-pipeline equivalence and behaviour tests.
 
 The contract under test is *bit*-identity, not approximate equality: the
-environment's batched link rows must reproduce the scalar per-pair rows of
-the oracle's :class:`~tests.oracle.ReferenceRadioEnvironment` exactly, RNG
-draw for RNG draw.
+environment's column-kernel plans and link rows must reproduce the
+grid-candidate plans and scalar per-pair rows of the oracle's
+:class:`~tests.oracle.ReferenceRadioEnvironment` exactly, RNG draw for RNG
+draw.
 """
 
 import random
@@ -125,14 +126,16 @@ def test_broadcast_delivery_identical_across_batched_flag():
 
 def test_rows_are_filled_per_sender_and_flushed_on_epoch_bump():
     sim, env = build_env(n=6)
-    src = env.node_names[0]
+    src, *others = env.node_names
     env.nodes_in_range(src)
-    assert src in env._quality_rows
-    row_size = len(env._quality_rows[src])
-    assert row_size >= 1
+    assert env._quality_rows == {}  # broadcasts read the plan, not rows
+    for dst in others[:3]:
+        env.link_quality(src, dst)
+    assert list(env._quality_rows) == [src]
+    assert sorted(env._quality_rows[src]) == others[:3]
     env.notify_positions_changed()
-    env.nodes_in_range(src)  # refresh rebuilds the row, not grows it
-    assert len(env._quality_rows[src]) == row_size
+    env.link_quality(src, others[0])  # refresh rebuilds the row, not grows it
+    assert sorted(env._quality_rows[src]) == others[:1]
 
 
 def test_unicast_to_unattached_destination_is_dropped_quietly():

@@ -1,0 +1,235 @@
+#!/usr/bin/env python3
+"""Mutation smoke: would the fast pins notice a small semantic change?
+
+Usage::
+
+    python tools/mutation_smoke.py
+
+For each mutation in :data:`MUTATIONS` the tool copies ``src/`` into a
+temporary directory, replaces one exact string in one file (the target must
+occur exactly once, or the tool stops with an error), and runs the fast pins
+in :data:`PINS` against the copy with ``PYTHONPATH`` pointing at it.  It
+prints the test that killed each mutation, or that the mutation survived.
+
+The unmutated copy runs first and must pass, so a broken harness cannot
+pass for a good one.  A mutation that is known to survive carries the
+reason (``survives``); the tool exits non-zero when a mutation survives
+without one, when one with a reason is now killed (drop the reason), or
+when a run errors instead of failing.  A surviving mutation gets a new pin
+or a recorded reason; it is never dropped from the list.
+
+Stdlib only.  Each run takes a few seconds; the whole list about a minute
+or two on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: The fast pins every mutation runs against.  The last three were added
+#: for mutations that survived the first four: they kill the EDGE_PAD, the
+#: expiry-boundary and the quorum mutations in well under a second.
+PINS = (
+    "tests/scenarios/test_scenario_pins.py",
+    "tests/radio/test_broadcast_oracle.py",
+    "tests/properties/test_property_exact_plan.py",
+    "tests/snapshot/test_codec.py",
+    "tests/properties/test_property_obstacle_index.py::test_collinear_ray_takes_the_primitive_fallback",
+    "tests/mesh/test_neighbor.py",
+    "tests/core/test_trust.py",
+)
+
+
+class Mutation(NamedTuple):
+    name: str
+    #: File under ``src/``.
+    path: str
+    old: str
+    new: str
+    #: Why the pins cannot see this mutation, when that is known.
+    survives: Optional[str] = None
+
+
+MUTATIONS: Tuple[Mutation, ...] = (
+    Mutation(
+        "event queue: sequence tie-break flipped",
+        "repro/simcore/event.py",
+        "heapq.heappush(self._entries, (time, priority, sequence, event))",
+        "heapq.heappush(self._entries, (time, priority, -sequence, event))",
+    ),
+    Mutation(
+        "broadcast: first receiver's PER draw skipped",
+        "repro/radio/interfaces.py",
+        "kept = rng.random(count) >= plan.pers",
+        "kept = np.concatenate(([True], rng.random(count - 1) >= plan.pers[1:]))",
+    ),
+    Mutation(
+        "path loss: one ulp added to the exact batch",
+        "repro/radio/propagation.py",
+        "losses = self._reference_loss + (10.0 * self.exponent) * log_terms",
+        "losses = np.nextafter(\n"
+        "            self._reference_loss + (10.0 * self.exponent) * log_terms, np.inf\n"
+        "        )",
+    ),
+    Mutation(
+        "obstacle index: EDGE_PAD dropped",
+        "repro/geometry/obstacle_index.py",
+        "EDGE_PAD = 1e-9",
+        "EDGE_PAD = 0.0",
+    ),
+    Mutation(
+        "neighbour table: expiry at >= lifetime",
+        "repro/mesh/neighbor.py",
+        "if entry.age(now) > self.lifetime",
+        "if entry.age(now) >= self.lifetime",
+    ),
+    Mutation(
+        "trust: strict-majority quorum relaxed to >= half",
+        "repro/core/trust.py",
+        "base, math.floor(base * self.config.redundancy_quorum) + 1",
+        "base, math.ceil(base * self.config.redundancy_quorum)",
+    ),
+    Mutation(
+        "exact kernel: NLOS penalty not added",
+        "repro/radio/propagation.py",
+        "                losses[occluded] += self.nlos_penalty_db\n"
+        "        return losses\n\n    def path_loss_db_simd(",
+        "                pass\n"
+        "        return losses\n\n    def path_loss_db_simd(",
+    ),
+    Mutation(
+        "exact kernel: noise_penalty_db ignored",
+        "repro/radio/link.py",
+        "snrs = (self.tx_power_dbm - losses) - (self.noise_dbm + self.noise_penalty_db)",
+        "snrs = (self.tx_power_dbm - losses) - self.noise_dbm",
+    ),
+    Mutation(
+        "exact kernel: reference-distance clamp dropped",
+        "repro/radio/propagation.py",
+        "ratios = np.where(distances > d0, distances, d0) / d0",
+        "ratios = distances / d0",
+    ),
+    Mutation(
+        "plan: sender kept among its own candidates",
+        "repro/radio/interfaces.py",
+        "            in_range[sender_index] = False\n",
+        "            pass\n",
+    ),
+    Mutation(
+        "radio refresh: epoch universe not flushed (substrate-bound)",
+        "repro/radio/interfaces.py",
+        "            self._fast_universe = None\n            self._synced_epoch = epoch\n",
+        "            self._synced_epoch = epoch\n",
+    ),
+)
+
+
+def _copy_src(destination: Path) -> Path:
+    src = destination / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _apply(src: Path, mutation: Mutation) -> None:
+    target = src / mutation.path
+    text = target.read_text()
+    found = text.count(mutation.old)
+    if found != 1:
+        raise SystemExit(
+            f"mutation {mutation.name!r}: target occurs {found} times in "
+            f"src/{mutation.path} (expected exactly once); update the list"
+        )
+    target.write_text(text.replace(mutation.old, mutation.new))
+
+
+def _environment(src: Path) -> dict:
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(src)
+    # No bytecode in the copy: every run compiles what it imports afresh.
+    environment["PYTHONDONTWRITEBYTECODE"] = "1"
+    return environment
+
+
+def _run_pins(src: Path, workdir: Path) -> Tuple[int, str]:
+    """Pytest's exit code and the first failing test id (or ``""``)."""
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-rf",
+        "-p", "no:cacheprovider", *[str(REPO / pin) for pin in PINS],
+    ]
+    # Run from the scratch directory so hypothesis keeps its example
+    # database there, not in the repository.
+    result = subprocess.run(
+        command, cwd=workdir, env=_environment(src),
+        capture_output=True, text=True,
+    )
+    killer = ""
+    for line in result.stdout.splitlines():
+        if line.startswith("FAILED "):
+            # Pytest prints the id relative to the working directory.
+            path, _, test = line[len("FAILED "):].split(" - ")[0].partition("::")
+            killer = f"{os.path.relpath(workdir / path, REPO)}::{test}"
+            break
+    if result.returncode not in (0, 1):
+        sys.stdout.write(result.stdout[-4000:] + result.stderr[-4000:])
+    return result.returncode, killer
+
+
+def _check_import_path(src: Path, workdir: Path) -> None:
+    found = subprocess.run(
+        [sys.executable, "-c", "import repro; print(repro.__file__)"],
+        cwd=workdir, env=_environment(src), capture_output=True, text=True,
+        check=True,
+    ).stdout.strip()
+    if not Path(found).is_relative_to(src):
+        raise SystemExit(f"repro imports from {found}, not from the copy {src}")
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="mutation-smoke-") as scratch:
+        root = Path(scratch)
+        baseline = root / "baseline"
+        baseline.mkdir()
+        src = _copy_src(baseline)
+        _check_import_path(src, baseline)
+        started = time.perf_counter()
+        code, killer = _run_pins(src, baseline)
+        if code != 0:
+            print(f"unmutated copy fails the pins ({killer or f'exit {code}'})")
+            return 1
+        print(f"unmutated copy passes the pins ({time.perf_counter() - started:.1f} s)")
+        for index, mutation in enumerate(MUTATIONS):
+            workdir = root / f"m{index:02d}"
+            workdir.mkdir()
+            src = _copy_src(workdir)
+            _apply(src, mutation)
+            code, killer = _run_pins(src, workdir)
+            if code == 1:
+                print(f"killed    {mutation.name}: {killer}")
+                if mutation.survives:
+                    problems.append(f"{mutation.name}: now killed, drop its survives note")
+            elif code == 0:
+                reason = mutation.survives or "no reason recorded"
+                print(f"SURVIVED  {mutation.name} ({reason})")
+                if not mutation.survives:
+                    problems.append(f"{mutation.name}: survived the pins")
+            else:
+                print(f"ERROR     {mutation.name}: pytest exit {code}")
+                problems.append(f"{mutation.name}: pytest exit {code}")
+            shutil.rmtree(workdir)
+    for problem in problems:
+        print(f"problem: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
