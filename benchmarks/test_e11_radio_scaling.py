@@ -15,10 +15,10 @@ Three checks:
   brute-force full scan of the test oracle
   (``ReferenceRadioEnvironment(full_scan=True)`` in ``tests/oracle.py``) must
   produce the byte-identical delivered-frame sequence on an N=50 fleet.
-* **Single sync pass** — with the mobility manager bound, the radio
-  environment queries the manager's shared spatial substrate directly:
-  exactly one grid ``update`` per node per mobility tick fleet-wide, zero
-  full mirror resyncs, zero writes into the environment's private grid.
+* **One position read per epoch** — with the mobility manager bound, the
+  manager's substrate takes exactly one commit per mobility tick, and the
+  radio environment reads each node's position provider exactly once per
+  epoch universe it builds.
 
 Set ``E11_SMOKE=1`` (CI) to shrink the sweep and skip the timing assertion,
 which is meaningless on noisy shared runners.
@@ -56,7 +56,7 @@ def build_fleet(n: int, seed: int, full_scan: bool = False):
     ``full_scan`` swaps in the oracle's brute-force reference environment.
     """
     sim = Simulator(seed=seed)
-    mobility = MobilityManager(sim, tick=0.25, cell_size=2 * SPACING_M)
+    mobility = MobilityManager(sim, tick=0.25)
     if full_scan:
         environment = ReferenceRadioEnvironment(
             sim, LinkBudget(), mobility=mobility, full_scan=True
@@ -157,32 +157,46 @@ def test_e11_spatial_medium_matches_bruteforce_exactly():
 
 
 def test_e11_one_grid_update_pass_per_mobility_tick():
-    """The radio layer shares the mobility substrate: no second sync pass.
+    """One substrate commit per tick, one position read per universe build.
 
     Before the substrate refactor every mobility tick cost two full grid
     passes — the manager updated its own grid and the next radio event
-    mirrored all N positions again.  Now the only grid writes in the whole
-    run are the manager's: one insert per node at registration plus one
-    update per node per tick, while the environment performs zero mirror
-    resyncs and zero writes into its private (overlay) grid.
+    mirrored all N positions again.  Now the manager commits the fleet once
+    per tick, and the radio reads each position provider once per epoch
+    universe, which every sender plan of the epoch reuses.
     """
     n = 30 if SMOKE else 200
     duration = 2.0
     sim, environment, agents = build_fleet(n, seed=SEED)
     mobility = environment._mobility
     substrate = mobility.substrate
-    assert environment.spatial_stats()["substrate_shared"] == 1.0
-    after_setup = substrate.grid.update_calls
-    assert after_setup == n  # one insert per registered node
+    reads = {}
+    for name in environment.node_names:
+        interface = environment.interface_of(name)
+        reads[name] = 0
+
+        def counted(name=name, provider=interface.position_provider):
+            reads[name] += 1
+            return provider()
+
+        interface.position_provider = counted
+    builds = 0
+    build_universe = environment._ensure_universe
+
+    def counted_build():
+        nonlocal builds
+        if environment._universe is None:
+            builds += 1
+        return build_universe()
+
+    environment._ensure_universe = counted_build
 
     sim.run(until=duration)
 
     ticks = substrate.commit_count
     assert ticks == round(duration / mobility.tick)
-    assert substrate.grid.update_calls == after_setup + ticks * n
-    stats = environment.spatial_stats()
-    assert stats["mirror_sync_passes"] == 0.0
-    assert stats["mirror_updates"] == 0.0
-    assert stats["overlay_nodes"] == 0.0
+    # Beacons go out in every tick's epoch, so each epoch built a universe.
+    assert builds >= ticks
+    assert reads == {name: builds for name in reads}
     # The shared path actually carried traffic (the medium stayed live).
     assert sim.monitor.counter_value("radio.frames_delivered") > 0

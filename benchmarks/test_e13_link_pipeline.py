@@ -97,7 +97,7 @@ def build_fleet(batched_links: bool, obstacle_index: bool):
     Each ``False`` swaps the production path for its oracle reference.
     """
     sim = Simulator(seed=SEED)
-    mobility = MobilityManager(sim, tick=TICK_S, cell_size=2 * STREET_PITCH_M)
+    mobility = MobilityManager(sim, tick=TICK_S)
     side = max(1, math.ceil(math.sqrt(N)))
     visibility_class = VisibilityMap if obstacle_index else BruteForceVisibility
     visibility = visibility_class(district_buildings(side))

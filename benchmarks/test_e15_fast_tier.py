@@ -81,7 +81,7 @@ def build_fleet(n: int, fast_math: bool) -> Simulator:
     medium and the event core, which is where the two tiers differ.
     """
     sim = Simulator(seed=SEED)
-    mobility = MobilityManager(sim, tick=TICK_S, cell_size=300.0)
+    mobility = MobilityManager(sim, tick=TICK_S)
     environment = RadioEnvironment(
         sim, LinkBudget(fast_math=fast_math), mobility=mobility
     )

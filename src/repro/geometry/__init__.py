@@ -1,4 +1,4 @@
-"""2-D geometry primitives, line-of-sight tests and spatial indexing.
+"""2-D geometry primitives, line-of-sight tests and the position substrate.
 
 The mobility, radio and perception substrates all reason about positions in a
 flat 2-D world.  This package provides the shared primitives:
@@ -13,18 +13,15 @@ flat 2-D world.  This package provides the shared primitives:
 * :class:`~repro.geometry.obstacle_index.ObstacleIndex` — grid-bucketed
   obstacle edges so line-of-sight tests only touch the segments along the
   ray instead of every polygon.
-* :class:`~repro.geometry.spatial_index.SpatialGrid` — a uniform-grid hash
-  supporting O(1)-ish range queries over moving nodes.
-* :class:`~repro.geometry.substrate.SpatialSubstrate` — one shared grid with
-  an epoch-based freshness contract, written by the mobility manager and
-  read by the radio environment.
+* :class:`~repro.geometry.substrate.SpatialSubstrate` — the fleet's last
+  committed positions and one position epoch, written by the mobility
+  manager; the radio environment keys its per-epoch caches on that epoch.
 """
 
 from repro.geometry.vector import Vec2
 from repro.geometry.shapes import Polygon, Rectangle, Segment
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.obstacle_index import ObstacleIndex
-from repro.geometry.spatial_index import SpatialGrid
 from repro.geometry.substrate import SpatialSubstrate
 
 __all__ = [
@@ -35,6 +32,5 @@ __all__ = [
     "line_of_sight",
     "ObstacleIndex",
     "VisibilityMap",
-    "SpatialGrid",
     "SpatialSubstrate",
 ]

@@ -68,9 +68,6 @@ class BeaconAgent:
         self.neighbors = NeighborTable(interface.node_name, lifetime=neighbor_lifetime)
         self._enrichers: List[BeaconEnricher] = []
         self._neighbor_up_callbacks: List[Callable[[str, Beacon], None]] = []
-        # Never read: kept only so the pickled agent keeps its layout until
-        # the next snapshot-format change drops it.
-        self._neighbor_down_callbacks: List[Callable[[str], None]] = []
         self.beacons_sent = 0
         self.beacons_heard = 0
         self.epoch = 0

@@ -16,8 +16,9 @@ that substrate:
 * :class:`~repro.mobility.waypoints.RandomWaypointNode` — the classic random
   waypoint model for non-vehicular edge devices.
 * :class:`~repro.mobility.manager.MobilityManager` — advances every mobile
-  node on a fixed tick and keeps a :class:`~repro.geometry.spatial_index.SpatialGrid`
-  up to date for range queries.
+  node on a fixed tick and commits their positions to the shared
+  :class:`~repro.geometry.substrate.SpatialSubstrate`, whose position epoch
+  drives the radio layer's caches.
 * :class:`~repro.mobility.traces.TrajectoryTrace` — per-node position history.
 """
 

@@ -3,20 +3,19 @@
 The manager owns the list of mobile nodes (anything with ``position`` and an
 ``advance(dt)`` method), advances them on a fixed period, writes their
 positions into a shared :class:`~repro.geometry.substrate.SpatialSubstrate`
-for range queries, and optionally records trajectories.
+and closes each tick with one commit, and optionally records trajectories.
 
-The substrate is the *single* spatial structure for the whole simulation:
+The substrate's position epoch is the simulation's one invalidation source:
 binding this manager to a :class:`~repro.radio.interfaces.RadioEnvironment`
-makes the radio layer query the same grid read-only, so the per-tick
-position sync here serves both mobility neighbour queries and radio
-broadcast candidate lookup — there is no second mirror pass.
+makes the radio flush its per-epoch caches exactly when a tick (or a
+membership change) advances that epoch, and read each node's position once
+per epoch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.geometry.spatial_index import SpatialGrid
 from repro.geometry.substrate import SpatialSubstrate
 from repro.geometry.vector import Vec2
 from repro.simcore.simulator import Simulator
@@ -32,8 +31,6 @@ class MobilityManager:
         The simulation to schedule ticks on.
     tick:
         Seconds of virtual time between mobility updates.
-    cell_size:
-        Cell size of the spatial index (metres); pick ~ the radio range.
     record_traces:
         Whether to keep a :class:`TrajectoryTrace` per node.
     """
@@ -42,17 +39,15 @@ class MobilityManager:
         self,
         sim: Simulator,
         tick: float = 0.1,
-        cell_size: float = 150.0,
         record_traces: bool = False,
     ) -> None:
         if tick <= 0:
             raise ValueError("tick must be positive")
         self.sim = sim
         self.tick = tick
-        #: The shared spatial substrate this manager writes.  Consumers (the
-        #: radio environment, scenario logic) query it read-only and key
-        #: their caches on its ``position_epoch``.
-        self.substrate: SpatialSubstrate = SpatialSubstrate(cell_size=cell_size)
+        #: The shared substrate this manager writes.  Consumers (the radio
+        #: environment) key their caches on its ``position_epoch``.
+        self.substrate: SpatialSubstrate = SpatialSubstrate()
         self.record_traces = record_traces
         self.traces: Dict[str, TrajectoryTrace] = {}
         self._nodes: Dict[str, object] = {}
@@ -60,13 +55,6 @@ class MobilityManager:
         self._task = sim.schedule_periodic(
             tick, self._on_tick, start_delay=tick, name="mobility-tick"
         )
-
-    # ----------------------------------------------------- substrate facade
-
-    @property
-    def grid(self) -> SpatialGrid:
-        """The substrate's underlying grid (kept for backwards compatibility)."""
-        return self.substrate.grid
 
     # ---------------------------------------------------------- membership
 
@@ -112,16 +100,6 @@ class MobilityManager:
     def on_tick(self, callback: Callable[[float], None]) -> None:
         """Register a callback invoked after every mobility update."""
         self._listeners.append(callback)
-
-    # -------------------------------------------------------------- queries
-
-    def neighbors_within(self, name: str, radius: float) -> List[str]:
-        """Names of nodes within ``radius`` metres of node ``name``."""
-        return self.substrate.neighbors_of(name, radius)
-
-    def nodes_within(self, center: Vec2, radius: float) -> List[str]:
-        """Names of nodes within ``radius`` metres of an arbitrary point."""
-        return self.substrate.query_range(center, radius)
 
     def stop(self) -> None:
         """Stop advancing nodes (used when tearing a scenario down)."""

@@ -109,13 +109,14 @@ class Vehicle(SimEntity):
         if distance > 1e-9:
             self.heading = to_target.normalized()
 
-        # Speed control: accelerate toward max_speed, brake for route end.
-        remaining = self.remaining_route_length()
-        braking_distance = (self.speed ** 2) / (2.0 * self.params.max_deceleration)
-        if not self.loop_route and remaining <= braking_distance + self.params.length:
-            accel = -self.params.max_deceleration
-        else:
-            accel = self.params.max_acceleration
+        # Speed control: accelerate toward max_speed, brake for route end
+        # (a looping route has none, so it never walks its remaining length).
+        accel = self.params.max_acceleration
+        if not self.loop_route:
+            remaining = self.remaining_route_length()
+            braking_distance = (self.speed ** 2) / (2.0 * self.params.max_deceleration)
+            if remaining <= braking_distance + self.params.length:
+                accel = -self.params.max_deceleration
         self.speed = max(0.0, min(self.params.max_speed, self.speed + accel * dt))
         if accel < 0 and remaining > 1e-6:
             # Keep a crawl speed while braking so the vehicle still reaches

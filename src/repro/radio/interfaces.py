@@ -1,4 +1,4 @@
-"""Radio interfaces and the spatially-indexed shared radio environment.
+"""Radio interfaces and the range-pruned shared radio environment.
 
 A :class:`RadioInterface` is attached to each node (vehicle, roadside unit,
 generic edge device).  All interfaces share a single :class:`RadioEnvironment`
@@ -23,12 +23,13 @@ build their plans this way; they differ only in the kernel
 :meth:`RadioEnvironment.link_quality` read *per-sender link rows*, filled
 pair by pair through :meth:`~repro.radio.link.LinkBudget.quality_batch` (the
 same kernel).  When a :class:`~repro.mobility.manager.MobilityManager` is
-bound, the manager's shared :class:`~repro.geometry.substrate.SpatialSubstrate`
-drives the epoch (see :class:`RadioEnvironment` for the full freshness
-contract); unbound environments advance it whenever the virtual clock
-advances.  A position changed manually *between* events at the
-same timestamp is invisible to any refresh scheme until the epoch advances;
-call :meth:`RadioInterface.notify_moved` (or
+bound, the position epoch of the manager's shared
+:class:`~repro.geometry.substrate.SpatialSubstrate` drives the caches (see
+:class:`RadioEnvironment` for the full freshness contract); unbound
+environments flush them whenever the virtual clock advances.  Either way each
+position provider runs once per epoch.  A position changed manually
+*between* events at the same timestamp is invisible until the epoch
+advances; call :meth:`RadioInterface.notify_moved` (or
 :meth:`RadioEnvironment.notify_positions_changed`) after such writes to make
 them visible immediately.  Substrate-tracked nodes are the mobility
 manager's to move: write through the substrate (whose commit is its own
@@ -37,9 +38,9 @@ dirty-mark) instead.
 Receivers are always iterated in name-sorted order, so the frame-loss RNG
 draws — and therefore the delivered-frame sequence — do not depend on how
 candidates were found.  The reference implementations these paths are
-checked against (plans from spatial-grid candidates and scalar per-pair link
-rows, the full-scan candidate set, the per-receiver broadcast loop) live in
-the test suite's oracle module, ``tests/oracle.py``.
+checked against (plans from scalar range-scan candidates and scalar
+per-pair link rows, the full-scan candidate set, the per-receiver broadcast
+loop) live in the test suite's oracle module, ``tests/oracle.py``.
 
 Frames carry opaque payload objects plus a byte size; higher layers (the mesh
 transport and the AirDnD offloading protocol) decide what goes inside.
@@ -54,7 +55,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.geometry.los import VisibilityMap
-from repro.geometry.spatial_index import SpatialGrid
 from repro.geometry.vector import Vec2
 from repro.radio.link import LinkBudget, LinkQuality
 from repro.simcore.monitor import Counter
@@ -287,13 +287,14 @@ class _EpochUniverse:
     Each interface's live position is read exactly once per epoch into
     parallel coordinate arrays; every sender plan of either tier then finds
     its broadcast candidates with one vectorised squared-distance mask
-    against the environment's query radius — the ``<= radius`` criterion the
-    spatial grid applies, without per-sender grid walks or per-candidate
-    position-provider calls.  ``RadioEnvironment._refresh`` discards it with
-    the other per-epoch caches, and it is never pickled.
+    against the environment's query radius (``dx*dx + dy*dy <= radius²``),
+    without per-candidate position-provider calls.
+    ``RadioEnvironment._refresh`` discards it with the other per-epoch
+    caches, and it is never pickled.
 
-    On the exact tier the plans stay bit-identical to plans built from grid
-    candidates and per-pair link rows (the oracle in ``tests/oracle.py``).
+    On the exact tier the plans stay bit-identical to plans built from a
+    scalar range scan and per-pair link rows (the oracle in
+    ``tests/oracle.py``).
     The query radius is the effective range plus the 5 m step slack, and
     the link budget is monotone in distance (an NLOS penalty only lowers
     SNR), so every usable receiver is a candidate of either method, and
@@ -337,13 +338,11 @@ class RadioInterface:
         epoch automatically, but a position written by hand — a test mutating
         the state behind ``position_provider``, a node teleported by scenario
         logic — is invisible until the *next* epoch bump (for an unbound
-        environment: the next distinct event time).  Calling this makes a
-        same-timestamp move visible to the very next transmission or range
-        query for any interface whose position the environment itself tracks:
-        the unbound mirror and the substrate overlay.  A node registered
-        with a *bound mobility manager* lives in the shared substrate, which
-        this environment only reads — move it through the substrate
-        (``substrate.update(name, pos)`` + ``commit()``, as
+        environment: the next distinct event time).  Calling this advances
+        the environment's own epoch, so the very next transmission or range
+        query re-reads every position.  A node registered with a *bound
+        mobility manager* is that manager's to move — write through the
+        substrate (``substrate.update(name, pos)`` + ``commit()``, as
         :class:`~repro.mobility.manager.MobilityManager` does each tick);
         that commit is its own dirty-mark.
         """
@@ -392,25 +391,27 @@ class RadioEnvironment:
     ---------------------------
 
     The environment never polls positions; it trusts an epoch counter and
-    lazily refreshes derived state (the per-epoch position universe, link
-    rows and sender plans) when that counter advances.  Two regimes, the
-    fast one first:
+    flushes its derived state (the per-epoch position universe, link rows
+    and sender plans) when that counter advances.  The next plan then reads
+    every attached interface's position once, into a new universe.  Two
+    regimes:
 
     * **Substrate-bound** (a :class:`~repro.mobility.manager.MobilityManager`
       passed as ``mobility=`` or via :meth:`bind_mobility`): the manager's
       shared :class:`~repro.geometry.substrate.SpatialSubstrate`'s
       ``position_epoch`` — bumped once per mobility tick and on membership
-      changes — is the single invalidation source; a refresh is a cache
-      flush plus an overlay touch-up for the (usually zero) interfaces the
-      substrate does not track (e.g. a roadside unit attached to the radio
-      but never registered as a mobile node).
-    * **Unbound**: the epoch advances whenever the virtual clock advances,
-      and each refresh also resyncs the environment's mirror grid — O(N)
-      per distinct event time.
-      Manual position writes at the *current* timestamp still need an
-      explicit dirty-mark (:meth:`RadioInterface.notify_moved` /
-      :meth:`notify_positions_changed`) to be seen before the clock next
-      moves.
+      changes — is the single invalidation source.  Interfaces the
+      substrate does not track (a roadside unit attached to the radio but
+      never registered as a mobile node) are read into the same universe.
+    * **Unbound**: the caches are also flushed whenever the virtual clock
+      advances, so positions are read once per distinct transmitting event
+      time.
+
+    In both regimes :meth:`notify_positions_changed` advances the
+    environment's own epoch: manual position writes at the *current*
+    timestamp need that explicit dirty-mark (or
+    :meth:`RadioInterface.notify_moved`) to be seen before the epoch next
+    moves.
 
     Cached derived state is valid until the epoch it was built for moves
     on; callers must not mutate returned lists or hold them across epochs.
@@ -432,7 +433,7 @@ class RadioEnvironment:
         Optional :class:`~repro.mobility.manager.MobilityManager`.  When
         given, its substrate's ``position_epoch`` drives the invalidation
         scheme (see :meth:`bind_mobility`); without it the environment
-        resyncs whenever the clock advances.
+        flushes its caches whenever the clock advances.
 
     The equivalence tier follows the link budget: a ``fast_math`` budget
     selects the *statistical* tier — sender plans from the fused numpy link
@@ -480,31 +481,19 @@ class RadioEnvironment:
         self.use_spatial_index = not self.link_budget.quality(
             Vec2(0.0, 0.0), Vec2(self._query_radius, 0.0), None
         ).usable
-        #: Private mirror grid.  Substrate-bound environments use it only as
-        #: an *overlay* for interfaces the substrate does not track; unbound
-        #: environments mirror every interface into it.  Plans no longer
-        #: read it (the test oracle's grid candidates do); it stays in the
-        #: pickled state until the next snapshot-format change.
-        self._grid: SpatialGrid = SpatialGrid(cell_size=max(self._query_radius, 1.0))
         self._position_epoch = 0
         self._synced_epoch = -1
         self._synced_time: Optional[float] = None
         self._mobility: Optional[Any] = None
         self._substrate: Optional[Any] = None
-        self._overlay_names: List[str] = []
-        self._overlay_key: Optional[Tuple[int, int]] = None
-        #: Full mirror resync passes performed (stays 0 when substrate-bound;
-        #: asserted by benchmark E11).
-        self.mirror_sync_passes = 0
         #: Per-sender link rows, valid for one position epoch: sender name →
         #: {receiver name → LinkQuality}, read by unicast and
         #: :meth:`link_quality` (broadcasts read the plans).
         self._quality_rows: Dict[str, Dict[str, LinkQuality]] = {}
         #: Broadcast plans (both tiers), memoised per sender per epoch.
         self._plans: Dict[str, _SenderPlan] = {}
-        #: The epoch's :class:`_EpochUniverse` (both tiers; the attribute
-        #: keeps its older name, which snapshots record).
-        self._fast_universe: Optional[_EpochUniverse] = None
+        #: The epoch's :class:`_EpochUniverse` (both tiers).
+        self._universe: Optional[_EpochUniverse] = None
         # Hot-path counters, resolved once instead of per frame.
         monitor = sim.monitor
         self._frames_out_of_range = monitor.counter("radio.frames_out_of_range")
@@ -526,16 +515,14 @@ class RadioEnvironment:
         positions and the link budget — rebuilding them after restore is
         cheap and keeps the snapshot free of numpy scratch arrays and
         hash-ordered intermediates.  The sync sentinels are reset so the first
-        :meth:`_refresh` after restore rebuilds everything (including the
-        mirror grid for unbound environments).
+        :meth:`_refresh` after restore flushes.
         """
         state = self.__dict__.copy()
         state["_quality_rows"] = {}
         state["_plans"] = {}
-        state["_fast_universe"] = None
+        state["_universe"] = None
         state["_synced_epoch"] = -1
         state["_synced_time"] = None
-        state["_overlay_key"] = None
         return state
 
     # ----------------------------------------------------------- attachment
@@ -554,7 +541,6 @@ class RadioEnvironment:
     def detach(self, node_name: str) -> None:
         """Remove a node's interface (e.g. the node left the area)."""
         if self._interfaces.pop(node_name, None) is not None:
-            self._grid.remove(node_name)
             self.notify_positions_changed()
 
     def interface_of(self, node_name: str) -> RadioInterface:
@@ -572,17 +558,15 @@ class RadioEnvironment:
         """Drive cache invalidation from a mobility manager's substrate.
 
         ``mobility`` is a :class:`~repro.mobility.manager.MobilityManager`.
-        Once bound, the environment drops its own mirror and queries the
-        manager's :class:`~repro.geometry.substrate.SpatialSubstrate`
-        read-only, trusting that positions only change when the substrate's
+        Once bound, the environment trusts that positions only change when
+        the manager's :class:`~repro.geometry.substrate.SpatialSubstrate`
         ``position_epoch`` advances (once per tick and on membership
-        changes).  One position sync per tick then serves both the mobility
+        changes), so one position commit per tick serves both the mobility
         and radio layers (see the class docstring's freshness contract).
         """
         self._mobility = mobility
         self._substrate = mobility.substrate
         self._synced_epoch = -1
-        self._overlay_key = None
 
     def notify_positions_changed(self) -> None:
         """Advance the position epoch (positions may have moved)."""
@@ -593,83 +577,32 @@ class RadioEnvironment:
         visibility = self.visibility
         return 0 if visibility is None else visibility.obstacle_epoch
 
-    def spatial_stats(self) -> Dict[str, float]:
-        """Counters describing how candidate lookup is being served.
-
-        ``substrate_shared`` is 1.0 when the mobility manager's substrate
-        drives the position epoch; ``mirror_updates`` counts writes into the
-        environment's private grid (overlay-only when substrate-shared);
-        ``mirror_sync_passes`` counts full mirror resyncs (0 when shared).
-        """
-        stats = {
-            "substrate_shared": 1.0 if self._substrate is not None else 0.0,
-            "overlay_nodes": float(len(self._overlay_names)),
-            "mirror_updates": float(self._grid.update_calls),
-            "mirror_sync_passes": float(self.mirror_sync_passes),
-            "obstacle_epoch": float(self._obstacle_epoch()),
-            "obstacle_index_rebuilds": float(
-                getattr(self.visibility, "index_rebuilds", 0)
-            ),
-        }
-        return stats
-
     def _refresh(self) -> None:
-        """Flush per-epoch caches (and any mirror/overlay state) when stale.
+        """Flush the per-epoch caches when the position epoch has moved on.
 
-        The obstacle epoch is folded into the environment's own epoch: link
-        rows embed NLOS penalties, so a mutated occluder set (moving
-        buses/trucks via
-        :meth:`~repro.geometry.los.VisibilityMap.set_obstacles`) must flush
-        them even though no node moved.  Both counters are monotonic, so
-        their sum is a valid single invalidation key.
+        The key is the environment's own epoch plus, when bound, the
+        substrate's ``position_epoch``; unbound, the virtual time joins the
+        key, so the caches go stale whenever the clock advances.  The
+        obstacle epoch is folded into the environment's own epoch: link rows
+        embed NLOS penalties, so a mutated occluder set (moving buses/trucks
+        via :meth:`~repro.geometry.los.VisibilityMap.set_obstacles`) must
+        flush them even though no node moved.  All counters are monotonic,
+        so their sum is a valid single invalidation key.
         """
-        own = self._position_epoch + self._obstacle_epoch()
+        epoch = self._position_epoch + self._obstacle_epoch()
         substrate = self._substrate
-        if substrate is not None:
-            epoch = own + substrate.position_epoch
-            if epoch == self._synced_epoch:
-                return
-            self._sync_overlay()
-            self._quality_rows.clear()
-            self._plans.clear()
-            self._fast_universe = None
-            self._synced_epoch = epoch
+        if substrate is None:
+            now = self.sim.now
+        else:
+            epoch += substrate.position_epoch
+            now = None
+        if epoch == self._synced_epoch and now == self._synced_time:
             return
-        if self._synced_epoch == own and self._synced_time == self.sim.now:
-            return
-        grid = self._grid
-        for name, interface in self._interfaces.items():
-            grid.update(name, interface.position)
-        self.mirror_sync_passes += 1
         self._quality_rows.clear()
         self._plans.clear()
-        self._fast_universe = None
-        self._synced_epoch = own
-        self._synced_time = self.sim.now
-
-    def _sync_overlay(self) -> None:
-        """Keep the overlay grid tracking interfaces outside the substrate.
-
-        Mobile interfaces live in the shared substrate and are never written
-        here; the overlay holds only radio-attached nodes the mobility
-        manager does not manage (roadside units, hand-moved test nodes).
-        Its membership is recomputed only when the attachment set or the
-        substrate's membership changed; its (typically zero or few)
-        positions are re-read on every refresh.
-        """
-        substrate = self._substrate
-        grid = self._grid
-        key = (self._position_epoch, substrate.membership_epoch)
-        if key != self._overlay_key:
-            self._overlay_key = key
-            overlay = [name for name in self._interfaces if name not in substrate]
-            self._overlay_names = overlay
-            wanted = set(overlay)
-            stale = [name for name, _ in grid.items() if name not in wanted]
-            for name in stale:
-                grid.remove(name)
-        for name in self._overlay_names:
-            grid.update(name, self._interfaces[name].position)
+        self._universe = None
+        self._synced_epoch = epoch
+        self._synced_time = now
 
     # ------------------------------------------------------------- queries
 
@@ -741,7 +674,7 @@ class RadioEnvironment:
         sender plan of the epoch reuses the arrays.  Name-sorted, so the
         candidates derived from it come out in receiver order.
         """
-        universe = self._fast_universe
+        universe = self._universe
         if universe is None:
             universe = _EpochUniverse()
             interfaces = [
@@ -761,7 +694,7 @@ class RadioEnvironment:
                 interface.node_name: index
                 for index, interface in enumerate(interfaces)
             }
-            self._fast_universe = universe
+            self._universe = universe
         return universe
 
     def _build_plan(self, sender: RadioInterface) -> _SenderPlan:
@@ -787,8 +720,8 @@ class RadioEnvironment:
         dy = universe.ys - position.y
         squared = dx * dx + dy * dy
         if self.use_spatial_index:
-            # Same criterion as the spatial grid's range query, on squared
-            # distances so no sqrt runs over the pruned interfaces.
+            # On squared distances, so no sqrt runs over the pruned
+            # interfaces.
             in_range = squared <= self._query_radius * self._query_radius
         else:
             in_range = np.ones(len(universe.interfaces), dtype=bool)

@@ -261,7 +261,6 @@ class Scenario:
     def _build_world(
         self,
         tick: float,
-        cell_size: float,
         functions: Callable[[FunctionRegistry], None],
         visibility: Optional[VisibilityMap] = None,
     ) -> None:
@@ -273,7 +272,7 @@ class Scenario:
         terrain when ``None``).
         """
         config = self.config  # type: ignore[attr-defined]
-        self.mobility = MobilityManager(self.sim, tick=tick, cell_size=cell_size)
+        self.mobility = MobilityManager(self.sim, tick=tick)
         self.environment = RadioEnvironment(
             self.sim,
             LinkBudget(fast_math=config.fast_math),

@@ -43,7 +43,7 @@ class HighwayScenario(Scenario):
         super().__init__(sim, name="highway")
         cfg = self.config
 
-        self._build_world(tick=0.2, cell_size=250.0, functions=register_generic_functions)
+        self._build_world(tick=0.2, functions=register_generic_functions)
         self._build_vehicles()
         self.workload = GenericComputeWorkload(
             sim,

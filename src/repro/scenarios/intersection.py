@@ -87,7 +87,6 @@ class IntersectionScenario(Scenario):
         self.visibility = VisibilityMap(self.buildings)
         self._build_world(
             tick=0.1,
-            cell_size=150.0,
             functions=register_perception_functions,
             visibility=self.visibility,
         )

@@ -98,7 +98,6 @@ class UrbanGridScenario(Scenario):
         self.visibility = VisibilityMap(self.buildings) if self.buildings else None
         self._build_world(
             tick=0.2,
-            cell_size=200.0,
             functions=register_generic_functions,
             visibility=self.visibility,
         )
@@ -122,7 +121,9 @@ class UrbanGridScenario(Scenario):
         self.vehicles: List[Vehicle] = []
         for index in range(cfg.num_vehicles):
             path = self.network.random_route(rng, min_hops=3)
-            route = self.network.path_to_polyline(path)
+            # A round trip: out along the path and back, so the loop's wrap
+            # to the first waypoint runs along the road, not across a block.
+            route = self.network.path_to_polyline(path + path[-2:0:-1])
             vehicle = Vehicle(
                 self.sim,
                 route,

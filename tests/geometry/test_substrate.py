@@ -1,19 +1,19 @@
-"""Tests for the shared spatial substrate and its freshness contract."""
+"""Tests for the shared position substrate and its freshness contract."""
 
 from repro.geometry.substrate import SpatialSubstrate
 from repro.geometry.vector import Vec2
 
 
-def test_insert_bumps_both_epochs_immediately():
-    substrate = SpatialSubstrate(cell_size=50.0)
-    assert (substrate.position_epoch, substrate.membership_epoch) == (0, 0)
+def test_insert_bumps_the_epoch_immediately():
+    substrate = SpatialSubstrate()
+    assert substrate.position_epoch == 0
     substrate.update("a", Vec2(0, 0))
-    assert (substrate.position_epoch, substrate.membership_epoch) == (1, 1)
-    assert "a" in substrate and len(substrate) == 1
+    assert substrate.position_epoch == 1
+    assert "a" in substrate and len(substrate.positions) == 1
 
 
 def test_moves_are_batched_until_commit():
-    substrate = SpatialSubstrate(cell_size=50.0)
+    substrate = SpatialSubstrate()
     substrate.update("a", Vec2(0, 0))
     substrate.update("b", Vec2(10, 0))
     epoch = substrate.position_epoch
@@ -24,11 +24,10 @@ def test_moves_are_batched_until_commit():
     substrate.commit()
     assert substrate.position_epoch == epoch + 1
     assert substrate.commit_count == 1
-    assert substrate.membership_epoch == 2  # inserts only
 
 
 def test_remove_bumps_epochs_and_ignores_unknown_keys():
-    substrate = SpatialSubstrate(cell_size=50.0)
+    substrate = SpatialSubstrate()
     substrate.update("a", Vec2(0, 0))
     epoch = substrate.position_epoch
     substrate.remove("a")
@@ -38,13 +37,12 @@ def test_remove_bumps_epochs_and_ignores_unknown_keys():
     assert substrate.position_epoch == epoch + 1
 
 
-def test_queries_delegate_to_grid():
-    substrate = SpatialSubstrate(cell_size=50.0)
+def test_positions_hold_the_last_write_in_insertion_order():
+    substrate = SpatialSubstrate()
     substrate.update("a", Vec2(0, 0))
     substrate.update("b", Vec2(30, 0))
     substrate.update("c", Vec2(500, 0))
-    assert substrate.query_range(Vec2(0, 0), 100.0) == ["a", "b"]
-    assert substrate.neighbors_of("a", 100.0) == ["b"]
-    assert substrate.nearest(Vec2(28, 0), count=1) == ["b"]
-    assert substrate.position_of("c") == Vec2(500, 0)
-    assert dict(substrate.items())["b"] == Vec2(30, 0)
+    substrate.update("a", Vec2(1, 0))
+    assert list(substrate.positions) == ["a", "b", "c"]
+    assert substrate.positions["a"] == Vec2(1, 0)
+    assert substrate.positions["c"] == Vec2(500, 0)

@@ -19,18 +19,6 @@ def test_manager_advances_nodes_on_tick():
     assert manager.position_of(vehicle.name).x == vehicle.position.x
 
 
-def test_manager_updates_spatial_index():
-    sim = Simulator()
-    manager = MobilityManager(sim, tick=0.1, cell_size=50.0)
-    a = StaticNode(sim, Vec2(0, 0), name="a")
-    b = Vehicle(sim, [Vec2(200, 0), Vec2(0, 0)], name="b", initial_speed=20.0)
-    manager.add_node(a)
-    manager.add_node(b)
-    assert manager.neighbors_within("a", 100.0) == []
-    sim.run(until=10.0)
-    assert "b" in manager.neighbors_within("a", 100.0)
-
-
 def test_duplicate_names_rejected():
     sim = Simulator()
     manager = MobilityManager(sim)
@@ -46,7 +34,7 @@ def test_remove_node():
     manager.add_node(node)
     manager.remove_node("x")
     assert manager.nodes == []
-    assert manager.nodes_within(Vec2(0, 0), 10.0) == []
+    assert "x" not in manager.substrate
 
 
 def test_tick_listener_called():
@@ -101,19 +89,25 @@ def test_position_epoch_advances_on_ticks_and_membership():
     assert manager.substrate.position_epoch == after_ticks + 1
 
 
-def test_manager_grid_is_the_substrate_grid():
-    # The manager keeps no private spatial structure: `grid` is a view of
-    # the shared substrate, and ticks sync it exactly once per node.
+def test_manager_commits_each_position_once_per_tick():
+    # Ticks write every node's position into the shared substrate once and
+    # close with exactly one commit.
     sim = Simulator()
     manager = MobilityManager(sim, tick=0.1)
-    assert manager.grid is manager.substrate.grid
-    for index in range(3):
+    writes = []
+
+    def counted(key, position, update=manager.substrate.update):
+        writes.append(key)
+        update(key, position)
+
+    manager.substrate.update = counted
+    vehicle = Vehicle(sim, [Vec2(0, 0), Vec2(100, 0)], name="v", initial_speed=10.0)
+    manager.add_node(vehicle)
+    for index in range(2):
         manager.add_node(StaticNode(sim, Vec2(float(index), 0), name=f"s{index}"))
-    inserted = manager.substrate.grid.update_calls
-    assert inserted == 3
+    assert writes == ["v", "s0", "s1"]
     sim.run(until=1.0)
     ticks = manager.substrate.commit_count
     assert ticks == 10
-    assert manager.substrate.grid.update_calls == inserted + ticks * 3
-    assert manager.neighbors_within("s0", 5.0) == ["s1", "s2"]
-    assert manager.nodes_within(Vec2(0, 0), 1.5) == ["s0", "s1"]
+    assert writes == ["v", "s0", "s1"] * (1 + ticks)
+    assert manager.substrate.positions["v"] == vehicle.position

@@ -13,7 +13,7 @@ agreeing with the reference here.
   with networkx from the same neighbour tables the observer reads.
 * :class:`ReferenceRadioEnvironment` — a radio environment whose exact-tier
   plans are built the way they were before the epoch universe: candidates
-  from a spatial-grid range query (:func:`candidate_names`), name-sorted,
+  from a scalar range scan (:func:`candidate_names`), name-sorted,
   their qualities from link rows filled pair by pair with scalar
   :meth:`LinkBudget.quality` calls instead of the column kernel, optionally
   scanning every attached interface instead of the range query.
@@ -68,23 +68,20 @@ class BruteForceVisibility(VisibilityMap):
 def candidate_names(env: RadioEnvironment, center: Vec2) -> List[str]:
     """Attached interface names within ``env``'s query radius of ``center``.
 
-    Call ``env._refresh()`` first.  Substrate-bound environments query the
-    shared grid (dropping substrate entries with no radio interface, e.g.
-    tracked pedestrians) plus the overlay grid of interfaces the substrate
-    does not track; otherwise the environment's mirror grid is
-    authoritative.
+    A scalar scan over every attached interface's live position with the
+    ``dx*dx + dy*dy <= r*r`` test, name-sorted: independent of the numpy
+    mask the production plans apply to the epoch universe.
     """
     radius = env._query_radius
-    substrate = env._substrate
-    if substrate is None:
-        return env._grid.query_range(center, radius)
-    names = [
-        name for name in substrate.query_range(center, radius)
-        if name in env._interfaces
-    ]
-    if env._overlay_names:
-        names.extend(env._grid.query_range(center, radius))
-    return names
+    r_sq = radius * radius
+    names = []
+    for name, interface in env._interfaces.items():
+        position = interface.position
+        dx = position.x - center.x
+        dy = position.y - center.y
+        if dx * dx + dy * dy <= r_sq:
+            names.append(name)
+    return sorted(names)
 
 
 class ReferenceRadioEnvironment(RadioEnvironment):

@@ -4,8 +4,8 @@ The exact tier builds each sender's broadcast plan from one squared-distance
 mask over the epoch's position columns and one call of the exact column
 kernel (``LinkBudget.exact_arrays_xy``).  The oracle
 (:class:`tests.oracle.ReferenceRadioEnvironment`) builds the same plan the
-older way: spatial-grid candidates, a name sort and link rows filled with
-one scalar ``LinkBudget.quality`` call per pair.  On random fleets the two
+older way: candidates from a scalar range scan, a name sort and link rows
+filled with one scalar ``LinkBudget.quality`` call per pair.  On random fleets the two
 plans must agree field by field, to the last bit of every float.
 
 The fleets are drawn to reach the edges of that argument: co-located nodes
@@ -132,7 +132,7 @@ class _Fleet:
             visibility = VisibilityMap(options["buildings"])
         self.mobility = None
         if options["bound"]:
-            self.mobility = MobilityManager(self.sim, tick=0.1, cell_size=RADIUS)
+            self.mobility = MobilityManager(self.sim, tick=0.1)
         self.env = environment_class(
             self.sim, budget, visibility=visibility, mobility=self.mobility
         )
@@ -146,7 +146,7 @@ class _Fleet:
                 self.mobility.add_node(spot)
             self.env.attach(name, lambda spot=spot: spot.position)
         if self.mobility is not None:
-            # A roadside unit the substrate does not track: the overlay.
+            # A roadside unit the substrate does not track.
             overlay = _Spot("rsu", Vec2(25.0, -40.0))
             self.spots["rsu"] = overlay
             self.env.attach("rsu", lambda: overlay.position)
@@ -252,7 +252,7 @@ def test_quality_batch_is_scalar_quality_on_the_exact_kernel(
 def _counted_fleet(bound: bool, count: int = 12):
     """A fleet whose position providers count their calls."""
     sim = Simulator(seed=4)
-    mobility = MobilityManager(sim, tick=0.1, cell_size=RADIUS) if bound else None
+    mobility = MobilityManager(sim, tick=0.1) if bound else None
     env = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
     calls = {}
     side = math.ceil(math.sqrt(count))
@@ -292,3 +292,19 @@ def test_unbound_position_reads_do_not_grow_with_plans():
         env.interface_of(name).send("beacon", 100, destination=None)
     assert len(env._plans) == len(names)
     assert calls == after_one
+
+
+def test_unbound_fleet_reads_each_position_once_per_event_time():
+    sim, env, _, calls = _counted_fleet(bound=False)
+    names = env.node_names
+
+    def everyone_beacons():
+        for name in names:
+            env.interface_of(name).send("beacon", 100, destination=None)
+
+    for time in (0.0, 0.5, 1.0):
+        sim.schedule_at(time, everyone_beacons)
+    sim.run(until=1.0)
+    assert len(env._plans) == len(names)
+    # Three transmitting event times, one universe each.
+    assert calls == {name: 3 for name in names}

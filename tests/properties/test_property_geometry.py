@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.shapes import COLLINEAR_EPS, _orientation
-from repro.geometry.spatial_index import SpatialGrid
 from repro.geometry.vector import Vec2
 
 # Subnormal doubles are excluded: dividing them loses precision in ways that
@@ -51,40 +50,6 @@ def test_lerp_stays_between_endpoints(a, b, t):
     separation = a.distance_to(b)
     assert point.distance_to(a) <= separation + 1e-6
     assert point.distance_to(b) <= separation + 1e-6
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=200), coords, coords),
-        min_size=1,
-        max_size=40,
-        unique_by=lambda item: item[0],
-    ),
-    coords,
-    coords,
-    st.floats(min_value=1.0, max_value=500.0),
-)
-def test_spatial_grid_matches_brute_force(items, qx, qy, radius):
-    grid = SpatialGrid(cell_size=75.0)
-    positions = {}
-    for key, x, y in items:
-        position = Vec2(x, y)
-        grid.update(key, position)
-        positions[key] = position
-    center = Vec2(qx, qy)
-    # Points exactly on the radius boundary can fall either way depending on
-    # floating-point rounding; only points clearly inside/outside must agree
-    # with the brute-force answer.
-    clearly_inside = {
-        key for key, p in positions.items() if p.distance_to(center) <= radius - 1e-6
-    }
-    clearly_outside = {
-        key for key, p in positions.items() if p.distance_to(center) > radius + 1e-6
-    }
-    found = set(grid.query_range(center, radius))
-    assert clearly_inside <= found
-    assert not (found & clearly_outside)
 
 
 def exact_orientation(p, q, r):

@@ -58,7 +58,7 @@ def run_aggregates(seed: int, **budget_kwargs) -> Dict[str, float]:
     """
     sim = Simulator(seed=seed)
     delays = tap_link_delays(sim)
-    mobility = MobilityManager(sim, tick=0.5, cell_size=150.0)
+    mobility = MobilityManager(sim, tick=0.5)
     side = max(1, math.ceil(math.sqrt(N)))
     visibility = VisibilityMap(
         [Rectangle(70.0, 70.0, 160.0, 160.0)]

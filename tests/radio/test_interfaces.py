@@ -86,9 +86,9 @@ def test_duplicate_attach_rejected_and_detach():
 
 
 def test_unbound_environment_tracks_manually_moved_nodes():
-    # Without a bound MobilityManager the environment falls back to
-    # resyncing its spatial mirror whenever the clock advances, so position
-    # changes between events are still observed.
+    # Without a bound MobilityManager the environment flushes its per-epoch
+    # caches whenever the clock advances, so position changes between
+    # events are still observed.
     sim = Simulator(seed=3)
     env = RadioEnvironment(sim, LinkBudget())
     position = {"b": Vec2(5000, 0)}
@@ -107,7 +107,7 @@ def test_unbound_environment_tracks_manually_moved_nodes():
 
 
 def test_manual_move_at_same_timestamp_visible_after_notify_moved():
-    # Regression: the unbound environment resyncs per event *time*, so a
+    # Regression: the unbound environment refreshes per event *time*, so a
     # manual position write at the current timestamp used to be seen one
     # event late.  notify_moved() is the explicit dirty-mark that makes it
     # visible immediately.
@@ -139,7 +139,7 @@ def test_same_timestamp_move_matches_substrate_bound_path():
     def in_range_after_move(bound: bool):
         sim = Simulator(seed=17)
         if bound:
-            mobility = MobilityManager(sim, tick=0.1, cell_size=150.0)
+            mobility = MobilityManager(sim, tick=0.1)
             env = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
             mover = StaticNode(sim, Vec2(5000, 0), name="b")
             mobility.add_node(mover)
@@ -207,7 +207,7 @@ def test_mobility_bound_environment_invalidates_on_tick():
     from repro.mobility.vehicle import Vehicle
 
     sim = Simulator(seed=5)
-    mobility = MobilityManager(sim, tick=0.1, cell_size=150.0)
+    mobility = MobilityManager(sim, tick=0.1)
     env = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
     # Vehicle drives away from a static node and out of range.
     vehicle = Vehicle(
@@ -230,7 +230,7 @@ def test_substrate_bound_environment_keeps_no_mirror():
     from repro.mobility.waypoints import StaticNode
 
     sim = Simulator(seed=9)
-    mobility = MobilityManager(sim, tick=0.1, cell_size=150.0)
+    mobility = MobilityManager(sim, tick=0.1)
     env = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
     for index, x in enumerate((0.0, 40.0, 9000.0)):
         node = StaticNode(sim, Vec2(x, 0), name=f"s{index}")
@@ -241,22 +241,18 @@ def test_substrate_bound_environment_keeps_no_mirror():
     env.interface_of("s0").send("hi", 50, destination=None)
     sim.run(until=1.0)
     assert received == ["hi"]
-    stats = env.spatial_stats()
-    assert stats["substrate_shared"] == 1.0
-    assert stats["mirror_sync_passes"] == 0.0
-    assert stats["mirror_updates"] == 0.0
-    assert stats["overlay_nodes"] == 0.0
+    assert env.nodes_in_range("s0") == ["s1"]
 
 
 def test_substrate_bound_environment_still_reaches_overlay_interfaces():
     # An RSU attached to the radio but never registered with the mobility
-    # manager lives in the environment's overlay grid, yet is reachable both
-    # ways exactly like a substrate-tracked node.
+    # manager is read into the epoch universe like every other interface,
+    # so it is reachable both ways exactly like a substrate-tracked node.
     from repro.mobility.manager import MobilityManager
     from repro.mobility.vehicle import Vehicle
 
     sim = Simulator(seed=13)
-    mobility = MobilityManager(sim, tick=0.1, cell_size=150.0)
+    mobility = MobilityManager(sim, tick=0.1)
     env = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
     vehicle = Vehicle(sim, [Vec2(0, 0), Vec2(10000, 0)], name="veh", initial_speed=50.0)
     mobility.add_node(vehicle)
@@ -268,20 +264,20 @@ def test_substrate_bound_environment_still_reaches_overlay_interfaces():
     sim.run(until=0.5)
     assert got == ["to-rsu"]
     assert "veh" in env.nodes_in_range("rsu")
-    assert env.spatial_stats()["overlay_nodes"] == 1.0
-    # The vehicle drives away; the overlay node drops out of its range view.
+    assert env.nodes_in_range("veh") == ["rsu"]
+    # The vehicle drives away; the RSU drops out of its range view.
     sim.run(until=60.0)
     assert env.nodes_in_range("rsu") == []
 
 
 def test_mobility_nodes_without_radio_are_not_candidates():
-    # A tracked pedestrian has no radio interface: substrate queries must
-    # filter it out rather than crash or deliver to it.
+    # A tracked pedestrian has no radio interface: it is in the substrate
+    # but must be neither a candidate nor a receiver.
     from repro.mobility.manager import MobilityManager
     from repro.mobility.waypoints import StaticNode
 
     sim = Simulator(seed=21)
-    mobility = MobilityManager(sim, tick=0.1, cell_size=150.0)
+    mobility = MobilityManager(sim, tick=0.1)
     env = RadioEnvironment(sim, LinkBudget(), mobility=mobility)
     for index, x in enumerate((0.0, 50.0)):
         node = StaticNode(sim, Vec2(x, 0), name=f"s{index}")

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "7ed7dc2104e3593e239047b78cffc2a3e04eeecedb30fcb90bf5eff510d77b72",
+        "fa5427e147c840bc54ff5726ce00e065a89e2609b2ad182962df49f388acc1f6",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "3981b118bcf29c86ca0254d29b0bc54dbca727bbc74ce044ec0ab0778146d7cc",
+        "c0ac96d7fac69a337e0865f274af4d2536919b807f4cfb281c0cb07bfb4de672",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "97badf2f696f58ed3414f390977703affeb5caa876a09d21247e7bccef2e1178",
+        "353dbe7f67dbfff26145b34c423738d97952df2a8d391f0c5cd10172319f9163",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "f44bbec0ba0b7158562ed623ccf73e4e00c04ddda98ed0ee2206b98d46379877",
+        "d57eb4566335ca7c44d992633fd63e21ac6875b55ef2253bd03fe5b3362eb0bc",
     ),
 }
 

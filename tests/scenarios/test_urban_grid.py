@@ -33,3 +33,35 @@ def test_reports_are_reproducible_for_same_seed():
     assert first.tasks_submitted == second.tasks_submitted
     assert first.tasks_completed == second.tasks_completed
     assert first.mesh_bytes == second.mesh_bytes
+
+
+def test_vehicles_stay_on_road_axes_and_out_of_buildings():
+    # Looping routes are round trips, so the wrap back to the first waypoint
+    # drives along a road instead of cutting across a block.
+    scenario = build_urban_grid_scenario(num_vehicles=60, seed=1, with_buildings=True)
+    cfg = scenario.config
+    spacing = cfg.block_spacing
+    width = (cfg.grid_cols - 1) * spacing
+    height = (cfg.grid_rows - 1) * spacing
+    checked = []
+    off_road = []
+
+    def on_axis(coordinate):
+        return abs(coordinate - spacing * round(coordinate / spacing)) < 1e-6
+
+    def check(now):
+        checked.append(now)
+        for vehicle in scenario.vehicles:
+            p = vehicle.position
+            inside = (
+                -1e-6 <= p.x <= width + 1e-6 and -1e-6 <= p.y <= height + 1e-6
+            )
+            in_building = any(building.contains(p) for building in scenario.buildings)
+            if not inside or not (on_axis(p.x) or on_axis(p.y)) or in_building:
+                off_road.append((now, vehicle.name, p))
+
+    scenario.mobility.on_tick(check)
+    scenario.run(duration=60.1)  # tick times accumulate 0.2 s steps
+    assert len(checked) == 300 and checked[-1] > 59.99
+    assert scenario.buildings
+    assert off_road == []

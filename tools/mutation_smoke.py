@@ -125,10 +125,16 @@ MUTATIONS: Tuple[Mutation, ...] = (
         "            pass\n",
     ),
     Mutation(
-        "radio refresh: epoch universe not flushed (substrate-bound)",
+        "radio refresh: epoch universe not flushed",
         "repro/radio/interfaces.py",
-        "            self._fast_universe = None\n            self._synced_epoch = epoch\n",
-        "            self._synced_epoch = epoch\n",
+        "        self._plans.clear()\n        self._universe = None\n",
+        "        self._plans.clear()\n",
+    ),
+    Mutation(
+        "substrate: commit does not advance the position epoch",
+        "repro/geometry/substrate.py",
+        "        self.position_epoch += 1\n        self.commit_count += 1\n",
+        "        self.commit_count += 1\n",
     ),
 )
 
