@@ -39,7 +39,7 @@ from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
-from tests.oracle import ReferenceRadioEnvironment
+from tests.oracle import ReferenceRadioEnvironment, in_fire_order, tap_frames
 
 SMOKE = os.environ.get("E11_SMOKE") == "1"
 SWEEP = (20, 50) if SMOKE else (50, 200, 500, 1000)
@@ -129,10 +129,11 @@ def _delivered_log(n: int, full_scan: bool) -> Tuple[List[tuple], dict]:
     log: List[tuple] = []
     for agent in agents:
         receiver = agent.interface.node_name
-        agent.interface.on_receive(
-            lambda frame, quality, receiver=receiver: log.append(
-                (sim.now, frame.sender, receiver, quality.snr_db)
-            )
+        tap_frames(
+            agent.interface,
+            lambda frame, time, sequence, snr_db, _, receiver=receiver: log.append(
+                (time, sequence, frame.sender, receiver, snr_db)
+            ),
         )
     sim.run(until=5.0)
     counters = {
@@ -144,7 +145,7 @@ def _delivered_log(n: int, full_scan: bool) -> Tuple[List[tuple], dict]:
             "radio.bytes_delivered",
         )
     }
-    return log, counters
+    return in_fire_order(log), counters
 
 
 def test_e11_spatial_medium_matches_bruteforce_exactly():

@@ -46,7 +46,12 @@ from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
-from tests.oracle import BruteForceVisibility, ReferenceRadioEnvironment
+from tests.oracle import (
+    BruteForceVisibility,
+    ReferenceRadioEnvironment,
+    in_fire_order,
+    tap_frames,
+)
 
 SMOKE = os.environ.get("E13_SMOKE") == "1"
 N = 60 if SMOKE else 500
@@ -131,16 +136,17 @@ def run_combo(
     log: List[tuple] = []
     for agent in agents:
         receiver = agent.interface.node_name
-        agent.interface.on_receive(
-            lambda frame, quality, receiver=receiver: log.append(
-                (sim.now, frame.sender, receiver, quality.snr_db, quality.rate_bps)
-            )
+        tap_frames(
+            agent.interface,
+            lambda frame, time, sequence, *link, receiver=receiver: log.append(
+                (time, sequence, frame.sender, receiver, *link)
+            ),
         )
     start = time.perf_counter()
     sim.run(until=DURATION_S)
     wall = time.perf_counter() - start
     counters = {name: sim.monitor.counter_value(name) for name in COUNTERS}
-    return log, counters, wall
+    return in_fire_order(log), counters, wall
 
 
 def test_e13_batched_pipeline_is_equivalent_and_faster(print_table):

@@ -43,6 +43,7 @@ from repro.radio.link import LinkBudget
 from repro.scenarios.urban_grid import build_urban_grid_scenario
 from repro.scenarios.workloads import GenericComputeWorkload, register_generic_functions
 from repro.simcore.simulator import Simulator
+from tests.oracle import in_fire_order
 
 from benchmarks.conftest import run_once_with_benchmark
 
@@ -88,9 +89,9 @@ def run_static_fleet(with_null_injector: bool) -> Tuple[List[tuple], Dict[str, f
         )
         node = AirDnDNode(sim, environment, mobile, registry)
         receiver = node.name
-        node.mesh.interface.on_receive(
-            lambda frame, quality, receiver=receiver: log.append(
-                (sim.now, frame.sender, receiver, quality.snr_db, quality.rate_bps)
+        node.mesh.on_frame(
+            lambda frame, time, sequence, *link, receiver=receiver: log.append(
+                (time, sequence, frame.sender, receiver, *link)
             )
         )
         nodes.append(node)
@@ -103,7 +104,7 @@ def run_static_fleet(with_null_injector: bool) -> Tuple[List[tuple], Dict[str, f
         assert armed == 0
     sim.run(until=NULL_DURATION_S)
     counters = {name: sim.monitor.counter_value(name) for name in COUNTERS}
-    return log, counters
+    return in_fire_order(log), counters
 
 
 # --------------------------------------------------------- trust & churn

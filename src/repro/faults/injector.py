@@ -25,7 +25,8 @@ stays byte-identical to one with no injector at all (benchmark E14).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from bisect import insort
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.adversary import apply_profile
 from repro.faults.schedule import (
@@ -81,8 +82,9 @@ class FaultInjector:
         #: Per-crash downtime bookkeeping for the availability metric.
         self._down_since: Dict[str, float] = {}
         self._downtime_total = 0.0
-        #: Seconds from each recovery to the node's first regained neighbour.
-        self.rejoin_delays: List[float] = []
+        #: ``(arrival time, sequence, delay)`` of each recovery's first
+        #: regained neighbour, sorted.
+        self._rejoins: List[Tuple[float, int, float]] = []
         self._await_rejoin: Dict[str, float] = {}
         #: Active burst stacks (overlapping bursts are legal).
         self._noise_stack: List[float] = []
@@ -92,6 +94,12 @@ class FaultInjector:
         self.recoveries_injected = 0
         self.degradation_bursts = 0
         self.loss_bursts = 0
+
+    @property
+    def rejoin_delays(self) -> List[float]:
+        """Seconds from each recovery to the node's first regained
+        neighbour, in the order those arrivals fired."""
+        return [delay for _, _, delay in self._rejoins]
 
     # ---------------------------------------------------------- adversaries
 
@@ -278,9 +286,10 @@ class FaultInjector:
 
     def mean_recovery_time_s(self) -> float:
         """Mean seconds from recovery to the first regained neighbour."""
-        if not self.rejoin_delays:
+        delays = self.rejoin_delays
+        if not delays:
             return math.nan
-        return sum(self.rejoin_delays) / len(self.rejoin_delays)
+        return sum(delays) / len(delays)
 
     def report_extra(self) -> Dict[str, float]:
         """Flat fault metrics merged into a scenario report's ``extra``."""
@@ -313,7 +322,10 @@ class _RejoinWatch:
 
     A picklable class (not a closure): it is registered on the beacon agent,
     which is part of the snapshotted simulation graph.  The ``recovered_at``
-    guard makes a stale watch from an earlier recovery a no-op.
+    guard makes a stale watch from an earlier recovery a no-op.  It runs
+    when the joining arrival is committed, so it measures to the arrival's
+    time, and keys the delay by the arrival so the delays read in arrival
+    order whichever node commits first.
     """
 
     __slots__ = ("injector", "name", "recovered_at")
@@ -323,8 +335,8 @@ class _RejoinWatch:
         self.name = name
         self.recovered_at = recovered_at
 
-    def __call__(self, _peer: str, _beacon: Any) -> None:
+    def __call__(self, _peer: str, _beacon: Any, time: float, sequence: int) -> None:
         injector = self.injector
         if injector._await_rejoin.get(self.name) == self.recovered_at:
             del injector._await_rejoin[self.name]
-            injector.rejoin_delays.append(injector.sim.now - self.recovered_at)
+            insort(injector._rejoins, (time, sequence, time - self.recovered_at))

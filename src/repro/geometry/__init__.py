@@ -13,9 +13,9 @@ flat 2-D world.  This package provides the shared primitives:
 * :class:`~repro.geometry.obstacle_index.ObstacleIndex` — grid-bucketed
   obstacle edges so line-of-sight tests only touch the segments along the
   ray instead of every polygon.
-* :class:`~repro.geometry.substrate.SpatialSubstrate` — the fleet's last
-  committed positions and one position epoch, written by the mobility
-  manager; the radio environment keys its per-epoch caches on that epoch.
+* :class:`~repro.geometry.substrate.SpatialSubstrate` — the fleet's
+  tracked keys and one position epoch, committed by the mobility manager
+  each tick; the radio environment keys its per-epoch caches on that epoch.
 """
 
 from repro.geometry.vector import Vec2

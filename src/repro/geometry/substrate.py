@@ -1,12 +1,12 @@
-"""The shared position substrate: the fleet's committed positions and one epoch.
+"""The shared position substrate: the fleet's tracked keys and one epoch.
 
-The :class:`~repro.mobility.manager.MobilityManager` writes every mobile
-node's position here once per tick; the
+The :class:`~repro.mobility.manager.MobilityManager` tracks every mobile
+node here and commits once per tick; the
 :class:`~repro.radio.interfaces.RadioEnvironment` keys its per-epoch caches
 (the position universe, link rows, broadcast plans) on the substrate's
 :attr:`~SpatialSubstrate.position_epoch`, so one epoch serves both layers.
-Nothing queries the substrate by range: the radio reads every position once
-per epoch into its own coordinate columns and finds candidates there.
+The substrate keeps no positions: the radio reads every position provider
+once per epoch into its own coordinate columns and finds candidates there.
 
 Freshness contract
 ------------------
@@ -19,8 +19,8 @@ changed".  It advances exactly when:
 * a key is inserted for the first time or removed (membership changes must
   invalidate consumers immediately, without waiting for the next tick).
 
-Between two equal readings of ``position_epoch`` every position in the
-substrate is guaranteed unchanged, so consumers may cache any pure function
+Between two equal readings of ``position_epoch`` every tracked position is
+guaranteed unchanged, so consumers may cache any pure function
 of positions (link qualities, in-range sets, network descriptions) keyed on
 the epoch alone.
 """
@@ -29,15 +29,14 @@ from __future__ import annotations
 
 from typing import Dict, Hashable
 
-from repro.geometry.vector import Vec2
-
 
 class SpatialSubstrate:
-    """The fleet's last committed positions and their position epoch."""
+    """The keys of the fleet's tracked nodes and their position epoch."""
 
     def __init__(self) -> None:
-        #: Key → last written position, in insertion order.
-        self.positions: Dict[Hashable, Vec2] = {}
+        #: The tracked keys, as an insertion-ordered set (a dict, so the
+        #: pickled order does not depend on string hashing).
+        self._keys: Dict[Hashable, None] = {}
         #: Bumped whenever positions may have changed; see the module
         #: docstring for the exact contract.
         self.position_epoch = 0
@@ -45,15 +44,19 @@ class SpatialSubstrate:
         #: passes.  Benchmark E11 asserts this is one per mobility tick.
         self.commit_count = 0
 
-    def update(self, key: Hashable, position: Vec2) -> None:
-        """Insert ``key`` or move it; an insert bumps the epoch immediately."""
-        if key not in self.positions:
+    def update(self, key: Hashable) -> None:
+        """Track ``key``; a first insert bumps the epoch immediately.
+
+        A tracked key's moves need no call: :meth:`commit` closes them.
+        """
+        if key not in self._keys:
+            self._keys[key] = None
             self.position_epoch += 1
-        self.positions[key] = position
 
     def remove(self, key: Hashable) -> None:
-        """Remove ``key``; bumps the epoch (no-op for unknown keys)."""
-        if self.positions.pop(key, None) is not None:
+        """Stop tracking ``key``; bumps the epoch (no-op for unknown keys)."""
+        if key in self._keys:
+            del self._keys[key]
             self.position_epoch += 1
 
     def commit(self) -> None:
@@ -62,4 +65,4 @@ class SpatialSubstrate:
         self.commit_count += 1
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self.positions
+        return key in self._keys

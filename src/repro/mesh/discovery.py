@@ -10,20 +10,32 @@ The table is the node's own view of the mesh it belongs to: there is no
 global "the mesh", and two nodes may disagree transiently.  The agent counts
 the view's changes in a per-node ``epoch``, one step per joined neighbour
 and one per evicted neighbour, and carries it in every beacon.
+
+Beacons reach the agent through its interface's broadcast-receipt hook
+(:meth:`~repro.radio.interfaces.RadioInterface.on_broadcast`): on the exact
+tier a heard beacon is applied when the interface commits, with its arrival
+time, not when it arrives.  So everything that reads what the handler
+writes commits first: the table's public methods, :attr:`BeaconAgent.epoch`,
+:attr:`BeaconAgent.beacons_heard`, :meth:`BeaconAgent.build_beacon` and the
+expiry sweep.  The handler and the neighbour-up callbacks it calls run with
+the simulator sealed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.mesh.messages import BEACON_SIZE_BYTES, Beacon
 from repro.mesh.neighbor import NeighborTable
 from repro.radio.interfaces import Frame, RadioInterface
-from repro.radio.link import LinkQuality
 from repro.simcore.simulator import Simulator
 
 #: Type of the callback higher layers register to enrich outgoing beacons.
 BeaconEnricher = Callable[[Beacon], Beacon]
+
+#: ``callback(peer, beacon, time, sequence)`` for a newly joined neighbour;
+#: ``time`` and ``sequence`` are the key of the arrival that joined it.
+NeighborUpCallback = Callable[[str, Beacon, float, int], None]
 
 
 class BeaconAgent:
@@ -65,15 +77,18 @@ class BeaconAgent:
         self.interface = interface
         self.state_provider = state_provider
         self.beacon_period = beacon_period
-        self.neighbors = NeighborTable(interface.node_name, lifetime=neighbor_lifetime)
+        self.neighbors = NeighborTable(
+            interface.node_name, lifetime=neighbor_lifetime, commit=interface.commit
+        )
         self._enrichers: List[BeaconEnricher] = []
-        self._neighbor_up_callbacks: List[Callable[[str, Beacon], None]] = []
+        self._neighbor_up_callbacks: List[NeighborUpCallback] = []
         self.beacons_sent = 0
-        self.beacons_heard = 0
-        self.epoch = 0
+        self._beacons_heard = 0
+        self._epoch = 0
         self._beacons_sent_counter = sim.monitor.counter("mesh.beacons_sent")
+        self._joins_counter = sim.monitor.counter("mesh.joins")
 
-        interface.on_receive(self._on_frame)
+        interface.on_broadcast(self._on_beacon)
         self._beacon_task = sim.schedule_periodic(
             beacon_period,
             self._send_beacon,
@@ -96,9 +111,25 @@ class BeaconAgent:
         """Let a higher layer rewrite outgoing beacons (add compute/data info)."""
         self._enrichers.append(enricher)
 
-    def on_neighbor_up(self, callback: Callable[[str, Beacon], None]) -> None:
-        """Register a callback fired when a new neighbour is discovered."""
+    def on_neighbor_up(self, callback: NeighborUpCallback) -> None:
+        """Register a callback fired when a new neighbour is discovered.
+
+        It runs when the joining arrival is committed, with the simulator
+        sealed, so it gets the arrival's time and sequence number.
+        """
         self._neighbor_up_callbacks.append(callback)
+
+    @property
+    def epoch(self) -> int:
+        """Joins plus evictions so far (commits first)."""
+        self.interface.commit()
+        return self._epoch
+
+    @property
+    def beacons_heard(self) -> int:
+        """Beacons received so far (commits first)."""
+        self.interface.commit()
+        return self._beacons_heard
 
     def stop(self) -> None:
         """Stop beaconing and expiry (node shutting down)."""
@@ -109,13 +140,14 @@ class BeaconAgent:
 
     def build_beacon(self) -> Beacon:
         """Construct the next outgoing beacon, applying all enrichers."""
+        self.interface.commit()
         position, velocity = self.state_provider()
         beacon = Beacon(
             sender=self.interface.node_name,
             timestamp=self.sim.now,
             position=position,
             velocity=velocity,
-            epoch=self.epoch,
+            epoch=self._epoch,
         )
         for enricher in self._enrichers:
             beacon = enricher(beacon)
@@ -131,22 +163,21 @@ class BeaconAgent:
 
     # -------------------------------------------------------------- receive
 
-    def _on_frame(self, frame: Frame, quality: LinkQuality) -> None:
-        if frame.kind != "beacon" or not isinstance(frame.payload, Beacon):
+    def _on_beacon(
+        self, frame: Frame, time: float, sequence: int, snr_db: float, rate_bps: float
+    ) -> None:
+        beacon = frame.payload
+        if frame.kind != "beacon" or not isinstance(beacon, Beacon):
             return
-        beacon: Beacon = frame.payload
-        self.beacons_heard += 1
-        is_new = self.neighbors.observe(
-            beacon, self.sim.now, quality.snr_db, quality.rate_bps
-        )
-        if is_new:
-            self.epoch += 1
-            self.sim.monitor.counter("mesh.joins").add()
+        self._beacons_heard += 1
+        if self.neighbors.observe(beacon, time, snr_db, rate_bps):
+            self._epoch += 1
+            self._joins_counter.add()
             for callback in self._neighbor_up_callbacks:
-                callback(beacon.sender, beacon)
+                callback(beacon.sender, beacon, time, sequence)
 
     def _expire_neighbors(self) -> None:
         expired = self.neighbors.expire(self.sim.now)
         if expired:
-            self.epoch += len(expired)
+            self._epoch += len(expired)
             self.sim.monitor.counter("mesh.leaves").add(len(expired))

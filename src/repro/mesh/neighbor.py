@@ -4,12 +4,19 @@ Each node keeps a table of the beacons it has recently heard.  An entry
 expires when no beacon has arrived for ``lifetime`` seconds; expiry is the
 *only* way a node learns that a neighbour left — there is no goodbye message,
 matching the asynchronous, failure-prone reality of vehicular meshes.
+
+A beacon agent's table is written lazily: the radio defers broadcast
+arrivals and applies them through :meth:`NeighborTable.observe` when they
+are committed (see :mod:`repro.radio.interfaces`).  So every other public
+method first calls the table's ``commit`` hook (the receiving interface's
+:meth:`~repro.radio.interfaces.RadioInterface.commit`), and reads what the
+table holds once every arrival fired so far is in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.mesh.messages import Beacon
 
@@ -46,19 +53,32 @@ class NeighborTable:
     lifetime:
         Seconds after which a silent neighbour is evicted (typically a small
         multiple of the beacon period).
+    commit:
+        Called before every read and by :meth:`expire`, :meth:`remove` and
+        :meth:`clear` to apply deferred writes.  :meth:`observe` is the
+        write those apply, so it does not call it.
     """
 
-    def __init__(self, owner: str, lifetime: float = 3.0) -> None:
+    def __init__(
+        self,
+        owner: str,
+        lifetime: float = 3.0,
+        *,
+        commit: Callable[[], None],
+    ) -> None:
         if lifetime <= 0:
             raise ValueError("lifetime must be positive")
         self.owner = owner
         self.lifetime = lifetime
+        self._commit = commit
         self._entries: Dict[str, NeighborEntry] = {}
 
     def __len__(self) -> int:
+        self._commit()
         return len(self._entries)
 
     def __contains__(self, name: str) -> bool:
+        self._commit()
         return name in self._entries
 
     def observe(
@@ -92,6 +112,7 @@ class NeighborTable:
 
     def expire(self, now: float) -> List[str]:
         """Remove silent neighbours; returns the names that were evicted."""
+        self._commit()
         expired = [
             name
             for name, entry in self._entries.items()
@@ -103,14 +124,17 @@ class NeighborTable:
 
     def entry(self, name: str) -> Optional[NeighborEntry]:
         """The entry for ``name``, or ``None``."""
+        self._commit()
         return self._entries.get(name)
 
     def names(self) -> List[str]:
         """Names of all current neighbours."""
+        self._commit()
         return list(self._entries)
 
     def entries(self) -> List[NeighborEntry]:
         """All current entries."""
+        self._commit()
         return list(self._entries.values())
 
     def active_names(self, now: float) -> List[str]:
@@ -125,6 +149,7 @@ class NeighborTable:
         is a non-mutating filter; eviction (and the leave count) still
         happen on the sweep.
         """
+        self._commit()
         return [
             name
             for name, entry in self._entries.items()
@@ -133,8 +158,10 @@ class NeighborTable:
 
     def remove(self, name: str) -> None:
         """Explicitly drop a neighbour (used when a link is blacklisted)."""
+        self._commit()
         self._entries.pop(name, None)
 
     def clear(self) -> None:
         """Drop every neighbour."""
+        self._commit()
         self._entries.clear()

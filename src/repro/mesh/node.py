@@ -17,12 +17,26 @@ from repro.mesh.discovery import BeaconAgent, BeaconEnricher
 from repro.mesh.routing import GreedyGeoRouter
 from repro.mesh.transport import ReliableTransport, Transfer
 from repro.mobility.providers import PositionOf
-from repro.radio.interfaces import Frame, RadioEnvironment
+from repro.radio.interfaces import BroadcastHandler, Frame, RadioEnvironment
 from repro.radio.link import LinkQuality
 from repro.simcore.simulator import Simulator
 
 #: Interface counters a restart carries over to the fresh interface.
 _INTERFACE_COUNTERS = ("bytes_sent", "bytes_received", "frames_sent", "frames_received")
+
+
+class _UnicastTap:
+    """A frame tap's unicast half: the arrival event's key, then the tap."""
+
+    __slots__ = ("sim", "tap")
+
+    def __init__(self, sim: Simulator, tap: BroadcastHandler) -> None:
+        self.sim = sim
+        self.tap = tap
+
+    def __call__(self, frame: Frame, quality: LinkQuality) -> None:
+        time, _, sequence = self.sim.last_key
+        self.tap(frame, time, sequence, quality.snr_db, quality.rate_bps)
 
 
 class MeshNode:
@@ -66,7 +80,7 @@ class MeshNode:
         # restart registers them again on the fresh parts.
         self._receivers: List[Callable[[str, str, Any, int], None]] = []
         self._enrichers: List[BeaconEnricher] = []
-        self._frame_taps: List[Callable[[Frame, LinkQuality], None]] = []
+        self._frame_taps: List[BroadcastHandler] = []
         self._build_parts()
 
     def _build_parts(self) -> None:
@@ -120,10 +134,20 @@ class MeshNode:
         self._enrichers.append(enricher)
         self.beacon_agent.add_enricher(enricher)
 
-    def on_frame(self, callback: Callable[[Frame, LinkQuality], None]) -> None:
-        """Observe every frame the node's radio interface delivers."""
-        self._frame_taps.append(callback)
-        self.interface.on_receive(callback)
+    def on_frame(self, tap: BroadcastHandler) -> None:
+        """Observe every frame the node's radio interface delivers.
+
+        ``tap(frame, time, sequence, snr_db, rate_bps)`` gets each arrival's
+        key.  Broadcast arrivals reach it when they are committed, so it is
+        held to the broadcast-handler contract: no scheduling, transmitting
+        or random draws.
+        """
+        self._frame_taps.append(tap)
+        self._register_tap(tap)
+
+    def _register_tap(self, tap: BroadcastHandler) -> None:
+        self.interface.on_broadcast(tap)
+        self.interface.on_unicast(_UnicastTap(self.sim, tap))
 
     # ------------------------------------------------------------ messaging
 
@@ -167,5 +191,5 @@ class MeshNode:
             self.transport.on_receive(callback)
         for enricher in self._enrichers:
             self.beacon_agent.add_enricher(enricher)
-        for callback in self._frame_taps:
-            self.interface.on_receive(callback)
+        for tap in self._frame_taps:
+            self._register_tap(tap)

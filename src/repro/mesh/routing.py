@@ -51,7 +51,7 @@ class GreedyGeoRouter:
         self.messages_forwarded = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        interface.on_receive(self._on_frame)
+        interface.on_unicast(self._on_frame)
 
     @property
     def node_name(self) -> str:

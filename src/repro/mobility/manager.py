@@ -1,9 +1,9 @@
 """The mobility manager: one clock tick moves every mobile node.
 
 The manager owns the list of mobile nodes (anything with ``position`` and an
-``advance(dt)`` method), advances them on a fixed period, writes their
-positions into a shared :class:`~repro.geometry.substrate.SpatialSubstrate`
-and closes each tick with one commit, and optionally records trajectories.
+``advance(dt)`` method), advances them on a fixed period, tracks them in a
+shared :class:`~repro.geometry.substrate.SpatialSubstrate` and closes each
+tick with one substrate commit, and optionally records trajectories.
 
 The substrate's position epoch is the simulation's one invalidation source:
 binding this manager to a :class:`~repro.radio.interfaces.RadioEnvironment`
@@ -63,7 +63,7 @@ class MobilityManager:
         if node.name in self._nodes:
             raise ValueError(f"duplicate mobile node name {node.name!r}")
         self._nodes[node.name] = node
-        self.substrate.update(node.name, node.position)
+        self.substrate.update(node.name)
         if self.record_traces:
             trace = TrajectoryTrace(node.name)
             trace.record(self.sim.now, node.position, getattr(node, "speed", 0.0))
@@ -109,15 +109,13 @@ class MobilityManager:
 
     def _on_tick(self) -> None:
         now = self.sim.now
-        substrate = self.substrate
         for node in self._nodes.values():
             node.advance(self.tick)
-            substrate.update(node.name, node.position)
             if self.record_traces:
                 self.traces[node.name].record(
                     now, node.position, getattr(node, "speed", 0.0)
                 )
-        substrate.commit()
+        self.substrate.commit()
         self.sim.monitor.gauge("mobility.active_nodes").set(len(self._nodes))
         for listener in self._listeners:
             listener(now)

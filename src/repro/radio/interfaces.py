@@ -32,8 +32,25 @@ position provider runs once per epoch.  A position changed manually
 advances; call :meth:`RadioInterface.notify_moved` (or
 :meth:`RadioEnvironment.notify_positions_changed`) after such writes to make
 them visible immediately.  Substrate-tracked nodes are the mobility
-manager's to move: write through the substrate (whose commit is its own
-dirty-mark) instead.
+manager's to move: its per-tick substrate commit is their dirty-mark.
+
+Arrivals
+--------
+
+A unicast frame arrives as one :class:`_FrameDelivery` event.  An
+exact-tier broadcast makes no events: it reserves the k sequence numbers k
+pushes would have taken, hands the simulator one block of arrival keys
+``(time, 0, sequence)`` to count
+(:meth:`~repro.simcore.simulator.Simulator.defer_arrivals`), and appends
+each arrival to its receiver's deferred list.  :meth:`RadioInterface.commit`
+applies the arrivals keyed at or below the simulator's ``last_key``, in key
+order, to the interface counters and the :meth:`RadioInterface.on_broadcast`
+handlers, which get the arrival time and run with the simulator sealed (no
+scheduling, transmitting or random draws).  Readers of what the handlers
+write commit first, disabling an interface commits first, a receiver with
+:data:`_COMMIT_BACKLOG` waiting arrivals commits, and the environment
+commits every receiver at the end of each simulator step.  The
+statistical tier keeps its coalesced events.
 
 Receivers are always iterated in name-sorted order, so the frame-loss RNG
 draws — and therefore the delivered-frame sequence — do not depend on how
@@ -49,8 +66,8 @@ transport and the AirDnD offloading protocol) decide what goes inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +82,10 @@ from repro.simcore.simulator import Simulator
 #: candidate query radius adds this slack so range pruning can never drop a
 #: receiver that the full link-budget evaluation would have reached.
 _RANGE_STEP_SLACK_M = 5.0
+
+#: A receiver applies its fired broadcast arrivals as soon as this many are
+#: waiting, so deferred lists stay short between reads.
+_COMMIT_BACKLOG = 16
 
 
 @dataclass(slots=True)
@@ -95,14 +116,17 @@ class Frame:
     frame_id: int = field(kw_only=True)
 
 
+#: ``handler(frame, time, sequence, snr_db, rate_bps)``, see
+#: :meth:`RadioInterface.on_broadcast`.
+BroadcastHandler = Callable[[Frame, float, int, float, float], None]
+
+
 class _FrameDelivery:
     """One scheduled frame arrival, as a compact preallocated callable.
 
     Replaces the per-delivery ``lambda`` closure (a function object plus
     three cell objects per scheduled frame) with a single ``__slots__``
-    instance — the radio medium schedules one of these for every delivered
-    frame, which makes it one of the hottest allocations in a broadcast-heavy
-    run.
+    instance.  Unicast frames arrive this way on both tiers.
     """
 
     __slots__ = ("receiver", "frame", "quality")
@@ -115,16 +139,7 @@ class _FrameDelivery:
         self.quality = quality
 
     def __call__(self) -> None:
-        # Inlined :meth:`RadioInterface.deliver` (one call frame less per
-        # delivered frame).  Keep in lockstep with ``deliver``.
-        receiver = self.receiver
-        if not receiver.enabled:
-            return
-        frame = self.frame
-        receiver.bytes_received += frame.size_bytes
-        receiver.frames_received += 1
-        for callback in receiver._receive_callbacks:
-            callback(frame, self.quality)
+        self.receiver.deliver(self.frame, self.quality)
 
 
 class _BatchFrameDelivery:
@@ -165,22 +180,8 @@ class _BatchFrameDelivery:
         receivers = self.receivers
         qualities = self.qualities
         frame = self.frame
-        size_bytes = frame.size_bytes
         for index in self.indices:
-            # Inlined :meth:`RadioInterface.deliver`, with one refinement the
-            # scalar path cannot afford: the LinkQuality is materialised from
-            # the plan's columns only when a receive callback will actually
-            # observe it.  Keep in lockstep with ``deliver`` above.
-            receiver = receivers[index]
-            if not receiver.enabled:
-                continue
-            receiver.bytes_received += size_bytes
-            receiver.frames_received += 1
-            callbacks = receiver._receive_callbacks
-            if callbacks:
-                quality = qualities[index]
-                for callback in callbacks:
-                    callback(frame, quality)
+            receivers[index].deliver(frame, qualities[index])
 
 
 class _QualityColumns:
@@ -189,11 +190,10 @@ class _QualityColumns:
     Building a frozen :class:`~repro.radio.link.LinkQuality` costs about a
     microsecond of ``object.__setattr__`` calls — per usable receiver per
     plan, that used to dominate plan construction while most of the objects
-    were never observed (a receiver with no receive callbacks never looks at
-    its quality).  The columns are plain Python lists (``ndarray.tolist``,
-    so consumers get genuine ``float`` values); ``__getitem__`` materialises
-    a quality on demand, and iterating materialises them all in one C-level
-    ``map`` (the exact tier's broadcast hands one to every delivery).  All
+    were never observed.  The columns are plain Python lists
+    (``ndarray.tolist``, so consumers get genuine ``float`` values); the
+    exact tier's deferred arrivals read the SNR and rate columns directly,
+    and ``__getitem__`` materialises a quality for an event delivery.  All
     rows are usable by construction — the plan only keeps receivers that
     cleared the SNR threshold.
     """
@@ -222,11 +222,6 @@ class _QualityColumns:
             self.pers[index],
             True,
             self.distances[index],
-        )
-
-    def __iter__(self) -> Iterator[LinkQuality]:
-        return map(
-            LinkQuality, self.snrs, self.rates, self.pers, repeat(True), self.distances
         )
 
 
@@ -263,7 +258,7 @@ class _SenderPlan:
     def __init__(
         self,
         receivers: List["RadioInterface"],
-        qualities: "Sequence[LinkQuality]",
+        qualities: _QualityColumns,
         pers: np.ndarray,
         rates: np.ndarray,
         distances: np.ndarray,
@@ -307,7 +302,13 @@ class _EpochUniverse:
 
 
 class RadioInterface:
-    """A node's attachment point to the shared radio environment."""
+    """A node's attachment point to the shared radio environment.
+
+    Two hooks observe arriving frames (see the module docstring):
+    :meth:`on_unicast` callbacks get frames addressed to this interface
+    inside their arrival events, and :meth:`on_broadcast` handlers get
+    broadcast frames when they are committed.
+    """
 
     def __init__(
         self,
@@ -318,12 +319,31 @@ class RadioInterface:
         self.environment = environment
         self.node_name = node_name
         self.position_provider = position_provider
-        self._receive_callbacks: List[Callable[[Frame, LinkQuality], None]] = []
+        self._unicast_callbacks: List[Callable[[Frame, LinkQuality], None]] = []
+        self._broadcast_handlers: List[BroadcastHandler] = []
+        #: Broadcast arrivals handed to the simulator and not yet applied,
+        #: ``(time, 0, sequence, frame, snr_db, rate_bps)`` in append order.
+        self._deferred: List[tuple] = []
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_sent = 0
         self.frames_received = 0
-        self.enabled = True
+        self._enabled = True
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the interface sends and receives.
+
+        Setting it commits first, so every arrival keyed before the change
+        is judged by the old state: on a crash, arrivals keyed before the
+        crash are applied and later ones are dropped.
+        """
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self.commit()
+        self._enabled = value
 
     @property
     def position(self) -> Vec2:
@@ -341,16 +361,24 @@ class RadioInterface:
         environment: the next distinct event time).  Calling this advances
         the environment's own epoch, so the very next transmission or range
         query re-reads every position.  A node registered with a *bound
-        mobility manager* is that manager's to move — write through the
-        substrate (``substrate.update(name, pos)`` + ``commit()``, as
-        :class:`~repro.mobility.manager.MobilityManager` does each tick);
-        that commit is its own dirty-mark.
+        mobility manager* is that manager's to move: the manager's
+        per-tick substrate commit is its own dirty-mark.
         """
         self.environment.notify_positions_changed()
 
-    def on_receive(self, callback: Callable[[Frame, LinkQuality], None]) -> None:
-        """Register a callback invoked for every delivered frame."""
-        self._receive_callbacks.append(callback)
+    def on_unicast(self, callback: Callable[[Frame, LinkQuality], None]) -> None:
+        """Register a callback for frames addressed to this interface."""
+        self._unicast_callbacks.append(callback)
+
+    def on_broadcast(self, handler: "BroadcastHandler") -> None:
+        """Register ``handler(frame, time, sequence, snr_db, rate_bps)`` for
+        broadcast frames.
+
+        It is called when the arrival is committed, with the arrival's time
+        and sequence number, in key order per interface, with the simulator
+        sealed: a handler must not schedule, transmit or draw randomness.
+        """
+        self._broadcast_handlers.append(handler)
 
     def send(
         self,
@@ -368,20 +396,72 @@ class RadioInterface:
             kind=kind,
             frame_id=self.environment.sim.new_id("frame"),
         )
-        if self.enabled:
+        if self._enabled:
             self.bytes_sent += size_bytes
             self.frames_sent += 1
             self.environment.transmit(self, frame)
         return frame
 
     def deliver(self, frame: Frame, quality: LinkQuality) -> None:
-        """Called by the environment when a frame arrives at this interface."""
-        if not self.enabled:
+        """A frame arrives inside its event (``sim.now`` is its arrival)."""
+        if self._deferred:
+            self.commit()
+        if not self._enabled:
             return
         self.bytes_received += frame.size_bytes
         self.frames_received += 1
-        for callback in self._receive_callbacks:
-            callback(frame, quality)
+        if frame.destination is not None:
+            for callback in self._unicast_callbacks:
+                callback(frame, quality)
+        elif self._broadcast_handlers:
+            sim = self.environment.sim
+            time, _, sequence = sim.last_key
+            token = sim.seal()
+            try:
+                for handler in self._broadcast_handlers:
+                    handler(frame, time, sequence, quality.snr_db, quality.rate_bps)
+            finally:
+                sim.unseal(token)
+
+    def commit(self) -> None:
+        """Apply the deferred broadcast arrivals the simulator has fired.
+
+        Those are the arrivals keyed at or below the simulator's
+        :attr:`~repro.simcore.simulator.Simulator.last_key`; they are
+        applied in key order, and dropped while the interface is disabled.
+        """
+        deferred = self._deferred
+        if not deferred:
+            return
+        last = self.environment.sim.last_key
+        bound = (last[0], last[1], last[2] + 1)
+        due = [arrival for arrival in deferred if arrival < bound]
+        if not due:
+            return
+        if len(due) == len(deferred):
+            self._deferred = []
+            del self.environment._pending[self]
+        else:
+            self._deferred = [arrival for arrival in deferred if arrival > bound]
+        due.sort()
+        if self._enabled:
+            self._apply(due)
+
+    def _apply(self, arrivals: List[tuple]) -> None:
+        """Count broadcast arrivals in and run the handlers, sealed."""
+        self.frames_received += len(arrivals)
+        self.bytes_received += sum([arrival[3].size_bytes for arrival in arrivals])
+        handlers = self._broadcast_handlers
+        if not handlers:
+            return
+        sim = self.environment.sim
+        token = sim.seal()
+        try:
+            for time, _, sequence, frame, snr_db, rate_bps in arrivals:
+                for handler in handlers:
+                    handler(frame, time, sequence, snr_db, rate_bps)
+        finally:
+            sim.unseal(token)
 
 
 class RadioEnvironment:
@@ -503,6 +583,10 @@ class RadioEnvironment:
         self._link_delay = monitor.sample("radio.link_delay")
         self._kind_bytes: Dict[str, Counter] = {}
         self._deliver_names: Dict[str, str] = {}
+        #: Interfaces with deferred broadcast arrivals (an insertion-ordered
+        #: set); the end of every simulator step commits them.
+        self._pending: Dict[RadioInterface, None] = {}
+        sim.on_step_end(self.commit_all)
         if mobility is not None:
             self.bind_mobility(mobility)
 
@@ -523,7 +607,17 @@ class RadioEnvironment:
         state["_universe"] = None
         state["_synced_epoch"] = -1
         state["_synced_time"] = None
+        # Ordered by each receiver's earliest waiting arrival (keys are
+        # unique), not by when the slicing of the run registered it.
+        state["_pending"] = dict.fromkeys(
+            sorted(self._pending, key=lambda interface: min(interface._deferred))
+        )
         return state
+
+    def commit_all(self) -> None:
+        """Commit every receiver's fired broadcast arrivals."""
+        for interface in list(self._pending):
+            interface.commit()
 
     # ----------------------------------------------------------- attachment
 
@@ -842,9 +936,8 @@ class RadioEnvironment:
         interleaving instead: a PER draw per receiver, then an extra draw for
         that receiver only if it survived.  The statistical tier draws the
         extra losses as a second vector over the PER survivors.
-        Arrivals go straight into the event queue at ``now + delay``, in
-        receiver order, so each keeps the sequence number a per-receiver
-        push would have given it.
+        The exact tier defers the arrivals (:meth:`_defer_arrivals`); the
+        statistical tier pushes its coalesced delivery events.
         """
         plan = self._sender_plan(sender)
         if plan.out_of_range:
@@ -882,26 +975,59 @@ class RadioEnvironment:
         self._bytes_delivered.add(total_bytes)
         self._kind_counter(frame.kind).add(total_bytes)
         size_bits = frame.size_bytes * 8
-        deliver_name = self._deliver_name(frame.kind)
         if fast:
             times, callbacks = self._coalesced_arrivals(plan, kept, size_bits, frame)
+            # Absolute times straight into the queue (the delays are
+            # positive by construction), which numbers the entries in order.
+            deliver_name = self._deliver_name(frame.kind)
+            self.sim._queue.push_batch(
+                zip(times, callbacks, repeat(0), repeat(deliver_name))
+            )
+            return
+        delays = size_bits / plan.scaled_rates + plan.prop_delays
+        if lost:
+            indices = np.flatnonzero(kept)
+            delays = delays[indices]
+            indices = indices.tolist()
         else:
-            delays = size_bits / plan.scaled_rates + plan.prop_delays
-            receivers = plan.receivers
-            qualities = plan.qualities
-            if lost:
-                delays = delays[kept]
-                mask = kept.tolist()
-                receivers = compress(receivers, mask)
-                qualities = compress(qualities, mask)
-            self._link_delay.add_many(delays)
-            times = (delays + self.sim.now).tolist()
-            callbacks = map(_FrameDelivery, receivers, repeat(frame), qualities)
-        # Absolute times straight into the queue (the delays are positive by
-        # construction), which numbers the entries in this order.
-        self.sim._queue.push_batch(
-            zip(times, callbacks, repeat(0), repeat(deliver_name))
-        )
+            indices = range(count)
+        self._link_delay.add_many(delays)
+        self._defer_arrivals(plan, indices, delays + self.sim.now, frame)
+
+    def _defer_arrivals(
+        self,
+        plan: _SenderPlan,
+        indices: "Sequence[int]",
+        times: np.ndarray,
+        frame: Frame,
+    ) -> None:
+        """Hand one exact-tier broadcast's arrivals over without events.
+
+        ``indices`` are the delivered receivers' plan indices, name-sorted,
+        and ``times`` their arrival times.  Arrival i takes the i-th of the
+        reserved sequence numbers, as the i-th push would have, and goes
+        onto its receiver's deferred list; the keys go to the simulator as
+        one block sorted by key.
+        """
+        sim = self.sim
+        first = sim._queue.reserve(len(times))
+        receivers = plan.receivers
+        qualities = plan.qualities
+        snrs = qualities.snrs
+        rates = qualities.rates
+        pending = self._pending
+        sequence = first
+        for index, time in zip(indices, times.tolist()):
+            receiver = receivers[index]
+            deferred = receiver._deferred
+            deferred.append((time, 0, sequence, frame, snrs[index], rates[index]))
+            if len(deferred) == 1:
+                pending[receiver] = None
+            elif len(deferred) >= _COMMIT_BACKLOG:
+                receiver.commit()
+            sequence += 1
+        order = np.argsort(times, kind="stable")
+        sim.defer_arrivals(times[order].tolist(), (order + first).tolist())
 
     def _coalesced_arrivals(
         self, plan: _SenderPlan, kept: np.ndarray, size_bits: int, frame: Frame

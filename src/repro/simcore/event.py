@@ -164,6 +164,17 @@ class EventQueue:
         self._active += len(batch)
         return events
 
+    def reserve(self, count: int) -> int:
+        """Take ``count`` consecutive sequence numbers; returns the first.
+
+        The exact radio tier reserves one per broadcast arrival, so an
+        arrival the simulator counts without an event keeps the number a
+        per-receiver push would have given it.
+        """
+        first = self._next_sequence
+        self._next_sequence = first + count
+        return first
+
     def _on_cancel(self, _event: Event) -> None:
         """Bookkeeping callback from :meth:`Event.cancel`."""
         self._active -= 1
@@ -193,14 +204,17 @@ class EventQueue:
                 return event
         raise IndexError("pop from empty EventQueue")
 
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next active event, or ``None``."""
+    def peek(self) -> Optional[HeapEntry]:
+        """The heap entry of the next active event, or ``None``."""
         heap = self._entries
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
+        return heap[0] if heap else None
+
+    def peek_time(self) -> Optional[float]:
+        """Return the firing time of the next active event, or ``None``."""
+        entry = self.peek()
+        return None if entry is None else entry[0]
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -9,12 +9,26 @@ completion with :meth:`Simulator.run` or cooperatively, one bounded slice at
 a time, with :meth:`Simulator.step` — the primitive the session engine in
 :mod:`repro.service` multiplexes many simulations on.  ``run`` is a loop
 over ``step``, so the two are byte-identical by construction.
+
+Besides events, the loop counts *deferred arrivals*: keys ``(time, 0,
+sequence)`` handed over in blocks with :meth:`Simulator.defer_arrivals`
+(the radio medium's broadcast receptions).  An arrival has no callback; the
+loop counts it at its place in key order, a run of them with one binary
+search per block, so ``events_fired``, the ``max_events`` budget, the clock
+at a slice end, ``queue_empty`` and :attr:`Simulator.pending_events` read
+as if it were an event.  The producer applies an arrival once its key is at
+or below :attr:`Simulator.last_key`, before anything reads the result, and
+at the end of every step through an :meth:`Simulator.on_step_end` hook, so
+code outside the loop sees applied state.  :meth:`Simulator.seal` forbids
+scheduling, new ids and random draws while it does.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.monitor import Monitor
@@ -53,6 +67,49 @@ class StepOutcome:
         return self.queue_empty or self.stop_requested or self.reached_until
 
 
+#: The ``(time, priority, sequence)`` order key of an event or arrival.
+Key = Tuple[float, int, int]
+
+
+class _Sealed:
+    """Stands in for the queue, the random streams and the id counters
+    while :meth:`Simulator.seal` is in force: any use raises."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> Any:
+        raise RuntimeError(
+            "sealed simulator: arrival handlers must not schedule events, "
+            "transmit or draw randomness"
+        )
+
+
+_SEALED = _Sealed()
+
+
+class _ArrivalBlock:
+    """One producer batch of deferred arrivals, sorted by key.
+
+    ``next`` indexes the first arrival the loop has not counted yet.  A
+    pickled block holds only the uncounted rest, so its bytes do not depend
+    on how the loop was sliced.
+    """
+
+    __slots__ = ("times", "sequences", "next")
+
+    def __init__(self, times: List[float], sequences: List[int]) -> None:
+        self.times = times
+        self.sequences = sequences
+        self.next = 0
+
+    def __getstate__(self) -> tuple:
+        return self.times[self.next:], self.sequences[self.next:]
+
+    def __setstate__(self, state: tuple) -> None:
+        self.times, self.sequences = state
+        self.next = 0
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -87,6 +144,21 @@ class Simulator:
         #: bookkeeping — deliberately not part of the snapshot state
         #: contract, though it travels with pickled simulators).
         self.events_fired = 0
+        #: Heap of ``(head time, 0, head sequence, block)`` over the blocks
+        #: of deferred arrivals not yet fully counted.
+        self._arrivals: List[tuple] = []
+        #: Deferred arrivals not yet counted, over all blocks.
+        self._arrivals_pending = 0
+        #: Key of the last event or arrival fired.
+        self._last_key: Key = (float("-inf"), 0, 0)
+        self._step_end_hooks: List[Callable[[], None]] = []
+
+    def __getstate__(self) -> dict:
+        # A sorted list is a valid heap, and sorting makes the bytes
+        # independent of the push/pop history the slicing produced.
+        state = self.__dict__.copy()
+        state["_arrivals"] = sorted(self._arrivals)
+        return state
 
     # ------------------------------------------------------------------ time
 
@@ -97,8 +169,13 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still waiting to fire (O(1))."""
-        return self._queue.active_count()
+        """Number of events and deferred arrivals still waiting to fire (O(1))."""
+        return self._queue.active_count() + self._arrivals_pending
+
+    @property
+    def last_key(self) -> Key:
+        """``(time, priority, sequence)`` of the last event or arrival fired."""
+        return self._last_key
 
     # ------------------------------------------------------------ scheduling
 
@@ -176,6 +253,88 @@ class Simulator:
         task.start(first_delay)
         return task
 
+    # ------------------------------------------------------ deferred arrivals
+
+    def defer_arrivals(self, times: List[float], sequences: List[int]) -> None:
+        """Hand over arrivals keyed ``(times[i], 0, sequences[i])``.
+
+        The lists must be sorted by key, non-empty, with sequence numbers
+        taken from the queue's :meth:`~repro.simcore.event.EventQueue.reserve`
+        and times not before :attr:`now`.  The loop counts each arrival as
+        one fired event at its place in key order; applying its effects is
+        the producer's job (see the module docstring).
+        """
+        block = _ArrivalBlock(times, sequences)
+        heapq.heappush(self._arrivals, (times[0], 0, sequences[0], block))
+        self._arrivals_pending += len(times)
+
+    def on_step_end(self, hook: Callable[[], None]) -> None:
+        """Call ``hook`` at the end of every :meth:`step`, after the loop."""
+        self._step_end_hooks.append(hook)
+
+    def seal(self) -> tuple:
+        """Forbid scheduling, new ids and random draws; returns the token
+        :meth:`unseal` takes to lift the seal.  Seals nest."""
+        token = (self._queue, self.streams, self._next_ids)
+        self._queue = self.streams = self._next_ids = _SEALED
+        return token
+
+    def unseal(self, token: tuple) -> None:
+        """Lift the seal :meth:`seal` returned ``token`` for."""
+        self._queue, self.streams, self._next_ids = token
+
+    def _count_arrivals(
+        self, event_entry: Optional[tuple], until: Optional[float], budget: Optional[int]
+    ) -> int:
+        """Fire the head block's arrivals that precede everything else.
+
+        Counts the arrivals whose keys lie below both the next event's and
+        the next other block's head, capped by ``until`` and ``budget``;
+        returns how many fired (0 when the head lies beyond ``until``).
+        """
+        arrivals = self._arrivals
+        block = arrivals[0][3]
+        times = block.times
+        sequences = block.sequences
+        start = block.next
+        end = len(times)
+        bound = event_entry
+        if len(arrivals) > 1:
+            other = arrivals[1]
+            if len(arrivals) > 2 and arrivals[2] < other:
+                other = arrivals[2]
+            if bound is None or other < bound:
+                bound = other
+        stop = end
+        if bound is not None:
+            bound_time, bound_priority, bound_sequence = bound[0], bound[1], bound[2]
+            stop = bisect_left(times, bound_time, start)
+            if bound_priority > 0:
+                stop = bisect_right(times, bound_time, stop)
+            elif bound_priority == 0:
+                while (
+                    stop < end
+                    and times[stop] == bound_time
+                    and sequences[stop] < bound_sequence
+                ):
+                    stop += 1
+        if until is not None:
+            stop = min(stop, bisect_right(times, until, start))
+        if budget is not None:
+            stop = min(stop, start + budget)
+        if stop == start:
+            return 0
+        last = stop - 1
+        self._now = times[last]
+        self._last_key = (times[last], 0, sequences[last])
+        if stop == end:
+            heapq.heappop(arrivals)
+        else:
+            block.next = stop
+            heapq.heapreplace(arrivals, (times[stop], 0, sequences[stop], block))
+        self._arrivals_pending -= stop - start
+        return stop - start
+
     # --------------------------------------------------------------- running
 
     def step(
@@ -187,8 +346,9 @@ class Simulator:
 
         This is *the* run-loop implementation — :meth:`run` is a thin loop
         over it, so the two are byte-identical by construction.  A slice
-        fires events in deterministic ``(time, priority, sequence)`` order
-        until the queue is empty, a callback raises
+        fires events (and counts deferred arrivals) in deterministic
+        ``(time, priority, sequence)`` order until the queue is empty, a
+        callback raises
         :class:`StopSimulation`, the next event lies beyond ``until``, or
         ``max_events`` have fired, and returns a :class:`StepOutcome`
         naming the reason.  The clock is **not** advanced past the last
@@ -197,12 +357,15 @@ class Simulator:
 
         A simulator whose stop flag is set fires nothing until
         :meth:`clear_stop`; cooperative drivers treat that as "this
-        session is done", not as an error.
+        session is done", not as an error.  The :meth:`on_step_end` hooks
+        run after the loop, so every fired arrival is applied when the
+        slice returns.
         """
         fired = 0
         reached_until = False
         hit_budget = max_events is not None and max_events <= 0
         queue = self._queue
+        arrivals = self._arrivals
         # Telemetry is a pure observer: one global read when disabled, and
         # when enabled it only brackets the slice — no RNG, no scheduling.
         tracer = current_tracer()
@@ -210,14 +373,26 @@ class Simulator:
         self._running = True
         try:
             while not self._stop_requested and not hit_budget:
-                next_time = queue.peek_time()
-                if next_time is None:
+                entry = queue.peek()
+                if arrivals and (entry is None or arrivals[0] < entry):
+                    counted = self._count_arrivals(
+                        entry, until, None if max_events is None else max_events - fired
+                    )
+                    if not counted:
+                        reached_until = True
+                        break
+                    fired += counted
+                    if max_events is not None and fired >= max_events:
+                        hit_budget = True
+                    continue
+                if entry is None:
                     break
-                if until is not None and next_time > until:
+                if until is not None and entry[0] > until:
                     reached_until = True
                     break
                 event = queue.pop()
                 self._now = event.time
+                self._last_key = (event.time, event.priority, event.sequence)
                 if event.callback is not None:
                     try:
                         event.callback()
@@ -228,6 +403,8 @@ class Simulator:
                     hit_budget = True
         finally:
             self._running = False
+        for hook in self._step_end_hooks:
+            hook()
         self.events_fired += fired
         if tracer is not None:
             tracer.span(
@@ -235,14 +412,14 @@ class Simulator:
                 sim_time=self._now,
                 args={
                     "events_fired": fired,
-                    "pending": queue.active_count(),
+                    "pending": self.pending_events,
                     "hit_event_budget": hit_budget,
                 },
             )
         return StepOutcome(
             events_fired=fired,
             now=self._now,
-            queue_empty=queue.peek_time() is None,
+            queue_empty=queue.peek_time() is None and not arrivals,
             stop_requested=self._stop_requested,
             reached_until=reached_until,
             hit_event_budget=hit_budget,

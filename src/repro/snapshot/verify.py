@@ -8,10 +8,16 @@ history itself, every delivered frame fleet-wide.  Attached before a run,
 it travels with snapshots, so a restored run keeps appending to the same
 log; an uninterrupted run and a snapshot/restore run must produce equal
 records.
+
+Broadcast arrivals reach the taps when each receiver commits them, not in
+the order they fired, so the log keeps each arrival's sequence number and
+reads out in ``(time, sequence)`` order: the order the event loop fired
+the arrivals in.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, List, Tuple
 
 #: One delivered frame: (time, sender, receiver, snr_db, rate_bps).
@@ -19,20 +25,23 @@ from typing import Any, List, Tuple
 #: the id numbering is simulator state, which the snapshot bytes cover.
 FrameRecord = Tuple[float, str, str, float, float]
 
+_ARRIVAL_KEY = itemgetter(0, 1)
+
 
 class _InterfaceTap:
     """Picklable per-node frame tap feeding one shared log."""
 
-    __slots__ = ("log", "sim", "receiver")
+    __slots__ = ("log", "receiver")
 
-    def __init__(self, log: "DeliveredFrameLog", sim: Any, receiver: str) -> None:
+    def __init__(self, log: "DeliveredFrameLog", receiver: str) -> None:
         self.log = log
-        self.sim = sim
         self.receiver = receiver
 
-    def __call__(self, frame: Any, quality: Any) -> None:
-        self.log.records.append(
-            (self.sim.now, frame.sender, self.receiver, quality.snr_db, quality.rate_bps)
+    def __call__(
+        self, frame: Any, time: float, sequence: int, snr_db: float, rate_bps: float
+    ) -> None:
+        self.log._arrivals.append(
+            (time, sequence, frame.sender, self.receiver, snr_db, rate_bps)
         )
 
 
@@ -44,7 +53,24 @@ class DeliveredFrameLog:
     """
 
     def __init__(self) -> None:
-        self.records: List[FrameRecord] = []
+        #: ``(time, sequence, sender, receiver, snr_db, rate_bps)`` in the
+        #: order the taps saw them.
+        self._arrivals: List[tuple] = []
+
+    def __getstate__(self) -> dict:
+        # Canonical order: when each receiver committed depends on how the
+        # run was sliced, the arrival keys do not.
+        return {"_arrivals": sorted(self._arrivals, key=_ARRIVAL_KEY)}
+
+    @property
+    def records(self) -> List[FrameRecord]:
+        """Every delivered frame so far, in ``(time, sequence)`` order."""
+        return [
+            (time, sender, receiver, snr_db, rate_bps)
+            for time, _, sender, receiver, snr_db, rate_bps in sorted(
+                self._arrivals, key=_ARRIVAL_KEY
+            )
+        ]
 
     def attach(self, scenario: Any) -> "DeliveredFrameLog":
         """Tap every node's radio interface in ``scenario``; returns self.
@@ -54,7 +80,7 @@ class DeliveredFrameLog:
         unchanged.
         """
         for node in scenario.nodes:
-            node.mesh.on_frame(_InterfaceTap(self, scenario.sim, node.name))
+            node.mesh.on_frame(_InterfaceTap(self, node.name))
         return self
 
     @staticmethod

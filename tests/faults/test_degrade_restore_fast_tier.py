@@ -31,9 +31,9 @@ def build_pair(seed: int = 42):
         interface = environment.attach(
             f"n-{index}", lambda position=position: position
         )
-        interface.on_receive(
-            lambda frame, quality, name=f"n-{index}": received.append(
-                (sim.now, name, quality.snr_db)
+        interface.on_broadcast(
+            lambda frame, time, sequence, snr_db, _, name=f"n-{index}": (
+                received.append((time, name, snr_db))
             )
         )
         interfaces.append(interface)

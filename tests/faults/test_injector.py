@@ -7,6 +7,7 @@ import pytest
 from repro.compute.faas import FunctionDefinition, FunctionRegistry
 from repro.core.api import AirDnDNode
 from repro.faults import FaultInjector, FaultKnobs, FaultSchedule, null_schedule
+from repro.faults.injector import _RejoinWatch
 from repro.geometry.vector import Vec2
 from repro.mobility.manager import MobilityManager
 from repro.mobility.waypoints import StaticNode
@@ -99,6 +100,32 @@ def test_recover_rejoins_with_fresh_neighbor_state():
     assert len(victim.mesh.neighbors) > 0
     assert victim.name in nodes[0].mesh.neighbors.active_names(sim.now)
     assert injector.rejoin_delays and injector.mean_recovery_time_s() > 0
+
+
+def test_rejoin_delays_run_to_the_joining_arrival_in_arrival_order():
+    sim, environment, _, _, nodes = build_fleet()
+    injector = FaultInjector(sim, nodes, environment=environment)
+    sim.run(until=2.0)
+    for node in nodes[1:]:
+        injector.crash(node.name)
+    sim.run(until=3.0)
+    firsts = {}
+    for node in nodes[1:]:
+        injector.recover(node.name)
+        node.mesh.beacon_agent.on_neighbor_up(
+            lambda peer, beacon, time, sequence, name=node.name: firsts.setdefault(
+                name, (time, sequence)
+            )
+        )
+    sim.run(until=6.0)
+    assert len(firsts) == 2
+    assert injector.rejoin_delays == [time - 3.0 for time, _ in sorted(firsts.values())]
+    # Receivers commit lazily, so the watches may fire out of arrival
+    # order; the delays still read in it.
+    injector._await_rejoin.update({"a": 1.0, "b": 1.0})
+    _RejoinWatch(injector, "b", 1.0)("peer", None, 7.5, 900)
+    _RejoinWatch(injector, "a", 1.0)("peer", None, 7.25, 800)
+    assert injector.rejoin_delays[-2:] == [6.25, 6.5]
 
 
 def test_bytes_sent_survive_crash_and_recovery():

@@ -13,6 +13,7 @@ from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import in_fire_order
 
 DURATION_S = 5.0
 
@@ -32,10 +33,9 @@ def run_fleet(with_null_injector: bool, seed: int = 77):
         receiver = node.name
         # Each simulation numbers its own frames, so the two runs in this
         # process must agree on frame ids too.
-        node.mesh.interface.on_receive(
-            lambda frame, quality, receiver=receiver: log.append(
-                (sim.now, frame.frame_id, frame.sender, receiver,
-                 quality.snr_db, quality.rate_bps)
+        node.mesh.on_frame(
+            lambda frame, time, sequence, *link, receiver=receiver: log.append(
+                (time, sequence, frame.frame_id, frame.sender, receiver, *link)
             )
         )
         nodes.append(node)
@@ -53,7 +53,7 @@ def run_fleet(with_null_injector: bool, seed: int = 77):
             "radio.bytes_delivered",
         )
     }
-    return log, counters
+    return in_fire_order(log), counters
 
 
 def test_null_injector_runs_are_byte_identical():

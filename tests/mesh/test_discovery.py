@@ -43,7 +43,7 @@ def test_out_of_range_nodes_do_not_discover():
 def test_neighbor_up_callback_and_expiry_leave():
     sim, env, agents = make_agents({"a": Vec2(0, 0), "b": Vec2(50, 0)}, neighbor_lifetime=1.5)
     ups = []
-    agents["a"].on_neighbor_up(lambda name, beacon: ups.append(name))
+    agents["a"].on_neighbor_up(lambda name, beacon, time, sequence: ups.append(name))
     sim.run(until=2.0)
     assert ups == ["b"]
     assert agents["a"].epoch == 1

@@ -7,12 +7,16 @@ from repro.mesh.messages import Beacon
 from repro.mesh.neighbor import NeighborTable
 
 
+def no_deferred_writes():
+    """The commit hook of a table written only through ``observe``."""
+
+
 def beacon_from(name, time=0.0):
     return Beacon(sender=name, timestamp=time, position=Vec2(0, 0), velocity=Vec2(0, 0))
 
 
 def test_observe_new_neighbor_returns_true_once():
-    table = NeighborTable("me", lifetime=3.0)
+    table = NeighborTable("me", lifetime=3.0, commit=no_deferred_writes)
     assert table.observe(beacon_from("a"), now=0.0) is True
     assert table.observe(beacon_from("a", 1.0), now=1.0) is False
     assert len(table) == 1
@@ -23,13 +27,13 @@ def test_observe_new_neighbor_returns_true_once():
 
 
 def test_own_beacons_are_ignored():
-    table = NeighborTable("me")
+    table = NeighborTable("me", commit=no_deferred_writes)
     assert table.observe(beacon_from("me"), now=0.0) is False
     assert len(table) == 0
 
 
 def test_expiry_removes_silent_neighbors():
-    table = NeighborTable("me", lifetime=2.0)
+    table = NeighborTable("me", lifetime=2.0, commit=no_deferred_writes)
     table.observe(beacon_from("a"), now=0.0)
     table.observe(beacon_from("b"), now=1.5)
     expired = table.expire(now=3.0)
@@ -40,7 +44,7 @@ def test_expiry_removes_silent_neighbors():
 def test_expiry_and_active_view_share_the_lifetime_boundary():
     # An entry aged exactly ``lifetime`` is still active, so the sweep keeps
     # it; one beyond is evicted.
-    table = NeighborTable("me", lifetime=2.0)
+    table = NeighborTable("me", lifetime=2.0, commit=no_deferred_writes)
     table.observe(beacon_from("a"), now=0.0)
     assert table.active_names(2.0) == ["a"]
     assert table.expire(now=2.0) == []
@@ -48,7 +52,7 @@ def test_expiry_and_active_view_share_the_lifetime_boundary():
 
 
 def test_entry_age_and_contact_duration():
-    table = NeighborTable("me", lifetime=10.0)
+    table = NeighborTable("me", lifetime=10.0, commit=no_deferred_writes)
     table.observe(beacon_from("a", 0.0), now=0.0)
     table.observe(beacon_from("a", 4.0), now=4.0)
     entry = table.entry("a")
@@ -57,7 +61,7 @@ def test_entry_age_and_contact_duration():
 
 
 def test_remove_and_clear():
-    table = NeighborTable("me")
+    table = NeighborTable("me", commit=no_deferred_writes)
     table.observe(beacon_from("a"), now=0.0)
     table.observe(beacon_from("b"), now=0.0)
     table.remove("a")
@@ -68,4 +72,17 @@ def test_remove_and_clear():
 
 def test_invalid_lifetime_rejected():
     with pytest.raises(ValueError):
-        NeighborTable("me", lifetime=0.0)
+        NeighborTable("me", lifetime=0.0, commit=no_deferred_writes)
+
+
+def test_reads_and_sweeps_commit_first():
+    commits = []
+    table = NeighborTable("me", lifetime=2.0, commit=lambda: commits.append(1))
+    table.observe(beacon_from("a"), now=0.0)
+    assert commits == []
+    assert "a" in table
+    table.active_names(1.0)
+    table.expire(now=1.0)
+    table.remove("a")
+    table.clear()
+    assert len(commits) == 5

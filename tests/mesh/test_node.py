@@ -60,7 +60,7 @@ def test_restart_keeps_hooks_and_counters_on_fresh_parts():
     sim, env, a, b = build_pair()
     received, frames = [], []
     b.on_receive(lambda src, kind, payload, size: received.append(payload))
-    b.on_frame(lambda frame, quality: frames.append(frame.sender))
+    b.on_frame(lambda frame, time, sequence, snr, rate: frames.append(frame))
     b.add_enricher(lambda beacon: replace(beacon, queue_length=7))
     sim.run(until=2.0)
     old_interface, old_agent = b.interface, b.beacon_agent
@@ -77,7 +77,8 @@ def test_restart_keeps_hooks_and_counters_on_fresh_parts():
     frames.clear()
     sim.run(until=4.0)
     assert "a" in b.neighbors.names()
-    assert "a" in frames                      # the frame tap followed
+    assert "a" in [frame.sender for frame in frames]  # the frame tap followed
+    assert any(frame.kind == "beacon" for frame in frames)  # beacons too
     assert a.neighbors.entry("b").beacon.queue_length == 7  # so did the enricher
     assert b.interface.bytes_sent > sent
     a.send_reliable("b", "after restart", 600)

@@ -90,15 +90,15 @@ def test_position_epoch_advances_on_ticks_and_membership():
 
 
 def test_manager_commits_each_position_once_per_tick():
-    # Ticks write every node's position into the shared substrate once and
-    # close with exactly one commit.
+    # Membership changes write the shared substrate; ticks only move the
+    # nodes and close with exactly one commit, which covers every position.
     sim = Simulator()
     manager = MobilityManager(sim, tick=0.1)
     writes = []
 
-    def counted(key, position, update=manager.substrate.update):
+    def counted(key, update=manager.substrate.update):
         writes.append(key)
-        update(key, position)
+        update(key)
 
     manager.substrate.update = counted
     vehicle = Vehicle(sim, [Vec2(0, 0), Vec2(100, 0)], name="v", initial_speed=10.0)
@@ -106,8 +106,10 @@ def test_manager_commits_each_position_once_per_tick():
     for index in range(2):
         manager.add_node(StaticNode(sim, Vec2(float(index), 0), name=f"s{index}"))
     assert writes == ["v", "s0", "s1"]
+    epoch = manager.substrate.position_epoch
     sim.run(until=1.0)
     ticks = manager.substrate.commit_count
     assert ticks == 10
-    assert writes == ["v", "s0", "s1"] * (1 + ticks)
-    assert manager.substrate.positions["v"] == vehicle.position
+    assert writes == ["v", "s0", "s1"]
+    assert manager.substrate.position_epoch == epoch + ticks
+    assert "v" in manager.substrate

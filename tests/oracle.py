@@ -29,12 +29,16 @@ agreeing with the reference here.
 
 :func:`tap_link_delays` is not an oracle but a tap: it records the raw
 ``radio.link_delay`` observations, which the production series folds into
-buckets, so tests can compare them value by value.
+buckets, so tests can compare them value by value.  :func:`tap_frames`
+taps one interface's arrivals, broadcast and unicast alike, with their
+keys, and :func:`in_fire_order` puts such records back in the order the
+event loop fired them.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import networkx as nx
@@ -44,10 +48,13 @@ from repro.core.models import NeighborDescription, NetworkDescription
 from repro.core.network_model import NetworkDescriptionBuilder
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
+from repro.mesh.node import _UnicastTap
 from repro.radio.interfaces import (
+    BroadcastHandler,
     Frame,
     RadioEnvironment,
     RadioInterface,
+    _QualityColumns,
     _SenderPlan,
 )
 from repro.radio.link import LinkQuality
@@ -113,7 +120,12 @@ class ReferenceRadioEnvironment(RadioEnvironment):
         qualities = [row[other] for other in names]
         return _SenderPlan(
             [interfaces[other] for other in names],
-            qualities,
+            _QualityColumns(
+                [quality.snr_db for quality in qualities],
+                [quality.rate_bps for quality in qualities],
+                [quality.packet_error_rate for quality in qualities],
+                [quality.distance for quality in qualities],
+            ),
             np.array([quality.packet_error_rate for quality in qualities]),
             np.array([quality.rate_bps for quality in qualities]),
             np.array([quality.distance for quality in qualities]),
@@ -333,3 +345,22 @@ def tap_link_delays(sim: Simulator) -> List[float]:
     series = _RecordingSeries("radio.link_delay")
     sim.monitor.samples[series.name] = series
     return series.values
+
+
+def tap_frames(interface: RadioInterface, tap: BroadcastHandler) -> None:
+    """Call ``tap(frame, time, sequence, snr_db, rate_bps)`` for every frame
+    ``interface`` receives, the way :meth:`~repro.mesh.node.MeshNode.on_frame`
+    taps a node: broadcasts when the interface commits them, unicasts inside
+    their arrival events.  ``tap`` is held to the broadcast-handler contract
+    (no scheduling, transmitting or random draws)."""
+    interface.on_broadcast(tap)
+    interface.on_unicast(_UnicastTap(interface.environment.sim, tap))
+
+
+_ARRIVAL_KEY = itemgetter(0, 1)
+
+
+def in_fire_order(records: Iterable[tuple]) -> List[tuple]:
+    """``(time, sequence, ...)`` records sorted by arrival key: the order the
+    event loop fired the arrivals in, whenever each receiver committed them."""
+    return sorted(records, key=_ARRIVAL_KEY)

@@ -154,8 +154,6 @@ class _Fleet:
     def move(self, moves) -> None:
         for name, (x, y) in moves:
             self.spots[name].position = Vec2(x, y)
-            if self.mobility is not None:
-                self.mobility.substrate.update(name, self.spots[name].position)
         if self.mobility is not None:
             self.spots["rsu"].position = Vec2(-60.0, 10.0)
             self.mobility.substrate.commit()

@@ -3,8 +3,9 @@
 Two identically seeded environments run the same traffic — broadcasts of
 two frame sizes, a few unicasts, positions that move between rounds — one
 through ``RadioEnvironment.transmit`` and one through
-:func:`tests.oracle.reference_transmit`.  The delivered-frame logs and
-every ``radio.*`` counter and sample must match exactly, with and without
+:func:`tests.oracle.reference_transmit`.  The delivered-frame logs (each
+arrival's key, SNR and rate; the raw ``radio.link_delay`` samples pin the
+distances) and every ``radio.*`` counter must match exactly, with and without
 the fault injector's extra loss, on production plans (epoch universe and
 column kernel) and on the oracle's grid-candidate plans over scalar per-pair
 rows (:class:`tests.oracle.ReferenceRadioEnvironment`).
@@ -19,6 +20,8 @@ from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
 from tests.oracle import (
     ReferenceRadioEnvironment,
+    in_fire_order,
+    tap_frames,
     tap_link_delays,
     use_reference_transmit,
 )
@@ -46,19 +49,11 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
     log = []
     for name in positions:
         interface = env.attach(name, lambda name=name: positions[name])
-        interface.on_receive(
-            lambda frame, quality, name=name: log.append(
-                (
-                    sim.now,
-                    name,
-                    frame.sender,
-                    frame.payload,
-                    quality.snr_db,
-                    quality.rate_bps,
-                    quality.packet_error_rate,
-                    quality.distance,
-                )
-            )
+        tap_frames(
+            interface,
+            lambda frame, time, sequence, snr_db, rate_bps, name=name: log.append(
+                (time, sequence, name, frame.sender, frame.payload, snr_db, rate_bps)
+            ),
         )
 
     def traffic(round_index):
@@ -85,7 +80,7 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
         for name, counter in sim.monitor.counters.items()
         if name.startswith("radio.")
     }
-    return log, counters, delays
+    return in_fire_order(log), counters, delays
 
 
 @pytest.mark.parametrize("batched_rows", [True, False])

@@ -11,6 +11,7 @@ from repro.geometry.vector import Vec2
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
+from tests.oracle import in_fire_order
 
 SIZE_BYTES = 400
 SPACING_S = 0.5
@@ -44,9 +45,9 @@ def test_broadcast_delay_and_order_follow_nodes_in_range():
     assert not env.link_quality("hub", "edge").usable
     deliveries = []
     for name, interface in interfaces.items():
-        interface.on_receive(
-            lambda frame, quality, name=name: deliveries.append(
-                (sim.now, frame.sender, name, quality)
+        interface.on_broadcast(
+            lambda frame, time, sequence, *link, name=name: deliveries.append(
+                (time, sequence, frame.sender, name, *link)
             )
         )
     sent_at = {}
@@ -61,12 +62,16 @@ def test_broadcast_delay_and_order_follow_nodes_in_range():
     for slot, sender in enumerate(sorted(interfaces)):
         sim.schedule_at(slot * SPACING_S, lambda sender=sender: broadcast(sender))
     sim.run(until=len(interfaces) * SPACING_S)
+    deliveries = in_fire_order(deliveries)
 
     assert "edge" not in in_range["hub"]
     assert len(deliveries) == sim.monitor.counter_value("radio.frames_delivered")
     budget = env.link_budget
-    for now, sender, receiver, quality in deliveries:
+    for now, _, sender, receiver, snr_db, rate_bps in deliveries:
         assert receiver in in_range[sender]
+        # The fleet is static, so the arrival carries the link row's values.
+        quality = env.link_quality(sender, receiver)
+        assert (snr_db, rate_bps) == (quality.snr_db, quality.rate_bps)
         concurrent = max(0, len(in_range[sender]) - 1)
         scale = 1.0 / (1.0 + env.contention_factor * concurrent)
         delay = (
@@ -77,13 +82,13 @@ def test_broadcast_delay_and_order_follow_nodes_in_range():
 
     for sender in interfaces:
         arrivals = [
-            (now, receiver) for now, source, receiver, _ in deliveries
+            (now, receiver) for now, _, source, receiver, _, _ in deliveries
             if source == sender
         ]
         # Firing order is arrival time, ties broken by receiver name.
         assert arrivals == sorted(arrivals)
     twins = [
-        receiver for _, source, receiver, _ in deliveries
+        receiver for _, _, source, receiver, _, _ in deliveries
         if source == "hub" and receiver.startswith("twin-")
     ]
     assert twins == ["twin-a", "twin-b", "twin-c"]

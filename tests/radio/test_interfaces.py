@@ -6,7 +6,7 @@ from repro.geometry.vector import Vec2
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
-from tests.oracle import ReferenceRadioEnvironment
+from tests.oracle import ReferenceRadioEnvironment, in_fire_order
 
 
 def make_env(positions, **kwargs):
@@ -21,7 +21,7 @@ def make_env(positions, **kwargs):
 def test_unicast_delivery_in_range():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
     received = []
-    ifaces["b"].on_receive(lambda frame, quality: received.append(frame.payload))
+    ifaces["b"].on_unicast(lambda frame, quality: received.append(frame.payload))
     ifaces["a"].send("hello", size_bytes=100, destination="b")
     sim.run(until=1.0)
     assert received == ["hello"]
@@ -34,8 +34,8 @@ def test_broadcast_reaches_all_in_range_only():
         {"a": Vec2(0, 0), "near": Vec2(40, 0), "far": Vec2(5000, 0)}
     )
     got = {"near": [], "far": []}
-    ifaces["near"].on_receive(lambda f, q: got["near"].append(f.payload))
-    ifaces["far"].on_receive(lambda f, q: got["far"].append(f.payload))
+    ifaces["near"].on_broadcast(lambda f, *arrival: got["near"].append(f.payload))
+    ifaces["far"].on_broadcast(lambda f, *arrival: got["far"].append(f.payload))
     ifaces["a"].send("ping", size_bytes=50, destination=None)
     sim.run(until=1.0)
     assert got["near"] == ["ping"]
@@ -46,7 +46,7 @@ def test_broadcast_reaches_all_in_range_only():
 def test_delivery_has_positive_latency_scaling_with_size():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
     times = []
-    ifaces["b"].on_receive(lambda f, q: times.append(sim.now))
+    ifaces["b"].on_unicast(lambda f, q: times.append(sim.now))
     ifaces["a"].send("small", size_bytes=100, destination="b")
     ifaces["a"].send("large", size_bytes=1_000_000, destination="b")
     sim.run(until=10.0)
@@ -59,7 +59,7 @@ def test_delivery_has_positive_latency_scaling_with_size():
 def test_disabled_interface_neither_sends_nor_receives():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(30, 0)})
     received = []
-    ifaces["b"].on_receive(lambda f, q: received.append(f))
+    ifaces["b"].on_unicast(lambda f, q: received.append(f))
     ifaces["b"].enabled = False
     ifaces["a"].send("x", 10, destination="b")
     sim.run(until=1.0)
@@ -68,6 +68,47 @@ def test_disabled_interface_neither_sends_nor_receives():
     before = ifaces["a"].bytes_sent
     ifaces["a"].send("y", 10, destination="b")
     assert ifaces["a"].bytes_sent == before
+
+
+def test_broadcast_handlers_run_at_commit_with_the_arrival_time():
+    sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
+    seen = []
+    ifaces["b"].on_broadcast(
+        lambda frame, time, sequence, snr_db, rate_bps: seen.append(
+            (frame.payload, time, sim.now, snr_db)
+        )
+    )
+    sim.schedule_at(1.0, lambda: ifaces["a"].send("x", 300))
+    sim.schedule_at(1.5, lambda: None)
+    sim.run(until=2.0)
+    [(payload, time, committed_at, snr_db)] = seen
+    # Applied at the end of the step (the clock stood at the last event),
+    # with the time the frame arrived.
+    assert payload == "x" and 1.0 < time < committed_at == 1.5
+    assert snr_db == env.link_quality("a", "b").snr_db
+    assert ifaces["b"].frames_received == 1 and ifaces["b"].bytes_received == 300
+
+
+def test_broadcast_handlers_run_sealed():
+    sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
+    ifaces["b"].on_broadcast(lambda *arrival: sim.schedule(0.1, lambda: None))
+    sim.schedule_at(1.0, lambda: ifaces["a"].send("x", 300))
+    with pytest.raises(RuntimeError, match="sealed"):
+        sim.run(until=2.0)
+    sim.schedule(0.1, lambda: None)  # the seal is lifted again
+
+
+def test_disable_applies_earlier_arrivals_and_drops_later_ones():
+    sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
+    seen = []
+    ifaces["b"].on_broadcast(lambda frame, *rest: seen.append(frame.payload))
+    sim.schedule_at(1.0, lambda: ifaces["a"].send("before", 300))
+    sim.schedule_at(2.0, lambda: ifaces["a"].send("after", 300))
+    # Between the second frame's send and its arrival.
+    sim.schedule_at(2.0 + 1e-6, lambda: setattr(ifaces["b"], "enabled", False))
+    sim.run(until=3.0)
+    assert seen == ["before"] and ifaces["b"].frames_received == 1
+    assert sim.monitor.counter_value("radio.frames_delivered") == 2
 
 
 def test_nodes_in_range_and_link_quality():
@@ -95,7 +136,7 @@ def test_unbound_environment_tracks_manually_moved_nodes():
     env.attach("a", lambda: Vec2(0, 0))
     b = env.attach("b", lambda: position["b"])
     received = []
-    b.on_receive(lambda f, q: received.append(f.payload))
+    b.on_broadcast(lambda f, *arrival: received.append(f.payload))
     env.interface_of("a").send("one", 50, destination=None)
     sim.run(until=1.0)
     assert received == []  # out of range
@@ -123,7 +164,7 @@ def test_manual_move_at_same_timestamp_visible_after_notify_moved():
     assert env.nodes_in_range("a") == ["b"]
     assert env.link_quality("a", "b").usable
     received = []
-    b.on_receive(lambda f, q: received.append(f.payload))
+    b.on_broadcast(lambda f, *arrival: received.append(f.payload))
     env.interface_of("a").send("now", 50, destination=None)
     sim.run(until=1.0)
     assert received == ["now"]
@@ -147,7 +188,6 @@ def test_same_timestamp_move_matches_substrate_bound_path():
             env.attach("b", lambda: mover.position)
             assert env.nodes_in_range("a") == []
             mover.position = Vec2(50, 0)
-            mobility.substrate.update("b", mover.position)
             mobility.substrate.commit()
         else:
             env = RadioEnvironment(sim, LinkBudget())
@@ -181,13 +221,16 @@ def test_spatial_and_bruteforce_paths_agree():
         ifaces = {n: env.attach(n, lambda p=p: p) for n, p in positions.items()}
         log = []
         for name, iface in ifaces.items():
-            iface.on_receive(
-                lambda f, q, name=name: log.append((sim.now, f.sender, name))
+            iface.on_broadcast(
+                lambda f, time, sequence, snr, rate, name=name: log.append(
+                    (time, sequence, f.sender, name)
+                )
             )
         for _ in range(20):
             ifaces["a"].send("x", 200, destination=None)
             ifaces["e"].send("y", 200, destination=None)
         sim.run(until=5.0)
+        log = in_fire_order(log)
         log.append(
             tuple(
                 sim.monitor.counter_value(c)
@@ -237,7 +280,7 @@ def test_substrate_bound_environment_keeps_no_mirror():
         mobility.add_node(node)
         env.attach(node.name, lambda node=node: node.position)
     received = []
-    env.interface_of("s1").on_receive(lambda f, q: received.append(f.payload))
+    env.interface_of("s1").on_broadcast(lambda f, *arrival: received.append(f.payload))
     env.interface_of("s0").send("hi", 50, destination=None)
     sim.run(until=1.0)
     assert received == ["hi"]
@@ -259,7 +302,7 @@ def test_substrate_bound_environment_still_reaches_overlay_interfaces():
     env.attach("veh", lambda: vehicle.position)
     env.attach("rsu", lambda: Vec2(30, 0))  # radio-only, no mobility entry
     got = []
-    env.interface_of("rsu").on_receive(lambda f, q: got.append(f.payload))
+    env.interface_of("rsu").on_broadcast(lambda f, *arrival: got.append(f.payload))
     env.interface_of("veh").send("to-rsu", 50, destination=None)
     sim.run(until=0.5)
     assert got == ["to-rsu"]
@@ -329,7 +372,7 @@ def test_lossy_link_drops_some_frames():
     # frames some must be lost (and some must get through).
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(265, 0)})
     received = []
-    ifaces["b"].on_receive(lambda f, q: received.append(f))
+    ifaces["b"].on_unicast(lambda f, q: received.append(f))
     for _ in range(60):
         ifaces["a"].send("x", 100, destination="b")
     sim.run(until=5.0)

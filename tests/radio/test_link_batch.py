@@ -16,7 +16,7 @@ from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.radio.propagation import FreeSpacePathLoss, LogDistancePathLoss
 from repro.simcore.simulator import Simulator
-from tests.oracle import ReferenceRadioEnvironment
+from tests.oracle import ReferenceRadioEnvironment, in_fire_order
 
 
 def quality_tuple(q):
@@ -111,16 +111,16 @@ def test_broadcast_delivery_identical_across_batched_flag():
         sim, env = build_env(reference)
         log = []
         for name in env.node_names:
-            env.interface_of(name).on_receive(
-                lambda frame, quality, receiver=name: log.append(
-                    (sim.now, frame.sender, receiver, quality.snr_db, quality.rate_bps)
+            env.interface_of(name).on_broadcast(
+                lambda frame, time, sequence, *link, receiver=name: log.append(
+                    (time, sequence, frame.sender, receiver, *link)
                 )
             )
         for name in env.node_names:
             env.interface_of(name).send(f"hello-{name}", 200, destination=None)
         sim.run(until=2.0)
         assert log, "broadcasts must deliver something for the check to bite"
-        logs[reference] = log
+        logs[reference] = in_fire_order(log)
     assert logs[False] == logs[True]
 
 

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "fa5427e147c840bc54ff5726ce00e065a89e2609b2ad182962df49f388acc1f6",
+        "82f2f9d1ea58f5033aa27de8c25750721b41fc246c513ebb39c330f02f2d587b",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "c0ac96d7fac69a337e0865f274af4d2536919b807f4cfb281c0cb07bfb4de672",
+        "22a8a34e15f7fd3eb3d01ff3a41c49481fa85b745c5c162cd5a317c1f0d58582",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "353dbe7f67dbfff26145b34c423738d97952df2a8d391f0c5cd10172319f9163",
+        "0681ac2002f1ea5a16447bbafee04da8bc02a6b1b6b8ca08f2770be467e13a89",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "d57eb4566335ca7c44d992633fd63e21ac6875b55ef2253bd03fe5b3362eb0bc",
+        "92a62c3d1acb19aca1074e06842cb8101e18ebacc1193cfbac0c05d08e106e84",
     ),
 }
 

@@ -177,3 +177,67 @@ def test_run_is_a_loop_over_step_not_a_second_event_loop():
     for queue_primitive in ("pop", "peek_time", "_queue"):
         assert queue_primitive not in run_source
         assert queue_primitive in step_source
+
+
+def _events_and_arrivals(deferred):
+    """Events at priorities -1/0/1 and two arrival blocks on shared instants.
+
+    With ``deferred`` the arrivals go to :meth:`Simulator.defer_arrivals`
+    under reserved sequence numbers; otherwise each is a priority-0 event,
+    pushed in block order, so it takes the same number.
+    """
+    sim = Simulator(seed=1)
+    for time, priority in [(1.0, 0), (1.0, -1), (1.0, 1), (2.0, 0)]:
+        sim.schedule_at(time, lambda: None, priority=priority)
+    for times in ([1.0, 1.0, 2.5], [0.5, 1.0, 2.0, 2.0, 3.0]):
+        if deferred:
+            first = sim._queue.reserve(len(times))
+            sim.defer_arrivals(times, list(range(first, first + len(times))))
+        else:
+            for time in times:
+                sim.schedule_at(time, lambda: None)
+    for time, priority in [(1.0, 0), (2.0, -1), (2.5, 1), (3.0, 0)]:
+        sim.schedule_at(time, lambda: None, priority=priority)
+    return sim
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, None])
+def test_deferred_arrivals_count_like_the_events_they_replace(budget):
+    traces = []
+    for deferred in (True, False):
+        sim = _events_and_arrivals(deferred)
+        trace = [sim.pending_events]
+        for until in (2.0, None):
+            while True:
+                outcome = sim.step(max_events=budget, until=until)
+                trace.append((outcome, sim.last_key, sim.pending_events))
+                if outcome.exhausted:
+                    break
+        traces.append(trace)
+    assert traces[0] == traces[1]
+    assert traces[0][0] == 16 and traces[0][-1][2] == 0
+
+
+def test_step_end_hooks_run_after_every_slice():
+    sim = Simulator(seed=1)
+    _spaced_events(sim, [1.0, 2.0, 3.0])
+    seen = []
+    sim.on_step_end(lambda: seen.append(sim.last_key[0]))
+    sim.step(max_events=2)
+    sim.step()
+    assert seen == [2.0, 3.0]
+
+
+def test_sealed_simulator_refuses_scheduling_ids_and_draws():
+    sim = Simulator(seed=1)
+    token = sim.seal()
+    for action in (
+        lambda: sim.schedule(1.0, lambda: None),
+        lambda: sim.new_id("frame"),
+        lambda: sim.streams.get("radio"),
+    ):
+        with pytest.raises(RuntimeError, match="sealed"):
+            action()
+    sim.unseal(token)
+    sim.schedule(1.0, lambda: None)
+    assert sim.new_id("frame") == 0

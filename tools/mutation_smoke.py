@@ -35,9 +35,12 @@ from typing import NamedTuple, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The fast pins every mutation runs against.  The last three were added
-#: for mutations that survived the first four: they kill the EDGE_PAD, the
-#: expiry-boundary and the quorum mutations in well under a second.
+#: The fast pins every mutation runs against.  The obstacle-index, neighbour
+#: and trust pins were added for mutations that survived the first four:
+#: they kill the EDGE_PAD, the expiry-boundary and the quorum mutations in
+#: well under a second.  The deferred-arrival example compares the
+#: deferred broadcast path with the per-receiver event oracle on a fixed
+#: fleet (the property around it shrinks for minutes when it fails).
 PINS = (
     "tests/scenarios/test_scenario_pins.py",
     "tests/radio/test_broadcast_oracle.py",
@@ -46,6 +49,7 @@ PINS = (
     "tests/properties/test_property_obstacle_index.py::test_collinear_ray_takes_the_primitive_fallback",
     "tests/mesh/test_neighbor.py",
     "tests/core/test_trust.py",
+    "tests/properties/test_property_deferred_arrivals.py::test_twin_fleet_exercises_ties_crashes_and_joins",
 )
 
 
@@ -129,6 +133,19 @@ MUTATIONS: Tuple[Mutation, ...] = (
         "repro/radio/interfaces.py",
         "        self._plans.clear()\n        self._universe = None\n",
         "        self._plans.clear()\n",
+    ),
+    Mutation(
+        "deferred arrivals: commit skips the last fired arrival",
+        "repro/radio/interfaces.py",
+        "        bound = (last[0], last[1], last[2] + 1)\n",
+        "        bound = last\n",
+    ),
+    Mutation(
+        "beacon agent: build_beacon reads the epoch without committing",
+        "repro/mesh/discovery.py",
+        '        """Construct the next outgoing beacon, applying all enrichers."""\n'
+        "        self.interface.commit()\n",
+        '        """Construct the next outgoing beacon, applying all enrichers."""\n',
     ),
     Mutation(
         "substrate: commit does not advance the position epoch",
