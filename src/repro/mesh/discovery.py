@@ -11,14 +11,16 @@ global "the mesh", and two nodes may disagree transiently.  The agent counts
 the view's changes in a per-node ``epoch``, one step per joined neighbour
 and one per evicted neighbour, and carries it in every beacon.
 
-Beacons reach the agent through its interface's broadcast-receipt hook
-(:meth:`~repro.radio.interfaces.RadioInterface.on_broadcast`): on the exact
-tier a heard beacon is applied when the interface commits, with its arrival
-time, not when it arrives.  So everything that reads what the handler
-writes commits first: the table's public methods, :attr:`BeaconAgent.epoch`,
-:attr:`BeaconAgent.beacons_heard`, :meth:`BeaconAgent.build_beacon` and the
-expiry sweep.  The handler and the neighbour-up callbacks it calls run with
-the simulator sealed.
+The agent's table, epoch and beacons-heard count live in the radio
+environment's :class:`~repro.mesh.neighbor.NeighborStore`, at the slot of
+the agent's interface, and the radio writes them: on the exact tier a heard
+beacon is applied by the environment's bulk commit, with its arrival time,
+not when it arrives; an event delivery (the statistical tier) applies it
+through :meth:`~repro.mesh.neighbor.NeighborStore.receive`.  So everything
+that reads what those write commits first: the table's public methods,
+:attr:`BeaconAgent.epoch`, :attr:`BeaconAgent.beacons_heard`,
+:meth:`BeaconAgent.build_beacon` and the expiry sweep.  The writes and the
+neighbour-up callbacks they call run with the simulator sealed.
 """
 
 from __future__ import annotations
@@ -26,16 +28,12 @@ from __future__ import annotations
 from typing import Callable, List
 
 from repro.mesh.messages import BEACON_SIZE_BYTES, Beacon
-from repro.mesh.neighbor import NeighborTable
-from repro.radio.interfaces import Frame, RadioInterface
+from repro.mesh.neighbor import NeighborStore, NeighborTable, NeighborUpCallback
+from repro.radio.interfaces import RadioInterface
 from repro.simcore.simulator import Simulator
 
 #: Type of the callback higher layers register to enrich outgoing beacons.
 BeaconEnricher = Callable[[Beacon], Beacon]
-
-#: ``callback(peer, beacon, time, sequence)`` for a newly joined neighbour;
-#: ``time`` and ``sequence`` are the key of the arrival that joined it.
-NeighborUpCallback = Callable[[str, Beacon, float, int], None]
 
 
 class BeaconAgent:
@@ -77,18 +75,21 @@ class BeaconAgent:
         self.interface = interface
         self.state_provider = state_provider
         self.beacon_period = beacon_period
-        self.neighbors = NeighborTable(
-            interface.node_name, lifetime=neighbor_lifetime, commit=interface.commit
-        )
         self._enrichers: List[BeaconEnricher] = []
-        self._neighbor_up_callbacks: List[NeighborUpCallback] = []
         self.beacons_sent = 0
-        self._beacons_heard = 0
-        self._epoch = 0
         self._beacons_sent_counter = sim.monitor.counter("mesh.beacons_sent")
-        self._joins_counter = sim.monitor.counter("mesh.joins")
+        environment = interface.environment
+        self._commit = environment.commit
+        self._store = NeighborStore.of(environment)
+        self._slot = interface.slot
+        self.neighbors = NeighborTable(
+            interface.node_name,
+            lifetime=neighbor_lifetime,
+            commit=self._commit,
+            store=self._store,
+            slot=interface.slot,
+        )
 
-        interface.on_broadcast(self._on_beacon)
         self._beacon_task = sim.schedule_periodic(
             beacon_period,
             self._send_beacon,
@@ -117,19 +118,19 @@ class BeaconAgent:
         It runs when the joining arrival is committed, with the simulator
         sealed, so it gets the arrival's time and sequence number.
         """
-        self._neighbor_up_callbacks.append(callback)
+        self._store.watch(self._slot, callback)
 
     @property
     def epoch(self) -> int:
         """Joins plus evictions so far (commits first)."""
-        self.interface.commit()
-        return self._epoch
+        self._commit()
+        return int(self._store.epoch[self._slot])
 
     @property
     def beacons_heard(self) -> int:
         """Beacons received so far (commits first)."""
-        self.interface.commit()
-        return self._beacons_heard
+        self._commit()
+        return int(self._store.heard[self._slot])
 
     def stop(self) -> None:
         """Stop beaconing and expiry (node shutting down)."""
@@ -140,14 +141,14 @@ class BeaconAgent:
 
     def build_beacon(self) -> Beacon:
         """Construct the next outgoing beacon, applying all enrichers."""
-        self.interface.commit()
+        self._commit()
         position, velocity = self.state_provider()
         beacon = Beacon(
             sender=self.interface.node_name,
             timestamp=self.sim.now,
             position=position,
             velocity=velocity,
-            epoch=self._epoch,
+            epoch=int(self._store.epoch[self._slot]),
         )
         for enricher in self._enrichers:
             beacon = enricher(beacon)
@@ -161,23 +162,10 @@ class BeaconAgent:
         self.beacons_sent += 1
         self._beacons_sent_counter.add()
 
-    # -------------------------------------------------------------- receive
-
-    def _on_beacon(
-        self, frame: Frame, time: float, sequence: int, snr_db: float, rate_bps: float
-    ) -> None:
-        beacon = frame.payload
-        if frame.kind != "beacon" or not isinstance(beacon, Beacon):
-            return
-        self._beacons_heard += 1
-        if self.neighbors.observe(beacon, time, snr_db, rate_bps):
-            self._epoch += 1
-            self._joins_counter.add()
-            for callback in self._neighbor_up_callbacks:
-                callback(beacon.sender, beacon, time, sequence)
+    # --------------------------------------------------------------- expiry
 
     def _expire_neighbors(self) -> None:
         expired = self.neighbors.expire(self.sim.now)
         if expired:
-            self._epoch += len(expired)
+            self._store.epoch[self._slot] += len(expired)
             self.sim.monitor.counter("mesh.leaves").add(len(expired))

@@ -5,12 +5,22 @@ the benchmark harness to quantify what the decentralised protocol achieved:
 how many connected components exist, how large they are, how long links live,
 and how quickly the mesh forms and dissolves as vehicles move (experiment
 E3).
+
+The observer reads every node's table in one pass over the radio
+environment's :class:`~repro.mesh.neighbor.NeighborStore`
+(:meth:`~repro.mesh.neighbor.NeighborStore.active_pairs`): the active
+pairs come out as name-id columns, the bidirectional check is one
+membership test over encoded pairs, and only the edges that survive
+become name pairs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.mesh.neighbor import NeighborTable
 from repro.mesh.node import MeshNode
 from repro.simcore.simulator import Simulator
 
@@ -135,35 +145,7 @@ class TopologyObserver:
     def take_snapshot(self) -> TopologySnapshot:
         """Build a snapshot now; it replaces the latest one."""
         now = self.sim.now
-        heard: Dict[str, List[str]] = {}
-        for mesh in self.meshes:
-            # Age-filtered: a silent (e.g. crashed) peer stops contributing
-            # edges once past the neighbour lifetime, even between the
-            # owner's periodic expiry sweeps.  Read through the mesh node,
-            # so a restarted node contributes its fresh table.
-            heard.setdefault(mesh.name, []).extend(
-                mesh.beacon_agent.neighbors.active_names(now)
-            )
-        nodes: Dict[str, None] = dict.fromkeys(heard)
-        if self.require_bidirectional:
-            # Each confirmed link is seen from both ends; keep it from the
-            # end whose name sorts first.
-            heard_sets = {owner: set(names) for owner, names in heard.items()}
-            empty: Set[str] = set()
-            edges = {
-                (a, b)
-                for a, names in heard.items()
-                for b in names
-                if a <= b and a in heard_sets.get(b, empty)
-            }
-        else:
-            for names in heard.values():
-                nodes.update(dict.fromkeys(names))
-            edges = {
-                (a, b) if a <= b else (b, a)
-                for a, names in heard.items()
-                for b in names
-            }
+        nodes, edges = self._graph(now)
         snapshot = TopologySnapshot(now, nodes, edges)
         self._update_link_lifetimes(snapshot)
         self._latest = snapshot
@@ -173,6 +155,44 @@ class TopologyObserver:
         monitor.gauge("mesh.largest_component").set(largest)
         monitor.gauge("mesh.edge_count").set(snapshot.edge_count)
         return snapshot
+
+    def _graph(self, now: float) -> Tuple[Dict[str, None], Set[Edge]]:
+        """The observed nodes, and the links among their active neighbours.
+
+        Age-filtered: a silent (e.g. crashed) peer stops contributing edges
+        once past the neighbour lifetime, even between the owner's periodic
+        expiry sweeps.  Tables are read through the mesh nodes, so a
+        restarted node contributes its fresh table.  Nodes come in
+        observation order: owners first, then (without the bidirectional
+        requirement) heard names as first heard, owner by owner.  The
+        observed nodes have distinct names and share one neighbour store.
+        """
+        tables: List[NeighborTable] = [
+            mesh.beacon_agent.neighbors for mesh in self.meshes
+        ]
+        nodes: Dict[str, None] = dict.fromkeys(table.owner for table in tables)
+        if not tables:
+            return nodes, set()
+        store = tables[0].store
+        tables[0]._commit()
+        position, b, names = store.active_pairs(tables, now)
+        a = store.owner[[table.slot for table in tables]][position]
+        rank = np.empty(len(names), np.int64)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        first_sorts = rank[a] < rank[b]
+        if self.require_bidirectional:
+            # Each confirmed link is seen from both ends; keep it from the
+            # end whose name sorts first.
+            pairs = a * len(names) + b
+            confirmed = first_sorts & np.isin(b * len(names) + a, pairs)
+            a, b = a[confirmed], b[confirmed]
+        else:
+            nodes.update(dict.fromkeys(names[ident] for ident in b.tolist()))
+            a, b = np.where(first_sorts, a, b), np.where(first_sorts, b, a)
+        edges = set(
+            zip(map(names.__getitem__, a.tolist()), map(names.__getitem__, b.tolist()))
+        )
+        return nodes, edges
 
     def _update_link_lifetimes(self, snapshot: TopologySnapshot) -> None:
         current = snapshot.edges

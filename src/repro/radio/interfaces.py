@@ -42,15 +42,21 @@ exact-tier broadcast makes no events: it reserves the k sequence numbers k
 pushes would have taken, hands the simulator one block of arrival keys
 ``(time, 0, sequence)`` to count
 (:meth:`~repro.simcore.simulator.Simulator.defer_arrivals`), and appends
-each arrival to its receiver's deferred list.  :meth:`RadioInterface.commit`
-applies the arrivals keyed at or below the simulator's ``last_key``, in key
-order, to the interface counters and the :meth:`RadioInterface.on_broadcast`
-handlers, which get the arrival time and run with the simulator sealed (no
-scheduling, transmitting or random draws).  Readers of what the handlers
-write commit first, disabling an interface commits first, a receiver with
-:data:`_COMMIT_BACKLOG` waiting arrivals commits, and the environment
-commits every receiver at the end of each simulator step.  The
-statistical tier keeps its coalesced events.
+one pending entry — the frame and, sorted by key, its arrivals' times,
+sequence numbers, receiver slots, SNRs and rates as arrays — to the
+environment.  One
+environment-wide :meth:`RadioEnvironment.commit` applies every arrival
+keyed at or below the simulator's ``last_key``, for all receivers at once:
+it drops arrivals at disabled interfaces, counts the rest into the
+receivers' and the ``radio.*`` delivered counters, hands them to the
+neighbour store (:mod:`repro.mesh.neighbor`) in one batch, and calls the
+:meth:`RadioInterface.on_broadcast` handlers of the receivers that have
+them, in key order, with the arrival time.  Handlers and the store run
+with the simulator sealed (no scheduling, transmitting or random draws).
+Readers of what they write commit first, changing an interface's
+``enabled`` commits first, and the environment commits at the end of each
+simulator step.  The statistical tier keeps its coalesced events, which
+deliver through :meth:`RadioInterface.deliver` one arrival at a time.
 
 Receivers are always iterated in name-sorted order, so the frame-loss RNG
 draws — and therefore the delivered-frame sequence — do not depend on how
@@ -82,11 +88,6 @@ from repro.simcore.simulator import Simulator
 #: candidate query radius adds this slack so range pruning can never drop a
 #: receiver that the full link-budget evaluation would have reached.
 _RANGE_STEP_SLACK_M = 5.0
-
-#: A receiver applies its fired broadcast arrivals as soon as this many are
-#: waiting, so deferred lists stay short between reads.
-_COMMIT_BACKLOG = 16
-
 
 @dataclass(slots=True)
 class Frame:
@@ -122,7 +123,7 @@ BroadcastHandler = Callable[[Frame, float, int, float, float], None]
 
 
 class _FrameDelivery:
-    """One scheduled frame arrival, as a compact preallocated callable.
+    """One scheduled unicast arrival, as a compact preallocated callable.
 
     Replaces the per-delivery ``lambda`` closure (a function object plus
     three cell objects per scheduled frame) with a single ``__slots__``
@@ -139,14 +140,18 @@ class _FrameDelivery:
         self.quality = quality
 
     def __call__(self) -> None:
-        self.receiver.deliver(self.frame, self.quality)
+        receiver = self.receiver
+        frame = self.frame
+        quality = self.quality
+        if receiver.deliver(frame, quality.snr_db, quality.rate_bps, quality):
+            receiver.environment._count_delivered(frame.kind, 1, frame.size_bytes)
 
 
 class _BatchFrameDelivery:
     """All of one broadcast's same-delay arrivals, coalesced into one event.
 
     The statistical tier schedules one of these per *distinct delay value*
-    instead of one :class:`_FrameDelivery` per receiver.  Ordering is
+    instead of one event per receiver.  Ordering is
     preserved observably: receivers sharing an identical delay would have
     been pushed consecutively — in name-sorted order, at the same
     ``(time, priority)`` — so they would fire back-to-back in exactly this
@@ -155,74 +160,33 @@ class _BatchFrameDelivery:
     to observers.  Receivers with *different* delays still get their own
     events and interleave with the rest of the simulation by time as usual.
 
-    Instead of copying per-group receiver/quality sublists on every
-    broadcast, the event references the sender plan's full (per-epoch
-    immutable) lists and carries only the member *indices* — ascending, so
-    delivery stays name-sorted.  Events outliving their epoch keep the lists
-    alive through these references; nothing mutates them after plan build.
+    Instead of copying per-group receiver sublists on every broadcast, the
+    event references the sender plan (immutable for its epoch) and carries
+    only the member *indices* — ascending, so delivery stays name-sorted.
+    Each arrival reads its SNR and rate from the plan's columns; no
+    :class:`~repro.radio.link.LinkQuality` is built.
     """
 
-    __slots__ = ("receivers", "qualities", "indices", "frame")
+    __slots__ = ("plan", "indices", "frame")
 
-    def __init__(
-        self,
-        receivers: List["RadioInterface"],
-        qualities: "_QualityColumns",
-        indices: List[int],
-        frame: "Frame",
-    ) -> None:
-        self.receivers = receivers
-        self.qualities = qualities
+    def __init__(self, plan: "_SenderPlan", indices: List[int], frame: "Frame") -> None:
+        self.plan = plan
         self.indices = indices
         self.frame = frame
 
     def __call__(self) -> None:
-        receivers = self.receivers
-        qualities = self.qualities
+        plan = self.plan
+        receivers = plan.receivers
+        snrs = plan.snr_db
+        rates = plan.rate_bps
         frame = self.frame
+        delivered = 0
         for index in self.indices:
-            receivers[index].deliver(frame, qualities[index])
-
-
-class _QualityColumns:
-    """One sender plan's link qualities, stored column-major.
-
-    Building a frozen :class:`~repro.radio.link.LinkQuality` costs about a
-    microsecond of ``object.__setattr__`` calls — per usable receiver per
-    plan, that used to dominate plan construction while most of the objects
-    were never observed.  The columns are plain Python lists
-    (``ndarray.tolist``, so consumers get genuine ``float`` values); the
-    exact tier's deferred arrivals read the SNR and rate columns directly,
-    and ``__getitem__`` materialises a quality for an event delivery.  All
-    rows are usable by construction — the plan only keeps receivers that
-    cleared the SNR threshold.
-    """
-
-    __slots__ = ("snrs", "rates", "pers", "distances")
-
-    def __init__(
-        self,
-        snrs: List[float],
-        rates: List[float],
-        pers: List[float],
-        distances: List[float],
-    ) -> None:
-        self.snrs = snrs
-        self.rates = rates
-        self.pers = pers
-        self.distances = distances
-
-    def __len__(self) -> int:
-        return len(self.snrs)
-
-    def __getitem__(self, index: int) -> LinkQuality:
-        return LinkQuality(
-            self.snrs[index],
-            self.rates[index],
-            self.pers[index],
-            True,
-            self.distances[index],
-        )
+            delivered += receivers[index].deliver(frame, snrs[index], rates[index])
+        if delivered:
+            receivers[0].environment._count_delivered(
+                frame.kind, delivered, frame.size_bytes * delivered
+            )
 
 
 class _SenderPlan:
@@ -233,22 +197,27 @@ class _SenderPlan:
     differ only in that kernel and in how losses are drawn and arrivals
     scheduled.
 
-    ``receivers``/``qualities`` are the *usable* receivers, name-sorted —
-    their names are the answer to :meth:`RadioEnvironment.nodes_in_range`.
-    ``pers``, ``scaled_rates`` (rate times the contention scale) and
-    ``prop_delays`` are numpy columns over the same receivers.
+    ``receivers`` are the *usable* receivers, name-sorted — their names are
+    the answer to :meth:`RadioEnvironment.nodes_in_range`.  ``slots``,
+    ``snr_db``, ``rate_bps``, ``pers``, ``scaled_rates`` (rate times the
+    contention scale) and ``prop_delays`` are numpy columns over the same
+    receivers: building a :class:`~repro.radio.link.LinkQuality` per
+    receiver used to dominate plan construction while most were never
+    observed.
     ``out_of_range`` folds the spatially pruned and the link-unusable
     candidates into one per-broadcast counter increment.  Delays depend on
     the frame size, so both tiers compute them per broadcast.  Nothing
-    mutates a plan's lists after it is built, so scheduled deliveries may
-    reference them.
+    mutates a plan after it is built, so scheduled deliveries may reference
+    it.
     ``RadioEnvironment._refresh`` discards plans with the other per-epoch
     caches.
     """
 
     __slots__ = (
         "receivers",
-        "qualities",
+        "slots",
+        "snr_db",
+        "rate_bps",
         "pers",
         "scaled_rates",
         "prop_delays",
@@ -258,7 +227,8 @@ class _SenderPlan:
     def __init__(
         self,
         receivers: List["RadioInterface"],
-        qualities: _QualityColumns,
+        slots: np.ndarray,
+        snrs: np.ndarray,
         pers: np.ndarray,
         rates: np.ndarray,
         distances: np.ndarray,
@@ -269,7 +239,9 @@ class _SenderPlan:
         # the contention scale is a function of the receiver count alone.
         concurrent = max(0, len(receivers) - 1)
         self.receivers = receivers
-        self.qualities = qualities
+        self.slots = slots
+        self.snr_db = snrs
+        self.rate_bps = rates
         self.pers = pers
         self.scaled_rates = rates * (1.0 / (1.0 + contention_factor * concurrent))
         self.prop_delays = distances / 3e8
@@ -298,7 +270,7 @@ class _EpochUniverse:
     receivers are name-sorted either way, so the RNG draws line up.
     """
 
-    __slots__ = ("interfaces", "positions", "xs", "ys", "index_of")
+    __slots__ = ("interfaces", "positions", "xs", "ys", "slots", "index_of")
 
 
 class RadioInterface:
@@ -307,7 +279,9 @@ class RadioInterface:
     Two hooks observe arriving frames (see the module docstring):
     :meth:`on_unicast` callbacks get frames addressed to this interface
     inside their arrival events, and :meth:`on_broadcast` handlers get
-    broadcast frames when they are committed.
+    broadcast frames when they are committed.  ``slot`` is the interface's
+    row in the environment's per-receiver columns, fixed at attachment and
+    never reused.
     """
 
     def __init__(
@@ -315,20 +289,39 @@ class RadioInterface:
         environment: "RadioEnvironment",
         node_name: str,
         position_provider: Callable[[], Vec2],
+        slot: int,
     ) -> None:
         self.environment = environment
         self.node_name = node_name
         self.position_provider = position_provider
+        self.slot = slot
         self._unicast_callbacks: List[Callable[[Frame, LinkQuality], None]] = []
         self._broadcast_handlers: List[BroadcastHandler] = []
-        #: Broadcast arrivals handed to the simulator and not yet applied,
-        #: ``(time, 0, sequence, frame, snr_db, rate_bps)`` in append order.
-        self._deferred: List[tuple] = []
         self.bytes_sent = 0
-        self.bytes_received = 0
         self.frames_sent = 0
-        self.frames_received = 0
+        #: Frames delivered by events; committed broadcasts are counted in
+        #: the environment's per-slot columns.
+        self._event_bytes = 0
+        self._event_frames = 0
         self._enabled = True
+
+    @property
+    def bytes_received(self) -> int:
+        """Bytes of every frame delivered to this interface."""
+        return self._event_bytes + int(self.environment._slot_bytes[self.slot])
+
+    @bytes_received.setter
+    def bytes_received(self, value: int) -> None:
+        self._event_bytes = value - int(self.environment._slot_bytes[self.slot])
+
+    @property
+    def frames_received(self) -> int:
+        """Number of frames delivered to this interface."""
+        return self._event_frames + int(self.environment._slot_frames[self.slot])
+
+    @frames_received.setter
+    def frames_received(self, value: int) -> None:
+        self._event_frames = value - int(self.environment._slot_frames[self.slot])
 
     @property
     def enabled(self) -> bool:
@@ -342,8 +335,12 @@ class RadioInterface:
 
     @enabled.setter
     def enabled(self, value: bool) -> None:
-        self.commit()
-        self._enabled = value
+        environment = self.environment
+        environment.commit()
+        value = bool(value)
+        if value != self._enabled:
+            environment._disabled += -1 if value else 1
+            environment._slot_enabled[self.slot] = self._enabled = value
 
     @property
     def position(self) -> Vec2:
@@ -375,10 +372,12 @@ class RadioInterface:
         broadcast frames.
 
         It is called when the arrival is committed, with the arrival's time
-        and sequence number, in key order per interface, with the simulator
-        sealed: a handler must not schedule, transmit or draw randomness.
+        and sequence number, in key order, with the simulator sealed: a
+        handler must not schedule, transmit or draw randomness.
         """
         self._broadcast_handlers.append(handler)
+        self.environment._slot_tapped[self.slot] = True
+        self.environment._taps = True
 
     def send(
         self,
@@ -402,66 +401,48 @@ class RadioInterface:
             self.environment.transmit(self, frame)
         return frame
 
-    def deliver(self, frame: Frame, quality: LinkQuality) -> None:
-        """A frame arrives inside its event (``sim.now`` is its arrival)."""
-        if self._deferred:
-            self.commit()
+    def deliver(
+        self,
+        frame: Frame,
+        snr_db: float,
+        rate_bps: float,
+        quality: Optional[LinkQuality] = None,
+    ) -> bool:
+        """A frame arrives inside its event (``sim.now`` is its arrival).
+
+        A unicast frame carries its link ``quality`` for the unicast
+        callbacks; a broadcast goes to the neighbour store and the
+        broadcast handlers, sealed.  Returns whether the frame was
+        delivered: an arrival at a disabled interface is dropped.  The
+        arrival event counts delivered frames into the ``radio.*``
+        counters, once per event.
+        """
+        environment = self.environment
+        if environment._pending:
+            environment.commit()
         if not self._enabled:
-            return
-        self.bytes_received += frame.size_bytes
-        self.frames_received += 1
+            return False
+        self._event_bytes += frame.size_bytes
+        self._event_frames += 1
         if frame.destination is not None:
             for callback in self._unicast_callbacks:
                 callback(frame, quality)
-        elif self._broadcast_handlers:
-            sim = self.environment.sim
-            time, _, sequence = sim.last_key
-            token = sim.seal()
-            try:
-                for handler in self._broadcast_handlers:
-                    handler(frame, time, sequence, quality.snr_db, quality.rate_bps)
-            finally:
-                sim.unseal(token)
-
-    def commit(self) -> None:
-        """Apply the deferred broadcast arrivals the simulator has fired.
-
-        Those are the arrivals keyed at or below the simulator's
-        :attr:`~repro.simcore.simulator.Simulator.last_key`; they are
-        applied in key order, and dropped while the interface is disabled.
-        """
-        deferred = self._deferred
-        if not deferred:
-            return
-        last = self.environment.sim.last_key
-        bound = (last[0], last[1], last[2] + 1)
-        due = [arrival for arrival in deferred if arrival < bound]
-        if not due:
-            return
-        if len(due) == len(deferred):
-            self._deferred = []
-            del self.environment._pending[self]
-        else:
-            self._deferred = [arrival for arrival in deferred if arrival > bound]
-        due.sort()
-        if self._enabled:
-            self._apply(due)
-
-    def _apply(self, arrivals: List[tuple]) -> None:
-        """Count broadcast arrivals in and run the handlers, sealed."""
-        self.frames_received += len(arrivals)
-        self.bytes_received += sum([arrival[3].size_bytes for arrival in arrivals])
+            return True
+        store = environment.neighbor_store
         handlers = self._broadcast_handlers
-        if not handlers:
-            return
-        sim = self.environment.sim
+        if store is None and not handlers:
+            return True
+        sim = environment.sim
+        time, _, sequence = sim.last_key
         token = sim.seal()
         try:
-            for time, _, sequence, frame, snr_db, rate_bps in arrivals:
-                for handler in handlers:
-                    handler(frame, time, sequence, snr_db, rate_bps)
+            if store is not None:
+                store.receive(self.slot, frame, time, sequence, snr_db, rate_bps)
+            for handler in handlers:
+                handler(frame, time, sequence, snr_db, rate_bps)
         finally:
             sim.unseal(token)
+        return True
 
 
 class RadioEnvironment:
@@ -583,10 +564,27 @@ class RadioEnvironment:
         self._link_delay = monitor.sample("radio.link_delay")
         self._kind_bytes: Dict[str, Counter] = {}
         self._deliver_names: Dict[str, str] = {}
-        #: Interfaces with deferred broadcast arrivals (an insertion-ordered
-        #: set); the end of every simulator step commits them.
-        self._pending: Dict[RadioInterface, None] = {}
-        sim.on_step_end(self.commit_all)
+        #: Every interface ever attached, by slot, and the per-slot columns:
+        #: enabled, has broadcast handlers, committed broadcast frames and
+        #: bytes.
+        self._slot_interfaces: List[RadioInterface] = []
+        self._slot_enabled = np.zeros(0, np.bool_)
+        self._slot_tapped = np.zeros(0, np.bool_)
+        self._slot_frames = np.zeros(0, np.int64)
+        self._slot_bytes = np.zeros(0, np.int64)
+        #: Exact-tier broadcasts with arrivals not yet committed, in send
+        #: order, each ``[frame, times, sequences, slots, snrs, rates]`` with
+        #: the columns sorted by arrival key, and the earliest arrival time.
+        self._pending: List[list] = []
+        self._due_time = float("inf")
+        #: Disabled interfaces, and whether any has broadcast handlers.
+        self._disabled = 0
+        self._taps = False
+        #: The mesh layer's :class:`~repro.mesh.neighbor.NeighborStore`,
+        #: installed by the first beacon agent; the commit hands it every
+        #: committed broadcast arrival.
+        self.neighbor_store: Optional[Any] = None
+        sim.on_step_end(self.commit)
         if mobility is not None:
             self.bind_mobility(mobility)
 
@@ -607,17 +605,137 @@ class RadioEnvironment:
         state["_universe"] = None
         state["_synced_epoch"] = -1
         state["_synced_time"] = None
-        # Ordered by each receiver's earliest waiting arrival (keys are
-        # unique), not by when the slicing of the run registered it.
-        state["_pending"] = dict.fromkeys(
-            sorted(self._pending, key=lambda interface: min(interface._deferred))
-        )
+        count = len(self._slot_interfaces)
+        for name in ("_slot_enabled", "_slot_tapped", "_slot_frames", "_slot_bytes"):
+            state[name] = state[name][:count]
         return state
 
-    def commit_all(self) -> None:
-        """Commit every receiver's fired broadcast arrivals."""
-        for interface in list(self._pending):
-            interface.commit()
+    # ----------------------------------------------------------- arrivals
+
+    def commit(self) -> None:
+        """Apply every fired exact-tier broadcast arrival, fleet-wide.
+
+        The fired arrivals are those keyed at or below the simulator's
+        :attr:`~repro.simcore.simulator.Simulator.last_key`.  Arrivals at
+        disabled interfaces are dropped; the rest are counted into the
+        per-slot and ``radio.*`` delivered counters, handed to the neighbour
+        store as one batch, and passed to the broadcast handlers of the
+        receivers that have them, in key order — the store and the handlers
+        run sealed.
+        """
+        if self._due_time > self.sim.last_key[0]:
+            return
+        time, priority, sequence = self.sim.last_key
+        waiting = []
+        pieces = []
+        head = float("inf")
+        for pending in self._pending:
+            times = pending[1]
+            if times[-1] < time:
+                stop = len(times)
+            else:
+                # Arrivals at ``time`` itself are keyed (time, 0, sequence).
+                stop = times.searchsorted(time)
+                end = times.searchsorted(time, "right")
+                if priority > 0:
+                    stop = end
+                elif priority == 0:
+                    stop += pending[2][stop:end].searchsorted(sequence, "right")
+            if stop == len(times):
+                pieces.append(pending)
+                continue
+            if stop:
+                pieces.append([pending[0]] + [column[:stop] for column in pending[1:]])
+                pending = [pending[0]] + [column[stop:] for column in pending[1:]]
+            waiting.append(pending)
+            head = min(head, float(pending[1][0]))
+        self._pending = waiting
+        self._due_time = head
+        if pieces:
+            self._commit_pieces(pieces)
+
+    def _commit_pieces(self, pieces: List[list]) -> None:
+        """Count and hand over the committed parts of pending broadcasts."""
+        frames = [piece[0] for piece in pieces]
+        lengths = [len(piece[1]) for piece in pieces]
+        if len(pieces) == 1:
+            times, sequences, slots, snrs, rates = pieces[0][1:]
+        else:
+            times, sequences, slots, snrs, rates = [
+                np.concatenate([piece[column] for piece in pieces])
+                for column in range(1, 6)
+            ]
+        if self._disabled:
+            kept = self._slot_enabled[slots]
+            lengths = np.bincount(
+                np.repeat(np.arange(len(pieces)), lengths)[kept],
+                minlength=len(pieces),
+            ).tolist()
+            times, sequences, slots = times[kept], sequences[kept], slots[kept]
+            snrs, rates = snrs[kept], rates[kept]
+        counts = np.bincount(slots)
+        self._slot_frames[: len(counts)] += counts
+        sizes = [frame.size_bytes for frame in frames]
+        if min(sizes) == max(sizes):
+            self._slot_bytes[: len(counts)] += counts * sizes[0]
+        else:
+            per_slot = np.bincount(slots, np.repeat(sizes, lengths))
+            self._slot_bytes[: len(per_slot)] += per_slot.astype(np.int64)
+        for frame, length in zip(frames, lengths):
+            if length:
+                self._count_delivered(frame.kind, length, frame.size_bytes * length)
+        store = self.neighbor_store
+        if not len(slots) or (store is None and not self._taps):
+            return
+        sim = self.sim
+        token = sim.seal()
+        try:
+            if store is not None:
+                store.commit_arrivals(
+                    len(self._slot_interfaces),
+                    frames, lengths, counts, slots, times, sequences, snrs, rates,
+                )
+            if self._taps:
+                self._call_handlers(
+                    frames, lengths, self._slot_tapped[slots],
+                    slots, times, sequences, snrs, rates,
+                )
+        finally:
+            sim.unseal(token)
+
+    def _call_handlers(
+        self,
+        frames: List[Frame],
+        lengths: List[int],
+        tapped: np.ndarray,
+        slots: np.ndarray,
+        times: np.ndarray,
+        sequences: np.ndarray,
+        snrs: np.ndarray,
+        rates: np.ndarray,
+    ) -> None:
+        """Call the broadcast handlers of the tapped arrivals, in key order."""
+        chosen = np.flatnonzero(tapped)
+        chosen = chosen[np.lexsort((sequences[chosen], times[chosen]))]
+        pieces = np.repeat(np.arange(len(frames)), lengths)[chosen].tolist()
+        interfaces = self._slot_interfaces
+        for piece, slot, time, sequence, snr_db, rate_bps in zip(
+            pieces,
+            slots[chosen].tolist(),
+            times[chosen].tolist(),
+            sequences[chosen].tolist(),
+            snrs[chosen].tolist(),
+            rates[chosen].tolist(),
+        ):
+            frame = frames[piece]
+            for handler in interfaces[slot]._broadcast_handlers:
+                handler(frame, time, sequence, snr_db, rate_bps)
+
+    def _count_delivered(self, kind: str, frames: int, size: int) -> None:
+        """Count ``frames`` delivered frames of ``size`` bytes in total."""
+        self._frames_delivered.add(frames)
+        self._bytes_delivered.add(size)
+        self._kind_counter(kind).add(size)
 
     # ----------------------------------------------------------- attachment
 
@@ -627,8 +745,18 @@ class RadioEnvironment:
         """Create and register an interface for ``node_name``."""
         if node_name in self._interfaces:
             raise ValueError(f"node {node_name!r} already has a radio interface")
-        interface = RadioInterface(self, node_name, position_provider)
+        slot = len(self._slot_interfaces)
+        interface = RadioInterface(self, node_name, position_provider, slot)
         self._interfaces[node_name] = interface
+        self._slot_interfaces.append(interface)
+        if slot == len(self._slot_enabled):
+            capacity = max(16, 2 * slot)
+            for name in ("_slot_enabled", "_slot_tapped", "_slot_frames", "_slot_bytes"):
+                column = getattr(self, name)
+                grown = np.zeros(capacity, column.dtype)
+                grown[:slot] = column
+                setattr(self, name, grown)
+        self._slot_enabled[slot] = True
         self.notify_positions_changed()
         return interface
 
@@ -784,6 +912,9 @@ class RadioEnvironment:
             universe.ys = np.fromiter(
                 (position.y for position in positions), np.float64, count
             )
+            universe.slots = np.fromiter(
+                (interface.slot for interface in interfaces), np.int64, count
+            )
             universe.index_of = {
                 interface.node_name: index
                 for index, interface in enumerate(interfaces)
@@ -800,9 +931,9 @@ class RadioEnvironment:
         :meth:`~repro.radio.link.LinkBudget.exact_arrays_xy` or the
         statistical :meth:`~repro.radio.link.LinkBudget.quality_arrays_xy`,
         which reuses the mask's squared distances — evaluates them in one
-        call, and the usable receivers' qualities stay column-major
-        (:class:`_QualityColumns`).  Every other interface that is not a
-        usable receiver counts into ``out_of_range``.
+        call, and the usable receivers' qualities stay column-major.  Every
+        other interface that is not a usable receiver counts into
+        ``out_of_range``.
         """
         universe = self._ensure_universe()
         sender_index = universe.index_of.get(sender.node_name)
@@ -846,19 +977,13 @@ class RadioEnvironment:
         receivers = [
             all_interfaces[index] for index in candidates[usable_indices].tolist()
         ]
-        usable_distances = distances[usable_indices]
-        qualities = _QualityColumns(
-            snrs[usable_indices].tolist(),
-            rates[usable_indices].tolist(),
-            pers[usable_indices].tolist(),
-            usable_distances.tolist(),
-        )
         return _SenderPlan(
             receivers,
-            qualities,
+            universe.slots[candidates[usable_indices]],
+            snrs[usable_indices],
             pers[usable_indices],
             rates[usable_indices],
-            usable_distances,
+            distances[usable_indices],
             others - len(receivers),
             self.contention_factor,
         )
@@ -882,6 +1007,9 @@ class RadioEnvironment:
     def transmit(self, sender: RadioInterface, frame: Frame) -> None:
         """Deliver ``frame`` to its destination(s) with latency and loss."""
         self._refresh()
+        # The kind's byte counter exists from the first send on, so the
+        # monitor's counter order does not depend on when arrivals commit.
+        self._kind_counter(frame.kind)
         if frame.destination is None:
             self._broadcast(sender, frame)
         else:
@@ -913,9 +1041,6 @@ class RadioEnvironment:
         rate = quality.rate_bps * (1.0 / (1.0 + self.contention_factor * concurrent))
         # The broadcast's rule, scalar: a usable link has a positive rate.
         delay = frame.size_bytes * 8 / rate + quality.distance / 3e8
-        self._frames_delivered.add()
-        self._bytes_delivered.add(frame.size_bytes)
-        self._kind_counter(frame.kind).add(frame.size_bytes)
         self._link_delay.add(delay)
         self.sim._queue.push(
             self.sim.now + delay,
@@ -970,10 +1095,6 @@ class RadioEnvironment:
             self._frames_lost.add(lost)
         if not delivered:
             return
-        self._frames_delivered.add(delivered)
-        total_bytes = frame.size_bytes * delivered
-        self._bytes_delivered.add(total_bytes)
-        self._kind_counter(frame.kind).add(total_bytes)
         size_bits = frame.size_bytes * 8
         if fast:
             times, callbacks = self._coalesced_arrivals(plan, kept, size_bits, frame)
@@ -985,49 +1106,45 @@ class RadioEnvironment:
             )
             return
         delays = size_bits / plan.scaled_rates + plan.prop_delays
+        indices = None
         if lost:
             indices = np.flatnonzero(kept)
             delays = delays[indices]
-            indices = indices.tolist()
-        else:
-            indices = range(count)
         self._link_delay.add_many(delays)
         self._defer_arrivals(plan, indices, delays + self.sim.now, frame)
 
     def _defer_arrivals(
         self,
         plan: _SenderPlan,
-        indices: "Sequence[int]",
+        indices: Optional[np.ndarray],
         times: np.ndarray,
         frame: Frame,
     ) -> None:
         """Hand one exact-tier broadcast's arrivals over without events.
 
-        ``indices`` are the delivered receivers' plan indices, name-sorted,
-        and ``times`` their arrival times.  Arrival i takes the i-th of the
-        reserved sequence numbers, as the i-th push would have, and goes
-        onto its receiver's deferred list; the keys go to the simulator as
-        one block sorted by key.
+        ``indices`` are the delivered receivers' plan indices, name-sorted
+        (``None``: every receiver), and ``times`` their arrival times.
+        Arrival i takes the i-th of the reserved sequence numbers, as the
+        i-th push would have.  The keys go to the simulator, and the
+        arrivals to the pending list as one entry of columns, both sorted by
+        key.
         """
         sim = self.sim
         first = sim._queue.reserve(len(times))
-        receivers = plan.receivers
-        qualities = plan.qualities
-        snrs = qualities.snrs
-        rates = qualities.rates
-        pending = self._pending
-        sequence = first
-        for index, time in zip(indices, times.tolist()):
-            receiver = receivers[index]
-            deferred = receiver._deferred
-            deferred.append((time, 0, sequence, frame, snrs[index], rates[index]))
-            if len(deferred) == 1:
-                pending[receiver] = None
-            elif len(deferred) >= _COMMIT_BACKLOG:
-                receiver.commit()
-            sequence += 1
         order = np.argsort(times, kind="stable")
-        sim.defer_arrivals(times[order].tolist(), (order + first).tolist())
+        times = times[order]
+        sequences = order + first
+        sim.defer_arrivals(times.tolist(), sequences.tolist())
+        receivers = order if indices is None else indices[order]
+        self._pending.append([
+            frame,
+            times,
+            sequences,
+            plan.slots[receivers],
+            plan.snr_db[receivers],
+            plan.rate_bps[receivers],
+        ])
+        self._due_time = min(self._due_time, float(times[0]))
 
     def _coalesced_arrivals(
         self, plan: _SenderPlan, kept: np.ndarray, size_bits: int, frame: Frame
@@ -1035,9 +1152,8 @@ class RadioEnvironment:
         """Statistical-tier arrival times and callbacks, one per delay group.
 
         The delivered receivers sharing an identical delay are coalesced into
-        one :class:`_BatchFrameDelivery` (a lone receiver gets a
-        :class:`_FrameDelivery`), so a broadcast costs one heap entry per
-        delay group instead of one per receiver.
+        one :class:`_BatchFrameDelivery`, so a broadcast costs one heap entry
+        per delay group instead of one per receiver.
         """
         # Bucket receivers by identical delay in C: `np.unique` sorts the
         # delays, the stable argsort of the inverse mapping lays the member
@@ -1053,22 +1169,13 @@ class RadioEnvironment:
         members = indices[np.argsort(inverse, kind="stable")].tolist()
         self._link_delay.add_many(delays)
         now = self.sim.now
-        receivers = plan.receivers
-        qualities = plan.qualities
         times: List[float] = []
         callbacks: List[Callable[[], Any]] = []
         start = 0
         for delay, size in zip(unique_delays.tolist(), counts.tolist()):
-            if size == 1:
-                index = members[start]
-                callback: Callable[[], Any] = _FrameDelivery(
-                    receivers[index], frame, qualities[index]
-                )
-            else:
-                callback = _BatchFrameDelivery(
-                    receivers, qualities, members[start : start + size], frame
-                )
+            callbacks.append(
+                _BatchFrameDelivery(plan, members[start : start + size], frame)
+            )
             start += size
             times.append(now + delay)
-            callbacks.append(callback)
         return times, callbacks

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.geometry.vector import Vec2
+from repro.mesh.messages import Beacon
+from repro.mesh.neighbor import NeighborStore, NeighborTable
 from repro.mesh.node import MeshNode
 from repro.mesh.topology import TopologyObserver, TopologySnapshot
 from repro.mobility.waypoints import StaticNode
@@ -101,11 +103,18 @@ def test_empty_observer_has_no_snapshot_stats():
 
 
 class FakeMesh:
-    """Just what the observer reads: an owner name and its active names."""
+    """Just what the observer reads: an owner name and a table (on a shared
+    store) that heard ``names`` at t = 0, in that order."""
 
-    def __init__(self, owner, names):
+    def __init__(self, owner, names, store):
         self.name = owner
-        neighbors = SimpleNamespace(active_names=lambda now: list(names))
+        neighbors = NeighborTable(owner, commit=lambda: None, store=store)
+        for name in names:
+            neighbors.observe(
+                Beacon(sender=name, timestamp=0.0, position=Vec2(0, 0),
+                       velocity=Vec2(0, 0)),
+                now=0.0,
+            )
         self.beacon_agent = SimpleNamespace(neighbors=neighbors)
 
 
@@ -125,7 +134,8 @@ def random_tables(seed, nodes=30, outsiders=4):
 
 def snapshot_of(tables, require_bidirectional):
     sim = Simulator()
-    meshes = [FakeMesh(owner, names) for owner, names in tables]
+    store = NeighborStore()
+    meshes = [FakeMesh(owner, names, store) for owner, names in tables]
     observer = TopologyObserver(
         sim, meshes, require_bidirectional=require_bidirectional
     )

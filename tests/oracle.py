@@ -8,7 +8,9 @@ agreeing with the reference here.
 * :func:`reference_transmit` — the exact radio tier's per-receiver loop: one
   link lookup, RNG draw and counter increment per receiver per frame, one
   ``Simulator.schedule`` per delivery, :meth:`RadioInterface.deliver` on
-  arrival.  :func:`use_reference_transmit` swaps it into an environment.
+  arrival (which, for a beacon, writes the neighbour table one arrival at a
+  time; the event then counts the frame delivered).
+  :func:`use_reference_transmit` swaps it into an environment.
 * :func:`reference_topology` — a topology snapshot's statistics computed
   with networkx from the same neighbour tables the observer reads.
 * :class:`ReferenceRadioEnvironment` — a radio environment whose exact-tier
@@ -54,7 +56,6 @@ from repro.radio.interfaces import (
     Frame,
     RadioEnvironment,
     RadioInterface,
-    _QualityColumns,
     _SenderPlan,
 )
 from repro.radio.link import LinkQuality
@@ -120,12 +121,8 @@ class ReferenceRadioEnvironment(RadioEnvironment):
         qualities = [row[other] for other in names]
         return _SenderPlan(
             [interfaces[other] for other in names],
-            _QualityColumns(
-                [quality.snr_db for quality in qualities],
-                [quality.rate_bps for quality in qualities],
-                [quality.packet_error_rate for quality in qualities],
-                [quality.distance for quality in qualities],
-            ),
+            np.array([interfaces[other].slot for other in names], np.int64),
+            np.array([quality.snr_db for quality in qualities]),
             np.array([quality.packet_error_rate for quality in qualities]),
             np.array([quality.rate_bps for quality in qualities]),
             np.array([quality.distance for quality in qualities]),
@@ -196,15 +193,23 @@ def reference_transmit(env: RadioEnvironment, sender: RadioInterface, frame: Fra
         delay = env.link_budget.transfer_time(frame.size_bytes * 8, rate) + (
             quality.distance / 3e8
         )
-        monitor.counter("radio.frames_delivered").add()
-        monitor.counter("radio.bytes_delivered").add(frame.size_bytes)
-        monitor.counter(f"radio.bytes.{frame.kind}").add(frame.size_bytes)
         monitor.sample("radio.link_delay").add(delay)
         env.sim.schedule(
             delay,
-            lambda receiver=receiver, quality=quality: receiver.deliver(frame, quality),
+            lambda receiver=receiver, quality=quality: _reference_deliver(
+                receiver, frame, quality
+            ),
             name=f"deliver-{frame.kind}",
         )
+
+
+def _reference_deliver(receiver: RadioInterface, frame: Frame, quality: LinkQuality) -> None:
+    """One arrival event: deliver the frame, and count it if it was."""
+    if receiver.deliver(frame, quality.snr_db, quality.rate_bps, quality):
+        monitor = receiver.environment.sim.monitor
+        monitor.counter("radio.frames_delivered").add()
+        monitor.counter("radio.bytes_delivered").add(frame.size_bytes)
+        monitor.counter(f"radio.bytes.{frame.kind}").add(frame.size_bytes)
 
 
 def use_reference_transmit(env: RadioEnvironment) -> None:

@@ -43,9 +43,9 @@ GRID_S = 0.125
 class World:
     """One random fleet, on the deferred path or the oracle's event path."""
 
-    def __init__(self, params, reference):
+    def __init__(self, params, reference, budget=None):
         self.sim = sim = Simulator(seed=params["seed"])
-        self.env = env = RadioEnvironment(sim, LinkBudget())
+        self.env = env = RadioEnvironment(sim, budget or LinkBudget())
         if reference:
             use_reference_transmit(env)
         self.frames = []

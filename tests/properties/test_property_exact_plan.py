@@ -104,16 +104,9 @@ def plan_fields(plan):
     return {
         "receivers": [receiver.node_name for receiver in plan.receivers],
         "out_of_range": plan.out_of_range,
-        "qualities": [
-            (
-                float.hex(quality.snr_db),
-                float.hex(quality.rate_bps),
-                float.hex(quality.packet_error_rate),
-                float.hex(quality.distance),
-                quality.usable,
-            )
-            for quality in plan.qualities
-        ],
+        "slots": plan.slots.tolist(),
+        "snr_db": hexes(plan.snr_db),
+        "rate_bps": hexes(plan.rate_bps),
         "pers": hexes(plan.pers),
         "scaled_rates": hexes(plan.scaled_rates),
         "prop_delays": hexes(plan.prop_delays),

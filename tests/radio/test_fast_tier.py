@@ -188,20 +188,23 @@ def test_fast_unicast_keeps_exact_delivery_semantics():
         sim, environment, received = build_fleet(fast_math)
         sim.schedule(
             0.1,
-            lambda env=environment: env.interface_of("n-00").send("n-01", 200),
+            lambda env=environment: env.interface_of("n-00").send(
+                "payload", 200, destination="n-01"
+            ),
         )
         sim.run(until=1.0)
-        # The tiers number their arrivals differently (the statistical one
-        # coalesces), so rows compare without the sequence.
         results[tier] = [
             (time, sender, name, snr_db)
             for time, _, sender, name, snr_db in in_fire_order(received)
         ]
+        assert environment.sim.monitor.counter_value("radio.frames_delivered") == 1
     exact_rows = results["exact"]
     fast_rows = results["statistical"]
-    assert [row[:3] for row in fast_rows] == [row[:3] for row in exact_rows]
-    assert "n-01" in [row[2] for row in exact_rows]
+    # Only the addressee receives it, once, on both tiers.
+    assert [row[1:3] for row in exact_rows] == [("n-00", "n-01")]
+    assert [row[1:3] for row in fast_rows] == [("n-00", "n-01")]
     for exact_row, fast_row in zip(exact_rows, fast_rows):
+        assert fast_row[0] == pytest.approx(exact_row[0], rel=REL_TOL)
         assert fast_row[3] == pytest.approx(exact_row[3], rel=REL_TOL)
 
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.geometry.vector import Vec2
+from repro.mesh.messages import BEACON_SIZE_BYTES
+from repro.mesh.node import MeshNode
+from repro.mobility.waypoints import StaticNode
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
@@ -108,7 +111,33 @@ def test_disable_applies_earlier_arrivals_and_drops_later_ones():
     sim.schedule_at(2.0 + 1e-6, lambda: setattr(ifaces["b"], "enabled", False))
     sim.run(until=3.0)
     assert seen == ["before"] and ifaces["b"].frames_received == 1
-    assert sim.monitor.counter_value("radio.frames_delivered") == 2
+    # Frames are counted delivered on arrival, so the dropped one is not.
+    assert sim.monitor.counter_value("radio.frames_delivered") == 1
+
+
+@pytest.mark.parametrize("fast_math", [False, True], ids=["exact", "statistical"])
+def test_delivered_counter_skips_a_beacon_whose_receiver_crashed_in_flight(fast_math):
+    sim = Simulator(seed=4)
+    env = RadioEnvironment(sim, LinkBudget(fast_math=fast_math))
+    nodes = {
+        name: MeshNode(sim, env, StaticNode(sim, Vec2(x, 0.0), name=name))
+        for name, x in (("a", 0.0), ("b", 80.0), ("c", 40.0))
+    }
+    taps = []
+    for name, node in nodes.items():
+        node.on_frame(lambda frame, *arrival, name=name: taps.append((name, frame.frame_id)))
+    sent = []
+
+    def beacon_then_crash():
+        agent = nodes["a"].beacon_agent
+        sent.append(agent.interface.send(agent.build_beacon(), BEACON_SIZE_BYTES, kind="beacon"))
+        nodes["b"].shutdown()  # the beacon is still in flight to b
+
+    sim.schedule_at(1.0, beacon_then_crash)
+    sim.run(until=3.0)
+    assert ("c", sent[0].frame_id) in taps and ("b", sent[0].frame_id) not in taps
+    assert sim.monitor.counter_value("radio.frames_delivered") == len(taps)
+    assert sim.monitor.counter_value("radio.bytes.beacon") == len(taps) * BEACON_SIZE_BYTES
 
 
 def test_nodes_in_range_and_link_quality():
@@ -361,10 +390,12 @@ def test_unbounded_link_budget_disables_unsound_range_pruning(fast_math):
     env.interface_of("a").send("far", 50, destination=None)
     sim.run(until=1.0)
     # The near-zero Shannon rate at 20 km means the frame is still in
-    # flight at t=1, but it was *not* pruned: it counts as delivered, not
-    # out-of-range.
-    assert sim.monitor.counter_value("radio.frames_delivered") == 1
+    # flight at t=1 (delivered frames are counted on arrival), but it was
+    # *not* pruned: it is in flight, not out-of-range or lost.
+    assert sim.pending_events == 1
+    assert sim.monitor.counter_value("radio.frames_delivered") == 0
     assert sim.monitor.counter_value("radio.frames_out_of_range") == 0
+    assert sim.monitor.counter_value("radio.frames_lost") == 0
 
 
 def test_lossy_link_drops_some_frames():

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "82f2f9d1ea58f5033aa27de8c25750721b41fc246c513ebb39c330f02f2d587b",
+        "71929d86e2d8bc7afffa7218c79b8c55a6eed630c83e9867ceb39ca46808e0a3",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "22a8a34e15f7fd3eb3d01ff3a41c49481fa85b745c5c162cd5a317c1f0d58582",
+        "669146c2ee24cf4884af55a076f0c09532f71a68368002b227b729a1c58ded5b",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "0681ac2002f1ea5a16447bbafee04da8bc02a6b1b6b8ca08f2770be467e13a89",
+        "b7d23f3b4b66672bd0eedf7e5a56ba803221c7e17475de16bb0bd636836f006c",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "92a62c3d1acb19aca1074e06842cb8101e18ebacc1193cfbac0c05d08e106e84",
+        "19ccc452f78538807fcc34370a890046445d546947f958d4af34314b65ce83dc",
     ),
 }
 

@@ -40,7 +40,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: they kill the EDGE_PAD, the expiry-boundary and the quorum mutations in
 #: well under a second.  The deferred-arrival example compares the
 #: deferred broadcast path with the per-receiver event oracle on a fixed
-#: fleet (the property around it shrinks for minutes when it fails).
+#: fleet (the property around it shrinks for minutes when it fails); the
+#: slow-fleet example does the same for commits that hold several
+#: arrivals of one pair.
 PINS = (
     "tests/scenarios/test_scenario_pins.py",
     "tests/radio/test_broadcast_oracle.py",
@@ -50,6 +52,7 @@ PINS = (
     "tests/mesh/test_neighbor.py",
     "tests/core/test_trust.py",
     "tests/properties/test_property_deferred_arrivals.py::test_twin_fleet_exercises_ties_crashes_and_joins",
+    "tests/properties/test_property_bulk_commit.py::test_slow_fleet_commits_several_arrivals_of_one_pair",
 )
 
 
@@ -93,8 +96,8 @@ MUTATIONS: Tuple[Mutation, ...] = (
     Mutation(
         "neighbour table: expiry at >= lifetime",
         "repro/mesh/neighbor.py",
-        "if entry.age(now) > self.lifetime",
-        "if entry.age(now) >= self.lifetime",
+        "gone = now - self.last_seen[rows] > lifetime",
+        "gone = now - self.last_seen[rows] >= lifetime",
     ),
     Mutation(
         "trust: strict-majority quorum relaxed to >= half",
@@ -137,14 +140,20 @@ MUTATIONS: Tuple[Mutation, ...] = (
     Mutation(
         "deferred arrivals: commit skips the last fired arrival",
         "repro/radio/interfaces.py",
-        "        bound = (last[0], last[1], last[2] + 1)\n",
-        "        bound = last\n",
+        'stop += pending[2][stop:end].searchsorted(sequence, "right")',
+        'stop += pending[2][stop:end].searchsorted(sequence, "left")',
+    ),
+    Mutation(
+        "bulk commit keeps the first of two arrivals for one pair",
+        "repro/mesh/neighbor.py",
+        "last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]",
+        "last = first",
     ),
     Mutation(
         "beacon agent: build_beacon reads the epoch without committing",
         "repro/mesh/discovery.py",
         '        """Construct the next outgoing beacon, applying all enrichers."""\n'
-        "        self.interface.commit()\n",
+        "        self._commit()\n",
         '        """Construct the next outgoing beacon, applying all enrichers."""\n',
     ),
     Mutation(
