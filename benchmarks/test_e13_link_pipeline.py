@@ -1,4 +1,4 @@
-"""E13 — Batched link pipeline + obstacle-indexed visibility benchmark.
+"""E13 — Batched link pipeline + numpy line-of-sight kernel benchmark.
 
 After the radio medium was spatially indexed (E11), profiles of urban runs
 showed the remaining hot path to be *per-pair* physics: one
@@ -11,9 +11,9 @@ engine targets, each against its reference in the test oracle
 * batched links — each sender plan evaluated by one exact column-kernel
   call over the epoch's position columns instead of N scalar probes on
   spatial-grid candidates (reference: ``ReferenceRadioEnvironment``);
-* the obstacle index — LOS tests that only touch the obstacle edges
-  grid-bucketed along the ray instead of every footprint
-  (reference: ``BruteForceVisibility``).
+* the obstacle index — each plan's LOS rays tested against every
+  obstacle edge in one exact numpy kernel call instead of a Python scan
+  over every footprint per ray (reference: ``BruteForceVisibility``).
 
 Two checks on a broadcast-heavy urban-grid fleet (N=500, street grid with a
 built-up district of occluding buildings):

@@ -13,12 +13,16 @@ vehicle's sensor can.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.data.datatypes import DataType, typical_frame_size
 from repro.data.pond import DataPond
 from repro.geometry.los import VisibilityMap
+from repro.geometry.substrate import SpatialSubstrate
 from repro.geometry.vector import Vec2
 from repro.simcore.simulator import Simulator
 
@@ -72,6 +76,88 @@ class SensorFrame:
 #: currently present in the world that sensors could in principle see.
 GroundTruthProvider = Callable[[], Sequence[Tuple[str, Vec2]]]
 
+#: Relative band around a sensor's range inside which the range test takes
+#: ``math.hypot`` (as ``Vec2.distance_to`` does), not the squared distance.
+RANGE_GUARD = 1e-9
+
+
+class LidarSweep:
+    """What every lidar of one world sees, computed once per position epoch.
+
+    A pass reads the ground truth and each registered sensor's origin once,
+    keeps the agents each sensor's range test admits (bit for bit
+    ``origin.distance_to(position) <= range_m``, its own label excluded) and
+    makes one :meth:`~repro.geometry.los.VisibilityMap.blocked_rays` call
+    for all of their rays.  Visible lists keep ground-truth order, so a
+    capture draws its noise as a scan of its own would.  The substrate's
+    ``position_epoch`` and the map's ``obstacle_epoch`` key the pass; without
+    a substrate every capture makes a fresh pass.  The pass is derived state
+    and stays out of the pickle.
+    """
+
+    def __init__(
+        self,
+        ground_truth: GroundTruthProvider,
+        visibility: Optional[VisibilityMap] = None,
+        substrate: Optional[SpatialSubstrate] = None,
+    ) -> None:
+        self.ground_truth = ground_truth
+        self.visibility = visibility
+        self.substrate = substrate
+        self.sensors: List["LidarSensor"] = []
+        #: ``(key, origins, visible lists)`` of the last pass.
+        self._pass: Optional[tuple] = None
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_pass"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _pass=None)
+
+    def add(self, sensor: "LidarSensor") -> int:
+        """Register ``sensor``; returns its slot in every pass."""
+        self.sensors.append(sensor)
+        self._pass = None
+        return len(self.sensors) - 1
+
+    def scan(self, slot: int) -> Tuple[Vec2, List[Tuple[str, Vec2]]]:
+        """The sensor's origin and visible agents in the current epoch."""
+        key = None
+        if self.substrate is not None:
+            key = (
+                self.substrate.position_epoch,
+                None if self.visibility is None else self.visibility.obstacle_epoch,
+            )
+        if key is None or self._pass is None or self._pass[0] != key:
+            self._pass = (key, *self._sweep())
+        _, origins, visible = self._pass
+        return origins[slot], visible[slot]
+
+    def _sweep(self) -> Tuple[List[Vec2], List[List[Tuple[str, Vec2]]]]:
+        truth = list(self.ground_truth())
+        origins = [sensor.position_provider() for sensor in self.sensors]
+        tx, ty = np.array([(p.x, p.y) for _, p in truth], np.float64).reshape(-1, 2).T
+        ox, oy = np.array([(o.x, o.y) for o in origins], np.float64).reshape(-1, 2).T
+        ranges = np.array([sensor.range_m for sensor in self.sensors], np.float64)[:, None]
+        dx, dy = ox[:, None] - tx, oy[:, None] - ty
+        squared = dx * dx + dy * dy
+        # The band's bounds are squared with their sign, so a negative range
+        # admits nothing.
+        inner, outer = ranges * (1.0 - RANGE_GUARD), ranges * (1.0 + RANGE_GUARD)
+        in_range = squared <= inner * np.abs(inner)
+        for row, col in zip(*np.nonzero(~in_range & (squared < outer * np.abs(outer)))):
+            in_range[row, col] = math.hypot(dx[row, col], dy[row, col]) <= ranges[row, 0]
+        owners = np.array([sensor.owner_name for sensor in self.sensors], dtype=object)
+        in_range &= owners[:, None] != np.array([label for label, _ in truth], dtype=object)
+        rows, cols = np.nonzero(in_range)
+        if self.visibility is not None and len(rows):
+            seen = ~self.visibility.blocked_rays(ox[rows], oy[rows], tx[cols], ty[cols])
+            rows, cols = rows[seen], cols[seen]
+        visible: List[List[Tuple[str, Vec2]]] = [[] for _ in origins]
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            visible[row].append(truth[col])
+        return origins, visible
+
 
 class LidarSensor:
     """A periodic ranging sensor honouring occlusion.
@@ -99,6 +185,10 @@ class LidarSensor:
         Standard deviation of Gaussian position noise.
     miss_rate:
         Probability a visible agent is missed in a given frame.
+    sweep:
+        The world's :class:`LidarSweep`, which must hold the same
+        ``ground_truth`` and ``visibility``; without one the sensor makes a
+        single-sensor sweep of its own.
     """
 
     def __init__(
@@ -113,19 +203,24 @@ class LidarSensor:
         period: float = 0.1,
         noise_std_m: float = 0.2,
         miss_rate: float = 0.05,
+        sweep: Optional[LidarSweep] = None,
     ) -> None:
+        if sweep is None:
+            sweep = LidarSweep(ground_truth, visibility)
+        elif sweep.ground_truth != ground_truth or sweep.visibility is not visibility:
+            raise ValueError("the sweep serves another ground truth or visibility map")
         self.sim = sim
         self.owner_name = owner_name
         self.position_provider = position_provider
-        self.ground_truth = ground_truth
         self.pond = pond
-        self.visibility = visibility
         self.range_m = range_m
         self.period = period
         self.noise_std_m = noise_std_m
         self.miss_rate = miss_rate
         self.frames_captured = 0
         self._rng = sim.streams.get(f"lidar:{owner_name}")
+        self.sweep = sweep
+        self._slot = sweep.add(self)
         self._task = sim.schedule_periodic(
             period, self.capture, name=f"lidar:{owner_name}"
         )
@@ -136,25 +231,7 @@ class LidarSensor:
 
     def capture(self) -> SensorFrame:
         """Capture one frame now and store it in the pond."""
-        origin = self.position_provider()
-        distance_to = origin.distance_to
-        owner_name = self.owner_name
-        range_m = self.range_m
-        in_range = [
-            (label, position)
-            for label, position in self.ground_truth()
-            if label != owner_name and distance_to(position) <= range_m
-        ]
-        # One LOS batch query for the whole frame (occluded targets never
-        # reached the miss-rate draw before either, so the RNG sequence is
-        # unchanged).
-        if self.visibility is not None and in_range:
-            flags = self.visibility.line_of_sight_batch(
-                origin, [position for _, position in in_range]
-            )
-            visible = [target for target, seen in zip(in_range, flags) if seen]
-        else:
-            visible = in_range
+        origin, visible = self.sweep.scan(self._slot)
         # Generator draws with scalar arguments are already Python floats.
         random = self._rng.random
         normal = self._rng.normal

@@ -10,9 +10,9 @@ flat 2-D world.  This package provides the shared primitives:
 * :func:`~repro.geometry.los.line_of_sight` — whether two points can see each
   other given a set of obstacles (used both by the radio shadowing model and
   by the perception visibility model).
-* :class:`~repro.geometry.obstacle_index.ObstacleIndex` — grid-bucketed
-  obstacle edges so line-of-sight tests only touch the segments along the
-  ray instead of every polygon.
+* :class:`~repro.geometry.obstacle_index.ObstacleIndex` — obstacle edges
+  as numpy columns, and one exact kernel that tests a whole batch of rays
+  against every edge at once.
 * :class:`~repro.geometry.substrate.SpatialSubstrate` — the fleet's
   tracked keys and one position epoch, committed by the mobility manager
   each tick; the radio environment keys its per-epoch caches on that epoch.

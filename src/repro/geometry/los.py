@@ -6,17 +6,19 @@ the approaching vehicle — the motivating problem of "looking around the
 corner") use the same primitive: does the straight segment between two points
 cross any obstacle footprint?
 
-:class:`VisibilityMap` answers every query through the grid-bucketed
-:class:`~repro.geometry.obstacle_index.ObstacleIndex`, which only tests the
-edges bucketed along the ray.  :func:`line_of_sight` is the plain scan over
-every polygon (O(obstacles) per ray): the reference the index is checked
-against, query for query, by the property suite, the test oracle
+:class:`VisibilityMap` answers every query through the numpy ray kernel of
+:class:`~repro.geometry.obstacle_index.ObstacleIndex`, which tests a whole
+batch of rays against every obstacle edge at once.  :func:`line_of_sight` is
+the plain Python scan over every polygon: the reference the kernel is
+checked against, ray for ray, by the property suite, the test oracle
 (``tests/oracle.py``) and benchmark E13.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.geometry.obstacle_index import ObstacleIndex
 from repro.geometry.shapes import Polygon, Segment
@@ -115,6 +117,10 @@ class VisibilityMap:
             self.index_rebuilds += 1
         return self._index
 
+    def blocked_rays(self, ax, ay, bx, by) -> np.ndarray:
+        """:meth:`~repro.geometry.obstacle_index.ObstacleIndex.blocked_rays`."""
+        return self._obstacle_index().blocked_rays(ax, ay, bx, by)
+
     def has_line_of_sight(self, a: Vec2, b: Vec2) -> bool:
         """Whether ``a`` and ``b`` can see each other."""
         return not self._obstacle_index().blocked(a, b)
@@ -126,8 +132,8 @@ class VisibilityMap:
     def line_of_sight_batch(self, origin: Vec2, targets: Sequence[Vec2]) -> List[bool]:
         """Per-target visibility flags for rays fanning out of ``origin``.
 
-        One call amortises the index lookup over a whole receiver list —
-        this is the "one LOS batch call" the batched link pipeline
+        One kernel call for a whole receiver list — this is the "one LOS
+        batch call" the batched link pipeline
         (:meth:`~repro.radio.link.LinkBudget.quality_batch`) makes per
         sender.  Identical to calling :meth:`has_line_of_sight` per target.
         """

@@ -1,299 +1,215 @@
-"""Grid-bucketed index over obstacle edges for fast line-of-sight tests.
+"""Obstacle edges as numpy columns: one exact kernel for many rays at once.
 
-The brute-force :func:`~repro.geometry.los.line_of_sight` scans **every**
-obstacle polygon for every ray — O(obstacles) per link, which profiling
-showed to be the dominant cost of dense urban runs once the radio medium
-itself was spatially indexed.  :class:`ObstacleIndex` buckets every obstacle
-*edge* (and every obstacle footprint, for the containment case) into a
-uniform grid; a query then only tests the segments bucketed in the cells the
-ray traverses.
+:meth:`ObstacleIndex.blocked_rays` tests every (ray, edge) pair of a batch
+of rays in numpy and flags ray ``i`` exactly when
+``not line_of_sight(a_i, b_i, obstacles)`` would, for *any* ray (zero-length,
+on an edge's line, through a vertex).  It holds by construction, pair by
+pair:
 
-Equivalence contract
---------------------
-``index.blocked(a, b)`` must return exactly what
-``not line_of_sight(a, b, obstacles)`` returns, for *any* ray — including
-rays running exactly along cell boundaries, rays far outside every obstacle
-and zero-length rays (``a == b``).  Two measures make this robust rather
-than probabilistic:
-
-* Edges are bucketed into every cell their bounding box overlaps, expanded
-  by :data:`EDGE_PAD`.  The segment-intersection primitive treats "touching
-  within ~1e-12" as intersecting, so a phantom hit can lie slightly outside
-  the exact geometry; the pad keeps such witness points inside a bucketed
-  cell.
-* The ray is rasterised conservatively, column by column: for each grid
-  column its clipped y-extent (again expanded by :data:`EDGE_PAD`) selects
-  the cells to visit.  Every point within the pad of the ray therefore lies
-  in a visited cell, whatever the slope — the supercover property that an
-  error-accumulating DDA walk would only give with careful epsilon juggling.
+* Each of the segment primitive's four orientation values is computed with
+  ``_orientation``'s expression and sorted by its rounding bound into
+  clearly non-zero, clearly collinear or uncertain: ``_orientation``'s own
+  float branches.  With four certain values the primitive's decision (the
+  sign test, or the ``_on_segment`` checks of collinear values) runs in
+  numpy; a pair with an uncertain value goes to ``_segments_intersect``.
+* A ray crossing no edge is blocked iff both endpoints lie inside one
+  footprint.  ``Polygon.contains`` can only hold within a padded bounding
+  box of the footprint, so the boxes pick the pairs it is called on.
 
 The property suite (``tests/properties/test_property_obstacle_index.py``)
-fuzzes this contract against the brute-force scan.
+fuzzes the contract against the brute-force scan.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry.shapes import (
     COLLINEAR_EPS,
     ORIENT_ERR,
     Polygon,
-    Segment,
     _segments_intersect,
 )
 from repro.geometry.vector import Vec2
 
-#: Padding (metres) applied when bucketing edges and rasterising query rays.
-#: Must exceed the ~1e-12 "touching" tolerance of the segment-intersection
-#: primitive by a comfortable margin; being conservative only costs a few
-#: extra candidate cells, never correctness.
-EDGE_PAD = 1e-9
+#: ``_on_segment``'s tolerance on each coordinate.
+_ON_SEGMENT_EPS = 1e-12
 
-#: Fallback cell size when the index is built without obstacles.
-DEFAULT_CELL_SIZE = 50.0
+#: Margin around each footprint's bounding box, relative to its magnitude,
+#: outside which ``Polygon.contains`` (boundary band 1e-9 m) cannot hold.
+_BOX_PAD = 1e-6
+
+#: Most (ray, edge) pairs one numpy pass holds, so that its float arrays
+#: stay small; larger batches run in chunks.
+_PAIR_CHUNK = 1 << 14
 
 
-def _edge_row(edge: Segment) -> Tuple[float, ...]:
-    a, b = edge.a, edge.b
-    dy, dx = b.y - a.y, b.x - a.x
-    extent = abs(dx) + abs(dy)
-    err = ORIENT_ERR * extent
-    return (a.x, a.y, b.x, b.y, dy, dx, extent, err, COLLINEAR_EPS + err * extent)
+def _orientation_classes(
+    t1: np.ndarray, t2: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(positive, clearly non-zero, clearly collinear)`` per orientation.
+
+    ``t1 - t2`` and its rounding bound are ``_orientation``'s expressions,
+    computed in place over ``t1`` and ``t2``; a value that is neither
+    clearly non-zero nor clearly collinear is one it recomputes exactly.
+    """
+    value = t1 - t2
+    positive = value > 0
+    err = np.add(np.abs(t1, out=t1), np.abs(t2, out=t2), out=t1)
+    err *= ORIENT_ERR
+    magnitude = np.abs(value, out=value)
+    sure = np.subtract(magnitude, err, out=t2) >= COLLINEAR_EPS
+    return positive, sure, np.add(magnitude, err, out=magnitude) < COLLINEAR_EPS
 
 
 class ObstacleIndex:
-    """Answers "does the segment a-b hit any obstacle?" in near-O(ray cells).
+    """The occluding footprints' edges and boxes as float columns.
 
-    Parameters
-    ----------
-    obstacles:
-        Occluding polygon footprints.  More can be added later with
-        :meth:`add_obstacle`.
-    cell_size:
-        Grid pitch in metres.  Defaults to the mean obstacle bounding-box
-        extent — roughly one building per cell — which keeps both the number
-        of cells a ray visits and the number of edges per cell small.
+    ``obstacles`` are the footprints; :meth:`add_obstacle` adds more.  Only
+    the polygons are pickled: every column derives from them.
     """
 
-    def __init__(
-        self,
-        obstacles: Iterable[Polygon] = (),
-        cell_size: float | None = None,
-    ) -> None:
+    def __init__(self, obstacles: Iterable[Polygon] = ()) -> None:
         self._obstacles: List[Polygon] = list(obstacles)
-        if cell_size is None:
-            cell_size = self._default_cell_size(self._obstacles)
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.cell_size = float(cell_size)
-        self._edges: List[Segment] = []
-        #: Per edge ``(ax, ay, bx, by, by - ay, bx - ax, extent, err,
-        #: COLLINEAR_EPS + err * extent)``, with ``extent`` the L1 length
-        #: and ``err = ORIENT_ERR * extent``: the operands of the inlined
-        #: orientation tests in :meth:`blocked`.
-        #: Derived from ``_edges``, so it is left out of the pickled state.
-        self._edge_table: List[Tuple[float, ...]] = []
-        self._edge_cells: Dict[Tuple[int, int], List[int]] = {}
-        self._poly_cells: Dict[Tuple[int, int], List[int]] = {}
-        #: Per-query scratch (the last query that visited each edge and
-        #: polygon), also left out of the pickled state.
-        self._edge_stamp: List[int] = []
-        self._poly_stamp: List[int] = []
-        self._query_id = 0
-        for index, polygon in enumerate(self._obstacles):
-            self._insert(index, polygon)
+        self._build()
 
-    @staticmethod
-    def _default_cell_size(obstacles: Sequence[Polygon]) -> float:
-        if not obstacles:
-            return DEFAULT_CELL_SIZE
-        total = 0.0
-        for polygon in obstacles:
-            xs = [v.x for v in polygon.vertices]
-            ys = [v.y for v in polygon.vertices]
-            total += max(max(xs) - min(xs), max(ys) - min(ys))
-        return max(total / len(obstacles), 1.0)
-
-    # -------------------------------------------------------------- snapshot
+    def _build(self) -> None:
+        self._edges = [edge for polygon in self._obstacles for edge in polygon.edges()]
+        ex0, ey0, ex1, ey1 = np.array(
+            [(e.a.x, e.a.y, e.b.x, e.b.y) for e in self._edges], np.float64
+        ).reshape(-1, 4).T
+        # Both endpoints of every edge, for _orientation(a, b, e) ...
+        self._ends_x = np.concatenate((ex0, ex1))
+        self._ends_y = np.concatenate((ey0, ey1))
+        # ... the operands of _orientation(e0, e1, p) ...
+        self._edge_x1, self._edge_y1 = ex1, ey1
+        self._edge_dx, self._edge_dy = ex1 - ex0, ey1 - ey0
+        # ... and _on_segment(e0, p, e1)'s box.
+        self._edge_lo_x = np.minimum(ex0, ex1) - _ON_SEGMENT_EPS
+        self._edge_lo_y = np.minimum(ey0, ey1) - _ON_SEGMENT_EPS
+        self._edge_hi_x = np.maximum(ex0, ex1) + _ON_SEGMENT_EPS
+        self._edge_hi_y = np.maximum(ey0, ey1) + _ON_SEGMENT_EPS
+        corners = [np.array([(v.x, v.y) for v in p.vertices]) for p in self._obstacles]
+        boxes = np.array(
+            [np.concatenate((c.min(axis=0), c.max(axis=0))) for c in corners], np.float64
+        ).reshape(-1, 4)
+        pad = _BOX_PAD * (1.0 + np.abs(boxes).max(axis=1, initial=0.0))
+        self._box_lo_x, self._box_lo_y, self._box_hi_x, self._box_hi_y = (
+            boxes + pad[:, None] * (-1.0, -1.0, 1.0, 1.0)
+        ).T
 
     def __getstate__(self) -> dict:
-        """Pickle without the derived edge table and the query scratch.
-
-        The stamps and the query counter only deduplicate candidates within
-        one query, so their values carry no state; a restored index starts
-        them from zero.
-        """
-        state = self.__dict__.copy()
-        for key in ("_edge_table", "_edge_stamp", "_poly_stamp", "_query_id"):
-            del state[key]
-        return state
+        return {"_obstacles": self._obstacles}
 
     def __setstate__(self, state: dict) -> None:
-        # ``_edges`` holds only segments of vectors, which never reach back
-        # to this index, so they are fully built by the time this runs.
-        self.__dict__.update(state)
-        self._edge_table = [_edge_row(edge) for edge in self._edges]
-        self._edge_stamp = [0] * len(self._edges)
-        self._poly_stamp = [0] * len(self._obstacles)
-        self._query_id = 0
-
-    # -------------------------------------------------------------- building
-
-    @property
-    def obstacles(self) -> List[Polygon]:
-        """The indexed obstacle footprints."""
-        return list(self._obstacles)
-
-    @property
-    def edge_count(self) -> int:
-        """Total number of indexed boundary segments."""
-        return len(self._edges)
+        # The polygons hold only vectors, which never reach back to this
+        # index, so they are fully built by the time this runs.
+        self._obstacles = state["_obstacles"]
+        self._build()
 
     def add_obstacle(self, polygon: Polygon) -> None:
         """Index one more occluding footprint."""
         self._obstacles.append(polygon)
-        self._insert(len(self._obstacles) - 1, polygon)
-
-    def _cells_of_box(
-        self, x_min: float, y_min: float, x_max: float, y_max: float
-    ) -> Iterable[Tuple[int, int]]:
-        cell = self.cell_size
-        min_cx = math.floor((x_min - EDGE_PAD) / cell)
-        max_cx = math.floor((x_max + EDGE_PAD) / cell)
-        min_cy = math.floor((y_min - EDGE_PAD) / cell)
-        max_cy = math.floor((y_max + EDGE_PAD) / cell)
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
-                yield (cx, cy)
-
-    def _insert(self, poly_index: int, polygon: Polygon) -> None:
-        self._poly_stamp.append(0)
-        xs = [v.x for v in polygon.vertices]
-        ys = [v.y for v in polygon.vertices]
-        for cell in self._cells_of_box(min(xs), min(ys), max(xs), max(ys)):
-            self._poly_cells.setdefault(cell, []).append(poly_index)
-        for edge in polygon.edges():
-            edge_index = len(self._edges)
-            self._edges.append(edge)
-            self._edge_table.append(_edge_row(edge))
-            self._edge_stamp.append(0)
-            for cell in self._cells_of_box(
-                min(edge.a.x, edge.b.x),
-                min(edge.a.y, edge.b.y),
-                max(edge.a.x, edge.b.x),
-                max(edge.a.y, edge.b.y),
-            ):
-                self._edge_cells.setdefault(cell, []).append(edge_index)
-
-    # --------------------------------------------------------------- queries
+        self._build()
 
     def blocked(self, a: Vec2, b: Vec2) -> bool:
-        """Whether any obstacle blocks the segment a-b.
-
-        Exactly equivalent to ``not line_of_sight(a, b, self.obstacles)``:
-        first any boundary crossing (only edges bucketed along the ray are
-        tested, each at most once per query via a stamp array), then the
-        fully-interior case — a segment crossing no edge is blocked iff both
-        endpoints lie inside one footprint, and such a footprint necessarily
-        covers ``a``'s cell.
-
-        The cells are visited column by column: for each grid column the
-        segment's bounding box spans, the segment is clipped to the column's
-        (padded) x-range and the cells of the clipped (padded) y-range are
-        scanned.  Conservative by construction and immune to the corner
-        cases of an incremental grid traversal.
-
-        Each candidate edge gets the segment primitive's four orientation
-        values computed inline from the edge table, with ``_orientation``'s
-        expression.  A value whose magnitude exceeds the collinearity band
-        plus a bound on its rounding error has the sign of the exact value,
-        so when all four do, two sign comparisons give the primitive's
-        answer.  Otherwise (rare: a nearly collinear endpoint) the primitive
-        itself decides.  The rounding bound needs the size of each product
-        pair: any endpoint of an edge bucketed along the ray lies within the
-        ray's L1 length, two cells (plus pads) and the edge's own L1 extent
-        of either ray endpoint; ``reach`` adds a metre of slack to that.
-        """
-        edge_cells = self._edge_cells
-        if not edge_cells and not self._poly_cells:
-            return False
-        self._query_id += 1
-        query_id = self._query_id
-        edge_stamp = self._edge_stamp
-        table = self._edge_table
-        cell = self.cell_size
-        floor = math.floor
-        ax, ay, bx, by = a.x, a.y, b.x, b.y
-        dx = bx - ax
-        dy = by - ay
-        ray_extent = abs(dx) + abs(dy)
-        reach = ray_extent + 2.0 * cell + 1.0
-        ray_err = ORIENT_ERR * ray_extent
-        ray_base = COLLINEAR_EPS + ray_err * reach
-        min_cx = floor((min(ax, bx) - EDGE_PAD) / cell)
-        max_cx = floor((max(ax, bx) + EDGE_PAD) / cell)
-        for cx in range(min_cx, max_cx + 1):
-            if dx == 0.0:
-                y_lo, y_hi = min(ay, by), max(ay, by)
-            else:
-                x_lo = cx * cell - EDGE_PAD
-                x_hi = (cx + 1) * cell + EDGE_PAD
-                t0 = (x_lo - ax) / dx
-                t1 = (x_hi - ax) / dx
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                t0 = max(0.0, t0)
-                t1 = min(1.0, t1)
-                if t0 > t1:
-                    continue
-                y0 = ay + t0 * dy
-                y1 = ay + t1 * dy
-                y_lo, y_hi = (y0, y1) if y0 <= y1 else (y1, y0)
-            min_cy = floor((y_lo - EDGE_PAD) / cell)
-            max_cy = floor((y_hi + EDGE_PAD) / cell)
-            for cy in range(min_cy, max_cy + 1):
-                for edge_index in edge_cells.get((cx, cy), ()):
-                    if edge_stamp[edge_index] == query_id:
-                        continue
-                    edge_stamp[edge_index] = query_id
-                    ex0, ey0, ex1, ey1, edy, edx, extent, edge_err, edge_base = table[
-                        edge_index
-                    ]
-                    # Collinearity band plus rounding bound, for |o1|, |o2|
-                    # (ray-based) and |o3|, |o4| (edge-based).
-                    ray_band = ray_base + ray_err * extent
-                    edge_band = edge_base + edge_err * reach
-                    o1 = dy * (ex0 - bx) - dx * (ey0 - by)
-                    o2 = dy * (ex1 - bx) - dx * (ey1 - by)
-                    o3 = edy * (ax - ex1) - edx * (ay - ey1)
-                    o4 = edy * (bx - ex1) - edx * (by - ey1)
-                    if (
-                        -ray_band < o1 < ray_band
-                        or -ray_band < o2 < ray_band
-                        or -edge_band < o3 < edge_band
-                        or -edge_band < o4 < edge_band
-                    ):
-                        edge = self._edges[edge_index]
-                        if _segments_intersect(a, b, edge.a, edge.b):
-                            return True
-                    elif (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
-                        return True
-        poly_stamp = self._poly_stamp
-        obstacles = self._obstacles
-        cx = floor(ax / cell)
-        cy = floor(ay / cell)
-        for poly_index in self._poly_cells.get((cx, cy), ()):
-            if poly_stamp[poly_index] == query_id:
-                continue
-            poly_stamp[poly_index] = query_id
-            polygon = obstacles[poly_index]
-            if polygon.contains(a) and polygon.contains(b):
-                return True
-        return False
+        """Whether any obstacle blocks the segment a-b."""
+        return bool(self.blocked_rays([a.x], [a.y], [b.x], [b.y])[0])
 
     def blocked_batch(self, origin: Vec2, targets: Sequence[Vec2]) -> List[bool]:
         """Per-target :meth:`blocked` flags for rays fanning out of ``origin``."""
-        blocked = self.blocked
-        return [blocked(origin, target) for target in targets]
+        count = len(targets)
+        xs = np.fromiter((target.x for target in targets), np.float64, count)
+        ys = np.fromiter((target.y for target in targets), np.float64, count)
+        return self.blocked_rays(
+            np.full(count, origin.x), np.full(count, origin.y), xs, ys
+        ).tolist()
+
+    def blocked_rays(self, ax, ay, bx, by) -> np.ndarray:
+        """Per-ray flags: does an obstacle block the segment ``a_i``-``b_i``?
+
+        The four arguments are equal-length float columns of the rays'
+        endpoints; see the module docstring for the equivalence contract.
+        """
+        ax, ay, bx, by = (np.asarray(c, dtype=np.float64) for c in (ax, ay, bx, by))
+        count = len(ax)
+        if not self._obstacles or not count:
+            return np.zeros(count, dtype=bool)
+        step = max(1, _PAIR_CHUNK // len(self._edges))
+        return np.concatenate(
+            [
+                self._blocked_chunk(*(c[start:start + step] for c in (ax, ay, bx, by)))
+                for start in range(0, count, step)
+            ]
+        )
+
+    def _blocked_chunk(
+        self, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+    ) -> np.ndarray:
+        edges, rays = len(self._edges), len(ax)
+        axc, ayc, bxc, byc = ax[:, None], ay[:, None], bx[:, None], by[:, None]
+        # o1, o2 = _orientation(a, b, e0), _orientation(a, b, e1) in one
+        # (ray, edge endpoint) pass, first endpoints in the first half ...
+        positive12, sure12, zero12 = _orientation_classes(
+            (byc - ayc) * (self._ends_x - bxc), (bxc - axc) * (self._ends_y - byc)
+        )
+        # ... o3, o4 = _orientation(e0, e1, a), _orientation(e0, e1, b) in
+        # one (ray endpoint, edge) pass, the a endpoints in the first half.
+        px = np.concatenate((ax, bx))[:, None]
+        py = np.concatenate((ay, by))[:, None]
+        positive34, sure34, zero34 = _orientation_classes(
+            self._edge_dy * (px - self._edge_x1), self._edge_dx * (py - self._edge_y1)
+        )
+        o1, o2 = slice(None, edges), slice(edges, None)
+        o3, o4 = slice(None, rays), slice(rays, None)
+        certain = sure12[:, o1] & sure12[:, o2] & sure34[o3] & sure34[o4]
+        hits = (
+            certain
+            & (positive12[:, o1] != positive12[:, o2])
+            & (positive34[o3] != positive34[o4])
+        )
+        if zero12.any() or zero34.any():
+            # Collinear values: _on_segment(a, e, b) for an edge endpoint e,
+            # _on_segment(e0, p, e1) for a ray endpoint p.
+            certain12, certain34 = sure12 | zero12, sure34 | zero34
+            certain = certain12[:, o1] & certain12[:, o2] & certain34[o3] & certain34[o4]
+            on_ray = zero12 & (
+                (np.minimum(axc, bxc) - _ON_SEGMENT_EPS <= self._ends_x)
+                & (self._ends_x <= np.maximum(axc, bxc) + _ON_SEGMENT_EPS)
+                & (np.minimum(ayc, byc) - _ON_SEGMENT_EPS <= self._ends_y)
+                & (self._ends_y <= np.maximum(ayc, byc) + _ON_SEGMENT_EPS)
+            )
+            on_edge = zero34 & (
+                (self._edge_lo_x <= px) & (px <= self._edge_hi_x)
+                & (self._edge_lo_y <= py) & (py <= self._edge_hi_y)
+            )
+            hits |= certain & (on_ray[:, o1] | on_ray[:, o2] | on_edge[o3] | on_edge[o4])
+        blocked = hits.any(axis=1)
+        if not certain.all():
+            # Uncertain values: the segment primitive itself decides.
+            for ray, edge in zip(*np.nonzero(~certain)):
+                if not blocked[ray]:
+                    blocked[ray] = _segments_intersect(
+                        Vec2(float(ax[ray]), float(ay[ray])),
+                        Vec2(float(bx[ray]), float(by[ray])),
+                        self._edges[edge].a,
+                        self._edges[edge].b,
+                    )
+        # Containment: both endpoints in a footprint's padded box, then in
+        # the footprint itself.
+        inside = (
+            (self._box_lo_x <= np.minimum(axc, bxc))
+            & (np.maximum(axc, bxc) <= self._box_hi_x)
+            & (self._box_lo_y <= np.minimum(ayc, byc))
+            & (np.maximum(ayc, byc) <= self._box_hi_y)
+        )
+        if inside.any():
+            for ray, poly in zip(*np.nonzero(inside)):
+                if not blocked[ray]:
+                    polygon = self._obstacles[poly]
+                    blocked[ray] = polygon.contains(
+                        Vec2(float(ax[ray]), float(ay[ray]))
+                    ) and polygon.contains(Vec2(float(bx[ray]), float(by[ray])))
+        return blocked

@@ -143,7 +143,6 @@ class LookAroundMetrics:
     attempts: int = 0
     occluded_present: int = 0
     occluded_detected: int = 0
-    detection_latencies: List[float] = field(default_factory=list)
     first_detection_time: Dict[str, float] = field(default_factory=dict)
 
     def record_attempt(

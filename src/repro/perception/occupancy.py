@@ -9,6 +9,7 @@ several viewpoints fuse trivially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -58,9 +59,9 @@ class GridSpec:
         return max(1, int(round(self.height_m / self.cell_size)))
 
     def to_cell(self, point: Vec2) -> Tuple[int, int]:
-        """World point → (row, col); may be out of bounds."""
-        col = int((point.x - self.origin.x) / self.cell_size)
-        row = int((point.y - self.origin.y) / self.cell_size)
+        """World point → (row, col), floored; may be out of bounds."""
+        col = math.floor((point.x - self.origin.x) / self.cell_size)
+        row = math.floor((point.y - self.origin.y) / self.cell_size)
         return row, col
 
     def to_world(self, row: int, col: int) -> Vec2:

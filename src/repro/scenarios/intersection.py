@@ -28,7 +28,7 @@ from repro.compute.resources import ResourceSpec
 from repro.core.models import DataDescription, TaskResult
 from repro.data.datatypes import DataType
 from repro.data.quality import DataQuality
-from repro.data.sensors import LidarSensor
+from repro.data.sensors import LidarSensor, LidarSweep
 from repro.geometry.los import VisibilityMap
 from repro.geometry.shapes import Rectangle
 from repro.geometry.vector import Vec2
@@ -118,6 +118,8 @@ class IntersectionScenario(Scenario):
         params = VehicleParameters(max_speed=cfg.vehicle_speed)
         spec = ResourceSpec(cpu_ops_per_second=4e9, cores=4, memory_mb=8192)
         self.vehicles: List[Vehicle] = []
+        # One occlusion pass per position epoch serves every vehicle's lidar.
+        self.lidar_sweep = LidarSweep(self.ground_truth, self.visibility, self.mobility.substrate)
         for index in range(cfg.num_vehicles):
             arm = arms[index % len(arms)]
             opposite = {"south": "north", "north": "south", "east": "west", "west": "east"}[arm]
@@ -143,6 +145,7 @@ class IntersectionScenario(Scenario):
                 pond=node.pond,
                 visibility=self.visibility,
                 range_m=self.config.sensor_range,
+                sweep=self.lidar_sweep,
             )
         self.ego = self.nodes[0]
 

@@ -21,7 +21,11 @@ agreeing with the reference here.
   scanning every attached interface instead of the range query.
 * :class:`BruteForceVisibility` — a visibility map that tests every polygon
   with :func:`~repro.geometry.los.line_of_sight` instead of querying the
-  obstacle index.
+  obstacle index's numpy kernel.
+* :class:`ReferenceLidarSensor` — a lidar that scans the ground truth
+  itself on every capture (``distance_to`` range test, one
+  ``line_of_sight_batch`` query) instead of reading the world's
+  per-epoch :class:`~repro.data.sensors.LidarSweep`.
 * :func:`reference_network_description` — Model 1 built with :class:`Vec2`
   arithmetic per neighbour (dead-reckoned beacon position, ``distance_to``,
   :func:`reference_contact_time`) instead of the builder's flat float pass.
@@ -48,6 +52,8 @@ import numpy as np
 
 from repro.core.models import NeighborDescription, NetworkDescription
 from repro.core.network_model import NetworkDescriptionBuilder
+from repro.data.datatypes import DataType
+from repro.data.sensors import Detection, LidarSensor, SensorFrame
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
 from repro.mesh.node import _UnicastTap
@@ -71,6 +77,64 @@ class BruteForceVisibility(VisibilityMap):
 
     def line_of_sight_batch(self, origin: Vec2, targets: Sequence[Vec2]) -> List[bool]:
         return [line_of_sight(origin, target, self._obstacles) for target in targets]
+
+    def blocked_rays(self, ax, ay, bx, by) -> np.ndarray:
+        return np.array(
+            [
+                not line_of_sight(
+                    Vec2(float(x0), float(y0)), Vec2(float(x1), float(y1)), self._obstacles
+                )
+                for x0, y0, x1, y1 in zip(ax, ay, bx, by)
+            ],
+            dtype=bool,
+        )
+
+
+class ReferenceLidarSensor(LidarSensor):
+    """A :class:`LidarSensor` whose every capture scans the world itself.
+
+    The capture path before the per-epoch sweep: read the origin, keep the
+    ground-truth agents within ``distance_to`` range (the owner excluded),
+    one ``line_of_sight_batch`` query for them, then the same noise draws.
+    The sensor still registers with a sweep (its own single-sensor one, or
+    the ``sweep`` given), which it never reads.
+    """
+
+    def capture(self) -> SensorFrame:
+        origin = self.position_provider()
+        in_range = [
+            (label, position)
+            for label, position in self.sweep.ground_truth()
+            if label != self.owner_name and origin.distance_to(position) <= self.range_m
+        ]
+        visibility = self.sweep.visibility
+        if visibility is not None and in_range:
+            flags = visibility.line_of_sight_batch(
+                origin, [position for _, position in in_range]
+            )
+            visible = [target for target, seen in zip(in_range, flags) if seen]
+        else:
+            visible = in_range
+        detections = []
+        for label, position in visible:
+            if self._rng.random() < self.miss_rate:
+                continue
+            noisy = Vec2(
+                position.x + self._rng.normal(0.0, self.noise_std_m),
+                position.y + self._rng.normal(0.0, self.noise_std_m),
+            )
+            confidence = min(1.0, max(0.0, self._rng.normal(0.9, 0.05)))
+            detections.append(Detection(label, noisy, confidence))
+        frame = SensorFrame(
+            data_type=DataType.LIDAR_SCAN,
+            timestamp=self.sim.now,
+            origin=origin,
+            detections=detections,
+            range_m=self.range_m,
+        )
+        self.pond.store(frame)
+        self.frames_captured += 1
+        return frame
 
 
 def candidate_names(env: RadioEnvironment, center: Vec2) -> List[str]:

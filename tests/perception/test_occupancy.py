@@ -23,6 +23,19 @@ def test_spec_dimensions_and_transforms():
     assert not spec.contains_cell(10, 0)
 
 
+def test_points_left_of_or_below_the_grid_are_out_of_bounds():
+    """Cells floor: (-0.5, 3.2) is column -1, not column 0."""
+    spec = GridSpec(Vec2(0, 0), 10.0, 10.0, cell_size=1.0)
+    assert spec.to_cell(Vec2(-0.5, 3.2)) == (3, -1)
+    assert spec.to_cell(Vec2(3.2, -0.5)) == (-1, 3)
+    assert spec.to_cell(Vec2(-0.0, 0.0)) == (0, 0)
+    grid = OccupancyGrid(spec)
+    assert not grid.mark_occupied(Vec2(-0.5, 3.2))
+    assert not grid.mark_occupied(Vec2(3.2, -0.5))
+    assert (grid.cells == UNKNOWN).all()
+    assert grid.state_at(Vec2(-0.5, 3.2)) == UNKNOWN
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(Vec2(0, 0), 0.0, 10.0)

@@ -1,14 +1,16 @@
-"""Property tests: indexed line-of-sight ≡ the brute-force obstacle scan.
+"""Property tests: the numpy ray kernel ≡ the brute-force obstacle scan.
 
-The :class:`~repro.geometry.obstacle_index.ObstacleIndex` promises *exact*
-equivalence with :func:`~repro.geometry.los.line_of_sight` for any ray, not
-just typical ones.  Randomised obstacle fields and ray endpoints are the
-cheap way to hold it to that — with the adversarial cases (rays along cell
-boundaries, rays through cell corners, zero-length rays, endpoints on
-obstacle boundaries) forced explicitly as well as left to chance.
+:meth:`~repro.geometry.obstacle_index.ObstacleIndex.blocked_rays` promises
+*exact* equivalence with :func:`~repro.geometry.los.line_of_sight` for any
+ray, not just typical ones.  Randomised obstacle fields and ray endpoints
+are the cheap way to hold it to that — with the degenerate cases
+(zero-length rays, coincident endpoints, rays on an edge's line or through
+a vertex, rays of 1e-9 to 1e-2 m, endpoints on obstacle boundaries) forced
+explicitly as well as left to chance.  Each property checks the single-ray
+:meth:`~repro.geometry.obstacle_index.ObstacleIndex.blocked` and the batch
+kernel on the same rays.
 """
 
-import math
 import pickle
 
 from hypothesis import given, settings
@@ -20,8 +22,6 @@ from repro.geometry.obstacle_index import ObstacleIndex
 from repro.geometry.shapes import Polygon, Rectangle
 from repro.geometry.vector import Vec2
 from tests.oracle import BruteForceVisibility
-
-CELL = 20.0
 
 coords = st.floats(
     min_value=-200.0, max_value=200.0, allow_nan=False, allow_infinity=False,
@@ -46,10 +46,19 @@ obstacle_fields = st.lists(st.one_of(rectangles, triangles), min_size=0, max_siz
 
 
 def assert_equivalent(obstacles, a, b):
-    index = ObstacleIndex(obstacles, cell_size=CELL)
-    assert index.blocked(a, b) == (not line_of_sight(a, b, obstacles)), (
-        f"indexed LOS diverges from brute force for ray {a} -> {b}"
+    assert_batch_equivalent(obstacles, [(a, b)])
+
+
+def assert_batch_equivalent(obstacles, rays):
+    """One kernel call over ``rays`` and one :meth:`blocked` per ray."""
+    index = ObstacleIndex(obstacles)
+    expected = [not line_of_sight(a, b, obstacles) for a, b in rays]
+    flags = index.blocked_rays(
+        [a.x for a, _ in rays], [a.y for a, _ in rays],
+        [b.x for _, b in rays], [b.y for _, b in rays],
     )
+    assert flags.tolist() == expected, "kernel diverges from brute force"
+    assert [index.blocked(a, b) for a, b in rays] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,13 +75,12 @@ def test_indexed_los_matches_bruteforce_on_random_rays(obstacles, a, b):
     coords,
     coords,
 )
-def test_rays_along_cell_boundaries(obstacles, cell_line, y0, y1, x_free):
-    """Rays lying exactly on a grid line (both orientations) stay exact."""
-    boundary = cell_line * CELL
-    assert_equivalent(obstacles, Vec2(boundary, y0), Vec2(boundary, y1))
-    assert_equivalent(obstacles, Vec2(y0, boundary), Vec2(y1, boundary))
-    # A ray starting exactly on a cell corner, ending anywhere.
-    assert_equivalent(obstacles, Vec2(boundary, boundary), Vec2(x_free, y1))
+def test_axis_aligned_rays_through_lattice_points(obstacles, line, y0, y1, x_free):
+    """Rays on a vertical or horizontal lattice line, and from a lattice point."""
+    offset = line * 20.0
+    assert_equivalent(obstacles, Vec2(offset, y0), Vec2(offset, y1))
+    assert_equivalent(obstacles, Vec2(y0, offset), Vec2(y1, offset))
+    assert_equivalent(obstacles, Vec2(offset, offset), Vec2(x_free, y1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,6 +88,48 @@ def test_rays_along_cell_boundaries(obstacles, cell_line, y0, y1, x_free):
 def test_zero_length_rays(obstacles, a):
     """A degenerate ray reduces to a point-in-obstacle test."""
     assert_equivalent(obstacles, a, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obstacle_fields, st.data())
+def test_zero_length_rays_on_boundaries_and_vertices(obstacles, data):
+    """Coincident agents on an edge, on a vertex or inside, in one batch."""
+    if not obstacles:
+        return
+    polygon = data.draw(st.sampled_from(obstacles))
+    edge = data.draw(st.sampled_from(polygon.edges()))
+    on_edge = edge.point_at(data.draw(st.floats(min_value=0.0, max_value=1.0)))
+    vertex = data.draw(st.sampled_from(list(polygon.vertices)))
+    centroid = polygon.centroid()
+    assert_batch_equivalent(
+        obstacles, [(p, p) for p in (on_edge, vertex, centroid, edge.a, edge.b)]
+    )
+
+
+short_lengths = st.floats(min_value=1e-9, max_value=1e-2)
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obstacle_fields, st.data(), short_lengths, unit, unit)
+def test_sub_millimetre_rays(obstacles, data, length, ux, uy):
+    """Rays 1e-9 to 1e-2 m long, from anywhere or from an obstacle boundary.
+
+    The segment primitive's collinearity band is a bound on a cross
+    product, so for very short rays it reaches past the ray's own extent;
+    the kernel must still agree with the scan.
+    """
+    starts = [data.draw(points)]
+    if obstacles:
+        polygon = data.draw(st.sampled_from(obstacles))
+        edge = data.draw(st.sampled_from(polygon.edges()))
+        starts.append(edge.point_at(data.draw(st.floats(min_value=0.0, max_value=1.0))))
+        starts.append(data.draw(st.sampled_from(list(polygon.vertices))))
+    rays = []
+    for a in starts:
+        b = Vec2(a.x + length * ux, a.y + length * uy)
+        rays += [(a, b), (b, a)]
+    assert_batch_equivalent(obstacles, rays)
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,16 +160,21 @@ def test_visibility_map_flag_paths_agree(obstacles, a, b):
     assert indexed.line_of_sight_batch(a, targets) == brute.line_of_sight_batch(
         a, targets
     )
+    assert indexed.blocked_rays(
+        [a.x] * 4, [a.y] * 4, [t.x for t in targets], [t.y for t in targets]
+    ).tolist() == brute.blocked_rays(
+        [a.x] * 4, [a.y] * 4, [t.x for t in targets], [t.y for t in targets]
+    ).tolist()
     assert indexed.visible_fraction(a, targets) == brute.visible_fraction(a, targets)
     assert indexed.visible_targets(a, targets, max_range=250.0) == brute.visible_targets(
         a, targets, max_range=250.0
     )
 
 
-# The inlined orientation tests in ``ObstacleIndex.blocked`` hand any
-# near-collinear edge (an orientation value inside the collinearity band
-# plus its rounding bound) to the segment primitive.  The three properties
-# below aim rays straight at that fallback.
+# The kernel hands any pair with an uncertain orientation value (inside
+# ``_orientation``'s rounding bound of the collinearity band) to the segment
+# primitive and decides clearly collinear values with ``_on_segment`` in
+# numpy.  The properties below aim rays straight at both branches.
 
 offsets = st.floats(min_value=-1.0, max_value=2.0, allow_nan=False)
 
@@ -181,7 +236,7 @@ def test_ray_on_an_edge_line_past_its_end_is_clear():
 
 
 def test_collinear_ray_takes_the_primitive_fallback(monkeypatch):
-    """A ray along an edge is decided by the segment primitive itself."""
+    """A nearly collinear pair goes to the segment primitive; no other does."""
     calls = []
     primitive = obstacle_index._segments_intersect
 
@@ -190,18 +245,51 @@ def test_collinear_ray_takes_the_primitive_fallback(monkeypatch):
         return primitive(*args)
 
     monkeypatch.setattr(obstacle_index, "_segments_intersect", counting)
-    index = ObstacleIndex([Rectangle(0.0, 0.0, 30.0, 10.0)], cell_size=CELL)
-    # Along the bottom edge, overlapping it: touching counts as blocked.
+    index = ObstacleIndex([Rectangle(0.0, 0.0, 30.0, 10.0)])
+    # A long ray touching the corner (0, 0) only: its orientation values
+    # there are exact zeros inside a rounding bound wider than the band,
+    # so only the primitive can call it blocked.
+    assert index.blocked(Vec2(-500.0, 1000.0), Vec2(500.0, -1000.0))
+    assert calls
+    # Along the bottom edge, overlapping it: clearly collinear, decided in
+    # numpy.  Touching counts as blocked.
+    calls.clear()
     assert index.blocked(Vec2(-5.0, 0.0), Vec2(50.0, 0.0))
-    assert calls
     # On the same line but stopping short of the edge: collinear, yet clear.
-    calls.clear()
     assert not index.blocked(Vec2(-20.0, 0.0), Vec2(-5.0, 0.0))
-    assert calls
-    # A clean crossing never needs the fallback.
-    calls.clear()
+    # A zero-length ray on the edge, and a clean crossing.
+    assert index.blocked(Vec2(7.0, 0.0), Vec2(7.0, 0.0))
     assert index.blocked(Vec2(15.0, -10.0), Vec2(15.0, 20.0))
     assert not calls
+
+
+def test_rays_inside_a_footprint_are_blocked():
+    """No edge crossed: containment of both endpoints decides."""
+    triangle = Polygon([Vec2(0.0, 0.0), Vec2(40.0, 0.0), Vec2(0.0, 40.0)])
+    obstacles = [Rectangle(100.0, 100.0, 130.0, 110.0), triangle]
+    rays = [
+        (Vec2(110.0, 105.0), Vec2(120.0, 104.0)),  # inside the rectangle
+        (Vec2(115.0, 102.0), Vec2(115.0, 102.0)),  # a point inside it
+        (Vec2(5.0, 5.0), Vec2(10.0, 20.0)),  # inside the triangle
+        (Vec2(25.0, 25.0), Vec2(26.0, 26.0)),  # in its box, outside it
+        (Vec2(-5.0, -5.0), Vec2(-5.0, -5.0)),  # outside everything
+    ]
+    assert_batch_equivalent(obstacles, rays)
+    flags = ObstacleIndex(obstacles).blocked_rays(
+        [a.x for a, _ in rays], [a.y for a, _ in rays],
+        [b.x for _, b in rays], [b.y for _, b in rays],
+    )
+    assert flags.tolist() == [True, True, True, False, False]
+
+
+def test_large_batches_run_in_chunks(monkeypatch):
+    """A batch over the pair bound is split, with the same answers."""
+    monkeypatch.setattr(obstacle_index, "_PAIR_CHUNK", 40)
+    obstacles = [Rectangle(0.0, 0.0, 30.0, 10.0), Rectangle(50.0, 0.0, 60.0, 40.0)]
+    rays = [
+        (Vec2(-10.0 + i, -5.0), Vec2(70.0 - 2 * i, 30.0 + i)) for i in range(37)
+    ] + [(Vec2(55.0, 20.0), Vec2(55.0, 20.0))]
+    assert_batch_equivalent(obstacles, rays)
 
 
 @settings(max_examples=100)
@@ -209,14 +297,14 @@ def test_collinear_ray_takes_the_primitive_fallback(monkeypatch):
 def test_pickle_round_trip_keeps_answers_and_bytes(obstacles, rays):
     """A restored index answers alike and pickles to the same bytes.
 
-    The edge table is derived state: it stays out of the pickle and is
-    rebuilt on restore.
+    Only the obstacles are pickled: the edge and box columns are derived
+    state, rebuilt on restore.
     """
-    index = ObstacleIndex(obstacles, cell_size=CELL)
-    index.blocked(*rays[0])  # stamps and the query counter are pickled too
-    assert "_edge_table" not in index.__getstate__()
+    index = ObstacleIndex(obstacles)
+    index.blocked(*rays[0])
+    assert set(index.__getstate__()) == {"_obstacles"}
     blob = pickle.dumps(index)
-    assert b"_edge_table" not in blob
+    assert b"_ends_x" not in blob
     restored = pickle.loads(blob)
     assert pickle.dumps(restored) == blob
     assert [restored.blocked(a, b) for a, b in rays] == [
@@ -233,11 +321,3 @@ def test_incremental_add_obstacle_keeps_index_consistent():
     vis.add_obstacle(Rectangle(-10.0, -10.0, 10.0, 10.0))
     assert not vis.has_line_of_sight(a, b)
     assert vis.has_line_of_sight(Vec2(-50.0, 20.0), Vec2(50.0, 20.0))
-
-
-def test_default_cell_size_tracks_obstacle_extent():
-    index = ObstacleIndex([Rectangle(0.0, 0.0, 30.0, 10.0)])
-    assert index.cell_size == 30.0
-    assert math.isclose(
-        ObstacleIndex([]).cell_size, 50.0
-    )  # falls back to the documented default

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "71929d86e2d8bc7afffa7218c79b8c55a6eed630c83e9867ceb39ca46808e0a3",
+        "f33d66e3b45fb5462d6ade09056f785be42e56a088a3b42e77edcae428479195",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "669146c2ee24cf4884af55a076f0c09532f71a68368002b227b729a1c58ded5b",
+        "54237654424730da69eba01ac9e0f85ee92c758728ba22a1a511fea7f1f0711d",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "b7d23f3b4b66672bd0eedf7e5a56ba803221c7e17475de16bb0bd636836f006c",
+        "2516979190bbf5c99dccc0130888398bcc0e22929264274bb2df7c933ad88a67",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "19ccc452f78538807fcc34370a890046445d546947f958d4af34314b65ce83dc",
+        "3b1aa4c96597a623338af23bff160f24bdd3f77d8a6ffb78d3eb7b5427b3c127",
     ),
 }
 

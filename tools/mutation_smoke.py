@@ -35,10 +35,12 @@ from typing import NamedTuple, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The fast pins every mutation runs against.  The obstacle-index, neighbour
-#: and trust pins were added for mutations that survived the first four:
-#: they kill the EDGE_PAD, the expiry-boundary and the quorum mutations in
-#: well under a second.  The deferred-arrival example compares the
+#: The fast pins every mutation runs against.  The neighbour and trust pins
+#: were added for mutations that survived the first four: they kill the
+#: expiry-boundary and the quorum mutations in well under a second.  The
+#: two obstacle-index pins aim rays at the line-of-sight kernel's primitive
+#: fallback and its containment step; the lidar-sweep pin compares a moving
+#: fleet's frames with per-capture scanning.  The deferred-arrival example compares the
 #: deferred broadcast path with the per-receiver event oracle on a fixed
 #: fleet (the property around it shrinks for minutes when it fails); the
 #: slow-fleet example does the same for commits that hold several
@@ -49,6 +51,8 @@ PINS = (
     "tests/properties/test_property_exact_plan.py",
     "tests/snapshot/test_codec.py",
     "tests/properties/test_property_obstacle_index.py::test_collinear_ray_takes_the_primitive_fallback",
+    "tests/properties/test_property_obstacle_index.py::test_rays_inside_a_footprint_are_blocked",
+    "tests/properties/test_property_lidar_sweep.py::test_moving_fleet_matches_the_reference",
     "tests/mesh/test_neighbor.py",
     "tests/core/test_trust.py",
     "tests/properties/test_property_deferred_arrivals.py::test_twin_fleet_exercises_ties_crashes_and_joins",
@@ -88,10 +92,22 @@ MUTATIONS: Tuple[Mutation, ...] = (
         "        )",
     ),
     Mutation(
-        "obstacle index: EDGE_PAD dropped",
+        "line-of-sight kernel: uncertain pairs skip the primitive",
         "repro/geometry/obstacle_index.py",
-        "EDGE_PAD = 1e-9",
-        "EDGE_PAD = 0.0",
+        "        if not certain.all():\n",
+        "        if False:\n",
+    ),
+    Mutation(
+        "line-of-sight kernel: containment step dropped",
+        "repro/geometry/obstacle_index.py",
+        "        if inside.any():\n",
+        "        if False:\n",
+    ),
+    Mutation(
+        "lidar sweep: pass key ignores the position epoch",
+        "repro/data/sensors.py",
+        "                self.substrate.position_epoch,\n",
+        "                0,\n",
     ),
     Mutation(
         "neighbour table: expiry at >= lifetime",
