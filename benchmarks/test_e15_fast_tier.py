@@ -1,22 +1,27 @@
 """E15 — Statistical equivalence tier (``fast_math``) benchmark.
 
-E13 made the *exact* tier as fast as it can be while still promising
-byte-identical delivered-frame sequences: batched link rows, obstacle-indexed
-LOS.  What remains on its profile is irreducible under that promise — one
-scalar RNG draw and one heap push per (broadcast, receiver), one frozen
-``LinkQuality`` per link.  The ``fast_math=True`` statistical tier trades the
-byte-level promise for distribution-level agreement (seeded-CI contract in
-``tests/properties/test_property_statistical_equivalence.py``) and buys back
-exactly those costs: fused numpy link kernels, one vectorised loss draw per
-broadcast, same-delay deliveries coalesced into batch events, and
-lazily-materialised link qualities.
+The ``fast_math=True`` statistical tier trades the exact tier's
+byte-identical delivered-frame sequences for distribution-level agreement
+(seeded-CI contract in
+``tests/properties/test_property_statistical_equivalence.py``).  Both tiers
+share the broadcast path: per-epoch sender plans, one vectorised loss draw
+per broadcast, and arrivals deferred into the radio environment's bulk
+commit instead of queued as events.  The tiers differ only in the column
+kernel that builds a plan: the statistical tier's fused numpy SIMD kernel
+against the exact tier's ``math``-library kernel.
 
 This benchmark records the wall-clock-per-simulated-second curves of both
 tiers on the same dense beacon fleet at N = 2000 / 5000 / 10000, writes them
 to ``BENCH_E15.json`` (machine-readable, parsed by the CI smoke step), and
-asserts the acceptance criterion: at N = 2000 the statistical tier is ≥ 3×
-faster per simulated second than the exact tier on the same scenario and
-seed.  Loss/delivery counter totals must match exactly between tiers at every
+asserts the original acceptance criterion: at N = 2000 the statistical
+tier is ≥ 3× faster per simulated second than the exact tier on the same
+scenario and seed.  Once the exact tier stopped queueing an event per
+arrival, the kernel was all that was left to buy that speedup, and it does
+not: the gate fails in full mode.  With the statistical tier on its own
+coalesced events, exact ÷ statistical read 0.65–0.90× at N = 2000 and
+0.54× at N = 10000; with both tiers on the shared path it read
+1.11–1.42×, 1.11–1.23× and 1.20–1.35× at N = 2000, 5000 and 10000 (three
+runs each, 2-core x86-64 container, Python 3.11.7).  Loss/delivery counter totals must match exactly between tiers at every
 N — the tiers draw different RNG streams shapes but identical loss
 probabilities over identical link sets, so their *totals* (not sequences)
 coincide on a static fleet.

@@ -41,11 +41,6 @@ class ResourceSpec:
         if self.memory_mb <= 0:
             raise ValueError("memory_mb must be positive")
 
-    @property
-    def total_ops_per_second(self) -> float:
-        """Aggregate CPU throughput over all cores."""
-        return self.cpu_ops_per_second * self.cores
-
     def has_accelerator(self, name: str) -> bool:
         """Whether the node owns an accelerator called ``name``."""
         return name in self.accelerators

@@ -196,9 +196,6 @@ class NetworkDescription:
         """Aggregate advertised spare compute across the view."""
         return sum(n.compute_headroom_ops for n in self.neighbors)
 
-    def with_data(self, data_type: DataType) -> List[NeighborDescription]:
-        """Neighbours advertising data of ``data_type``."""
-        return [n for n in self.neighbors if n.has_data(data_type)]
 
 
 # --------------------------------------------------------------------- results

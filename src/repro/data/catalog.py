@@ -91,8 +91,3 @@ class DataCatalog:
             if distance > reach + region_radius:
                 return False
         return True
-
-    def best_score(self, data_type: DataType) -> float:
-        """Quality score of the entry for ``data_type`` (0 when absent)."""
-        entry = self._entries.get(data_type)
-        return entry.score() if entry is not None else 0.0

@@ -67,9 +67,6 @@ class SensorFrame:
         if self.size_bytes == 0:
             self.size_bytes = typical_frame_size(self.data_type)
 
-    def detected_labels(self) -> List[str]:
-        """Labels of all detections in the frame."""
-        return [d.label for d in self.detections]
 
 
 #: Ground-truth provider: returns (label, position) pairs of every agent

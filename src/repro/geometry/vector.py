@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,6 @@ class Vec2:
             self.x + (other.x - self.x) * t,
             self.y + (other.y - self.y) * t,
         )
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
-    @staticmethod
-    def from_polar(radius: float, angle: float) -> "Vec2":
-        """Build a vector from polar coordinates."""
-        return Vec2(radius * math.cos(angle), radius * math.sin(angle))
 
     @staticmethod
     def zero() -> "Vec2":

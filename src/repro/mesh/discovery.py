@@ -13,13 +13,12 @@ and one per evicted neighbour, and carries it in every beacon.
 
 The agent's table, epoch and beacons-heard count live in the radio
 environment's :class:`~repro.mesh.neighbor.NeighborStore`, at the slot of
-the agent's interface, and the radio writes them: on the exact tier a heard
-beacon is applied by the environment's bulk commit, with its arrival time,
-not when it arrives; an event delivery (the statistical tier) applies it
-through :meth:`~repro.mesh.neighbor.NeighborStore.receive`.  So everything
-that reads what those write commits first: the table's public methods,
-:attr:`BeaconAgent.epoch`, :attr:`BeaconAgent.beacons_heard`,
-:meth:`BeaconAgent.build_beacon` and the expiry sweep.  The writes and the
+the agent's interface, and the radio writes them: a heard beacon is applied
+by the environment's bulk commit, with its arrival time, not when it
+arrives.  So everything that reads what the commit writes commits first:
+the table's public methods, :attr:`BeaconAgent.epoch`,
+:attr:`BeaconAgent.beacons_heard`, :meth:`BeaconAgent.build_beacon` and the
+expiry sweep.  The writes and the
 neighbour-up callbacks they call run with the simulator sealed.
 """
 

@@ -18,14 +18,12 @@ table lists its entries in.  An evicted pair keeps its row, with a zero
 count, and a rejoin reuses it.  :class:`NeighborEntry` objects are built only when
 a caller asks for entries.
 
-Two writers fill the columns, and give the same state:
-
-* :meth:`NeighborStore.commit_arrivals`, the radio environment's bulk
-  commit of the fired exact-tier beacon arrivals, fleet-wide, in a few
-  whole-array steps;
-* :meth:`NeighborTable.observe`, one arrival at a time, which event
-  deliveries (the statistical tier, the per-receiver reference path) reach
-  through :meth:`NeighborStore.receive`.
+The radio writes the columns through one path:
+:meth:`NeighborStore.commit_arrivals`, the radio environment's bulk commit
+of the fired beacon arrivals, fleet-wide, in a few whole-array steps.
+:meth:`NeighborTable.observe` writes one arrival at a time and gives the
+same state; stand-alone tables use it, and so does the test suite's
+per-arrival reference path.
 
 Beacon arrivals are applied lazily (see :mod:`repro.radio.interfaces`), so
 every public read of a table first calls its ``commit`` hook (the
@@ -69,10 +67,6 @@ class NeighborEntry:
         """Seconds since the last beacon from this neighbour."""
         return max(0.0, now - self.last_seen)
 
-    def contact_duration(self, now: float) -> float:
-        """Seconds this neighbour has been continuously known."""
-        return max(0.0, now - self.first_seen)
-
 
 #: Row columns, with their dtypes.
 _ROW_COLUMNS = (
@@ -90,7 +84,7 @@ _SLOT_COLUMNS = (("owner", -1), ("epoch", 0), ("heard", 0))
 
 #: The columns the one-arrival path writes, through memoryviews: an item
 #: access costs about half of a numpy scalar index.
-_SCALAR_COLUMNS = ("beacons_received", "last_seen", "snr_db", "rate_bps", "first_seen", "heard")
+_SCALAR_COLUMNS = ("beacons_received", "last_seen", "snr_db", "rate_bps", "first_seen")
 
 
 class NeighborStore:
@@ -215,7 +209,7 @@ class NeighborStore:
         row = self._index.get(key)
         if row is None:
             row = int(self._add_rows(np.array([key]), True)[0])
-        received, last_seen, snrs, rates, first_seen, _ = self._scalar
+        received, last_seen, snrs, rates, first_seen = self._scalar
         count = received[row]
         received[row] = count + 1
         last_seen[row] = now
@@ -227,33 +221,6 @@ class NeighborStore:
         first_seen[row] = now
         self._slot_rows[slot].append(row)
         return True
-
-    def receive(
-        self,
-        slot: int,
-        frame: Any,
-        time: float,
-        sequence: int,
-        snr_db: float,
-        rate_bps: float,
-    ) -> None:
-        """One delivered broadcast frame, as a beacon agent hears it.
-
-        A beacon counts as heard; a new sender is a join, which advances the
-        slot's epoch and ``mesh.joins`` and calls the slot's neighbour-up
-        callbacks.  Frames to slots without a table are ignored.
-        """
-        beacon = frame.payload
-        table = self.tables[slot] if slot < len(self.tables) else None
-        if table is None or frame.kind != "beacon" or not isinstance(beacon, Beacon):
-            return
-        self._scalar[-1][slot] += 1
-        if table.observe(beacon, time, snr_db, rate_bps):
-            self.epoch[slot] += 1
-            if self.joins is not None:
-                self.joins.add()
-            for callback in self.watchers[slot]:
-                callback(beacon.sender, beacon, time, sequence)
 
     def commit_arrivals(
         self,
@@ -267,8 +234,13 @@ class NeighborStore:
         snrs: np.ndarray,
         rates: np.ndarray,
     ) -> None:
-        """Apply a batch of delivered broadcast arrivals, as :meth:`receive`
-        would one at a time in key order.
+        """Apply a batch of delivered broadcast arrivals, as if they were
+        heard one at a time in key order.
+
+        A beacon counts as heard; a new sender is a join, which advances the
+        slot's epoch and ``mesh.joins`` and calls the slot's neighbour-up
+        callbacks.  Frames to slots without a table, and a table's own
+        beacons, are ignored.
 
         ``frames[i]`` carried the next ``lengths[i]`` arrivals of the
         columns, and ``counts`` is ``np.bincount(slots)``.  The batch needs no sorting unless one pair has two

@@ -8,7 +8,7 @@ resulting polyline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -113,11 +113,6 @@ class RoadNetwork:
             raise ValueError("could not find any route in the road network")
         return best
 
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """``(x_min, y_min, x_max, y_max)`` over all junction positions."""
-        xs = [self.position_of(j).x for j in self.junctions]
-        ys = [self.position_of(j).y for j in self.junctions]
-        return (min(xs), min(ys), max(xs), max(ys))
 
 
 def manhattan_grid(

@@ -75,9 +75,6 @@ class TrajectoryTrace:
             return 0.0
         return self.total_distance() / duration
 
-    def to_rows(self) -> List[Tuple[float, float, float, float]]:
-        """Export as ``(time, x, y, speed)`` rows."""
-        return [(p.time, p.position.x, p.position.y, p.speed) for p in self.points]
 
 
 def contact_intervals(

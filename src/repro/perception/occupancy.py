@@ -64,13 +64,6 @@ class GridSpec:
         row = math.floor((point.y - self.origin.y) / self.cell_size)
         return row, col
 
-    def to_world(self, row: int, col: int) -> Vec2:
-        """Cell centre in world coordinates."""
-        return Vec2(
-            self.origin.x + (col + 0.5) * self.cell_size,
-            self.origin.y + (row + 0.5) * self.cell_size,
-        )
-
     def contains_cell(self, row: int, col: int) -> bool:
         """Whether (row, col) lies inside the grid."""
         return 0 <= row < self.rows and 0 <= col < self.cols
@@ -131,11 +124,6 @@ class OccupancyGrid:
     def known_fraction(self) -> float:
         """Fraction of cells that are not UNKNOWN."""
         return float(np.count_nonzero(self.cells != UNKNOWN)) / self.cells.size
-
-    def occupied_cells(self) -> List[Tuple[int, int]]:
-        """(row, col) of every occupied cell."""
-        rows, cols = np.nonzero(self.cells == OCCUPIED)
-        return list(zip(rows.tolist(), cols.tolist()))
 
     def size_bytes(self) -> int:
         """Serialized size: one byte per cell plus a small header."""

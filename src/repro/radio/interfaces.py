@@ -37,8 +37,8 @@ manager's to move: its per-tick substrate commit is their dirty-mark.
 Arrivals
 --------
 
-A unicast frame arrives as one :class:`_FrameDelivery` event.  An
-exact-tier broadcast makes no events: it reserves the k sequence numbers k
+A unicast frame arrives as one :class:`_FrameDelivery` event.  A broadcast,
+on either tier, makes no events: it reserves the k sequence numbers k
 pushes would have taken, hands the simulator one block of arrival keys
 ``(time, 0, sequence)`` to count
 (:meth:`~repro.simcore.simulator.Simulator.defer_arrivals`), and appends
@@ -55,8 +55,7 @@ them, in key order, with the arrival time.  Handlers and the store run
 with the simulator sealed (no scheduling, transmitting or random draws).
 Readers of what they write commit first, changing an interface's
 ``enabled`` commits first, and the environment commits at the end of each
-simulator step.  The statistical tier keeps its coalesced events, which
-deliver through :meth:`RadioInterface.deliver` one arrival at a time.
+simulator step.
 
 Receivers are always iterated in name-sorted order, so the frame-loss RNG
 draws — and therefore the delivered-frame sequence — do not depend on how
@@ -72,8 +71,7 @@ transport and the AirDnD offloading protocol) decide what goes inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -127,7 +125,7 @@ class _FrameDelivery:
 
     Replaces the per-delivery ``lambda`` closure (a function object plus
     three cell objects per scheduled frame) with a single ``__slots__``
-    instance.  Unicast frames arrive this way on both tiers.
+    instance.
     """
 
     __slots__ = ("receiver", "frame", "quality")
@@ -142,60 +140,24 @@ class _FrameDelivery:
     def __call__(self) -> None:
         receiver = self.receiver
         frame = self.frame
-        quality = self.quality
-        if receiver.deliver(frame, quality.snr_db, quality.rate_bps, quality):
+        if receiver.deliver(frame, self.quality):
             receiver.environment._count_delivered(frame.kind, 1, frame.size_bytes)
 
 
 class _BatchFrameDelivery:
-    """All of one broadcast's same-delay arrivals, coalesced into one event.
-
-    The statistical tier schedules one of these per *distinct delay value*
-    instead of one event per receiver.  Ordering is
-    preserved observably: receivers sharing an identical delay would have
-    been pushed consecutively — in name-sorted order, at the same
-    ``(time, priority)`` — so they would fire back-to-back in exactly this
-    order under the queue's ``(time, priority, sequence)`` contract anyway;
-    delivering them name-sorted inside a single event is indistinguishable
-    to observers.  Receivers with *different* delays still get their own
-    events and interleave with the rest of the simulation by time as usual.
-
-    Instead of copying per-group receiver sublists on every broadcast, the
-    event references the sender plan (immutable for its epoch) and carries
-    only the member *indices* — ascending, so delivery stays name-sorted.
-    Each arrival reads its SNR and rate from the plan's columns; no
-    :class:`~repro.radio.link.LinkQuality` is built.
-    """
-
-    __slots__ = ("plan", "indices", "frame")
-
-    def __init__(self, plan: "_SenderPlan", indices: List[int], frame: "Frame") -> None:
-        self.plan = plan
-        self.indices = indices
-        self.frame = frame
+    # Never constructed: only perfbench/tracing.py's TARGETS still wraps its __call__.
+    __slots__ = ()
 
     def __call__(self) -> None:
-        plan = self.plan
-        receivers = plan.receivers
-        snrs = plan.snr_db
-        rates = plan.rate_bps
-        frame = self.frame
-        delivered = 0
-        for index in self.indices:
-            delivered += receivers[index].deliver(frame, snrs[index], rates[index])
-        if delivered:
-            receivers[0].environment._count_delivered(
-                frame.kind, delivered, frame.size_bytes * delivered
-            )
+        pass
 
 
 class _SenderPlan:
     """One sender's broadcast state, valid for one position epoch.
 
     Both equivalence tiers broadcast from this one structure, built by
-    :meth:`RadioEnvironment._build_plan` with the tier's column kernel; they
-    differ only in that kernel and in how losses are drawn and arrivals
-    scheduled.
+    :meth:`RadioEnvironment._build_plan` with the tier's column kernel; the
+    kernel is the only thing the tiers differ in.
 
     ``receivers`` are the *usable* receivers, name-sorted — their names are
     the answer to :meth:`RadioEnvironment.nodes_in_range`.  ``slots``,
@@ -206,9 +168,8 @@ class _SenderPlan:
     observed.
     ``out_of_range`` folds the spatially pruned and the link-unusable
     candidates into one per-broadcast counter increment.  Delays depend on
-    the frame size, so both tiers compute them per broadcast.  Nothing
-    mutates a plan after it is built, so scheduled deliveries may reference
-    it.
+    the frame size, so they are computed per broadcast.  Nothing mutates a
+    plan after it is built.
     ``RadioEnvironment._refresh`` discards plans with the other per-epoch
     caches.
     """
@@ -299,8 +260,8 @@ class RadioInterface:
         self._broadcast_handlers: List[BroadcastHandler] = []
         self.bytes_sent = 0
         self.frames_sent = 0
-        #: Frames delivered by events; committed broadcasts are counted in
-        #: the environment's per-slot columns.
+        #: Unicast frames delivered by their events; committed broadcasts
+        #: are counted in the environment's per-slot columns.
         self._event_bytes = 0
         self._event_frames = 0
         self._enabled = True
@@ -401,21 +362,14 @@ class RadioInterface:
             self.environment.transmit(self, frame)
         return frame
 
-    def deliver(
-        self,
-        frame: Frame,
-        snr_db: float,
-        rate_bps: float,
-        quality: Optional[LinkQuality] = None,
-    ) -> bool:
-        """A frame arrives inside its event (``sim.now`` is its arrival).
+    def deliver(self, frame: Frame, quality: LinkQuality) -> bool:
+        """A unicast frame arrives inside its event (``sim.now`` is its
+        arrival), with its link ``quality`` for the unicast callbacks.
 
-        A unicast frame carries its link ``quality`` for the unicast
-        callbacks; a broadcast goes to the neighbour store and the
-        broadcast handlers, sealed.  Returns whether the frame was
-        delivered: an arrival at a disabled interface is dropped.  The
-        arrival event counts delivered frames into the ``radio.*``
-        counters, once per event.
+        Returns whether the frame was delivered: an arrival at a disabled
+        interface is dropped.  The arrival event counts a delivered frame
+        into the ``radio.*`` counters.  Broadcasts never come here: the
+        environment's :meth:`RadioEnvironment.commit` applies them.
         """
         environment = self.environment
         if environment._pending:
@@ -424,24 +378,8 @@ class RadioInterface:
             return False
         self._event_bytes += frame.size_bytes
         self._event_frames += 1
-        if frame.destination is not None:
-            for callback in self._unicast_callbacks:
-                callback(frame, quality)
-            return True
-        store = environment.neighbor_store
-        handlers = self._broadcast_handlers
-        if store is None and not handlers:
-            return True
-        sim = environment.sim
-        time, _, sequence = sim.last_key
-        token = sim.seal()
-        try:
-            if store is not None:
-                store.receive(self.slot, frame, time, sequence, snr_db, rate_bps)
-            for handler in handlers:
-                handler(frame, time, sequence, snr_db, rate_bps)
-        finally:
-            sim.unseal(token)
+        for callback in self._unicast_callbacks:
+            callback(frame, quality)
         return True
 
 
@@ -497,11 +435,11 @@ class RadioEnvironment:
         flushes its caches whenever the clock advances.
 
     The equivalence tier follows the link budget: a ``fast_math`` budget
-    selects the *statistical* tier — sender plans from the fused numpy link
-    kernel, extra-loss draws vectorised after the PER draws instead of
-    interleaved with them, same-delay arrivals coalesced into single batch
-    events — with distribution-level metric agreement with the exact tier
-    (benchmark E15), not byte-identical frame sequences.
+    selects the *statistical* tier, whose sender plans come from the fused
+    numpy link kernel.  That kernel choice in :meth:`_build_plan` is the
+    only difference: loss draws and deferred arrivals are shared.  The
+    statistical tier promises distribution-level metric agreement with the
+    exact tier, not byte-identical frame sequences.
 
     Broadcasts only evaluate receivers within the query radius of the
     sender (the effective range plus a 5 m slack).  :attr:`use_spatial_index`
@@ -572,9 +510,9 @@ class RadioEnvironment:
         self._slot_tapped = np.zeros(0, np.bool_)
         self._slot_frames = np.zeros(0, np.int64)
         self._slot_bytes = np.zeros(0, np.int64)
-        #: Exact-tier broadcasts with arrivals not yet committed, in send
-        #: order, each ``[frame, times, sequences, slots, snrs, rates]`` with
-        #: the columns sorted by arrival key, and the earliest arrival time.
+        #: Broadcasts with arrivals not yet committed, in send order, each
+        #: ``[frame, times, sequences, slots, snrs, rates]`` with the columns
+        #: sorted by arrival key, and the earliest arrival time.
         self._pending: List[list] = []
         self._due_time = float("inf")
         #: Disabled interfaces, and whether any has broadcast handlers.
@@ -613,7 +551,7 @@ class RadioEnvironment:
     # ----------------------------------------------------------- arrivals
 
     def commit(self) -> None:
-        """Apply every fired exact-tier broadcast arrival, fleet-wide.
+        """Apply every fired broadcast arrival, fleet-wide.
 
         The fired arrivals are those keyed at or below the simulator's
         :attr:`~repro.simcore.simulator.Simulator.last_key`.  Arrivals at
@@ -1057,12 +995,10 @@ class RadioEnvironment:
         draw over the usable receivers in name order — numpy's ``Generator``
         yields the same doubles, and leaves the stream at the same point, as
         ``k`` scalar ``random()`` calls.  While the fault injector holds
-        ``extra_loss_probability`` nonzero, the exact tier keeps the scalar
+        ``extra_loss_probability`` nonzero, the draws keep the scalar
         interleaving instead: a PER draw per receiver, then an extra draw for
-        that receiver only if it survived.  The statistical tier draws the
-        extra losses as a second vector over the PER survivors.
-        The exact tier defers the arrivals (:meth:`_defer_arrivals`); the
-        statistical tier pushes its coalesced delivery events.
+        that receiver only if it survived.  The delivered arrivals are
+        deferred (:meth:`_defer_arrivals`).
         """
         plan = self._sender_plan(sender)
         if plan.out_of_range:
@@ -1072,8 +1008,7 @@ class RadioEnvironment:
             return
         rng = self.sim.streams.get(self.rng_stream)
         extra = self.extra_loss_probability
-        fast = self.fast_math
-        if extra > 0.0 and not fast:
+        if extra > 0.0:
             random = rng.random
             kept = np.fromiter(
                 (
@@ -1085,27 +1020,13 @@ class RadioEnvironment:
             )
         else:
             kept = rng.random(count) >= plan.pers
-            if extra > 0.0:
-                survivors = np.flatnonzero(kept)
-                if survivors.size:
-                    kept[survivors[rng.random(survivors.size) < extra]] = False
         delivered = int(np.count_nonzero(kept))
         lost = count - delivered
         if lost:
             self._frames_lost.add(lost)
         if not delivered:
             return
-        size_bits = frame.size_bytes * 8
-        if fast:
-            times, callbacks = self._coalesced_arrivals(plan, kept, size_bits, frame)
-            # Absolute times straight into the queue (the delays are
-            # positive by construction), which numbers the entries in order.
-            deliver_name = self._deliver_name(frame.kind)
-            self.sim._queue.push_batch(
-                zip(times, callbacks, repeat(0), repeat(deliver_name))
-            )
-            return
-        delays = size_bits / plan.scaled_rates + plan.prop_delays
+        delays = frame.size_bytes * 8 / plan.scaled_rates + plan.prop_delays
         indices = None
         if lost:
             indices = np.flatnonzero(kept)
@@ -1120,7 +1041,7 @@ class RadioEnvironment:
         times: np.ndarray,
         frame: Frame,
     ) -> None:
-        """Hand one exact-tier broadcast's arrivals over without events.
+        """Hand one broadcast's arrivals over without events.
 
         ``indices`` are the delivered receivers' plan indices, name-sorted
         (``None``: every receiver), and ``times`` their arrival times.
@@ -1145,37 +1066,3 @@ class RadioEnvironment:
             plan.rate_bps[receivers],
         ])
         self._due_time = min(self._due_time, float(times[0]))
-
-    def _coalesced_arrivals(
-        self, plan: _SenderPlan, kept: np.ndarray, size_bits: int, frame: Frame
-    ) -> Tuple[List[float], List[Callable[[], Any]]]:
-        """Statistical-tier arrival times and callbacks, one per delay group.
-
-        The delivered receivers sharing an identical delay are coalesced into
-        one :class:`_BatchFrameDelivery`, so a broadcast costs one heap entry
-        per delay group instead of one per receiver.
-        """
-        # Bucket receivers by identical delay in C: `np.unique` sorts the
-        # delays, the stable argsort of the inverse mapping lays the member
-        # indices out group by group (ascending within each group, preserving
-        # name order).  Group order is delay-ascending rather than
-        # first-occurrence — observationally equivalent, since distinct
-        # delays fire at distinct times regardless of push order.
-        indices = np.flatnonzero(kept)
-        delays = size_bits / plan.scaled_rates[indices] + plan.prop_delays[indices]
-        unique_delays, inverse, counts = np.unique(
-            delays, return_inverse=True, return_counts=True
-        )
-        members = indices[np.argsort(inverse, kind="stable")].tolist()
-        self._link_delay.add_many(delays)
-        now = self.sim.now
-        times: List[float] = []
-        callbacks: List[Callable[[], Any]] = []
-        start = 0
-        for delay, size in zip(unique_delays.tolist(), counts.tolist()):
-            callbacks.append(
-                _BatchFrameDelivery(plan, members[start : start + size], frame)
-            )
-            start += size
-            times.append(now + delay)
-        return times, callbacks

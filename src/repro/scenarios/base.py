@@ -79,7 +79,7 @@ class BaseScenarioConfig:
     ``fast_math`` selects the radio stack's equivalence tier.  ``False``
     (default) is the *exact* tier: seeded runs are byte-identical across the
     reference flags (benchmarks E11/E13).  ``True`` is the *statistical*
-    tier: fused numpy SIMD link kernels and batched event-core delivery,
+    tier: the same broadcast path with fused numpy SIMD link kernels,
     ~last-ulp different per link, promising distribution-level agreement of
     aggregate metrics only (benchmark E15; see ``docs/PERFORMANCE.md``).
     Sweepable like any knob: ``repro sweep --set fast_math=true,false``.

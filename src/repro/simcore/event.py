@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 
 @dataclass(order=True, slots=True)
@@ -132,42 +132,10 @@ class EventQueue:
         self._active += 1
         return event
 
-    def push_batch(
-        self, entries: Iterable[Tuple[float, Callable[[], Any], int, str]]
-    ) -> list[Event]:
-        """Insert many events in one call: ``(time, callback, priority, name)``.
-
-        Sequence numbers are assigned in iteration order, so the batch pops
-        exactly as the equivalent sequence of :meth:`push` calls would.  For
-        large batches the heap is rebuilt with one ``heapify`` (O(n + k))
-        instead of k sifts (O(k log n)) — this is the entry point both radio
-        tiers use to schedule a whole broadcast's arrivals at once.
-        """
-        sequence = self._next_sequence
-        events = []
-        batch = []
-        for time, callback, priority, name in entries:
-            event = Event(time, priority, sequence, callback, name, False, self)
-            events.append(event)
-            batch.append((time, priority, sequence, event))
-            sequence += 1
-        self._next_sequence = sequence
-        if not batch:
-            return events
-        heap = self._entries
-        if len(batch) * 4 >= len(heap):
-            heap.extend(batch)
-            heapq.heapify(heap)
-        else:
-            for entry in batch:
-                heapq.heappush(heap, entry)
-        self._active += len(batch)
-        return events
-
     def reserve(self, count: int) -> int:
         """Take ``count`` consecutive sequence numbers; returns the first.
 
-        The exact radio tier reserves one per broadcast arrival, so an
+        The radio environment reserves one per broadcast arrival, so an
         arrival the simulator counts without an event keeps the number a
         per-receiver push would have given it.
         """

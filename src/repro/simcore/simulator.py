@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simcore.event import Event, EventQueue
 from repro.simcore.monitor import Monitor
@@ -194,27 +194,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self._queue.push(self._now + delay, callback, priority, name)
-
-    def schedule_batch(
-        self,
-        entries: "Iterable[tuple[float, Callable[[], Any], int, str]]",
-    ) -> List[Event]:
-        """Schedule many callbacks in one queue operation.
-
-        Each entry is ``(delay, callback, priority, name)``; semantics per
-        entry match :meth:`schedule` (including the non-negative-delay
-        check), but the underlying heap is updated once via
-        :meth:`~repro.simcore.event.EventQueue.push_batch`.  (The radio
-        medium, which already holds absolute arrival times, pushes to the
-        queue directly.)
-        """
-        now = self._now
-        batch = []
-        for delay, callback, priority, name in entries:
-            if delay < 0:
-                raise ValueError(f"cannot schedule into the past (delay={delay})")
-            batch.append((now + delay, callback, priority, name))
-        return self._queue.push_batch(batch)
 
     def schedule_at(
         self,

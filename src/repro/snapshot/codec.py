@@ -34,7 +34,7 @@ import numpy as np
 SNAPSHOT_MAGIC = b"REPROSNAP\x01"
 
 #: Current format version; bumped on any incompatible layout change.
-SNAPSHOT_VERSION = 10
+SNAPSHOT_VERSION = 11
 
 #: Pickle protocol pinned so identical state yields identical payload bytes
 #: regardless of the writing interpreter's default.

@@ -27,7 +27,6 @@ from repro.telemetry.prometheus import (
     CONTENT_TYPE,
     HistogramPoint,
     MetricPoint,
-    TelemetryRegistry,
     job_store_exposition,
     job_store_points,
     monitor_points,
@@ -51,7 +50,6 @@ __all__ = [
     "HistogramPoint",
     "MetricPoint",
     "TRACE_SCHEMA",
-    "TelemetryRegistry",
     "Tracer",
     "activate",
     "current_tracer",

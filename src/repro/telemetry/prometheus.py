@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: The Content-Type a conforming 0.0.4 exposition endpoint must serve.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -179,50 +179,6 @@ def monitor_points(
                 )
             )
     return out
-
-
-# ----------------------------------------------------------------- registry
-
-
-class TelemetryRegistry:
-    """Aggregates live metric sources into one exposition document.
-
-    Sources are *pull-based*: monitors are looked up through callables at
-    render time (a session that was evicted between scrapes simply stops
-    contributing), and producers return fresh point lists per render.
-    """
-
-    def __init__(self) -> None:
-        self._monitors: List[Tuple[Dict[str, str], Callable[[], Any]]] = []
-        self._producers: List[Callable[[], Iterable[Any]]] = []
-
-    def add_monitor(
-        self,
-        monitor: Any,
-        labels: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Register a monitor (or a zero-arg callable returning one/None)."""
-        getter = monitor if callable(monitor) else (lambda m=monitor: m)
-        self._monitors.append((dict(labels or {}), getter))
-
-    def add_producer(self, producer: Callable[[], Iterable[Any]]) -> None:
-        """Register a callable returning fresh points every render."""
-        self._producers.append(producer)
-
-    def collect(self) -> List[Any]:
-        """Every point from every source, in registration order."""
-        points: List[Any] = []
-        for labels, getter in self._monitors:
-            monitor = getter()
-            if monitor is not None:
-                points.extend(monitor_points(monitor, labels))
-        for producer in self._producers:
-            points.extend(producer())
-        return points
-
-    def render(self) -> str:
-        """The full exposition document."""
-        return render_exposition(self.collect())
 
 
 # ---------------------------------------------------------------- rendering

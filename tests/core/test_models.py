@@ -69,7 +69,6 @@ def test_network_description_queries():
     assert network.neighbor("a").name == "a"
     assert network.neighbor("missing") is None
     assert network.total_headroom_ops() == 3e9
-    assert [n.name for n in network.with_data(DataType.LIDAR_SCAN)] == ["a"]
 
 
 def test_data_description_defaults():

@@ -36,7 +36,6 @@ def test_empty_pond_gives_empty_catalog():
     catalog = DataCatalog.from_pond(DataPond("n"), now=0.0)
     assert catalog.data_types() == []
     assert catalog.entry(DataType.LIDAR_SCAN) is None
-    assert catalog.best_score(DataType.LIDAR_SCAN) == 0.0
 
 
 def test_satisfies_quality_and_region():

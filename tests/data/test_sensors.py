@@ -29,7 +29,7 @@ def make_sensor(ground_truth, visibility=None, **kwargs):
 def test_detects_visible_in_range_agents():
     sim, pond, sensor = make_sensor([("target", Vec2(20, 0)), ("ego", Vec2(0, 0))], miss_rate=0.0)
     frame = sensor.capture()
-    assert frame.detected_labels() == ["target"]
+    assert [detection.label for detection in frame.detections] == ["target"]
     assert frame.data_type == DataType.LIDAR_SCAN
     assert pond.frame_count(DataType.LIDAR_SCAN) == 1
 

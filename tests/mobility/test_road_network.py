@@ -74,8 +74,7 @@ def test_random_route_has_min_hops():
         assert len(path) - 1 >= 3
 
 
-def test_path_to_polyline_and_bounding_box():
+def test_path_to_polyline():
     net = single_intersection(arm_length=100.0)
     polyline = net.path_to_polyline(["west", "center", "east"])
     assert polyline == [Vec2(-100, 0), Vec2(0, 0), Vec2(100, 0)]
-    assert net.bounding_box() == (-100.0, -100.0, 100.0, 100.0)

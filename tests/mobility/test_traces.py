@@ -38,7 +38,6 @@ def test_empty_trace_behaviour():
     trace = TrajectoryTrace("empty")
     assert trace.position_at(1.0) is None
     assert trace.mean_speed() == 0.0
-    assert trace.to_rows() == []
 
 
 def test_contact_intervals_detects_encounter():

@@ -7,9 +7,12 @@ agreeing with the reference here.
 
 * :func:`reference_transmit` — the exact radio tier's per-receiver loop: one
   link lookup, RNG draw and counter increment per receiver per frame, one
-  ``Simulator.schedule`` per delivery, :meth:`RadioInterface.deliver` on
-  arrival (which, for a beacon, writes the neighbour table one arrival at a
-  time; the event then counts the frame delivered).
+  ``Simulator.schedule`` per delivery, and on arrival the delivery itself
+  (:meth:`RadioInterface.deliver` for a unicast; for a broadcast, the
+  neighbour store written one arrival at a time by
+  :func:`reference_receive` and the broadcast handlers called inside the
+  event; the event then counts the frame delivered), where production
+  defers every broadcast arrival into the environment's bulk commit.
   :func:`use_reference_transmit` swaps it into an environment.
 * :func:`reference_topology` — a topology snapshot's statistics computed
   with networkx from the same neighbour tables the observer reads.
@@ -56,6 +59,8 @@ from repro.data.datatypes import DataType
 from repro.data.sensors import Detection, LidarSensor, SensorFrame
 from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
+from repro.mesh.messages import Beacon
+from repro.mesh.neighbor import NeighborStore
 from repro.mesh.node import _UnicastTap
 from repro.radio.interfaces import (
     BroadcastHandler,
@@ -269,11 +274,72 @@ def reference_transmit(env: RadioEnvironment, sender: RadioInterface, frame: Fra
 
 def _reference_deliver(receiver: RadioInterface, frame: Frame, quality: LinkQuality) -> None:
     """One arrival event: deliver the frame, and count it if it was."""
-    if receiver.deliver(frame, quality.snr_db, quality.rate_bps, quality):
+    if frame.destination is None:
+        delivered = _reference_broadcast_arrival(receiver, frame, quality)
+    else:
+        delivered = receiver.deliver(frame, quality)
+    if delivered:
         monitor = receiver.environment.sim.monitor
         monitor.counter("radio.frames_delivered").add()
         monitor.counter("radio.bytes_delivered").add(frame.size_bytes)
         monitor.counter(f"radio.bytes.{frame.kind}").add(frame.size_bytes)
+
+
+def _reference_broadcast_arrival(
+    receiver: RadioInterface, frame: Frame, quality: LinkQuality
+) -> bool:
+    """A broadcast frame arrives inside its event (``sim.now`` is its
+    arrival): it goes to the neighbour store one arrival at a time
+    (:func:`reference_receive`) and to the broadcast handlers, sealed.
+    Returns whether it was delivered: a disabled interface drops it."""
+    environment = receiver.environment
+    environment.commit()
+    if not receiver.enabled:
+        return False
+    receiver._event_bytes += frame.size_bytes
+    receiver._event_frames += 1
+    store = environment.neighbor_store
+    sim = environment.sim
+    time, _, sequence = sim.last_key
+    snr_db, rate_bps = quality.snr_db, quality.rate_bps
+    token = sim.seal()
+    try:
+        if store is not None:
+            reference_receive(store, receiver.slot, frame, time, sequence, snr_db, rate_bps)
+        for handler in receiver._broadcast_handlers:
+            handler(frame, time, sequence, snr_db, rate_bps)
+    finally:
+        sim.unseal(token)
+    return True
+
+
+def reference_receive(
+    store: NeighborStore,
+    slot: int,
+    frame: Frame,
+    time: float,
+    sequence: int,
+    snr_db: float,
+    rate_bps: float,
+) -> None:
+    """One delivered broadcast frame into ``store``, as a beacon agent hears
+    it: what :meth:`NeighborStore.commit_arrivals` does for a batch.
+
+    A beacon counts as heard; a new sender is a join, which advances the
+    slot's epoch and ``mesh.joins`` and calls the slot's neighbour-up
+    callbacks.  Frames to slots without a table are ignored.
+    """
+    beacon = frame.payload
+    table = store.tables[slot] if slot < len(store.tables) else None
+    if table is None or frame.kind != "beacon" or not isinstance(beacon, Beacon):
+        return
+    store.heard[slot] += 1
+    if table.observe(beacon, time, snr_db, rate_bps):
+        store.epoch[slot] += 1
+        if store.joins is not None:
+            store.joins.add()
+        for callback in store.watchers[slot]:
+            callback(beacon.sender, beacon, time, sequence)
 
 
 def use_reference_transmit(env: RadioEnvironment) -> None:

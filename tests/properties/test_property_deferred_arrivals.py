@@ -1,8 +1,7 @@
 """Property: deferred broadcast arrivals are the per-receiver events they replace.
 
-On the exact tier a broadcast's arrivals leave the event queue: the
-simulator counts them as events and each receiver applies them when it
-commits.  The oracle is the per-receiver event path kept in
+A broadcast's arrivals leave the event queue: the simulator counts them
+as events and the radio environment applies them when it commits.  The oracle is the per-receiver event path kept in
 ``tests/oracle.py`` (:func:`~tests.oracle.use_reference_transmit`), where
 every arrival is an event that delivers the frame when it fires.  Both run
 the same random fleet of mesh nodes: twin nodes at one spot (so arrivals

@@ -4,7 +4,8 @@ The aggregate contract lives in
 ``tests/properties/test_property_statistical_equivalence.py`` and the
 speedup gate in benchmark E15; these tests pin the tier's pieces one by
 one — knob validation, kernel agreement with the scalar reference, the
-environment's fast broadcast path, and the cache-flush triggers.
+environment's broadcast path on the tier (the exact tier's deferred
+arrivals and bulk commit), and the cache-flush triggers.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pytest
 from repro.geometry.los import VisibilityMap
 from repro.geometry.shapes import Rectangle
 from repro.geometry.vector import Vec2
+from repro.mesh.messages import Beacon
+from repro.mesh.neighbor import NeighborStore, NeighborTable
 from repro.radio.interfaces import RadioEnvironment
 from repro.radio.link import LinkBudget
 from repro.simcore.simulator import Simulator
@@ -143,6 +146,33 @@ def build_fleet(fast_math: bool, count: int = 16, seed: int = 9):
     return sim, environment, received
 
 
+def test_fast_plan_columns_come_from_the_statistical_kernel():
+    """The tier is a kernel choice: a statistical-tier plan's columns are
+    :meth:`LinkBudget.quality_arrays_xy` on the same positions and
+    distances, bit for bit."""
+    sim = Simulator(seed=4)
+    environment = RadioEnvironment(sim, LinkBudget(fast_math=True))
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-150.0, 150.0, size=(60, 2)).tolist()
+    for index, (x, y) in enumerate(points):
+        environment.attach(f"n-{index:02d}", lambda p=Vec2(x, y): p)
+    environment._refresh()
+    sender = environment.interface_of("n-00")
+    plan = environment._sender_plan(sender)
+    assert len(plan.receivers) > 20
+    tx = sender.position
+    xs = np.array([receiver.position.x for receiver in plan.receivers])
+    ys = np.array([receiver.position.y for receiver in plan.receivers])
+    dx, dy = xs - tx.x, ys - tx.y
+    snrs, rates, pers, _, distances = environment.link_budget.quality_arrays_xy(
+        tx, xs, ys, distances=np.sqrt(dx * dx + dy * dy)
+    )
+    assert plan.snr_db.tobytes() == snrs.tobytes()
+    assert plan.rate_bps.tobytes() == rates.tobytes()
+    assert plan.pers.tobytes() == pers.tobytes()
+    assert plan.prop_delays.tobytes() == (distances / 3e8).tobytes()
+
+
 def test_fast_broadcast_reaches_the_exact_receiver_set():
     logs = {}
     for tier, fast_math in (("exact", False), ("statistical", True)):
@@ -160,8 +190,35 @@ def test_fast_broadcast_reaches_the_exact_receiver_set():
         assert fast_row[4] == pytest.approx(exact_row[4], rel=REL_TOL)
 
 
+def test_fast_broadcast_defers_its_arrivals_into_the_bulk_commit():
+    """A statistical-tier broadcast pushes no queue event: the simulator
+    counts its arrivals, and the environment's commit writes them into the
+    receivers' neighbour tables, as on the exact tier."""
+    sim, environment, _ = build_fleet(True)
+    store = NeighborStore.of(environment)
+    tables = [
+        NeighborTable(
+            name, commit=environment.commit, store=store,
+            slot=environment.interface_of(name).slot,
+        )
+        for name in environment.node_names
+    ]
+    queued = sim._queue.active_count()
+    pending = sim.pending_events
+    beacon = Beacon("n-00", 0.0, Vec2(0.0, 0.0), Vec2(0.0, 0.0))
+    environment.interface_of("n-00").send(beacon, 200, kind="beacon")
+    lost = sim.monitor.counter_value("radio.frames_lost")
+    delivered = len(environment.nodes_in_range("n-00")) - lost
+    assert delivered > 0
+    assert sim._queue.active_count() == queued
+    assert sim.pending_events == pending + delivered
+    sim.step()
+    assert sum("n-00" in table for table in tables) == delivered
+    assert sim.monitor.counter_value("radio.frames_delivered") == delivered
+
+
 def test_fast_broadcast_delivers_exactly_the_surviving_receivers():
-    """Coalesced arrivals carry the loss-draw survivors and nobody else."""
+    """Deferred arrivals carry the loss-draw survivors and nobody else."""
     sim, environment, received = build_fleet(True)
     environment.extra_loss_probability = 0.3
 
@@ -177,6 +234,30 @@ def test_fast_broadcast_delivers_exactly_the_surviving_receivers():
     assert len(received) == monitor.counter_value("radio.frames_delivered") > 0
     # Every delivered frame left one raw delay on build_fleet's tap.
     assert len(monitor.sample("radio.link_delay").values) == len(received)
+
+
+def test_fast_broadcast_with_extra_loss_keeps_the_scalar_interleaving():
+    """Under a nonzero ``extra_loss_probability`` both tiers draw a PER
+    value per receiver, then an extra-loss value for that receiver only if
+    it survived, in name order."""
+    sim, environment, received = build_fleet(True)
+    environment.extra_loss_probability = 0.3
+    environment._refresh()
+    plan = environment._sender_plan(environment.interface_of("n-00"))
+    replay = np.random.default_rng()
+    replay.bit_generator.state = sim.streams.get("radio").bit_generator.state
+    expected = [
+        receiver.node_name
+        for receiver, per in zip(plan.receivers, plan.pers.tolist())
+        if replay.random() >= per and replay.random() >= 0.3
+    ]
+    environment.interface_of("n-00").send(None, 200)
+    sim.run(until=1.0)
+    assert 0 < len(expected) < len(plan.receivers)
+    assert sorted(row[3] for row in received) == expected
+    assert (
+        sim.streams.get("radio").bit_generator.state == replay.bit_generator.state
+    )
 
 
 def test_fast_unicast_keeps_exact_delivery_semantics():

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "f33d66e3b45fb5462d6ade09056f785be42e56a088a3b42e77edcae428479195",
+        "0e5b27bb3160af5324879245750f869561a7f3972670233c8880a1fe2e428077",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "54237654424730da69eba01ac9e0f85ee92c758728ba22a1a511fea7f1f0711d",
+        "9a6dcbf3de859521621a62c413d2ae8b1749294cc27cbdb1b32532a54878f6b6",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "2516979190bbf5c99dccc0130888398bcc0e22929264274bb2df7c933ad88a67",
+        "adfb8543f550c6549521625560ca77dcdc4870552bd70ee26bdcd2b407c9516c",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "3b1aa4c96597a623338af23bff160f24bdd3f77d8a6ffb78d3eb7b5427b3c127",
+        "6de98399913247d560b41edb88aadd5292ec7d8420246f6d180f38a49ef9ee08",
     ),
 }
 

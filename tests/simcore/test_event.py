@@ -97,64 +97,6 @@ def test_cancel_after_clear_does_not_underflow():
     assert queue.active_count() == 0
 
 
-# ------------------------------------------------------ batch insertion
-
-
-def test_push_batch_pops_like_sequential_pushes():
-    sequential = EventQueue()
-    batched = EventQueue()
-    entries = [
-        (2.0, (lambda: None), 0, "a"),
-        (1.0, (lambda: None), 1, "b"),
-        (1.0, (lambda: None), 0, "c"),
-        (1.0, (lambda: None), 0, "d"),
-        (3.0, (lambda: None), -1, "e"),
-    ]
-    for time, callback, priority, name in entries:
-        sequential.push(time, callback, priority=priority, name=name)
-    batched.push_batch(entries)
-    expected = [sequential.pop().name for _ in range(len(entries))]
-    got = [batched.pop().name for _ in range(len(entries))]
-    assert got == expected == ["c", "d", "b", "a", "e"]
-
-
-def test_push_batch_interleaves_with_single_pushes():
-    queue = EventQueue()
-    queue.push(1.0, lambda: None, name="single")
-    events = queue.push_batch([(1.0, (lambda: None), 0, "batched")])
-    assert len(events) == 1
-    # Same (time, priority): the earlier-pushed single event pops first.
-    assert [queue.pop().name, queue.pop().name] == ["single", "batched"]
-
-
-def test_push_batch_empty_is_noop():
-    queue = EventQueue()
-    assert queue.push_batch([]) == []
-    assert len(queue) == 0
-    assert queue.active_count() == 0
-
-
-def test_push_batch_heapify_path_matches_sift_path():
-    """Both insertion strategies (bulk heapify vs per-event sift) must yield
-    the same pop order; a large batch into a small heap takes the heapify
-    branch, a small batch into a large heap takes the sift branch."""
-    large_batch = EventQueue()
-    large_batch.push(5.0, lambda: None, name="existing")
-    large_batch.push_batch([(float(i % 7), (lambda: None), 0, f"b{i}") for i in range(40)])
-
-    small_batch = EventQueue()
-    for i in range(40):
-        small_batch.push(float(i % 7), lambda: None, name=f"b{i}")
-    small_batch.push(5.0, lambda: None, name="existing")
-    small_batch.push_batch([(2.5, (lambda: None), 0, "tiny")])
-    large_batch.push(2.5, lambda: None, name="tiny")
-
-    order_a = [large_batch.pop().time for _ in range(42)]
-    order_b = [small_batch.pop().time for _ in range(42)]
-    assert order_a == sorted(order_a)
-    assert order_b == sorted(order_b)
-
-
 # ---------------------------------------------------------- compaction
 
 

@@ -132,52 +132,6 @@ def test_determinism_same_seed_same_trace():
     assert run(3) != run(4)
 
 
-def test_schedule_batch_fires_in_time_order():
-    sim = Simulator()
-    fired = []
-    sim.schedule_batch(
-        [
-            (0.3, (lambda: fired.append("c")), 0, "c"),
-            (0.1, (lambda: fired.append("a")), 0, "a"),
-            (0.2, (lambda: fired.append("b")), 0, "b"),
-        ]
-    )
-    sim.run(until=1.0)
-    assert fired == ["a", "b", "c"]
-    assert sim.now == 1.0
-
-
-def test_schedule_batch_negative_delay_raises():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.schedule_batch([(0.1, (lambda: None), 0, "ok"), (-0.5, (lambda: None), 0, "bad")])
-
-
-def test_schedule_batch_is_relative_to_current_time():
-    sim = Simulator()
-    fired = []
-    sim.schedule(
-        1.0,
-        lambda: sim.schedule_batch([(0.5, (lambda: fired.append(sim.now)), 0, "late")]),
-    )
-    sim.run(until=2.0)
-    assert fired == [1.5]
-
-
-def test_schedule_batch_events_are_cancellable():
-    sim = Simulator()
-    fired = []
-    events = sim.schedule_batch(
-        [
-            (0.1, (lambda: fired.append("keep")), 0, "keep"),
-            (0.2, (lambda: fired.append("drop")), 0, "drop"),
-        ]
-    )
-    events[1].cancel()
-    sim.run(until=1.0)
-    assert fired == ["keep"]
-
-
 def test_new_id_numbers_each_kind_per_simulation():
     sim = Simulator()
     assert [sim.new_id("frame") for _ in range(3)] == [0, 1, 2]

@@ -10,7 +10,6 @@ from repro.simcore.monitor import Monitor
 from repro.telemetry.prometheus import (
     CONTENT_TYPE,
     HistogramPoint,
-    TelemetryRegistry,
     escape_label_value,
     format_value,
     monitor_points,
@@ -142,19 +141,6 @@ def test_monitor_points_is_read_only():
     before = monitor.summary()
     monitor_points(monitor)
     assert monitor.summary() == before
-
-
-def test_registry_drops_vanished_monitors():
-    registry = TelemetryRegistry()
-    box = {"monitor": Monitor()}
-    box["monitor"].counter("live").add()
-    registry.add_monitor(lambda: box["monitor"], {"session_id": "s1"})
-    registry.add_producer(lambda: [point("extra", "gauge", 1.0)])
-    assert "repro_live_total" in registry.render()
-    box["monitor"] = None  # session evicted between scrapes
-    text = registry.render()
-    assert "repro_live_total" not in text
-    assert "repro_extra 1" in text
 
 
 # ------------------------------------------------------------ service /metrics

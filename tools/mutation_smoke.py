@@ -44,7 +44,8 @@ REPO = Path(__file__).resolve().parent.parent
 #: deferred broadcast path with the per-receiver event oracle on a fixed
 #: fleet (the property around it shrinks for minutes when it fails); the
 #: slow-fleet example does the same for commits that hold several
-#: arrivals of one pair.
+#: arrivals of one pair.  The statistical-kernel pin compares a
+#: statistical-tier plan's columns with that tier's kernel bit for bit.
 PINS = (
     "tests/scenarios/test_scenario_pins.py",
     "tests/radio/test_broadcast_oracle.py",
@@ -57,6 +58,7 @@ PINS = (
     "tests/core/test_trust.py",
     "tests/properties/test_property_deferred_arrivals.py::test_twin_fleet_exercises_ties_crashes_and_joins",
     "tests/properties/test_property_bulk_commit.py::test_slow_fleet_commits_several_arrivals_of_one_pair",
+    "tests/radio/test_fast_tier.py::test_fast_plan_columns_come_from_the_statistical_kernel",
 )
 
 
@@ -171,6 +173,12 @@ MUTATIONS: Tuple[Mutation, ...] = (
         '        """Construct the next outgoing beacon, applying all enrichers."""\n'
         "        self._commit()\n",
         '        """Construct the next outgoing beacon, applying all enrichers."""\n',
+    ),
+    Mutation(
+        "plan: statistical tier builds with the exact kernel",
+        "repro/radio/interfaces.py",
+        "        if self.fast_math:\n",
+        "        if False:\n",
     ),
     Mutation(
         "substrate: commit does not advance the position epoch",
