@@ -62,12 +62,6 @@ class ComputeNode:
         remainder is advertised as headroom to the mesh.
     """
 
-    #: Finished executions, and their queueing delays summed in finish
-    #: order.  Class-level zeros, so a node that never finished work pickles
-    #: neither.
-    _completed = 0
-    _queueing_delay_total = 0.0
-
     def __init__(
         self,
         sim: Simulator,
@@ -164,24 +158,10 @@ class ComputeNode:
         execution.finished_at = self.sim.now
         if execution in self._running:
             self._running.remove(execution)
-        self._completed += 1
-        self._queueing_delay_total += execution.queueing_delay
         self.sim.monitor.counter("compute.completed").add()
         if execution.on_complete is not None:
             execution.on_complete(execution)
         self._try_start()
-
-    # ------------------------------------------------------------- summary
-
-    def completed_count(self) -> int:
-        """Number of finished executions."""
-        return self._completed
-
-    def mean_queueing_delay(self) -> float:
-        """Average queueing delay over completed executions."""
-        if not self._completed:
-            return 0.0
-        return self._queueing_delay_total / self._completed
 
 
 class _ExecutionFinish:

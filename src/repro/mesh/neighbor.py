@@ -416,8 +416,9 @@ class NeighborStore:
         self._allocate(max(64, count))
 
     def __getattr__(self, name: str) -> Any:
-        # A restored store builds its pair index on first use, so the copy
-        # a snapshot's canonical round makes never builds one.
+        # A restored store builds its pair index on first use, after the
+        # unpickler and the payload it read are freed, so the index is not
+        # part of the restore's memory peak.
         if name != "_index":
             raise AttributeError(name)
         self._index = {

@@ -6,9 +6,10 @@ A snapshot artifact has three parts::
 
 The header carries the format version, the payload's SHA-256 and byte
 length, and free-form metadata (scenario name, virtual time, seed, ...)
-readable without touching the payload.  The payload is a pickle (fixed
-protocol, so the same state always serialises the same way) of the
-simulation's object graph.
+readable without touching the payload.  The payload is one protocol-4
+pickle of the simulation's object graph, written in a single pass that
+names every string and numpy dtype by value (a persistent id), so the same
+state always serialises to the same bytes.
 
 Every failure mode is a distinct, loud error:
 
@@ -34,7 +35,7 @@ import numpy as np
 SNAPSHOT_MAGIC = b"REPROSNAP\x01"
 
 #: Current format version; bumped on any incompatible layout change.
-SNAPSHOT_VERSION = 11
+SNAPSHOT_VERSION = 12
 
 #: Pickle protocol pinned so identical state yields identical payload bytes
 #: regardless of the writing interpreter's default.
@@ -86,18 +87,6 @@ class _CanonicalUnpickler(pickle.Unpickler):
         return pid
 
 
-def _canonical_copy(obj: Any) -> Any:
-    """``obj`` copied through one :class:`_CanonicalPickler` round.
-
-    The intermediate stream is freed on return, before the caller pickles
-    the copy.
-    """
-    buffer = io.BytesIO()
-    _CanonicalPickler(buffer).dump(obj)
-    buffer.seek(0)
-    return _CanonicalUnpickler(buffer).load()
-
-
 class SnapshotCodec:
     """Encodes/decodes snapshot artifacts in the versioned wire format."""
 
@@ -105,18 +94,19 @@ class SnapshotCodec:
 
     def encode(self, payload_obj: Any, metadata: Optional[Dict[str, Any]] = None) -> bytes:
         """Serialise ``payload_obj`` into one self-validating artifact."""
-        # One canonical round.  Pickle memoises by identity, and a freshly
-        # built graph shares objects that a restored graph holds copies of:
-        # the interpreter's interned string literals, numpy's builtin dtype
-        # singletons (a restored array carries its own dtype copy, a new one
-        # the singleton).  The first pass pickles each string and dtype as a
-        # persistent id naming one object per value, so equal values are
-        # one object in the loaded graph whichever run they came from, and
-        # the plain final dumps then depends on the state's values alone:
-        # equal state gives equal bytes, restored or not, under every hash
-        # seed (tests/snapshot/test_format_stability.py,
+        # Pickle memoises by identity, and a freshly built graph shares
+        # objects that a restored graph holds copies of: the interpreter's
+        # interned string literals, numpy's builtin dtype singletons (a
+        # restored array carries its own dtype copy, a new one the
+        # singleton).  The canonical pickler writes each string and dtype as
+        # a persistent id naming one object per value, so the stream depends
+        # on the state's values alone: equal state gives equal bytes,
+        # restored or not, under every hash seed
+        # (tests/snapshot/test_format_stability.py,
         # tests/properties/test_property_snapshot.py).
-        payload = pickle.dumps(_canonical_copy(payload_obj), protocol=PICKLE_PROTOCOL)
+        buffer = io.BytesIO()
+        _CanonicalPickler(buffer).dump(payload_obj)
+        payload = buffer.getvalue()
         header = {
             "version": self.version,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -150,7 +140,7 @@ class SnapshotCodec:
                 f"{header['payload_sha256']}, payload hashes to {digest} — "
                 "the artifact is corrupt or was modified"
             )
-        return pickle.loads(payload), header
+        return _CanonicalUnpickler(io.BytesIO(payload)).load(), header
 
     # ------------------------------------------------------------- internal
 

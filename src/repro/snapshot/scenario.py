@@ -4,8 +4,9 @@ A snapshot payload is the scenario itself: its whole object graph
 (simulator with its id numbering, event queue, RNG streams, nodes, radio
 environment, fault injector, mobility) and nothing else, so a restore sets
 no process-global state.  Ephemeral derived structures — radio link/plan
-caches, spatial-grid cell sets — are dropped at capture time by the layers'
-``__getstate__`` hooks and rebuilt on demand after restore;
+caches, the obstacle index's edge columns, the neighbour store's pair
+index — are dropped at capture time by the layers' ``__getstate__`` hooks
+and rebuilt on demand after restore;
 ``docs/SNAPSHOTS.md`` tabulates what is captured versus rebuilt.
 """
 

@@ -27,14 +27,18 @@ def test_execution_takes_operations_over_rate_seconds():
 def test_queueing_on_single_core():
     sim, node = make_node(cores=1, rate=1e9)
     order = []
-    for label in ("first", "second"):
-        node.submit(TaskExecution(ResourceRequirement(operations=1e9), label=label,
-                                  on_complete=lambda e: order.append((e.label, sim.now))))
+    executions = [
+        TaskExecution(ResourceRequirement(operations=1e9), label=label,
+                      on_complete=lambda e: order.append((e.label, sim.now)))
+        for label in ("first", "second")
+    ]
+    for execution in executions:
+        node.submit(execution)
     assert node.queue_length == 1
     sim.run(until=5.0)
     assert order == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
-    assert node.completed_count() == 2
-    assert node.mean_queueing_delay() == pytest.approx(0.5)
+    assert sim.monitor.counter_value("compute.completed") == 2
+    assert [e.queueing_delay for e in executions] == [0.0, pytest.approx(1.0)]
 
 
 def test_multicore_runs_in_parallel():

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "0e5b27bb3160af5324879245750f869561a7f3972670233c8880a1fe2e428077",
+        "8674dfe62f79c370ac035a4ca360b2c7ee52f113c494fc715c8b357f19a49898",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "9a6dcbf3de859521621a62c413d2ae8b1749294cc27cbdb1b32532a54878f6b6",
+        "4caeece305a8d15af5334a87747057bc9788b08ac609661bfa82ca382b72f9ef",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "adfb8543f550c6549521625560ca77dcdc4870552bd70ee26bdcd2b407c9516c",
+        "acf1e1317e9d08997ce7ed6240bf73425e8364f36544dc2ba5010ed8db2067b7",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "6de98399913247d560b41edb88aadd5292ec7d8420246f6d180f38a49ef9ee08",
+        "8579f44c138c20f11e57e0c7bc12eaf86d36f5d0d96983b094bce2eb74929884",
     ),
 }
 

@@ -16,6 +16,7 @@ from repro.snapshot import (
     SnapshotVersionError,
     restore_scenario,
 )
+from repro.snapshot import codec as codec_module
 
 
 @pytest.fixture
@@ -120,19 +121,39 @@ def test_error_hierarchy():
         assert issubclass(error, SnapshotError)
 
 
-def test_tampered_hash_does_not_reach_pickle(artifact, monkeypatch):
-    """Integrity is checked before unpickling, not after."""
-    import pickle
+def _refuse_unpickling(monkeypatch):
+    """Make every unpickling entry point the codec could use raise."""
 
     def boom(*_args, **_kwargs):
-        raise AssertionError("pickle.loads reached with a bad hash")
+        raise AssertionError("unpickling reached")
 
+    monkeypatch.setattr(codec_module._CanonicalUnpickler, "load", boom)
     monkeypatch.setattr(pickle, "loads", boom)
+    monkeypatch.setattr(pickle, "load", boom)
+
+
+def test_tampered_hash_does_not_reach_pickle(artifact, monkeypatch):
+    """Integrity is checked before unpickling, not after."""
+    _refuse_unpickling(monkeypatch)
+    # The patch sits on the loader decode uses: a sound artifact reaches it.
+    with pytest.raises(AssertionError, match="unpickling reached"):
+        SnapshotCodec().decode(artifact)
     tampered = _rewrite_header(
         artifact, lambda h: h.update(payload_sha256="f" * 64)
     )
     with pytest.raises(SnapshotIntegrityError):
         SnapshotCodec().decode(tampered)
+
+
+def test_encode_never_unpickles(monkeypatch):
+    """The payload is the one canonical pickle pass, not a reloaded copy."""
+    _refuse_unpickling(monkeypatch)
+    graph = {"names": ["car-1", "car-2"], "column": np.zeros(3, np.float32)}
+    blob = SnapshotCodec().encode(graph)
+    monkeypatch.undo()
+    payload, _ = SnapshotCodec().decode(blob)
+    assert payload["names"] == graph["names"]
+    assert payload["column"].dtype == np.float32
 
 
 def test_rejects_v1_artifacts(artifact):

@@ -181,6 +181,18 @@ MUTATIONS: Tuple[Mutation, ...] = (
         "        if False:\n",
     ),
     Mutation(
+        "canonical pickler: strings pickled by identity",
+        "repro/snapshot/codec.py",
+        "            return sys.intern(obj)\n",
+        "            return obj\n",
+    ),
+    Mutation(
+        "canonical pickler: dtypes pickled by identity",
+        "repro/snapshot/codec.py",
+        "            return self._dtypes.setdefault(obj, obj)\n",
+        "            return obj\n",
+    ),
+    Mutation(
         "substrate: commit does not advance the position epoch",
         "repro/geometry/substrate.py",
         "        self.position_epoch += 1\n        self.commit_count += 1\n",
