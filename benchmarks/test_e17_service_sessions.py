@@ -40,7 +40,8 @@ from typing import Dict, List
 
 from repro.metrics.report import ResultTable
 from repro.scenarios import build_scenario
-from repro.service import SessionRegistry, SessionState
+from repro.service.registry import SessionRegistry
+from repro.service.session import SessionState
 from repro.snapshot.verify import DeliveredFrameLog
 
 SMOKE = os.environ.get("E17_SMOKE") == "1"

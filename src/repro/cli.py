@@ -755,8 +755,9 @@ def serve_command(args: argparse.Namespace) -> int:
     Serves through the bundled stdlib ASGI server in
     :mod:`repro.service.httpd`.
     """
-    from repro.service import SessionRegistry, create_app
+    from repro.service.app import create_app
     from repro.service.httpd import run_server
+    from repro.service.registry import SessionRegistry
 
     registry = SessionRegistry(
         step_slice=args.step_slice, snapshot_dir=args.snapshot_dir

@@ -5,8 +5,7 @@ on geographically distributed edge devices in general.  This package supplies
 that substrate:
 
 * :class:`~repro.mobility.road_network.RoadNetwork` — a directed graph of
-  roads with positions, speed limits and shortest-path routing (built on
-  ``networkx``).
+  roads with positions, speed limits and shortest-path routing.
 * :func:`~repro.mobility.road_network.manhattan_grid` and
   :func:`~repro.mobility.road_network.single_intersection` — generators for
   the two road layouts used in the evaluation.

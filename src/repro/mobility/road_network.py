@@ -1,32 +1,50 @@
 """Road networks as directed graphs with geometry.
 
-A :class:`RoadNetwork` wraps a ``networkx.DiGraph`` whose nodes are named
-junctions with 2-D positions and whose edges are road segments with lengths
-and speed limits.  Vehicles plan routes over this graph and then follow the
-resulting polyline.
+A :class:`RoadNetwork` holds named junctions with 2-D positions and directed
+road segments with lengths and speed limits, in plain dictionaries.  Vehicles
+plan routes over this graph and then follow the resulting polyline.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.geometry.vector import Vec2
+
+
+class NoRouteError(Exception):
+    """No sequence of roads leads from one junction to the other."""
+
+
+def _walk(preds: Dict[str, Optional[str]], node: Optional[str]) -> List[str]:
+    """Junctions from ``node`` back along ``preds`` to the search root."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = preds[node]
+    return path
 
 
 class RoadNetwork:
     """A directed road graph with junction positions and speed limits."""
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
+        self._positions: Dict[str, Vec2] = {}
+        # Successor and predecessor maps of (length, speed_limit), in add_road order.
+        self._succ: Dict[str, Dict[str, Tuple[float, float]]] = {}
+        self._pred: Dict[str, Dict[str, Tuple[float, float]]] = {}
 
     # ------------------------------------------------------------ building
 
     def add_junction(self, name: str, position: Vec2) -> None:
         """Add a named junction at ``position``."""
-        self.graph.add_node(name, position=position)
+        self._positions[name] = position
+        self._succ.setdefault(name, {})
+        self._pred.setdefault(name, {})
 
     def add_road(
         self,
@@ -40,41 +58,77 @@ class RoadNetwork:
         ``speed_limit`` is in m/s (13.9 m/s ≈ 50 km/h).  By default roads are
         added in both directions.
         """
-        if src not in self.graph or dst not in self.graph:
+        if src not in self._positions or dst not in self._positions:
             raise KeyError(f"both junctions must exist before adding road {src}->{dst}")
-        length = self.position_of(src).distance_to(self.position_of(dst))
-        self.graph.add_edge(src, dst, length=length, speed_limit=speed_limit)
+        road = (self.position_of(src).distance_to(self.position_of(dst)), speed_limit)
+        self._succ[src][dst] = self._pred[dst][src] = road
         if bidirectional:
-            self.graph.add_edge(dst, src, length=length, speed_limit=speed_limit)
+            self._succ[dst][src] = self._pred[src][dst] = road
 
     # ------------------------------------------------------------- queries
 
     def position_of(self, junction: str) -> Vec2:
         """Position of a junction."""
-        return self.graph.nodes[junction]["position"]
+        return self._positions[junction]
 
     @property
     def junctions(self) -> List[str]:
         """All junction names."""
-        return list(self.graph.nodes)
+        return list(self._positions)
 
     def road_length(self, src: str, dst: str) -> float:
         """Length of the road from ``src`` to ``dst`` in metres."""
-        return self.graph.edges[src, dst]["length"]
+        return self._succ[src][dst][0]
 
     def speed_limit(self, src: str, dst: str) -> float:
         """Speed limit of the road from ``src`` to ``dst`` in m/s."""
-        return self.graph.edges[src, dst]["speed_limit"]
+        return self._succ[src][dst][1]
 
     def neighbors(self, junction: str) -> List[str]:
         """Junctions reachable by one road from ``junction``."""
-        return list(self.graph.successors(junction))
+        return list(self._succ[junction])
 
     # -------------------------------------------------------------- routing
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
-        """Shortest path (by road length) between two junctions."""
-        return nx.shortest_path(self.graph, src, dst, weight="length")
+        """Shortest path (by road length) between two junctions.
+
+        Bidirectional Dijkstra; its direction alternation and one tie counter
+        for both heaps pick among a grid's equal routes.  Raises ``KeyError``
+        for an unknown junction, :class:`NoRouteError` for an unreachable one.
+        """
+        if src not in self._positions or dst not in self._positions:
+            raise KeyError(f"unknown junction in route {src}->{dst}")
+        if src == dst:
+            return [src]
+        roads = (self._succ, self._pred)
+        dists: Tuple[Dict[str, float], ...] = ({}, {})
+        seen: Tuple[Dict[str, float], ...] = ({src: 0}, {dst: 0})
+        preds: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
+        tiebreak = count()
+        fringe = ([(0, next(tiebreak), src)], [(0, next(tiebreak), dst)])
+        best, meet, direction = None, None, 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heappop(fringe[direction])
+            if v in dists[direction]:
+                continue
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                return _walk(preds[0], meet)[::-1] + _walk(preds[1], preds[1][meet])
+            for w, (length, _) in roads[direction][v].items():
+                if w in dists[direction]:
+                    continue
+                reach = dist + length
+                if w not in seen[direction] or reach < seen[direction][w]:
+                    seen[direction][w] = reach
+                    heappush(fringe[direction], (reach, next(tiebreak), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        total = reach + seen[1 - direction][w]
+                        if best is None or best > total:
+                            best, meet = total, w
+        raise NoRouteError(f"no road path from {src} to {dst}")
 
     def path_to_polyline(self, path: Sequence[str]) -> List[Vec2]:
         """Convert a junction path to the sequence of waypoint positions."""
@@ -103,7 +157,7 @@ class RoadNetwork:
                 continue
             try:
                 path = self.shortest_path(origin, dest)
-            except nx.NetworkXNoPath:
+            except NoRouteError:
                 continue
             if len(path) - 1 >= min_hops:
                 return path
@@ -112,7 +166,6 @@ class RoadNetwork:
         if not best:
             raise ValueError("could not find any route in the road network")
         return best
-
 
 
 def manhattan_grid(

@@ -21,29 +21,6 @@ Layers, bottom up (each importable without the ones above it):
 - :mod:`repro.service.httpd` / :mod:`repro.service.testing` — the stdlib
   ASGI server ``repro serve`` runs and an in-process test client.
 
-Everything is stdlib-plus-repo only.
+Everything is stdlib-plus-repo only.  Import from the defining module: a
+session never loads the asyncio machinery the facade and server need.
 """
-
-from repro.service.app import ServiceApp, create_app
-from repro.service.bus import SubscriberBus
-from repro.service.registry import SessionRegistry, UnknownSessionError
-from repro.service.session import (
-    DEFAULT_STEP_SLICE,
-    SessionError,
-    SessionState,
-    SessionStateError,
-    SimulationSession,
-)
-
-__all__ = [
-    "DEFAULT_STEP_SLICE",
-    "ServiceApp",
-    "SessionError",
-    "SessionRegistry",
-    "SessionState",
-    "SessionStateError",
-    "SimulationSession",
-    "SubscriberBus",
-    "UnknownSessionError",
-    "create_app",
-]

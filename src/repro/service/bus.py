@@ -15,8 +15,10 @@ documented in ``docs/SERVICE.md``).  Two kinds of subscribers coexist:
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Default per-queue capacity before drop-oldest kicks in.
 DEFAULT_QUEUE_SIZE = 256
@@ -53,6 +55,7 @@ class SubscriberBus:
 
     def connect_queue(self, maxsize: int = DEFAULT_QUEUE_SIZE) -> asyncio.Queue:
         """Attach and return a bounded queue endpoint for an async consumer."""
+        import asyncio
         queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
         self._queues.append(queue)
         return queue
@@ -83,9 +86,6 @@ class SubscriberBus:
                 self.callback_errors += 1
         for queue in self._queues:
             if queue.full():
-                try:
-                    queue.get_nowait()
-                    self.dropped += 1
-                except asyncio.QueueEmpty:  # pragma: no cover - full implies nonempty
-                    pass
+                queue.get_nowait()
+                self.dropped += 1
             queue.put_nowait(event)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import build_scenario
-from repro.service import SessionState, SimulationSession
+from repro.service.session import SessionState, SimulationSession
 from repro.snapshot import DeliveredFrameLog
 
 DURATION = 6.0

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "8674dfe62f79c370ac035a4ca360b2c7ee52f113c494fc715c8b357f19a49898",
+        "f977dfb955c89146d2b690eadb44f4eccb5601e0f871189b3febbd2336ec1be2",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "4caeece305a8d15af5334a87747057bc9788b08ac609661bfa82ca382b72f9ef",
+        "b2979670b17aad4a6cd7d5d0975b150e7ec957b2fb8f52563e411d186a6bacab",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "acf1e1317e9d08997ce7ed6240bf73425e8364f36544dc2ba5010ed8db2067b7",
+        "c948b743842fdbec8aec8ccee5501840ef04df666926c7cc0f3716e324ea66e7",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "8579f44c138c20f11e57e0c7bc12eaf86d36f5d0d96983b094bce2eb74929884",
+        "2deb96ff96d5051f17441dbb52aa34ee0009b1d32a96693103ac095d4b8cd827",
     ),
 }
 

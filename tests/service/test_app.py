@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service import SessionRegistry, create_app
+from repro.service.app import create_app
+from repro.service.registry import SessionRegistry
 from repro.service.testing import ASGITestClient
 
 DURATION = 5.0

@@ -19,7 +19,7 @@ import urllib.request
 
 import pytest
 
-from repro.service import create_app
+from repro.service.app import create_app
 from repro.service.httpd import WS_GUID, StdlibASGIServer
 
 DURATION = 4.0

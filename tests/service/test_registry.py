@@ -5,11 +5,8 @@ import asyncio
 import pytest
 
 from repro.scenarios import build_scenario
-from repro.service import (
-    SessionRegistry,
-    SessionState,
-    UnknownSessionError,
-)
+from repro.service.registry import SessionRegistry, UnknownSessionError
+from repro.service.session import SessionState
 
 DURATION = 6.0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scenarios import build_scenario
-from repro.service import (
+from repro.service.session import (
     SessionState,
     SessionStateError,
     SimulationSession,

@@ -46,7 +46,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: slow-fleet example does the same for commits that hold several
 #: arrivals of one pair.  The statistical-kernel pin compares a
 #: statistical-tier plan's columns with that tier's kernel bit for bit.
+#: The two route pins compare every route of a grid whose routes tie
+#: exactly, and of a one-way grid with unreachable pairs, with networkx's.
 PINS = (
+    "tests/properties/test_property_road_routes.py::test_grid_routes_match_networkx[5-5-200.0]",
+    "tests/properties/test_property_road_routes.py::test_one_way_subgrids_cover_every_pair_kind",
     "tests/scenarios/test_scenario_pins.py",
     "tests/radio/test_broadcast_oracle.py",
     "tests/properties/test_property_exact_plan.py",
@@ -191,6 +195,18 @@ MUTATIONS: Tuple[Mutation, ...] = (
         "repro/snapshot/codec.py",
         "            return self._dtypes.setdefault(obj, obj)\n",
         "            return obj\n",
+    ),
+    Mutation(
+        "road routes: ties relaxed with <=",
+        "repro/mobility/road_network.py",
+        "if w not in seen[direction] or reach < seen[direction][w]:",
+        "if w not in seen[direction] or reach <= seen[direction][w]:",
+    ),
+    Mutation(
+        "road routes: only the forward search expands",
+        "repro/mobility/road_network.py",
+        "direction = 1 - direction",
+        "direction = 0",
     ),
     Mutation(
         "substrate: commit does not advance the position epoch",
