@@ -133,9 +133,8 @@ class VisibilityMap:
         """Per-target visibility flags for rays fanning out of ``origin``.
 
         One kernel call for a whole receiver list — this is the "one LOS
-        batch call" the batched link pipeline
-        (:meth:`~repro.radio.link.LinkBudget.quality_batch`) makes per
-        sender.  Identical to calling :meth:`has_line_of_sight` per target.
+        batch call" a propagation model's batched path loss makes per sender
+        plan (:meth:`~repro.radio.link.LinkBudget.exact_arrays_xy`).  Identical to calling :meth:`has_line_of_sight` per target.
         """
         blocked = self._obstacle_index().blocked_batch(origin, targets)
         return [not hit for hit in blocked]

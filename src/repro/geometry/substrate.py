@@ -3,7 +3,7 @@
 The :class:`~repro.mobility.manager.MobilityManager` tracks every mobile
 node here and commits once per tick; the
 :class:`~repro.radio.interfaces.RadioEnvironment` keys its per-epoch caches
-(the position universe, link rows, broadcast plans) on the substrate's
+(the position universe and the sender plans) on the substrate's
 :attr:`~SpatialSubstrate.position_epoch`, so one epoch serves both layers.
 The substrate keeps no positions: the radio reads every position provider
 once per epoch into its own coordinate columns and finds candidates there.

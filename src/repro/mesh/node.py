@@ -17,26 +17,11 @@ from repro.mesh.discovery import BeaconAgent, BeaconEnricher
 from repro.mesh.routing import GreedyGeoRouter
 from repro.mesh.transport import ReliableTransport, Transfer
 from repro.mobility.providers import PositionOf
-from repro.radio.interfaces import BroadcastHandler, Frame, RadioEnvironment
-from repro.radio.link import LinkQuality
+from repro.radio.interfaces import BroadcastHandler, RadioEnvironment
 from repro.simcore.simulator import Simulator
 
 #: Interface counters a restart carries over to the fresh interface.
 _INTERFACE_COUNTERS = ("bytes_sent", "bytes_received", "frames_sent", "frames_received")
-
-
-class _UnicastTap:
-    """A frame tap's unicast half: the arrival event's key, then the tap."""
-
-    __slots__ = ("sim", "tap")
-
-    def __init__(self, sim: Simulator, tap: BroadcastHandler) -> None:
-        self.sim = sim
-        self.tap = tap
-
-    def __call__(self, frame: Frame, quality: LinkQuality) -> None:
-        time, _, sequence = self.sim.last_key
-        self.tap(frame, time, sequence, quality.snr_db, quality.rate_bps)
 
 
 class MeshNode:
@@ -147,7 +132,7 @@ class MeshNode:
 
     def _register_tap(self, tap: BroadcastHandler) -> None:
         self.interface.on_broadcast(tap)
-        self.interface.on_unicast(_UnicastTap(self.sim, tap))
+        self.interface.on_unicast(tap)
 
     # ------------------------------------------------------------ messaging
 

@@ -16,7 +16,6 @@ from repro.geometry.vector import Vec2
 from repro.mesh.messages import DataMessage
 from repro.mesh.neighbor import NeighborTable
 from repro.radio.interfaces import Frame, RadioInterface
-from repro.radio.link import LinkQuality
 from repro.simcore.simulator import Simulator
 
 
@@ -128,7 +127,9 @@ class GreedyGeoRouter:
 
     # -------------------------------------------------------------- receive
 
-    def _on_frame(self, frame: Frame, _quality: LinkQuality) -> None:
+    def _on_frame(
+        self, frame: Frame, _time: float, _sequence: int, _snr_db: float, _rate_bps: float
+    ) -> None:
         if not isinstance(frame.payload, DataMessage):
             return
         message: DataMessage = frame.payload

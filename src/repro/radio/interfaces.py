@@ -19,11 +19,11 @@ so a broadcast is a few whole-array steps and
 :meth:`RadioEnvironment.nodes_in_range` is a lookup.  Both equivalence tiers
 build their plans this way; they differ only in the kernel
 (:meth:`~repro.radio.link.LinkBudget.exact_arrays_xy` or the statistical
-:meth:`~repro.radio.link.LinkBudget.quality_arrays_xy`).  Unicast and
-:meth:`RadioEnvironment.link_quality` read *per-sender link rows*, filled
-pair by pair through :meth:`~repro.radio.link.LinkBudget.quality_batch` (the
-same kernel).  When a :class:`~repro.mobility.manager.MobilityManager` is
-bound, the position epoch of the manager's shared
+:meth:`~repro.radio.link.LinkBudget.quality_arrays_xy`).  A unicast reads
+its receiver's columns from the same plan, so the plan is the only
+per-epoch link state.  When a
+:class:`~repro.mobility.manager.MobilityManager` is bound, the position
+epoch of the manager's shared
 :class:`~repro.geometry.substrate.SpatialSubstrate` drives the caches (see
 :class:`RadioEnvironment` for the full freshness contract); unbound
 environments flush them whenever the virtual clock advances.  Either way each
@@ -37,7 +37,10 @@ manager's to move: its per-tick substrate commit is their dirty-mark.
 Arrivals
 --------
 
-A unicast frame arrives as one :class:`_FrameDelivery` event.  A broadcast,
+A unicast frame arrives as one :class:`_FrameDelivery` event, whose
+:meth:`RadioInterface.deliver` calls the :meth:`RadioInterface.on_unicast`
+callbacks with the event's key and the link's SNR and rate, the signature of
+the broadcast handlers.  A broadcast,
 on either tier, makes no events: it reserves the k sequence numbers k
 pushes would have taken, hands the simulator one block of arrival keys
 ``(time, 0, sequence)`` to count
@@ -61,8 +64,8 @@ Receivers are always iterated in name-sorted order, so the frame-loss RNG
 draws — and therefore the delivered-frame sequence — do not depend on how
 candidates were found.  The reference implementations these paths are
 checked against (plans from scalar range-scan candidates and scalar
-per-pair link rows, the full-scan candidate set, the per-receiver broadcast
-loop) live in the test suite's oracle module, ``tests/oracle.py``.
+per-pair link qualities, the full-scan candidate set, the per-receiver
+broadcast loop) live in the test suite's oracle module, ``tests/oracle.py``.
 
 Frames carry opaque payload objects plus a byte size; higher layers (the mesh
 transport and the AirDnD offloading protocol) decide what goes inside.
@@ -71,13 +74,13 @@ transport and the AirDnD offloading protocol) decide what goes inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.geometry.los import VisibilityMap
 from repro.geometry.vector import Vec2
-from repro.radio.link import LinkBudget, LinkQuality
+from repro.radio.link import LinkBudget
 from repro.simcore.monitor import Counter
 from repro.simcore.simulator import Simulator
 
@@ -116,7 +119,7 @@ class Frame:
 
 
 #: ``handler(frame, time, sequence, snr_db, rate_bps)``, see
-#: :meth:`RadioInterface.on_broadcast`.
+#: :meth:`RadioInterface.on_broadcast` and :meth:`RadioInterface.on_unicast`.
 BroadcastHandler = Callable[[Frame, float, int, float, float], None]
 
 
@@ -128,19 +131,20 @@ class _FrameDelivery:
     instance.
     """
 
-    __slots__ = ("receiver", "frame", "quality")
+    __slots__ = ("receiver", "frame", "snr_db", "rate_bps")
 
     def __init__(
-        self, receiver: "RadioInterface", frame: "Frame", quality: LinkQuality
+        self, receiver: "RadioInterface", frame: "Frame", snr_db: float, rate_bps: float
     ) -> None:
         self.receiver = receiver
         self.frame = frame
-        self.quality = quality
+        self.snr_db = snr_db
+        self.rate_bps = rate_bps
 
     def __call__(self) -> None:
         receiver = self.receiver
         frame = self.frame
-        if receiver.deliver(frame, self.quality):
+        if receiver.deliver(frame, self.snr_db, self.rate_bps):
             receiver.environment._count_delivered(frame.kind, 1, frame.size_bytes)
 
 
@@ -153,14 +157,16 @@ class _BatchFrameDelivery:
 
 
 class _SenderPlan:
-    """One sender's broadcast state, valid for one position epoch.
+    """One sender's link state, valid for one position epoch.
 
-    Both equivalence tiers broadcast from this one structure, built by
-    :meth:`RadioEnvironment._build_plan` with the tier's column kernel; the
-    kernel is the only thing the tiers differ in.
+    Both equivalence tiers broadcast and unicast from this one structure,
+    built by :meth:`RadioEnvironment._build_plan` with the tier's column
+    kernel; the kernel is the only thing the tiers differ in.
 
     ``receivers`` are the *usable* receivers, name-sorted — their names are
-    the answer to :meth:`RadioEnvironment.nodes_in_range`.  ``slots``,
+    the answer to :meth:`RadioEnvironment.nodes_in_range`.  ``indices``
+    are their rows in the epoch's :class:`_EpochUniverse`, ascending, where
+    a unicast finds its receiver.  ``slots``,
     ``snr_db``, ``rate_bps``, ``pers``, ``scaled_rates`` (rate times the
     contention scale) and ``prop_delays`` are numpy columns over the same
     receivers: building a :class:`~repro.radio.link.LinkQuality` per
@@ -176,6 +182,7 @@ class _SenderPlan:
 
     __slots__ = (
         "receivers",
+        "indices",
         "slots",
         "snr_db",
         "rate_bps",
@@ -188,6 +195,7 @@ class _SenderPlan:
     def __init__(
         self,
         receivers: List["RadioInterface"],
+        indices: np.ndarray,
         slots: np.ndarray,
         snrs: np.ndarray,
         pers: np.ndarray,
@@ -200,6 +208,7 @@ class _SenderPlan:
         # the contention scale is a function of the receiver count alone.
         concurrent = max(0, len(receivers) - 1)
         self.receivers = receivers
+        self.indices = indices
         self.slots = slots
         self.snr_db = snrs
         self.rate_bps = rates
@@ -221,13 +230,13 @@ class _EpochUniverse:
     caches, and it is never pickled.
 
     On the exact tier the plans stay bit-identical to plans built from a
-    scalar range scan and per-pair link rows (the oracle in
+    scalar range scan and per-pair scalar link qualities (the oracle in
     ``tests/oracle.py``).
     The query radius is the effective range plus the 5 m step slack, and
     the link budget is monotone in distance (an NLOS penalty only lowers
     SNR), so every usable receiver is a candidate of either method, and
     ``out_of_range`` — the others minus the usable — cannot differ.  The
-    positions are the same live positions the link rows read, and the
+    positions are the same live positions the scalar path reads, and the
     receivers are name-sorted either way, so the RNG draws line up.
     """
 
@@ -237,7 +246,8 @@ class _EpochUniverse:
 class RadioInterface:
     """A node's attachment point to the shared radio environment.
 
-    Two hooks observe arriving frames (see the module docstring):
+    Two hooks observe arriving frames (see the module docstring), both with
+    the signature ``(frame, time, sequence, snr_db, rate_bps)``:
     :meth:`on_unicast` callbacks get frames addressed to this interface
     inside their arrival events, and :meth:`on_broadcast` handlers get
     broadcast frames when they are committed.  ``slot`` is the interface's
@@ -256,7 +266,7 @@ class RadioInterface:
         self.node_name = node_name
         self.position_provider = position_provider
         self.slot = slot
-        self._unicast_callbacks: List[Callable[[Frame, LinkQuality], None]] = []
+        self._unicast_callbacks: List[BroadcastHandler] = []
         self._broadcast_handlers: List[BroadcastHandler] = []
         self.bytes_sent = 0
         self.frames_sent = 0
@@ -324,8 +334,10 @@ class RadioInterface:
         """
         self.environment.notify_positions_changed()
 
-    def on_unicast(self, callback: Callable[[Frame, LinkQuality], None]) -> None:
-        """Register a callback for frames addressed to this interface."""
+    def on_unicast(self, callback: BroadcastHandler) -> None:
+        """Register ``callback(frame, time, sequence, snr_db, rate_bps)`` for
+        frames addressed to this interface, called inside the arrival event
+        with its key."""
         self._unicast_callbacks.append(callback)
 
     def on_broadcast(self, handler: "BroadcastHandler") -> None:
@@ -362,9 +374,9 @@ class RadioInterface:
             self.environment.transmit(self, frame)
         return frame
 
-    def deliver(self, frame: Frame, quality: LinkQuality) -> bool:
+    def deliver(self, frame: Frame, snr_db: float, rate_bps: float) -> bool:
         """A unicast frame arrives inside its event (``sim.now`` is its
-        arrival), with its link ``quality`` for the unicast callbacks.
+        arrival), with its link's SNR and rate for the unicast callbacks.
 
         Returns whether the frame was delivered: an arrival at a disabled
         interface is dropped.  The arrival event counts a delivered frame
@@ -378,8 +390,9 @@ class RadioInterface:
             return False
         self._event_bytes += frame.size_bytes
         self._event_frames += 1
+        time, _, sequence = environment.sim.last_key
         for callback in self._unicast_callbacks:
-            callback(frame, quality)
+            callback(frame, time, sequence, snr_db, rate_bps)
         return True
 
 
@@ -390,8 +403,8 @@ class RadioEnvironment:
     ---------------------------
 
     The environment never polls positions; it trusts an epoch counter and
-    flushes its derived state (the per-epoch position universe, link rows
-    and sender plans) when that counter advances.  The next plan then reads
+    flushes its derived state (the per-epoch position universe and sender
+    plans) when that counter advances.  The next plan then reads
     every attached interface's position once, into a new universe.  Two
     regimes:
 
@@ -485,11 +498,7 @@ class RadioEnvironment:
         self._synced_time: Optional[float] = None
         self._mobility: Optional[Any] = None
         self._substrate: Optional[Any] = None
-        #: Per-sender link rows, valid for one position epoch: sender name →
-        #: {receiver name → LinkQuality}, read by unicast and
-        #: :meth:`link_quality` (broadcasts read the plans).
-        self._quality_rows: Dict[str, Dict[str, LinkQuality]] = {}
-        #: Broadcast plans (both tiers), memoised per sender per epoch.
+        #: Sender plans (both tiers), memoised per sender per epoch.
         self._plans: Dict[str, _SenderPlan] = {}
         #: The epoch's :class:`_EpochUniverse` (both tiers).
         self._universe: Optional[_EpochUniverse] = None
@@ -531,14 +540,13 @@ class RadioEnvironment:
     def __getstate__(self) -> dict:
         """Pickle without per-epoch caches; force a refresh on first use.
 
-        Link rows, sender plans and the universe are pure functions of
+        Sender plans and the universe are pure functions of
         positions and the link budget — rebuilding them after restore is
         cheap and keeps the snapshot free of numpy scratch arrays and
         hash-ordered intermediates.  The sync sentinels are reset so the first
         :meth:`_refresh` after restore flushes.
         """
         state = self.__dict__.copy()
-        state["_quality_rows"] = {}
         state["_plans"] = {}
         state["_universe"] = None
         state["_synced_epoch"] = -1
@@ -743,7 +751,7 @@ class RadioEnvironment:
         The key is the environment's own epoch plus, when bound, the
         substrate's ``position_epoch``; unbound, the virtual time joins the
         key, so the caches go stale whenever the clock advances.  The
-        obstacle epoch is folded into the environment's own epoch: link rows
+        obstacle epoch is folded into the environment's own epoch: plans
         embed NLOS penalties, so a mutated occluder set (moving buses/trucks
         via :meth:`~repro.geometry.los.VisibilityMap.set_obstacles`) must
         flush them even though no node moved.  All counters are monotonic,
@@ -758,7 +766,6 @@ class RadioEnvironment:
             now = None
         if epoch == self._synced_epoch and now == self._synced_time:
             return
-        self._quality_rows.clear()
         self._plans.clear()
         self._universe = None
         self._synced_epoch = epoch
@@ -766,49 +773,11 @@ class RadioEnvironment:
 
     # ------------------------------------------------------------- queries
 
-    def link_quality(self, src: str, dst: str) -> LinkQuality:
-        """Current link quality between two attached nodes."""
-        self._refresh()
-        return self._ensure_row(src, (dst,))[dst]
-
-    def _ensure_row(
-        self, src: str, wanted: "Sequence[str]"
-    ) -> Dict[str, LinkQuality]:
-        """The sender's link row, guaranteed to cover ``wanted`` receivers.
-
-        Rows live for one position epoch (:meth:`_refresh` flushes them) and
-        serve unicast and :meth:`link_quality`.  Missing entries are
-        computed in one :meth:`~repro.radio.link.LinkBudget.quality_batch`
-        call, bit-identical to scalar
-        :meth:`~repro.radio.link.LinkBudget.quality` per pair on the exact
-        tier.  Names without an attached interface are skipped (callers
-        guard their lookups the same way).
-        """
-        row = self._quality_rows.get(src)
-        if row is None:
-            row = {}
-            self._quality_rows[src] = row
-        interfaces = self._interfaces
-        missing = [
-            name for name in wanted if name not in row and name in interfaces
-        ]
-        if missing:
-            qualities = self.link_budget.quality_batch(
-                interfaces[src].position,
-                [interfaces[name].position for name in missing],
-                self.visibility,
-            )
-            row.update(zip(missing, qualities))
-        return row
-
     def nodes_in_range(self, node_name: str) -> List[str]:
         """Other nodes whose link from ``node_name`` is currently usable.
 
         The usable receivers of the node's sender plan, name-sorted; the
-        plan is memoised per position epoch.  On the statistical tier the
-        plan comes from the fused kernel with ``np.sqrt`` distances, so for
-        a link right at the SNR threshold this may disagree with
-        :meth:`link_quality` — within that tier's aggregate contract.
+        plan is memoised per position epoch.
         """
         self._refresh()
         plan = self._sender_plan(self._interfaces[node_name])
@@ -911,13 +880,13 @@ class RadioEnvironment:
             )
         snrs, rates, pers, usable, distances = columns
         usable_indices = np.flatnonzero(usable)
+        indices = candidates[usable_indices]
         all_interfaces = universe.interfaces
-        receivers = [
-            all_interfaces[index] for index in candidates[usable_indices].tolist()
-        ]
+        receivers = [all_interfaces[index] for index in indices.tolist()]
         return _SenderPlan(
             receivers,
-            universe.slots[candidates[usable_indices]],
+            indices,
+            universe.slots[indices],
             snrs[usable_indices],
             pers[usable_indices],
             rates[usable_indices],
@@ -954,35 +923,34 @@ class RadioEnvironment:
             self._unicast(sender, frame)
 
     def _unicast(self, sender: RadioInterface, frame: Frame) -> None:
-        """One receiver, evaluated scalar on both tiers.
+        """One receiver, read from the sender's plan on both tiers.
 
-        The contention scale counts the sender's usable neighbours (its
-        plan), exactly as a broadcast from the sender would.
+        The receiver's plan columns are the broadcast's, so its loss draw,
+        contention-scaled rate and delay are the ones a broadcast from the
+        sender would use; a receiver outside the plan is out of range.
         """
         receiver = self._interfaces.get(frame.destination)
         if receiver is None or receiver is sender:
             return
-        quality = self._ensure_row(sender.node_name, (receiver.node_name,))[
-            receiver.node_name
-        ]
-        if not quality.usable:
+        plan = self._sender_plan(sender)
+        position = self._ensure_universe().index_of[receiver.node_name]
+        i = int(plan.indices.searchsorted(position))
+        if i == len(plan.indices) or plan.indices[i] != position:
             self._frames_out_of_range.add()
             return
         rng = self.sim.streams.get(self.rng_stream)
         extra = self.extra_loss_probability
-        if rng.random() < quality.packet_error_rate or (
-            extra > 0.0 and rng.random() < extra
-        ):
+        if rng.random() < plan.pers[i] or (extra > 0.0 and rng.random() < extra):
             self._frames_lost.add()
             return
-        concurrent = max(0, len(self._sender_plan(sender).receivers) - 1)
-        rate = quality.rate_bps * (1.0 / (1.0 + self.contention_factor * concurrent))
-        # The broadcast's rule, scalar: a usable link has a positive rate.
-        delay = frame.size_bytes * 8 / rate + quality.distance / 3e8
+        # Plain floats, so no numpy scalar reaches event times or pickles.
+        delay = float(frame.size_bytes * 8 / plan.scaled_rates[i] + plan.prop_delays[i])
         self._link_delay.add(delay)
         self.sim._queue.push(
             self.sim.now + delay,
-            _FrameDelivery(receiver, frame, quality),
+            _FrameDelivery(
+                receiver, frame, float(plan.snr_db[i]), float(plan.rate_bps[i])
+            ),
             0,
             self._deliver_name(frame.kind),
         )

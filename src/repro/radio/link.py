@@ -5,10 +5,10 @@ achievable rate (a capped fraction of Shannon capacity), a packet error rate
 and an effective range — all the quantities the mesh transport and the AirDnD
 candidate scorer consume.
 
-Two evaluation forms exist: the scalar :meth:`LinkBudget.quality` (one pair)
-and the column kernels (one sender, all its receivers in one pass), which
-:meth:`LinkBudget.quality_batch` materialises into :class:`LinkQuality`
-objects.  On the default **exact** equivalence tier the kernel is
+Two evaluation forms exist: the scalar :meth:`LinkBudget.quality` (one pair,
+the exact reference on both tiers) and the column kernels (one sender, all
+its receivers in one pass), which the radio environment's per-sender plans
+call.  On the default **exact** equivalence tier the kernel is
 :meth:`LinkBudget.exact_arrays_xy`, **bit-identical** to the scalar path by
 construction: numpy carries the exact IEEE arithmetic (subtraction,
 scaling, thresholding, the rate cap) in the scalar association order, while
@@ -16,9 +16,9 @@ the transcendentals (``hypot``/``log10``/``pow``/``log2``/``exp``) run as
 ``map`` over the same :mod:`math` C-library entry points — the iteration
 happens in C, and numpy's SIMD kernels for those functions, which round
 differently in the last ulp, are never called.  The radio environment's
-broadcast plans and its unicast link rows both come from this one kernel,
-and benchmark E13 asserts its byte-identical contract against the scalar
-reference (``ReferenceRadioEnvironment`` in ``tests/oracle.py``).
+sender plans, which serve broadcast and unicast alike, come from this one
+kernel, and benchmark E13 asserts its byte-identical contract against the
+scalar reference (``ReferenceRadioEnvironment`` in ``tests/oracle.py``).
 
 ``fast_math=True`` selects the **statistical** equivalence tier instead:
 :meth:`LinkBudget.quality_arrays_xy`, a fused path-loss→SNR→rate→PER
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +93,8 @@ class LinkBudget:
         Fraction of Shannon capacity actually achieved.
     fast_math:
         Equivalence tier of the column kernels.  ``False`` (default) is the
-        *exact* tier: :meth:`quality_batch` is bit-identical to the scalar
-        path.  ``True`` is the *statistical* tier: the fused numpy SIMD
+        *exact* tier: :meth:`exact_arrays_xy` is bit-identical to the scalar
+        :meth:`quality`.  ``True`` is the *statistical* tier: the fused numpy SIMD
         kernel, last-ulp different, distribution-level equivalent (see the
         module docstring).
     """
@@ -149,12 +149,9 @@ class LinkBudget:
     ) -> LinkQuality:
         """Full :class:`LinkQuality` between two positions.
 
-        On the statistical tier this routes through the fused batch kernel
-        (as a one-element batch) so scalar probes and bulk row fills always
-        agree with each other within one tier.
+        The scalar exact reference on both tiers: the statistical tier's
+        fused kernel serves only the radio environment's sender plans.
         """
-        if self.fast_math:
-            return self.quality_batch(tx, (rx,), visibility)[0]
         snr = self.snr_db(tx, rx, visibility)
         distance = tx.distance_to(rx)
         if snr < self.min_snr_db:
@@ -168,39 +165,6 @@ class LinkBudget:
         """Smooth SNR→PER curve: ~0.5 at threshold, →0 with 10+ dB margin."""
         margin = snr_db - self.min_snr_db
         return 1.0 / (1.0 + math.exp(0.9 * margin))
-
-    def quality_batch(
-        self,
-        tx: Vec2,
-        rxs: Sequence[Vec2],
-        visibility: Optional[VisibilityMap] = None,
-    ) -> List[LinkQuality]:
-        """:class:`LinkQuality` from one sender to every receiver in ``rxs``.
-
-        :meth:`quality_arrays` materialised into plain Python floats and
-        bools.  On the exact tier element ``i`` is bit-identical to
-        ``quality(tx, rxs[i], visibility)``.
-        """
-        columns = self.quality_arrays(tx, rxs, visibility)
-        return list(map(LinkQuality, *(column.tolist() for column in columns)))
-
-    def quality_arrays(
-        self,
-        tx: Vec2,
-        rxs: Sequence[Vec2],
-        visibility: Optional[VisibilityMap] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The tier's column kernel on receivers given as :class:`Vec2`.
-
-        Returns ``(snrs, rates, pers, usable, distances)`` from
-        :meth:`exact_arrays_xy` on the exact tier and from
-        :meth:`quality_arrays_xy` on the statistical tier.
-        """
-        count = len(rxs)
-        xs = np.fromiter((rx.x for rx in rxs), np.float64, count)
-        ys = np.fromiter((rx.y for rx in rxs), np.float64, count)
-        kernel = self.quality_arrays_xy if self.fast_math else self.exact_arrays_xy
-        return kernel(tx, xs, ys, visibility, rxs=rxs)
 
     def exact_arrays_xy(
         self,
@@ -216,8 +180,7 @@ class LinkBudget:
         Returns ``(snrs, rates, pers, usable, distances)``; element ``i`` is
         bit-identical to ``quality(tx, rxs[i], visibility)`` (see the module
         docstring).  ``xs``/``ys`` are the coordinates of ``rxs``, which the
-        propagation model's line-of-sight batch reads.  Models without
-        ``path_loss_db_batch`` are evaluated pair by pair.
+        propagation model's line-of-sight batch reads.
         """
         count = len(xs)
         distances = np.fromiter(
@@ -225,17 +188,7 @@ class LinkBudget:
             np.float64,
             count,
         )
-        loss_batch = getattr(self.propagation, "path_loss_db_batch", None)
-        if loss_batch is not None:
-            losses = loss_batch(tx, rxs, distances, visibility)
-        else:
-            # External propagation models written against the pre-batch
-            # Protocol (only ``path_loss_db``) still work — pairwise here,
-            # so the result is identical by definition.
-            loss = self.propagation.path_loss_db
-            losses = np.fromiter(
-                (loss(tx, rx, visibility) for rx in rxs), np.float64, count
-            )
+        losses = self.propagation.path_loss_db_batch(tx, rxs, distances, visibility)
         snrs = (self.tx_power_dbm - losses) - (self.noise_dbm + self.noise_penalty_db)
         # Mirror the scalar branch condition exactly (`snr < min` selects the
         # unusable arm), not its negation, so NaN SNRs land on the same side.
@@ -270,53 +223,22 @@ class LinkBudget:
         ys: np.ndarray,
         visibility: Optional[VisibilityMap] = None,
         *,
-        rxs: Optional[Sequence[Vec2]] = None,
-        distances: Optional[np.ndarray] = None,
+        rxs: Sequence[Vec2],
+        distances: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The fused statistical-tier kernel: one numpy pass, no inner loop.
 
-        Distance (``np.hypot``), path loss (the propagation model's
-        ``path_loss_db_simd`` when it has one), SNR, Shannon rate
-        (``np.log2``), the rate cap and the logistic PER (``np.exp``) are
-        all computed on whole arrays and returned as the columns
-        ``(snrs, rates, pers, usable, distances)``, like
-        :meth:`exact_arrays_xy`.  Receivers come as coordinate columns (the
-        radio medium keeps one position universe per epoch).  ``rxs`` only
-        matters on the NLOS path: a SIMD propagation model needs the
-        receiver :class:`Vec2` objects for its line-of-sight batch, so it is
-        required whenever ``visibility`` is given and built lazily
-        otherwise.  ``distances`` may carry precomputed sender→receiver
-        distances (skipping the ``np.hypot``); it must correspond to
-        ``xs``/``ys``.
+        Path loss (the propagation model's ``path_loss_db_simd``), SNR,
+        Shannon rate (``np.log2``), the rate cap and the logistic PER
+        (``np.exp``) are all computed on whole arrays and returned as the
+        columns ``(snrs, rates, pers, usable, distances)``, like
+        :meth:`exact_arrays_xy`, whose signature it shares.  The kernel
+        reads the receivers' :class:`Vec2` objects ``rxs`` (for the
+        line-of-sight batch) and their sender→receiver ``distances``, which
+        the radio environment already holds from its range mask; the
+        coordinate columns ``xs``/``ys`` are implied by them.
         """
-        count = len(xs)
-        if distances is None:
-            distances = np.hypot(xs - tx.x, ys - tx.y)
-        propagation = self.propagation
-        loss_simd = getattr(propagation, "path_loss_db_simd", None)
-        if loss_simd is not None:
-            if rxs is None and visibility is not None:
-                # SIMD models consult positions only for the LOS batch, so
-                # the Vec2 view is rebuilt just-in-time on the NLOS path.
-                rxs = [Vec2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-            losses = loss_simd(tx, rxs, distances, visibility)
-        else:
-            # Models without a SIMD kernel still serve the statistical tier
-            # through their exact batch (or pairwise) path — the rest of the
-            # fusion below stays vectorised either way.
-            if rxs is None:
-                rxs = [Vec2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-            loss_batch = getattr(propagation, "path_loss_db_batch", None)
-            if loss_batch is not None:
-                losses = np.asarray(
-                    loss_batch(tx, rxs, distances.tolist(), visibility),
-                    dtype=np.float64,
-                )
-            else:
-                loss = propagation.path_loss_db
-                losses = np.fromiter(
-                    (loss(tx, rx, visibility) for rx in rxs), np.float64, count
-                )
+        losses = self.propagation.path_loss_db_simd(tx, rxs, distances, visibility)
         snrs = (self.tx_power_dbm - losses) - (
             self.noise_dbm + self.noise_penalty_db
         )

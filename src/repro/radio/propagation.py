@@ -6,15 +6,15 @@ fixed non-line-of-sight (NLOS) penalty when a building blocks the direct
 path, which is what makes the "looking around the corner" geometry matter for
 communication as well as for perception.
 
-Each model also answers the batched form used by the per-sender link
-pipeline: one call for all receivers of one sender, with the constants
-hoisted and a single line-of-sight batch query.  The batched results are
-**bit-identical** to the scalar ones: all transcendental evaluations go
-through the same :mod:`math` C-library entry points as the scalar path
-(numpy's SIMD ``log10``/``exp`` kernels round differently in the last ulp,
-which would break the byte-identical reference-flag contract), while the
-surrounding additions and multiplications — exact IEEE operations — are
-applied in the same association order.
+Each model also answers the batched form used by the radio environment's
+per-sender plans: one call for all receivers of one sender, with the
+constants hoisted and a single line-of-sight batch query.  The batched
+results are **bit-identical** to the scalar ones: all transcendental
+evaluations go through the same :mod:`math` C-library entry points as the
+scalar path (numpy's SIMD ``log10``/``exp`` kernels round differently in the
+last ulp, which would break the byte-identical reference-flag contract),
+while the surrounding additions and multiplications — exact IEEE operations
+— are applied in the same association order.
 
 The *statistical* equivalence tier (``fast_math=True`` on
 :class:`~repro.radio.link.LinkBudget`, see ``docs/PERFORMANCE.md``) drops
@@ -29,7 +29,7 @@ benchmark E15) asserts.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -42,25 +42,41 @@ SPEED_OF_LIGHT = 299_792_458.0
 class PropagationModel(Protocol):
     """Interface of every path-loss model.
 
-    ``path_loss_db`` is the only required method.  A model may additionally
-    offer ``path_loss_db_batch(tx, rxs, distances, visibility)`` — per-
-    receiver losses bit-identical to the scalar method applied pairwise,
-    with ``distances[i] == tx.distance_to(rxs[i])`` — which the batched link
-    pipeline discovers by duck typing and falls back from gracefully (see
-    :meth:`~repro.radio.link.LinkBudget.quality_batch`).  A model serving
-    the statistical tier may further offer
-    ``path_loss_db_simd(tx, rxs, distances, visibility)`` taking an
-    ``ndarray`` of distances and returning an ``ndarray`` of losses via full
-    numpy SIMD kernels; the fused fast kernel duck-types it the same way and
-    falls back to ``path_loss_db_batch`` (then pairwise) when absent.
-    Neither is part of this Protocol so that pre-existing single-method
-    models keep type-checking.
+    ``path_loss_db`` is the scalar reference.  ``path_loss_db_batch(tx, rxs,
+    distances, visibility)`` returns per-receiver losses bit-identical to it
+    applied pairwise, with ``distances[i] == tx.distance_to(rxs[i])``; the
+    exact tier's column kernel
+    (:meth:`~repro.radio.link.LinkBudget.exact_arrays_xy`) calls it.
+    ``path_loss_db_simd`` takes the same arguments with an ``ndarray`` of
+    distances and returns an ``ndarray`` of losses from numpy SIMD kernels,
+    last-ulp different; the statistical tier's fused kernel
+    (:meth:`~repro.radio.link.LinkBudget.quality_arrays_xy`) calls it.
     """
 
     def path_loss_db(
         self, tx: Vec2, rx: Vec2, visibility: Optional[VisibilityMap] = None
     ) -> float:
         """Path loss in dB between transmitter and receiver positions."""
+        ...
+
+    def path_loss_db_batch(
+        self,
+        tx: Vec2,
+        rxs: Sequence[Vec2],
+        distances: Sequence[float],
+        visibility: Optional[VisibilityMap] = None,
+    ) -> np.ndarray:
+        """Per-receiver losses, bit-identical to :meth:`path_loss_db`."""
+        ...
+
+    def path_loss_db_simd(
+        self,
+        tx: Vec2,
+        rxs: Sequence[Vec2],
+        distances: np.ndarray,
+        visibility: Optional[VisibilityMap] = None,
+    ) -> np.ndarray:
+        """Per-receiver losses from numpy SIMD kernels (statistical tier)."""
         ...
 
 

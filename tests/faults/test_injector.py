@@ -225,23 +225,31 @@ def test_availability_accounts_open_and_closed_downtime():
 # ------------------------------------------------------- radio degradation
 
 
+def plan_snr(environment, src: str, dst: str) -> float:
+    """The SNR column of ``src``'s sender plan at ``dst``."""
+    environment._refresh()
+    plan = environment._sender_plan(environment.interface_of(src))
+    names = [receiver.node_name for receiver in plan.receivers]
+    return float(plan.snr_db[names.index(dst)])
+
+
 def test_radio_degradation_bursts_stack_and_restore_exactly():
     sim, environment, _, _, nodes = build_fleet()
     injector = FaultInjector(sim, nodes, environment=environment)
     budget = environment.link_budget
     baseline = budget.noise_penalty_db
     assert baseline == 0.0
-    snr_before = environment.link_quality(nodes[0].name, nodes[1].name).snr_db
+    snr_before = plan_snr(environment, nodes[0].name, nodes[1].name)
     injector._radio_degrade(6.0)
     injector._radio_degrade(3.0)
     assert budget.noise_penalty_db == pytest.approx(9.0)
-    snr_degraded = environment.link_quality(nodes[0].name, nodes[1].name).snr_db
+    snr_degraded = plan_snr(environment, nodes[0].name, nodes[1].name)
     assert snr_degraded == pytest.approx(snr_before - 9.0)
     injector._radio_restore(6.0)
     assert budget.noise_penalty_db == pytest.approx(3.0)
     injector._radio_restore(3.0)
     assert budget.noise_penalty_db == 0.0  # exact, not approximate
-    assert environment.link_quality(nodes[0].name, nodes[1].name).snr_db == snr_before
+    assert plan_snr(environment, nodes[0].name, nodes[1].name) == snr_before
 
 
 def test_loss_bursts_combine_independently_and_clear():

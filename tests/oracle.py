@@ -6,8 +6,8 @@ identical results, so the fast path can change freely as long as it keeps
 agreeing with the reference here.
 
 * :func:`reference_transmit` — the exact radio tier's per-receiver loop: one
-  link lookup, RNG draw and counter increment per receiver per frame, one
-  ``Simulator.schedule`` per delivery, and on arrival the delivery itself
+  scalar :meth:`LinkBudget.quality` call, RNG draw and counter increment per
+  receiver per frame, one ``Simulator.schedule`` per delivery, and on arrival the delivery itself
   (:meth:`RadioInterface.deliver` for a unicast; for a broadcast, the
   neighbour store written one arrival at a time by
   :func:`reference_receive` and the broadcast handlers called inside the
@@ -19,9 +19,9 @@ agreeing with the reference here.
 * :class:`ReferenceRadioEnvironment` — a radio environment whose exact-tier
   plans are built the way they were before the epoch universe: candidates
   from a scalar range scan (:func:`candidate_names`), name-sorted,
-  their qualities from link rows filled pair by pair with scalar
-  :meth:`LinkBudget.quality` calls instead of the column kernel, optionally
-  scanning every attached interface instead of the range query.
+  their qualities from one scalar :meth:`LinkBudget.quality` call per pair
+  instead of the column kernel, optionally scanning every attached
+  interface instead of the range query.
 * :class:`BruteForceVisibility` — a visibility map that tests every polygon
   with :func:`~repro.geometry.los.line_of_sight` instead of querying the
   obstacle index's numpy kernel.
@@ -61,7 +61,6 @@ from repro.geometry.los import VisibilityMap, line_of_sight
 from repro.geometry.vector import Vec2
 from repro.mesh.messages import Beacon
 from repro.mesh.neighbor import NeighborStore
-from repro.mesh.node import _UnicastTap
 from repro.radio.interfaces import (
     BroadcastHandler,
     Frame,
@@ -165,11 +164,12 @@ class ReferenceRadioEnvironment(RadioEnvironment):
     """A :class:`RadioEnvironment` on the scalar reference paths.
 
     An exact-tier plan takes its candidates from :func:`candidate_names`,
-    sorts them by name and reads their qualities from link rows that hold
-    one scalar ``link_budget.quality`` call per pair; the spatially pruned
-    interfaces count into ``out_of_range`` wholesale.  With ``full_scan``
-    set, range pruning is off (``use_spatial_index = False``), so every
-    attached interface is a broadcast candidate.  Both must leave the
+    sorts them by name and evaluates each with one scalar
+    ``link_budget.quality`` call (the base class memoises the plan for the
+    position epoch); the spatially pruned interfaces count into
+    ``out_of_range`` wholesale.  With ``full_scan`` set, range pruning is
+    off (``use_spatial_index = False``), so every attached interface is a
+    broadcast candidate.  Both must leave the
     delivered-frame sequence of the exact tier unchanged.
     """
 
@@ -185,11 +185,17 @@ class ReferenceRadioEnvironment(RadioEnvironment):
         name = sender.node_name
         candidates = _reference_candidates(self, sender)
         others = len(interfaces) - (1 if name in interfaces else 0)
-        row = self._ensure_row(name, candidates)
-        names = [other for other in candidates if row[other].usable]
-        qualities = [row[other] for other in names]
+        tx = sender.position
+        qualities = [
+            self.link_budget.quality(tx, interfaces[other].position, self.visibility)
+            for other in candidates
+        ]
+        names = [other for other, quality in zip(candidates, qualities) if quality.usable]
+        qualities = [quality for quality in qualities if quality.usable]
+        index_of = self._ensure_universe().index_of
         return _SenderPlan(
             [interfaces[other] for other in names],
+            np.array([index_of[other] for other in names], np.int64),
             np.array([interfaces[other].slot for other in names], np.int64),
             np.array([quality.snr_db for quality in qualities]),
             np.array([quality.packet_error_rate for quality in qualities]),
@@ -198,17 +204,6 @@ class ReferenceRadioEnvironment(RadioEnvironment):
             others - len(names),
             self.contention_factor,
         )
-
-    def _ensure_row(self, src: str, wanted: Sequence[str]) -> Dict[str, LinkQuality]:
-        row = self._quality_rows.setdefault(src, {})
-        interfaces = self._interfaces
-        tx = interfaces[src].position
-        for name in wanted:
-            if name not in row and name in interfaces:
-                row[name] = self.link_budget.quality(
-                    tx, interfaces[name].position, self.visibility
-                )
-        return row
 
 
 def _reference_candidates(env: RadioEnvironment, sender: RadioInterface) -> List[str]:
@@ -228,10 +223,13 @@ def reference_transmit(env: RadioEnvironment, sender: RadioInterface, frame: Fra
     out_of_range = monitor.counter("radio.frames_out_of_range")
     lost = monitor.counter("radio.frames_lost")
     candidates = _reference_candidates(env, sender)
-    usable = [
-        name for name in candidates
-        if env.link_quality(sender.node_name, name).usable
-    ]
+    interfaces = env._interfaces
+    tx = sender.position
+
+    def link(name: str) -> LinkQuality:
+        return env.link_budget.quality(tx, interfaces[name].position, env.visibility)
+
+    usable = [name for name in candidates if link(name).usable]
     if frame.destination is None:
         receiver_names = candidates
         if env.use_spatial_index:
@@ -248,7 +246,7 @@ def reference_transmit(env: RadioEnvironment, sender: RadioInterface, frame: Fra
         receiver = env._interfaces.get(name)
         if receiver is None or receiver is sender:
             continue
-        quality = env.link_quality(sender.node_name, name)
+        quality = link(name)
         if not quality.usable:
             out_of_range.add()
             continue
@@ -277,7 +275,7 @@ def _reference_deliver(receiver: RadioInterface, frame: Frame, quality: LinkQual
     if frame.destination is None:
         delivered = _reference_broadcast_arrival(receiver, frame, quality)
     else:
-        delivered = receiver.deliver(frame, quality)
+        delivered = receiver.deliver(frame, quality.snr_db, quality.rate_bps)
     if delivered:
         monitor = receiver.environment.sim.monitor
         monitor.counter("radio.frames_delivered").add()
@@ -489,7 +487,7 @@ def tap_frames(interface: RadioInterface, tap: BroadcastHandler) -> None:
     their arrival events.  ``tap`` is held to the broadcast-handler contract
     (no scheduling, transmitting or random draws)."""
     interface.on_broadcast(tap)
-    interface.on_unicast(_UnicastTap(interface.environment.sim, tap))
+    interface.on_unicast(tap)
 
 
 _ARRIVAL_KEY = itemgetter(0, 1)

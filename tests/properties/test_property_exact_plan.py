@@ -4,8 +4,8 @@ The exact tier builds each sender's broadcast plan from one squared-distance
 mask over the epoch's position columns and one call of the exact column
 kernel (``LinkBudget.exact_arrays_xy``).  The oracle
 (:class:`tests.oracle.ReferenceRadioEnvironment`) builds the same plan the
-older way: candidates from a scalar range scan, a name sort and link rows
-filled with one scalar ``LinkBudget.quality`` call per pair.  On random fleets the two
+older way: candidates from a scalar range scan, a name sort and one scalar
+``LinkBudget.quality`` call per pair.  On random fleets the two
 plans must agree field by field, to the last bit of every float.
 
 The fleets are drawn to reach the edges of that argument: co-located nodes
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,7 @@ def plan_fields(plan):
     """Every field of a plan, floats as ``float.hex`` so equality is bitwise."""
     return {
         "receivers": [receiver.node_name for receiver in plan.receivers],
+        "indices": plan.indices.tolist(),
         "out_of_range": plan.out_of_range,
         "slots": plan.slots.tolist(),
         "snr_db": hexes(plan.snr_db),
@@ -230,14 +232,19 @@ def test_quality_batch_is_scalar_quality_on_the_exact_kernel(
     # Co-located with the sender and with each other, under any d0.
     rx_points = [Vec2(*rx) for rx in rxs] + [tx, Vec2(tx.x + 0.25, tx.y)]
     visibility = None if obstacles is None else VisibilityMap(obstacles)
+    xs = np.array([rx.x for rx in rx_points], np.float64)
+    ys = np.array([rx.y for rx in rx_points], np.float64)
     budget.noise_penalty_db = noise_penalty_db
     try:
-        batch = budget.quality_batch(tx, rx_points, visibility)
+        columns = budget.exact_arrays_xy(tx, xs, ys, visibility, rxs=rx_points)
         scalar = [budget.quality(tx, rx, visibility) for rx in rx_points]
     finally:
         budget.noise_penalty_db = 0.0
-    assert [quality_hex(q) for q in batch] == [quality_hex(q) for q in scalar]
-    assert all(type(q.snr_db) is float and type(q.usable) is bool for q in batch)
+    batch = [
+        (float.hex(snr), float.hex(rate), float.hex(per), usable, float.hex(distance))
+        for snr, rate, per, usable, distance in zip(*(c.tolist() for c in columns))
+    ]
+    assert batch == [quality_hex(q) for q in scalar]
 
 
 def _counted_fleet(bound: bool, count: int = 12):

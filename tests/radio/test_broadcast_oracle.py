@@ -1,14 +1,15 @@
 """The exact tier's plan-based broadcast against the per-receiver oracle.
 
 Two identically seeded environments run the same traffic — broadcasts of
-two frame sizes, a few unicasts, positions that move between rounds — one
+two frame sizes, a few unicasts (one per round to a receiver far out of
+range), positions that move between rounds — one
 through ``RadioEnvironment.transmit`` and one through
 :func:`tests.oracle.reference_transmit`.  The delivered-frame logs (each
 arrival's key, SNR and rate; the raw ``radio.link_delay`` samples pin the
 distances) and every ``radio.*`` counter must match exactly, with and without
 the fault injector's extra loss, on production plans (epoch universe and
 column kernel) and on the oracle's grid-candidate plans over scalar per-pair
-rows (:class:`tests.oracle.ReferenceRadioEnvironment`).
+qualities (:class:`tests.oracle.ReferenceRadioEnvironment`).
 """
 
 import numpy as np
@@ -46,6 +47,8 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
         f"v{index:02d}": Vec2(*layout.uniform(-span, span, size=2).tolist())
         for index in range(n)
     }
+    positions["zz-far"] = Vec2(10.0 * span, 10.0 * span)
+    far_out_of_range = []
     log = []
     for name in positions:
         interface = env.attach(name, lambda name=name: positions[name])
@@ -65,6 +68,13 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
             env.interface_of(names[slot]).send(
                 f"u{round_index}-{slot}", 300, destination=names[(slot + 1) % len(names)]
             )
+        before = sim.monitor.counter_value("radio.frames_out_of_range")
+        env.interface_of(names[round_index]).send(
+            f"far{round_index}", 300, destination="zz-far"
+        )
+        far_out_of_range.append(
+            sim.monitor.counter_value("radio.frames_out_of_range") - before
+        )
         # Move everyone a little; the next round sees a new epoch.
         for name, position in positions.items():
             positions[name] = Vec2(position.x + 17.0, position.y - 9.0)
@@ -80,7 +90,7 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
         for name, counter in sim.monitor.counters.items()
         if name.startswith("radio.")
     }
-    return in_fire_order(log), counters, delays
+    return in_fire_order(log), counters, delays, far_out_of_range
 
 
 @pytest.mark.parametrize("batched_rows", [True, False])
@@ -88,10 +98,12 @@ def run_traffic(reference, extra_loss, batched_rows, seed=11, n=24):
 def test_plan_broadcast_matches_per_receiver_oracle(extra_loss, batched_rows):
     plan_run = run_traffic(False, extra_loss, batched_rows)
     oracle_run = run_traffic(True, extra_loss, batched_rows)
-    log, counters, delays = plan_run
+    log, counters, delays, far_out_of_range = plan_run
     assert log == oracle_run[0]
     assert counters == oracle_run[1]
     assert delays == oracle_run[2]
+    # Each unicast to the far receiver counts once, on both paths.
+    assert far_out_of_range == oracle_run[3] == [1] * ROUNDS
     # The comparison must bite: deliveries, PER losses and pruned receivers.
     assert len(log) > 100
     assert counters["radio.frames_lost"] > 0

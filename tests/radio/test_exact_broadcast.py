@@ -42,7 +42,10 @@ def build_fleet():
 
 def test_broadcast_delay_and_order_follow_nodes_in_range():
     sim, env, interfaces = build_fleet()
-    assert not env.link_quality("hub", "edge").usable
+    budget = env.link_budget
+    assert not budget.quality(
+        interfaces["hub"].position, interfaces["edge"].position, env.visibility
+    ).usable
     deliveries = []
     for name, interface in interfaces.items():
         interface.on_broadcast(
@@ -56,7 +59,7 @@ def test_broadcast_delay_and_order_follow_nodes_in_range():
     def broadcast(sender):
         sent_at[sender] = sim.now
         interfaces[sender].send(sender, SIZE_BYTES, destination=None)
-        # Same position epoch as the send, so the same link row.
+        # Same position epoch as the send, so the same sender plan.
         in_range[sender] = env.nodes_in_range(sender)
 
     for slot, sender in enumerate(sorted(interfaces)):
@@ -66,11 +69,12 @@ def test_broadcast_delay_and_order_follow_nodes_in_range():
 
     assert "edge" not in in_range["hub"]
     assert len(deliveries) == sim.monitor.counter_value("radio.frames_delivered")
-    budget = env.link_budget
     for now, _, sender, receiver, snr_db, rate_bps in deliveries:
         assert receiver in in_range[sender]
-        # The fleet is static, so the arrival carries the link row's values.
-        quality = env.link_quality(sender, receiver)
+        # The fleet is static, so the arrival carries the scalar link's values.
+        quality = budget.quality(
+            interfaces[sender].position, interfaces[receiver].position, env.visibility
+        )
         assert (snr_db, rate_bps) == (quality.snr_db, quality.rate_bps)
         concurrent = max(0, len(in_range[sender]) - 1)
         scale = 1.0 / (1.0 + env.contention_factor * concurrent)

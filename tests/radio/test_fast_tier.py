@@ -63,12 +63,22 @@ def assert_quality_close(fast, exact):
     assert fast.distance == pytest.approx(exact.distance, rel=REL_TOL)
 
 
+def statistical_kernel(budget, tx, rxs, visibility=None):
+    """:meth:`LinkBudget.quality_arrays_xy` on ``rxs``, with the
+    sender→receiver distances from ``np.hypot``."""
+    xs = np.array([rx.x for rx in rxs])
+    ys = np.array([rx.y for rx in rxs])
+    return budget.quality_arrays_xy(
+        tx, xs, ys, visibility, rxs=rxs, distances=np.hypot(xs - tx.x, ys - tx.y)
+    )
+
+
 def test_quality_arrays_matches_scalar_reference():
     exact = LinkBudget()
     fast = LinkBudget(fast_math=True)
     tx = Vec2(5.0, -3.0)
     rxs = lattice(30)
-    snrs, rates, pers, usable, distances = fast.quality_arrays(tx, rxs)
+    snrs, rates, pers, usable, distances = statistical_kernel(fast, tx, rxs)
     assert usable.dtype == np.dtype(bool)
     assert snrs.dtype == np.dtype(np.float64)
     for index, rx in enumerate(rxs):
@@ -84,44 +94,26 @@ def test_quality_arrays_matches_scalar_reference():
         )
 
 
-def test_quality_arrays_xy_agrees_with_quality_arrays():
-    budget = LinkBudget(fast_math=True)
-    tx = Vec2(0.0, 0.0)
-    rxs = lattice(17)
-    xs = np.array([rx.x for rx in rxs])
-    ys = np.array([rx.y for rx in rxs])
-    from_vecs = budget.quality_arrays(tx, rxs)
-    from_xy = budget.quality_arrays_xy(tx, xs, ys)
-    precomputed = budget.quality_arrays_xy(
-        tx, xs, ys, distances=np.hypot(xs - tx.x, ys - tx.y)
-    )
-    for column_a, column_b, column_c in zip(from_vecs, from_xy, precomputed):
-        np.testing.assert_array_equal(column_a, column_b)
-        np.testing.assert_array_equal(column_a, column_c)
-
-
 def test_quality_arrays_xy_applies_nlos_penalty():
     budget = LinkBudget(fast_math=True)
     visibility = VisibilityMap([Rectangle(40.0, -10.0, 60.0, 10.0)])
     tx = Vec2(0.0, 0.0)
     occluded = Vec2(100.0, 0.0)
     clear = Vec2(100.0, 80.0)
-    xs = np.array([occluded.x, clear.x])
-    ys = np.array([occluded.y, clear.y])
-    snrs, *_ = budget.quality_arrays_xy(tx, xs, ys, visibility)
-    baseline, *_ = budget.quality_arrays_xy(tx, xs, ys)
+    snrs, *_ = statistical_kernel(budget, tx, [occluded, clear], visibility)
+    baseline, *_ = statistical_kernel(budget, tx, [occluded, clear])
     assert snrs[0] < baseline[0]  # shadowed by the building
     assert snrs[1] == baseline[1]  # clear ray unaffected
 
 
-def test_scalar_quality_probe_routes_through_fast_kernel():
-    """Single-link probes and bulk rows must agree *within* the fast tier."""
-    budget = LinkBudget(fast_math=True)
+def test_scalar_quality_is_the_exact_reference_on_both_tiers():
+    """The tier is a plan-kernel choice: scalar probes stay exact."""
+    visibility = VisibilityMap([Rectangle(40.0, -10.0, 60.0, 10.0)])
     tx = Vec2(0.0, 0.0)
-    rx = Vec2(80.0, 15.0)
-    probe = budget.quality(tx, rx)
-    batch = budget.quality_batch(tx, [rx])[0]
-    assert probe == batch
+    for rx in (Vec2(80.0, 15.0), Vec2(100.0, 0.0), Vec2(9000.0, 0.0)):
+        assert LinkBudget(fast_math=True).quality(tx, rx, visibility) == (
+            LinkBudget().quality(tx, rx, visibility)
+        )
 
 
 # ------------------------------------------------ environment fast path
@@ -165,7 +157,11 @@ def test_fast_plan_columns_come_from_the_statistical_kernel():
     ys = np.array([receiver.position.y for receiver in plan.receivers])
     dx, dy = xs - tx.x, ys - tx.y
     snrs, rates, pers, _, distances = environment.link_budget.quality_arrays_xy(
-        tx, xs, ys, distances=np.sqrt(dx * dx + dy * dy)
+        tx,
+        xs,
+        ys,
+        rxs=[receiver.position for receiver in plan.receivers],
+        distances=np.sqrt(dx * dx + dy * dy),
     )
     assert plan.snr_db.tobytes() == snrs.tobytes()
     assert plan.rate_bps.tobytes() == rates.tobytes()
@@ -261,9 +257,9 @@ def test_fast_broadcast_with_extra_loss_keeps_the_scalar_interleaving():
 
 
 def test_fast_unicast_keeps_exact_delivery_semantics():
-    """``fast_math`` only reroutes broadcasts; unicast frames keep the exact
-    tier's scheduling and receiver bookkeeping (link qualities go through the
-    tier's own kernel, so they agree to the ulp, not byte-for-byte)."""
+    """Unicast frames keep the exact tier's scheduling and receiver
+    bookkeeping on the statistical tier (link qualities come from the tier's
+    own plan kernel, so they agree to the ulp, not byte-for-byte)."""
     results = {}
     for tier, fast_math in (("exact", False), ("statistical", True)):
         sim, environment, received = build_fleet(fast_math)

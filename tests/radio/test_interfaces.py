@@ -21,10 +21,17 @@ def make_env(positions, **kwargs):
     return sim, env, interfaces
 
 
+def link(env, src, dst):
+    """Scalar link quality between two attached nodes' current positions."""
+    return env.link_budget.quality(
+        env.interface_of(src).position, env.interface_of(dst).position, env.visibility
+    )
+
+
 def test_unicast_delivery_in_range():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
     received = []
-    ifaces["b"].on_unicast(lambda frame, quality: received.append(frame.payload))
+    ifaces["b"].on_unicast(lambda frame, *arrival: received.append(frame.payload))
     ifaces["a"].send("hello", size_bytes=100, destination="b")
     sim.run(until=1.0)
     assert received == ["hello"]
@@ -49,7 +56,7 @@ def test_broadcast_reaches_all_in_range_only():
 def test_delivery_has_positive_latency_scaling_with_size():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(50, 0)})
     times = []
-    ifaces["b"].on_unicast(lambda f, q: times.append(sim.now))
+    ifaces["b"].on_unicast(lambda f, *arrival: times.append(sim.now))
     ifaces["a"].send("small", size_bytes=100, destination="b")
     ifaces["a"].send("large", size_bytes=1_000_000, destination="b")
     sim.run(until=10.0)
@@ -62,7 +69,7 @@ def test_delivery_has_positive_latency_scaling_with_size():
 def test_disabled_interface_neither_sends_nor_receives():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(30, 0)})
     received = []
-    ifaces["b"].on_unicast(lambda f, q: received.append(f))
+    ifaces["b"].on_unicast(lambda f, *arrival: received.append(f))
     ifaces["b"].enabled = False
     ifaces["a"].send("x", 10, destination="b")
     sim.run(until=1.0)
@@ -88,7 +95,7 @@ def test_broadcast_handlers_run_at_commit_with_the_arrival_time():
     # Applied at the end of the step (the clock stood at the last event),
     # with the time the frame arrived.
     assert payload == "x" and 1.0 < time < committed_at == 1.5
-    assert snr_db == env.link_quality("a", "b").snr_db
+    assert snr_db == link(env, "a", "b").snr_db
     assert ifaces["b"].frames_received == 1 and ifaces["b"].bytes_received == 300
 
 
@@ -143,8 +150,8 @@ def test_delivered_counter_skips_a_beacon_whose_receiver_crashed_in_flight(fast_
 def test_nodes_in_range_and_link_quality():
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(60, 0), "c": Vec2(4000, 0)})
     assert set(env.nodes_in_range("a")) == {"b"}
-    assert env.link_quality("a", "b").usable
-    assert not env.link_quality("a", "c").usable
+    assert link(env, "a", "b").usable
+    assert not link(env, "a", "c").usable
 
 
 def test_duplicate_attach_rejected_and_detach():
@@ -191,7 +198,7 @@ def test_manual_move_at_same_timestamp_visible_after_notify_moved():
     assert env.nodes_in_range("a") == []   # stale without a dirty-mark (old bug)
     b.notify_moved()
     assert env.nodes_in_range("a") == ["b"]
-    assert env.link_quality("a", "b").usable
+    assert link(env, "a", "b").usable
     received = []
     b.on_broadcast(lambda f, *arrival: received.append(f.payload))
     env.interface_of("a").send("now", 50, destination=None)
@@ -294,7 +301,7 @@ def test_mobility_bound_environment_invalidates_on_tick():
     # Mobility ticks advanced the substrate's position epoch, so the
     # per-epoch caches did not go stale.
     assert env.nodes_in_range("rsu") == []
-    assert not env.link_quality("rsu", "veh").usable
+    assert not link(env, "rsu", "veh").usable
 
 
 def test_substrate_bound_environment_keeps_no_mirror():
@@ -385,7 +392,7 @@ def test_unbounded_link_budget_disables_unsound_range_pruning(fast_math):
     assert env.use_spatial_index is False
     env.attach("a", lambda: Vec2(0, 0))
     env.attach("b", lambda: Vec2(20_000, 0))  # beyond the scan cap
-    assert env.link_quality("a", "b").usable
+    assert link(env, "a", "b").usable
     assert env.nodes_in_range("a") == ["b"]
     env.interface_of("a").send("far", 50, destination=None)
     sim.run(until=1.0)
@@ -403,7 +410,7 @@ def test_lossy_link_drops_some_frames():
     # frames some must be lost (and some must get through).
     sim, env, ifaces = make_env({"a": Vec2(0, 0), "b": Vec2(265, 0)})
     received = []
-    ifaces["b"].on_unicast(lambda f, q: received.append(f))
+    ifaces["b"].on_unicast(lambda f, *arrival: received.append(f))
     for _ in range(60):
         ifaces["a"].send("x", 100, destination="b")
     sim.run(until=5.0)

@@ -1,13 +1,17 @@
 """Batched link-pipeline equivalence and behaviour tests.
 
 The contract under test is *bit*-identity, not approximate equality: the
-environment's column-kernel plans and link rows must reproduce the
-grid-candidate plans and scalar per-pair rows of the oracle's
-:class:`~tests.oracle.ReferenceRadioEnvironment` exactly, RNG draw for RNG
-draw.
+exact column kernel (:meth:`LinkBudget.exact_arrays_xy`, a batch of link
+qualities for one sender) must reproduce scalar :meth:`LinkBudget.quality`
+per pair, and the environment's sender plans, which serve broadcast and
+unicast alike, must reproduce the grid-candidate plans over scalar per-pair
+qualities of the oracle's :class:`~tests.oracle.ReferenceRadioEnvironment`
+exactly, RNG draw for RNG draw.
 """
 
 import random
+
+import numpy as np
 
 from repro.geometry.los import VisibilityMap
 from repro.geometry.shapes import Rectangle
@@ -23,8 +27,21 @@ def quality_tuple(q):
     return (q.snr_db, q.rate_bps, q.packet_error_rate, q.usable, q.distance)
 
 
+def exact_kernel(budget, tx, rxs, visibility=None):
+    """:meth:`LinkBudget.exact_arrays_xy` on ``rxs``, one
+    ``(snr_db, rate_bps, packet_error_rate, usable, distance)`` tuple per
+    receiver."""
+    xs = np.array([rx.x for rx in rxs], np.float64)
+    ys = np.array([rx.y for rx in rxs], np.float64)
+    snrs, rates, pers, usable, distances = budget.exact_arrays_xy(
+        tx, xs, ys, visibility, rxs=rxs
+    )
+    return list(zip(snrs.tolist(), rates.tolist(), pers.tolist(),
+                    usable.tolist(), distances.tolist()))
+
+
 def test_quality_batch_empty_receiver_list():
-    assert LinkBudget().quality_batch(Vec2(0, 0), []) == []
+    assert exact_kernel(LinkBudget(), Vec2(0, 0), []) == []
 
 
 def test_quality_batch_bit_identical_to_scalar_quality():
@@ -43,21 +60,20 @@ def test_quality_batch_bit_identical_to_scalar_quality():
                 for _ in range(rng.randrange(1, 12))
             ]
             for vis in (None, visibility):
-                batch = budget.quality_batch(tx, rxs, vis)
-                for rx, batched in zip(rxs, batch):
-                    scalar = budget.quality(tx, rx, vis)
-                    assert quality_tuple(batched) == quality_tuple(scalar)
-                    # Plain Python scalars, not numpy types, leave the kernel.
-                    assert type(batched.snr_db) is float
-                    assert type(batched.usable) is bool
+                batch = exact_kernel(budget, tx, rxs, vis)
+                assert batch == [
+                    quality_tuple(budget.quality(tx, rx, vis)) for rx in rxs
+                ]
 
 
 def test_quality_batch_covers_both_snr_branches():
     budget = LinkBudget()
-    qualities = budget.quality_batch(Vec2(0, 0), [Vec2(10, 0), Vec2(9000, 0)])
-    assert qualities[0].usable and qualities[0].rate_bps > 0
-    assert not qualities[1].usable
-    assert qualities[1].rate_bps == 0.0 and qualities[1].packet_error_rate == 1.0
+    near, far = exact_kernel(budget, Vec2(0, 0), [Vec2(10, 0), Vec2(9000, 0)])
+    _, rate, _, usable, _ = near
+    assert usable and rate > 0
+    _, rate, per, usable, _ = far
+    assert not usable
+    assert rate == 0.0 and per == 1.0
 
 
 def test_path_loss_batch_applies_nlos_penalty_per_receiver():
@@ -77,7 +93,7 @@ def test_path_loss_batch_applies_nlos_penalty_per_receiver():
     assert losses[1] - losses[0] > model.nlos_penalty_db / 2  # penalty landed
 
 
-# ------------------------------------------------- environment row semantics
+# ------------------------------------------------ environment plan semantics
 
 
 def build_env(reference=False, n=12, seed=5):
@@ -91,17 +107,35 @@ def build_env(reference=False, n=12, seed=5):
     return sim, env
 
 
+def plan_columns(env, src):
+    """Every column of ``src``'s sender plan, as plain lists."""
+    plan = env._sender_plan(env.interface_of(src))
+    return [
+        [receiver.node_name for receiver in plan.receivers],
+        *(column.tolist() for column in (
+            plan.indices, plan.slots, plan.snr_db, plan.rate_bps, plan.pers,
+            plan.scaled_rates, plan.prop_delays,
+        )),
+        plan.out_of_range,
+    ]
+
+
 def test_environment_rows_identical_across_batched_flag():
     _, batched = build_env()
     _, reference = build_env(reference=True)
     names = batched.node_names
     for src in names:
         assert batched.nodes_in_range(src) == reference.nodes_in_range(src)
-        for dst in names:
-            if dst == src:
-                continue
-            assert quality_tuple(batched.link_quality(src, dst)) == quality_tuple(
-                reference.link_quality(src, dst)
+        assert plan_columns(batched, src) == plan_columns(reference, src)
+        plan = batched._plans[src]
+        tx = batched.interface_of(src).position
+        for receiver, snr_db, rate_bps, per in zip(
+            plan.receivers, plan.snr_db.tolist(), plan.rate_bps.tolist(),
+            plan.pers.tolist(),
+        ):
+            scalar = batched.link_budget.quality(tx, receiver.position)
+            assert (snr_db, rate_bps, per) == (
+                scalar.snr_db, scalar.rate_bps, scalar.packet_error_rate
             )
 
 
@@ -124,18 +158,36 @@ def test_broadcast_delivery_identical_across_batched_flag():
     assert logs[False] == logs[True]
 
 
-def test_rows_are_filled_per_sender_and_flushed_on_epoch_bump():
+def test_unicast_reads_the_sender_plan(monkeypatch):
+    """A unicast in the epoch of its sender's plan evaluates no link: its
+    receiver's columns come from the plan a broadcast or range query built."""
     sim, env = build_env(n=6)
-    src, *others = env.node_names
-    env.nodes_in_range(src)
-    assert env._quality_rows == {}  # broadcasts read the plan, not rows
-    for dst in others[:3]:
-        env.link_quality(src, dst)
-    assert list(env._quality_rows) == [src]
-    assert sorted(env._quality_rows[src]) == others[:3]
-    env.notify_positions_changed()
-    env.link_quality(src, others[0])  # refresh rebuilds the row, not grows it
-    assert sorted(env._quality_rows[src]) == others[:1]
+    src = env.node_names[0]
+    in_range = env.nodes_in_range(src)
+    assert in_range
+    kernel = LinkBudget.exact_arrays_xy
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkBudget, "exact_arrays_xy", counted)
+    received = []
+    env.interface_of(in_range[0]).on_unicast(
+        lambda frame, time, sequence, snr_db, rate_bps: received.append(
+            (frame.payload, time, snr_db, rate_bps)
+        )
+    )
+    for _ in range(20):
+        env.interface_of(src).send("hello", 100, destination=in_range[0])
+    assert calls == []
+    sim.run(until=1.0)
+    assert received
+    plan = env._plans[src]
+    for payload, time, snr_db, rate_bps in received:
+        assert type(time) is float and type(snr_db) is float
+        assert (snr_db, rate_bps) == (plan.snr_db[0], plan.rate_bps[0])
 
 
 def test_unicast_to_unattached_destination_is_dropped_quietly():
@@ -143,7 +195,6 @@ def test_unicast_to_unattached_destination_is_dropped_quietly():
     sender = env.interface_of(env.node_names[0])
     sender.send("to-nobody", 50, destination="ghost")
     sim.run(until=1.0)
-    assert "ghost" not in env._quality_rows.get(sender.node_name, {})
     assert sim.monitor.counter_value("radio.frames_lost") == 0
     assert sim.monitor.counter_value("radio.frames_out_of_range") == 0
 
@@ -160,17 +211,3 @@ def test_sender_plan_is_built_once_per_epoch_and_flushed_on_bump():
     assert env.nodes_in_range(src) == in_range  # nobody moved
     assert env._plans[src] is not plan
 
-
-def test_quality_batch_falls_back_for_models_without_batch_method():
-    """External models implementing only the pre-batch Protocol still work."""
-
-    class MinimalModel:
-        def path_loss_db(self, tx, rx, visibility=None):
-            return 60.0 + tx.distance_to(rx) * 0.2
-
-    budget = LinkBudget(MinimalModel())
-    tx = Vec2(0.0, 0.0)
-    rxs = [Vec2(30.0, 0.0), Vec2(0.0, 900.0)]
-    batch = budget.quality_batch(tx, rxs)
-    for rx, batched in zip(rxs, batch):
-        assert quality_tuple(batched) == quality_tuple(budget.quality(tx, rx))

@@ -42,19 +42,19 @@ CASES = {
 PINS = {
     "highway": (
         "6690d85b5c9179c6ca337930d047e1a7ef2e86252848239ab8ffd6c90905182e",
-        "f977dfb955c89146d2b690eadb44f4eccb5601e0f871189b3febbd2336ec1be2",
+        "44df3603f38876ed7e93b470409e48d7a15004da9a794c3c32c09be9525e12f2",
     ),
     "highway-faults": (
         "93692bff010a6f37b3d23e94f67fef2b8e260df3e8611bee2f7f4f94622868e8",
-        "b2979670b17aad4a6cd7d5d0975b150e7ec957b2fb8f52563e411d186a6bacab",
+        "2981da9e9e8f7d08a836eae630dc5b89e1560693fa5dc1de54f91cd09dfda845",
     ),
     "intersection": (
         "e7a1679d7d14c60e5a89543d46bab6fd3461d7ff5c9343ddf87b527855fe3abd",
-        "c948b743842fdbec8aec8ccee5501840ef04df666926c7cc0f3716e324ea66e7",
+        "2c2a8992cac5db8eb0da4c740e38f3bdb6ace91902585e9c1be76aec219d291b",
     ),
     "urban-grid": (
         "61ba9475ef7571b31fc61f9298fa4b6fc688bb3ab515468f9d5e49869e053ba0",
-        "2deb96ff96d5051f17441dbb52aa34ee0009b1d32a96693103ac095d4b8cd827",
+        "74b146fe1fe7edd842b6d3bd90cef68462231ad80765af7419dd38154a211f88",
     ),
 }
 

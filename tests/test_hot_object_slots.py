@@ -23,7 +23,7 @@ def make_instances():
         Frame(sender="a", destination=None, payload="x", size_bytes=10, frame_id=0),
         Beacon(sender="a", timestamp=0.0, position=Vec2(0, 0), velocity=Vec2(0, 0)),
         LinkQuality(10.0, 1e6, 0.01, True, 50.0),
-        _FrameDelivery(None, None, None),
+        _FrameDelivery(None, None, 0.0, 0.0),
     ]
 
 

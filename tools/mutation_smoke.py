@@ -154,6 +154,12 @@ MUTATIONS: Tuple[Mutation, ...] = (
         "            pass\n",
     ),
     Mutation(
+        "unicast: plan lookup accepts the next receiver",
+        "repro/radio/interfaces.py",
+        "if i == len(plan.indices) or plan.indices[i] != position:",
+        "if i == len(plan.indices):",
+    ),
+    Mutation(
         "radio refresh: epoch universe not flushed",
         "repro/radio/interfaces.py",
         "        self._plans.clear()\n        self._universe = None\n",
